@@ -68,17 +68,40 @@ def default_max_order(T):
     return max(1, min(int(math.log(T) ** 2), T // 4))
 
 
+def _step_up(b, t, k):
+    """Raise prediction coefficients b[1:t] to order t with reflection k."""
+    if t > 1:
+        b[1:t] -= k * b[t - 1 : 0 : -1]
+    b[t] = k
+
+
+def _durbin_levinson(gam):
+    """Durbin-Levinson sweep of autocovariances gamma(0..n-1).
+
+    Yields (t, b[1:t+1], v) for t = 1..n-1, where y(t) is predicted from
+    its past by sum_{j=1}^{t} b[j] y(t-j) with error variance v. The
+    coefficient array is a view that the next step overwrites. This
+    prediction convention is the negative of the ``phi`` convention.
+    """
+    b = np.zeros(gam.size)
+    v = gam[0]
+    for t in range(1, gam.size):
+        k = (gam[t] - np.dot(b[1:t], gam[t - 1 : 0 : -1])) / v
+        if not np.isfinite(k) or abs(k) >= 1.0:
+            raise NumericalDegeneracyError(
+                f"autocovariance sequence is not positive definite at order {t}"
+            )
+        _step_up(b, t, k)
+        v *= 1.0 - k * k
+        yield t, b[1 : t + 1], v
+
+
 def _coeffs_from_reflections(ks):
     """Assemble AR coefficients (phi convention) from reflection coefficients."""
-    a = np.array([1.0])
-    for k in ks:
-        m = a.size
-        nxt = np.empty(m + 1)
-        nxt[0] = 1.0
-        nxt[1:m] = a[1:m] + k * a[m - 1 : 0 : -1]
-        nxt[m] = k
-        a = nxt
-    return a
+    b = np.zeros(len(ks) + 1)
+    for t, k in enumerate(ks, start=1):
+        _step_up(b, t, -k)
+    return np.concatenate(([1.0], -b[1:]))
 
 
 def levinson_durbin(acvf):
@@ -104,26 +127,17 @@ def levinson_durbin(acvf):
     if g[0] <= 0:
         raise NumericalDegeneracyError("gamma(0) must be positive")
 
-    h = g.size - 1
     fits = []
-    a = np.array([1.0])
     ks = []
-    sigma2 = g[0]
-    for m in range(1, h + 1):
-        k = -np.dot(a, g[m::-1][: m]) / sigma2  # a has length m
-        if not np.isfinite(k) or abs(k) >= 1.0:
-            raise NumericalDegeneracyError(
-                f"autocovariance sequence is not positive definite at order {m}"
-            )
-        nxt = np.empty(m + 1)
-        nxt[0] = 1.0
-        nxt[1:m] = a[1:m] + k * a[m - 1 : 0 : -1]
-        nxt[m] = k
-        a = nxt
-        ks.append(k)
-        sigma2 = sigma2 * (1.0 - k * k)
+    for m, b, sigma2 in _durbin_levinson(g):
+        ks.append(-b[-1])
         fits.append(
-            ArFit(order=m, phi=a.copy(), sigma2=sigma2, reflection=np.array(ks))
+            ArFit(
+                order=m,
+                phi=np.concatenate(([1.0], -b)),
+                sigma2=sigma2,
+                reflection=np.array(ks),
+            )
         )
     return fits
 

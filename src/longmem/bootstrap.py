@@ -177,7 +177,7 @@ def bootstrap_draw(y, d_f, config, sieve, rng):
     return apply_frac_filter(w_star, -d_f)
 
 
-def _estimate_draws(y, spec, d_f, config, iteration, estimator_fn):
+def _estimate_draws(y, d_f, config, iteration, estimator_fn):
     """Run B draws and estimates; failed draws are redrawn once."""
     sieve = prefilter_sieve(y, d_f, config)
     draws = np.empty(config.B)
@@ -198,6 +198,21 @@ def _estimate_draws(y, spec, d_f, config, iteration, estimator_fn):
                         f"draw {b} failed twice at iteration {iteration}: {exc}"
                     ) from exc
     return draws, retries
+
+
+def _correction_pass(y, d_hat, d_f, config, estimator_fn, alpha_lower, alpha_upper):
+    """First bias-correction pass: B draws pre-filtered by d_f at iteration 0."""
+    draws, retries = _estimate_draws(y, d_f, config, 0, estimator_fn)
+    bias_hat = float(draws.mean() - d_f)
+    return BootstrapOutcome(
+        draws=draws,
+        d_f=float(d_f),
+        d_hat=d_hat,
+        bias_hat=bias_hat,
+        d_tilde=d_hat - bias_hat,
+        hpd=hpd_interval(draws, d_hat, alpha_lower, alpha_upper),
+        retries=retries,
+    )
 
 
 def bias_correct(
@@ -237,17 +252,8 @@ def bias_correct(
     if estimator_fn is None:
         estimator_fn = lambda s: estimate(s, spec).d_hat
     d_hat = float(estimator_fn(np.asarray(y, dtype=float)))
-    draws, retries = _estimate_draws(y, spec, d_f, config, 0, estimator_fn)
-    bias_hat = float(draws.mean() - d_f)
-    hpd = hpd_interval(draws, d_hat, alpha_lower, alpha_upper)
-    return BootstrapOutcome(
-        draws=draws,
-        d_f=float(d_f),
-        d_hat=d_hat,
-        bias_hat=bias_hat,
-        d_tilde=d_hat - bias_hat,
-        hpd=hpd,
-        retries=retries,
+    return _correction_pass(
+        y, d_hat, d_f, config, estimator_fn, alpha_lower, alpha_upper
     )
 
 
@@ -351,20 +357,29 @@ def iterate_bias_correct(
         raise InvalidParameterError("max_iter must be >= 1")
     if thresholds_fn is None:
         thresholds_fn = stopping_thresholds
-    if estimator_fn is None:
-        estimator_fn = lambda s: estimate(s, spec).d_hat
 
     y = np.asarray(y, dtype=float)
     first = estimate(y, spec)
     n_band = first.N
     upsilon = first.asymptotic_sd * math.sqrt(n_band)
-    d0 = float(estimator_fn(y))
+    if estimator_fn is None:
+        estimator_fn = lambda s: estimate(s, spec).d_hat
+        d0 = float(first.d_hat)
+    else:
+        d0 = float(estimator_fn(y))
 
     trace = IterationTrace(d_initial=d0)
     d_cur = d0
     for k in range(max_iter):
         tau1, tau2 = thresholds_fn(k, n_band, config.B, upsilon, spec.P)
-        draws, retries = _estimate_draws(y, spec, d_cur, config, k, estimator_fn)
+        if k == 0:
+            outcome = _correction_pass(
+                y, d0, d0, config, estimator_fn, alpha_lower, alpha_upper
+            )
+            trace.outcomes.append(outcome)
+            draws = outcome.draws
+        else:
+            draws, _ = _estimate_draws(y, d_cur, config, k, estimator_fn)
         bias_k = float(draws.mean() - d_cur)
         d_next = d_cur - bias_k
         crit1 = abs(d_next - d_cur)
@@ -380,18 +395,6 @@ def iterate_bias_correct(
             crit2=crit2,
         )
         trace.records.append(record)
-        if k == 0:
-            trace.outcomes.append(
-                BootstrapOutcome(
-                    draws=draws,
-                    d_f=d_cur,
-                    d_hat=d0,
-                    bias_hat=bias_k,
-                    d_tilde=d_next,
-                    hpd=hpd_interval(draws, d0, alpha_lower, alpha_upper),
-                    retries=retries,
-                )
-            )
         if deterministic_window is not None and not (
             deterministic_window[0] <= d_next < deterministic_window[1]
         ):

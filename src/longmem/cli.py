@@ -16,7 +16,7 @@ from .exceptions import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .harness import emit_tables, load_design, run_design
+from .harness import _parse_law, emit_tables, load_design, run_design
 from .streams import generator_at
 
 _SEED_ENV = "LONGMEM_SEED"
@@ -34,19 +34,6 @@ def _default_seed(value):
         return int(value)
     env = os.environ.get(_SEED_ENV)
     return int(env) if env else 0
-
-
-def _parse_law(text):
-    if text == "gaussian":
-        return "gaussian", 5.0
-    if text.startswith("student-t"):
-        dof = 5.0
-        if ":" in text:
-            dof = float(text.split(":", 1)[1])
-        return "student-t", dof
-    raise InvalidParameterError(
-        "law must be 'gaussian' or 'student-t:DOF'"
-    )
 
 
 def _read_series(path):

@@ -33,7 +33,6 @@ __all__ = [
 # stopping window uses the same bounds.
 SEARCH_LO = -1.0
 SEARCH_HI = 1.5
-_GRID_STEP = 0.01
 
 # Floor applied to periodogram ordinates before taking logs.
 _LOG_FLOOR = 1e-300
@@ -175,56 +174,47 @@ def _objective_value(d, c, g, logI):
     return shift + math.log(np.mean(np.exp(expo - shift))) - np.mean(s)
 
 
-def _golden_refine(fun, lo, hi, tol):
-    """Golden-section minimization tracking the best point ever seen."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
+def _newton_solve(c, g, logI, lo, hi):
+    """Minimize R(d) = _objective_value(d, c, g, logI) over [lo, hi].
 
+    R is convex in d: R'(d) is the weighted mean of g minus its plain mean,
+    with weights proportional to I_j e^{s_j(d)}, and R''(d) is the weighted
+    variance of g. The weights are scale free, so the minimizer does not
+    move under uniform rescalings of the ordinates. When R' keeps one sign
+    on the interval, the edge it points to is returned as is; otherwise
+    Newton steps on R' = 0 run inside the shrinking sign bracket, and a
+    step that would leave the bracket is replaced by bisection.
 
-def _newton_polish(d, c, g, logI, lo, hi):
-    """Newton iteration on R'(d) = 0; R is convex in d.
-
-    R'(d) = weighted mean of g minus plain mean of g, with weights
-    proportional to I_j e^{s_j}; R''(d) is the weighted variance of g.
-    Drives the stationarity condition to machine level, which makes the
-    minimizer insensitive to uniform rescalings of the ordinates (the
-    weights are scale free). Keeps the iterate inside [lo, hi].
+    Returns (d, boundary).
     """
+    base = c + logI
     gbar = np.mean(g)
-    x = d
-    for _ in range(12):
-        expo = c + x * g + logI
+
+    def slope(d):
+        expo = base + d * g
         w = np.exp(expo - expo.max())
         wsum = w.sum()
         m1 = np.dot(w, g) / wsum
-        var = np.dot(w, (g - m1) ** 2) / wsum
-        if var <= 0.0:
-            break
-        step = (m1 - gbar) / var
-        x_new = min(max(x - step, lo), hi)
+        return m1 - gbar, np.dot(w, (g - m1) ** 2) / wsum
+
+    if slope(lo)[0] >= 0.0:
+        return lo, True
+    if slope(hi)[0] <= 0.0:
+        return hi, True
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        r1, r2 = slope(x)
+        if r1 < 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - r1 / r2 if r2 > 0.0 else math.nan
+        if not lo <= x_new <= hi:
+            x_new = 0.5 * (lo + hi)
         if abs(x_new - x) < 1e-13:
-            x = x_new
-            break
+            return x_new, False
         x = x_new
-    return x
+    return x, False
 
 
 def splw_estimate(y, spec):
@@ -232,18 +222,21 @@ def splw_estimate(y, spec):
 
     For P = 0 this minimizes the Robinson profile objective
     R(d) = log(mean_j l_j^{2d} I_j) - 2d mean_j log l_j over
-    d in [-1, 1.5]. For P >= 1 the objective carries P even powers of
-    frequency whose coefficients are profiled out by least squares on the
-    log-periodogram (see `_whittle_profile`). A coarse grid (step 0.01)
-    locates the basin, golden-section refines it to 1e-8 and a short
-    Newton polish pins the stationary point; the result is never worse
-    than the best grid value.
+    d in [SEARCH_LO, SEARCH_HI]. For P >= 1 the objective carries P even
+    powers of frequency whose coefficients are profiled out by least
+    squares on the log-periodogram (see `_whittle_profile`). R is convex
+    in d, so the minimizer is the root of R'(d) = 0, found by a Newton
+    iteration safeguarded by bisection and stopped once a step falls
+    below 1e-13; when R' keeps one sign over the interval the minimizer
+    is the edge itself.
 
     Returns
     -------
     EstimateResult
-        ``diagnostics['boundary']`` is set when the minimizer sits on the
-        edge of the search interval.
+        ``diagnostics['objective']`` is R at the estimate, and
+        ``diagnostics['boundary']`` is set when the minimizer sits on an
+        edge of the search interval (``d_hat`` then equals SEARCH_LO or
+        SEARCH_HI exactly).
     """
     if spec.family != "splw":
         raise InvalidParameterError("spec.family must be 'splw'")
@@ -251,37 +244,15 @@ def splw_estimate(y, spec):
     N = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
     pgram = periodogram(y, N)
     c, g, logI = _whittle_profile(pgram, spec.P)
-
-    n_grid = int(round((SEARCH_HI - SEARCH_LO) / _GRID_STEP)) + 1
-    grid = np.linspace(SEARCH_LO, SEARCH_HI, n_grid)
-    # R on the grid, vectorized: s_j(d) = c_j + d g_j is affine in d.
-    expo = grid[:, None] * g[None, :] + (c + logI)[None, :]
-    shift = expo.max(axis=1)
-    rvals = shift + np.log(np.mean(np.exp(expo - shift[:, None]), axis=1))
-    rvals -= np.mean(c) + grid * np.mean(g)
-    i_best = int(np.argmin(rvals))
-    best_d, best_f = float(grid[i_best]), float(rvals[i_best])
-
-    grid_f = best_f
-    lo = max(SEARCH_LO, best_d - _GRID_STEP)
-    hi = min(SEARCH_HI, best_d + _GRID_STEP)
-    fun = lambda d: _objective_value(d, c, g, logI)
-    d_ref, f_ref = _golden_refine(fun, lo, hi, tol=1e-8)
-    if f_ref < best_f:
-        best_d, best_f = d_ref, f_ref
-    d_pol = _newton_polish(best_d, c, g, logI, SEARCH_LO, SEARCH_HI)
-    f_pol = fun(d_pol)
-    # the polished point beats the grid by convexity; near the golden value
-    # the comparison is pure rounding noise, so prefer the stationary point
-    if f_pol <= grid_f and f_pol <= best_f + 1e-12 * max(1.0, abs(best_f)):
-        best_d, best_f = d_pol, f_pol
-
-    boundary = i_best in (0, n_grid - 1)
+    d_hat, boundary = _newton_solve(c, g, logI, SEARCH_LO, SEARCH_HI)
     return EstimateResult(
-        d_hat=best_d,
+        d_hat=float(d_hat),
         N=N,
         asymptotic_sd=asymptotic_sd(spec, N),
-        diagnostics={"objective": best_f, "boundary": boundary},
+        diagnostics={
+            "objective": _objective_value(d_hat, c, g, logI),
+            "boundary": boundary,
+        },
     )
 
 

@@ -483,6 +483,20 @@ _SCALAR_KEYS = {
 }
 
 
+def _parse_law(text):
+    """Split a law token ('gaussian' or 'student-t[:DOF]') into (law, dof)."""
+    if text == "gaussian":
+        return "gaussian", 5.0
+    if text.startswith("student-t"):
+        dof = 5.0
+        if ":" in text:
+            dof = float(text.split(":", 1)[1])
+        return "student-t", dof
+    raise InvalidParameterError(
+        "law must be 'gaussian' or 'student-t:DOF'"
+    )
+
+
 def load_design(path, default_seed=None):
     """Parse a key = value config file into an McDesign.
 
@@ -512,12 +526,7 @@ def load_design(path, default_seed=None):
     def _floats(key):
         return tuple(float(tok) for tok in values[key].split(","))
 
-    law = values.get("law", "gaussian")
-    dof = 5.0
-    if law.startswith("student-t"):
-        if ":" in law:
-            dof = float(law.split(":", 1)[1])
-        law = "student-t"
+    law, dof = _parse_law(values.get("law", "gaussian"))
     seed = values.get("seed")
     if seed is None:
         seed = default_seed if default_seed is not None else 0

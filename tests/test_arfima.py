@@ -55,6 +55,14 @@ class TestAcvf:
         brute = ma_truncated_acvf(0.25, 0.5, 1.0, 20)
         assert np.max(np.abs(mine - brute) / np.abs(brute)) <= 1e-6
 
+    def test_lag_zero_and_length_one_with_ar_part(self):
+        params = ArfimaParams(d=0.2, phi=0.5)
+        got = arfima_acvf(params, 0).values
+        assert got.shape == (1,)
+        assert got[0] == arfima_acvf(params, 1).values[0]
+        y = simulate_gaussian(params, 1, np.random.default_rng(3))
+        assert y.shape == (1,) and np.isfinite(y[0])
+
     def test_grid_rows_match_public_acvf(self):
         ds = [-0.3, 0.0, 0.2, 0.45]
         for phi in (-0.5, 0.0, 0.7):

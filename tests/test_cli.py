@@ -138,10 +138,15 @@ class TestMcRun:
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("T = 64\nnope = 1\n")
-        proc = run_cli("mc-run", "--config", str(cfg),
-                       "--out-dir", str(tmp_path / "o"))
-        assert proc.returncode == 2
+        out = tmp_path / "o"
+        for text in (
+            "T = 64\nnope = 1\n",
+            "T = 64\nd = 0\nphi = 0.3\nR = 2\nestimators = lpr0\nlaw = bogus\n",
+        ):
+            cfg.write_text(text)
+            proc = run_cli("mc-run", "--config", str(cfg), "--out-dir", str(out))
+            assert proc.returncode == 2
+            assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         proc = run_cli("mc-run", "--config", str(tmp_path / "none.txt"),

@@ -108,6 +108,27 @@ class TestLprRegression:
         assert abs(np.mean(vals) - 0.1391) <= 0.023  # 3 MC standard errors
 
 
+class TestSplwSolver:
+    @pytest.mark.parametrize("P", [0, 1, 2, 3])
+    def test_exact_power_law_interior(self, P, monkeypatch):
+        slice_ = synthetic_slice(500, 77, (1.3, 0.35, 0.0, 0.0))
+        monkeypatch.setattr(est_mod, "periodogram", lambda y, N: slice_)
+        res = splw_estimate(np.zeros(500), EstimatorSpec("splw", P))
+        assert abs(res.d_hat - 0.35) <= 1e-10
+        assert not res.diagnostics["boundary"]
+
+    @pytest.mark.parametrize("P", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "d, edge", [(1.8, est_mod.SEARCH_HI), (-1.4, est_mod.SEARCH_LO)]
+    )
+    def test_power_law_beyond_search_region_hits_edge(self, P, d, edge, monkeypatch):
+        slice_ = synthetic_slice(500, 77, (0.2, d, 0.0, 0.0))
+        monkeypatch.setattr(est_mod, "periodogram", lambda y, N: slice_)
+        res = splw_estimate(np.zeros(500), EstimatorSpec("splw", P))
+        assert res.d_hat == edge
+        assert res.diagnostics["boundary"]
+
+
 class TestSplw:
     def test_scale_invariance(self):
         y = simulate_gaussian(

@@ -239,9 +239,12 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.txt"
-        cfg.write_text("T = 100\nd = 0\nphi = 0.3\nR = 2\nestimators = lpr0\nfoo = 1\n")
-        with pytest.raises(InvalidParameterError):
-            load_design(str(cfg))
+        for extra in ("foo = 1", "law = bogus"):
+            cfg.write_text(
+                f"T = 100\nd = 0\nphi = 0.3\nR = 2\nestimators = lpr0\n{extra}\n"
+            )
+            with pytest.raises(InvalidParameterError):
+                load_design(str(cfg))
 
     def test_missing_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.txt"
