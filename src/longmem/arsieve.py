@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
+from scipy.signal import lfilter
 
 from .exceptions import (
     DegenerateInputError,
@@ -244,29 +244,37 @@ def ar_residuals(w, fit):
 def simulate_ar_path(fit, innovations, init_block):
     """Run the AR(h) recursion sum_j phi[j] w(t-j) = eps(t) forward.
 
+    Stacked inputs run as many independent paths in one filter call, one
+    per row along the leading axes.
+
     Parameters
     ----------
     fit : ArFit
         Stable AR fit.
-    innovations : array_like
-        eps(1..T).
-    init_block : array_like
-        Pre-sample values (w(1-h), ..., w(0)) in natural time order;
-        length must equal the fit order.
+    innovations : array_like, shape (..., T)
+        eps(1..T) of each path.
+    init_block : array_like, shape (..., h)
+        Pre-sample values (w(1-h), ..., w(0)) of each path in natural time
+        order; h must equal the fit order.
 
     Returns
     -------
-    ndarray of length T
+    ndarray of the shape of `innovations`
     """
     eps = np.asarray(innovations, dtype=float)
     init = np.asarray(init_block, dtype=float)
     h = fit.order
-    if init.size != h:
+    if init.shape != eps.shape[:-1] + (h,):
         raise InvalidParameterError("init block length must equal the fit order")
     if not fit.is_stable():
         raise InvalidParameterError("AR fit is not stable")
     if h == 0:
         return eps.copy()
-    zi = lfiltic([1.0], fit.phi, y=init[::-1])
-    path, _ = lfilter([1.0], fit.phi, eps, zi=zi)
+    # Filter state that reproduces the pre-sample block: what
+    # scipy.signal.lfiltic computes for one path, here for every row.
+    past = init[..., ::-1]
+    zi = np.empty(init.shape)
+    for m in range(h):
+        zi[..., m] = -(fit.phi[m + 1 :] * past[..., : h - m]).sum(axis=-1)
+    path, _ = lfilter([1.0], fit.phi, eps, axis=-1, zi=zi)
     return path

@@ -21,9 +21,15 @@ from .arsieve import (
     select_order_aic,
     simulate_ar_path,
 )
-from .estimators import estimate
-from .exceptions import EstimationFailedError, InvalidParameterError, LongmemError
+from .estimators import _estimate_rows, asymptotic_sd, estimate
+from .exceptions import (
+    DegenerateInputError,
+    EstimationFailedError,
+    InvalidParameterError,
+    LongmemError,
+)
 from .fracdiff import apply_frac_filter
+from .spectral import bandwidth
 from .streams import as_seed_sequence, generator_at
 
 __all__ = [
@@ -43,6 +49,10 @@ __all__ = [
 
 # Updates leaving this window are discarded and iteration stops.
 DETERMINISTIC_WINDOW = (-1.0, 1.5)
+
+# Values per block of draws that are built, filtered and estimated
+# together; bounds the working memory of a pass at any T and B.
+_BLOCK_VALUES = 2 ** 15
 
 _MODES = ("parametric", "nonparametric")
 
@@ -160,49 +170,94 @@ def bootstrap_draw(y, d_f, config, sieve, rng):
     ndarray
         Bootstrap series of the same length as `y`.
     """
-    T = np.asarray(y).size
+    return _draw_rows(np.asarray(y).size, d_f, config, sieve, [rng])[0]
+
+
+def _draw_rows(T, d_f, config, sieve, rngs):
+    """Bootstrap replicas of length T, one row per generator in `rngs`.
+
+    Each generator is consumed as in :func:`bootstrap_draw`: innovations
+    first, then the start of the seeding block. The AR recursion and the
+    inverse filter then run once over the whole block.
+    """
     res = sieve.residuals
-    if config.innovation_mode == "parametric":
-        eps = res.scale * rng.standard_normal(T)
-    else:
-        picks = rng.integers(0, T, size=T)
-        eps = res.scale * res.standardized[picks]
     h = sieve.fit.order
-    if h > 0:
-        tau = int(rng.integers(h, T + 1))  # uniform on {h, ..., T}, 1-based
-        init = sieve.filtered[tau - h : tau]
-    else:
-        init = np.empty(0)
+    eps = np.empty((len(rngs), T))
+    tau = np.zeros(len(rngs), dtype=np.intp)
+    for i, rng in enumerate(rngs):
+        if config.innovation_mode == "parametric":
+            eps[i] = rng.standard_normal(T)
+        else:
+            eps[i] = res.standardized[rng.integers(0, T, size=T)]
+        if h > 0:
+            tau[i] = rng.integers(h, T + 1)  # uniform on {h, ..., T}, 1-based
+    eps *= res.scale
+    init = sieve.filtered[tau[:, None] + np.arange(-h, 0)]
     w_star = simulate_ar_path(sieve.fit, eps, init)
     return apply_frac_filter(w_star, -d_f)
 
 
-def _estimate_draws(y, d_f, config, iteration, estimator_fn):
-    """Run B draws and estimates; failed draws are redrawn once."""
+def _estimate_block(ystar, spec, estimator_fn):
+    """Estimates of a block of draws and the failures, keyed by row."""
+    if estimator_fn is None:
+        values, ok = _estimate_rows(ystar, spec)
+        return values, {
+            i: DegenerateInputError("periodogram ordinates vanish or are not finite")
+            for i in np.flatnonzero(~ok)
+        }
+    values = np.empty(len(ystar))
+    failures = {}
+    for i, row in enumerate(ystar):
+        try:
+            values[i] = estimator_fn(row)
+        except LongmemError as exc:
+            failures[i] = exc
+    return values, failures
+
+
+def _estimate_draws(y, d_f, config, iteration, spec, estimator_fn):
+    """Run B draws and estimates in blocks; failed draws are redrawn once.
+
+    Draw b of this iteration comes from stream (iteration, b, 0); a draw
+    whose estimate fails is rebuilt from stream (iteration, b, 1), and a
+    second failure aborts the pass. Only the failed draws are recomputed.
+    ``estimator_fn`` None uses the batched form of ``estimate(., spec)``;
+    otherwise it is applied to the draws one at a time.
+    """
     sieve = prefilter_sieve(y, d_f, config)
+    T = sieve.filtered.size
+    rows = max(1, _BLOCK_VALUES // T)
     draws = np.empty(config.B)
-    retries = 0
-    for b in range(config.B):
-        attempt = 0
-        while True:
-            rng = generator_at(config.rng_stream, iteration, b, attempt)
-            ystar = bootstrap_draw(y, d_f, config, sieve, rng)
-            try:
-                draws[b] = estimator_fn(ystar)
-                break
-            except LongmemError as exc:
-                attempt += 1
-                retries += 1
-                if attempt > 1:
-                    raise EstimationFailedError(
-                        f"draw {b} failed twice at iteration {iteration}: {exc}"
-                    ) from exc
-    return draws, retries
+
+    def fill(indices, attempt):
+        failed = {}
+        for start in range(0, indices.size, rows):
+            block = indices[start : start + rows]
+            rngs = [
+                generator_at(config.rng_stream, iteration, b, attempt) for b in block
+            ]
+            ystar = _draw_rows(T, d_f, config, sieve, rngs)
+            values, failures = _estimate_block(ystar, spec, estimator_fn)
+            draws[block] = values
+            failed.update((int(block[i]), exc) for i, exc in failures.items())
+        return failed
+
+    failed = fill(np.arange(config.B), 0)
+    if failed:
+        again = fill(np.array(sorted(failed)), 1)
+        if again:
+            b = min(again)
+            raise EstimationFailedError(
+                f"draw {b} failed twice at iteration {iteration}: {again[b]}"
+            ) from again[b]
+    return draws, len(failed)
 
 
-def _correction_pass(y, d_hat, d_f, config, estimator_fn, alpha_lower, alpha_upper):
+def _correction_pass(
+    y, d_hat, d_f, config, spec, estimator_fn, alpha_lower, alpha_upper
+):
     """First bias-correction pass: B draws pre-filtered by d_f at iteration 0."""
-    draws, retries = _estimate_draws(y, d_f, config, 0, estimator_fn)
+    draws, retries = _estimate_draws(y, d_f, config, 0, spec, estimator_fn)
     bias_hat = float(draws.mean() - d_f)
     return BootstrapOutcome(
         draws=draws,
@@ -213,6 +268,12 @@ def _correction_pass(y, d_hat, d_f, config, estimator_fn, alpha_lower, alpha_upp
         hpd=hpd_interval(draws, d_hat, alpha_lower, alpha_upper),
         retries=retries,
     )
+
+
+def _point_estimate(y, spec, estimator_fn):
+    if estimator_fn is None:
+        return float(estimate(y, spec).d_hat)
+    return float(estimator_fn(y))
 
 
 def bias_correct(
@@ -249,11 +310,10 @@ def bias_correct(
     """
     if not np.isfinite(d_f):
         raise InvalidParameterError("pre-filter value must be finite")
-    if estimator_fn is None:
-        estimator_fn = lambda s: estimate(s, spec).d_hat
-    d_hat = float(estimator_fn(np.asarray(y, dtype=float)))
+    y = np.asarray(y, dtype=float)
+    d_hat = _point_estimate(y, spec, estimator_fn)
     return _correction_pass(
-        y, d_hat, d_f, config, estimator_fn, alpha_lower, alpha_upper
+        y, d_hat, d_f, config, spec, estimator_fn, alpha_lower, alpha_upper
     )
 
 
@@ -359,14 +419,9 @@ def iterate_bias_correct(
         thresholds_fn = stopping_thresholds
 
     y = np.asarray(y, dtype=float)
-    first = estimate(y, spec)
-    n_band = first.N
-    upsilon = first.asymptotic_sd * math.sqrt(n_band)
-    if estimator_fn is None:
-        estimator_fn = lambda s: estimate(s, spec).d_hat
-        d0 = float(first.d_hat)
-    else:
-        d0 = float(estimator_fn(y))
+    n_band = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
+    upsilon = asymptotic_sd(spec, n_band) * math.sqrt(n_band)
+    d0 = _point_estimate(y, spec, estimator_fn)
 
     trace = IterationTrace(d_initial=d0)
     d_cur = d0
@@ -374,12 +429,12 @@ def iterate_bias_correct(
         tau1, tau2 = thresholds_fn(k, n_band, config.B, upsilon, spec.P)
         if k == 0:
             outcome = _correction_pass(
-                y, d0, d0, config, estimator_fn, alpha_lower, alpha_upper
+                y, d0, d0, config, spec, estimator_fn, alpha_lower, alpha_upper
             )
             trace.outcomes.append(outcome)
             draws = outcome.draws
         else:
-            draws, _ = _estimate_draws(y, d_cur, config, k, estimator_fn)
+            draws, _ = _estimate_draws(y, d_cur, config, k, spec, estimator_fn)
         bias_k = float(draws.mean() - d_cur)
         d_next = d_cur - bias_k
         crit1 = abs(d_next - d_cur)

@@ -36,6 +36,16 @@ def _default_seed(value):
     return int(env) if env else 0
 
 
+def _worker_count(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def _read_series(path):
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     return data[:, 0]
@@ -147,7 +157,7 @@ def build_parser():
     mc = sub.add_parser("mc-run", help="run a Monte Carlo design")
     mc.add_argument("--config", required=True)
     mc.add_argument("--out-dir", required=True)
-    mc.add_argument("--threads", type=int, default=1)
+    mc.add_argument("--threads", type=_worker_count, default=1)
     mc.set_defaults(func=_cmd_mc_run)
     return parser
 

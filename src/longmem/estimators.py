@@ -8,6 +8,7 @@ grows with P.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .exceptions import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .spectral import bandwidth, periodogram
+from .spectral import _ordinates, bandwidth, fourier_frequencies, periodogram
 
 __all__ = [
     "EstimatorSpec",
@@ -96,6 +97,35 @@ def _design_matrix(freqs, P):
     return np.column_stack(cols)
 
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+def _full_rank(X, what):
+    if np.linalg.matrix_rank(X) < X.shape[1]:
+        raise NumericalDegeneracyError(f"rank-deficient {what} design")
+
+
+# The regression designs depend only on (T, N, P): the frequencies are the
+# first N Fourier frequencies of a length-T series. They are built once per
+# shape and shared by every series of that shape.
+@lru_cache(maxsize=64)
+def _lpr_design(T, N, P):
+    """LPR design X on the first N Fourier frequencies of T, and pinv(X)."""
+    X = _design_matrix(fourier_frequencies(T, N), P)
+    _full_rank(X, "regression")
+    return _frozen(X), _frozen(np.linalg.pinv(X))
+
+
+# Row-wise products below go through np.vecdot, one dot product per row:
+# unlike a matrix product, whose blocking depends on the number of rows, it
+# gives each row the same result however many rows are stacked with it.
+def _lpr_coefficients(logI, pinv):
+    """Least-squares coefficients pinv(X) @ logI of each row of log-ordinates."""
+    return np.vecdot(logI[..., None, :], pinv)
+
+
 def lpr_estimate(y, spec):
     """Log-periodogram regression estimate of the memory parameter.
 
@@ -119,10 +149,8 @@ def lpr_estimate(y, spec):
     N = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
     pgram = periodogram(y, N)
     response = _log_ordinates(pgram.ordinates)
-    X = _design_matrix(pgram.freqs, spec.P)
-    beta, _, rank, _ = np.linalg.lstsq(X, response, rcond=None)
-    if rank < X.shape[1]:
-        raise NumericalDegeneracyError("rank-deficient regression design")
+    X, pinv = _lpr_design(pgram.T, N, spec.P)
+    beta = _lpr_coefficients(response, pinv)
     resid = response - X @ beta
     dof = max(N - X.shape[1], 1)
     return EstimateResult(
@@ -131,6 +159,39 @@ def lpr_estimate(y, spec):
         asymptotic_sd=asymptotic_sd(spec, N),
         diagnostics={"residual_variance": float(resid @ resid / dof)},
     )
+
+
+@lru_cache(maxsize=64)
+def _whittle_design(T, N, P):
+    """Profiling pieces of the SPLW(P) objective for the shape (T, N, P).
+
+    Returns (g, poly, pinv_poly). g is the slope of s(d) = c + d g, shared
+    by every series of this shape. For P >= 1 the polynomial coefficients
+    are profiled out by the fixed projection c = -poly @ (pinv_poly @ logI)
+    of the log-ordinates; poly and pinv_poly are None for P = 0 (c = 0).
+    """
+    freqs = fourier_frequencies(T, N)
+    two_loglam = 2.0 * np.log(freqs)
+    if P == 0:
+        return _frozen(two_loglam), None, None
+    X = np.column_stack(
+        [np.ones_like(freqs)] + [freqs ** (2 * p) for p in range(1, P + 1)]
+    )
+    _full_rank(X, "polynomial")
+    # theta_hat(d) = -(pinv_poly @ (logI + d * two_loglam)); intercepts are
+    # absorbed by the profiled G.
+    poly = X[:, 1:]
+    pinv_poly = np.linalg.pinv(X)[1:]
+    g = two_loglam - poly @ (pinv_poly @ two_loglam)
+    return _frozen(g), _frozen(poly), _frozen(pinv_poly)
+
+
+def _whittle_offsets(logI, poly, pinv_poly):
+    """Profiled offsets c of each row of log-ordinates."""
+    if poly is None:
+        return np.zeros_like(logI)
+    theta = np.vecdot(logI[..., None, :], pinv_poly)
+    return -np.vecdot(theta[..., None, :], poly)
 
 
 def _whittle_profile(pgram, P):
@@ -145,26 +206,9 @@ def _whittle_profile(pgram, P):
 
     Returns (c, g, logI) with s_j(d) = c[j] + d * g[j].
     """
-    freqs = pgram.freqs
     logI = _log_ordinates(pgram.ordinates)
-    two_loglam = 2.0 * np.log(freqs)
-    if P == 0:
-        c = np.zeros_like(freqs)
-        g = two_loglam
-        return c, g, logI
-    X = np.column_stack(
-        [np.ones_like(freqs)] + [freqs ** (2 * p) for p in range(1, P + 1)]
-    )
-    beta_l, _, rank, _ = np.linalg.lstsq(X, logI, rcond=None)
-    beta_x, _, _, _ = np.linalg.lstsq(X, two_loglam, rcond=None)
-    if rank < X.shape[1]:
-        raise NumericalDegeneracyError("rank-deficient polynomial design")
-    # theta_hat(d) = -(beta_l[1:] + d * beta_x[1:]); intercepts are absorbed
-    # by the profiled G.
-    poly = X[:, 1:]
-    c = -poly @ beta_l[1:]
-    g = two_loglam - poly @ beta_x[1:]
-    return c, g, logI
+    g, poly, pinv_poly = _whittle_design(pgram.T, pgram.n_freqs, P)
+    return _whittle_offsets(logI, poly, pinv_poly), g, logI
 
 
 def _objective_value(d, c, g, logI):
@@ -174,8 +218,8 @@ def _objective_value(d, c, g, logI):
     return shift + math.log(np.mean(np.exp(expo - shift))) - np.mean(s)
 
 
-def _newton_solve(c, g, logI, lo, hi):
-    """Minimize R(d) = _objective_value(d, c, g, logI) over [lo, hi].
+def _newton_solve(base, g, lo, hi):
+    """Minimize R(d) over [lo, hi] for every row of base = c + logI.
 
     R is convex in d: R'(d) is the weighted mean of g minus its plain mean,
     with weights proportional to I_j e^{s_j(d)}, and R''(d) is the weighted
@@ -183,38 +227,53 @@ def _newton_solve(c, g, logI, lo, hi):
     move under uniform rescalings of the ordinates. When R' keeps one sign
     on the interval, the edge it points to is returned as is; otherwise
     Newton steps on R' = 0 run inside the shrinking sign bracket, and a
-    step that would leave the bracket is replaced by bisection.
+    step that would leave the bracket is replaced by bisection. Each row
+    keeps its own bracket and stops on its own once a step falls below
+    1e-13, so a row's result does not depend on the other rows.
 
-    Returns (d, boundary).
+    Returns (d, boundary), one entry per row.
     """
-    base = c + logI
     gbar = np.mean(g)
 
-    def slope(d):
-        expo = base + d * g
-        w = np.exp(expo - expo.max())
-        wsum = w.sum()
-        m1 = np.dot(w, g) / wsum
-        return m1 - gbar, np.dot(w, (g - m1) ** 2) / wsum
+    def slope(base_rows, x):
+        expo = base_rows + x[:, None] * g
+        expo -= np.maximum.reduce(expo, axis=-1, keepdims=True)
+        w = np.exp(expo)
+        wsum = np.add.reduce(w, axis=-1)
+        m1 = np.vecdot(w, g) / wsum
+        return m1 - gbar, np.vecdot(w, (g - m1[:, None]) ** 2) / wsum
 
-    if slope(lo)[0] >= 0.0:
-        return lo, True
-    if slope(hi)[0] <= 0.0:
-        return hi, True
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        r1, r2 = slope(x)
-        if r1 < 0.0:
-            lo = x
-        else:
-            hi = x
-        x_new = x - r1 / r2 if r2 > 0.0 else math.nan
-        if not lo <= x_new <= hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-13:
-            return x_new, False
-        x = x_new
-    return x, False
+    n = base.shape[0]
+    at_lo = slope(base, np.full(n, lo))[0] >= 0.0
+    at_hi = slope(base, np.full(n, hi))[0] <= 0.0
+    edge = at_lo | at_hi
+    d = np.where(at_lo, lo, hi)
+    rows = np.flatnonzero(~edge)
+    base = base[rows]
+    a = np.full(rows.size, lo)
+    b = np.full(rows.size, hi)
+    x = 0.5 * (a + b)
+    # R'' >= 0; where it is 0 or NaN the Newton step is not finite and
+    # fails the bracket test below, so bisection takes over.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if rows.size == 0:
+                break
+            r1, r2 = slope(base, x)
+            below = r1 < 0.0
+            np.copyto(a, x, where=below)
+            np.copyto(b, x, where=~below)
+            x_new = x - r1 / r2
+            inside = (a <= x_new) & (x_new <= b)
+            np.copyto(x_new, 0.5 * (a + b), where=~inside)
+            done = np.abs(x_new - x) < 1e-13
+            x = x_new
+            if done.any():
+                d[rows[done]] = x[done]
+                keep = ~done
+                rows, base, a, b, x = rows[keep], base[keep], a[keep], b[keep], x[keep]
+    d[rows] = x
+    return d, edge
 
 
 def splw_estimate(y, spec):
@@ -244,14 +303,15 @@ def splw_estimate(y, spec):
     N = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
     pgram = periodogram(y, N)
     c, g, logI = _whittle_profile(pgram, spec.P)
-    d_hat, boundary = _newton_solve(c, g, logI, SEARCH_LO, SEARCH_HI)
+    d, boundary = _newton_solve((c + logI)[None], g, SEARCH_LO, SEARCH_HI)
+    d_hat = float(d[0])
     return EstimateResult(
-        d_hat=float(d_hat),
+        d_hat=d_hat,
         N=N,
         asymptotic_sd=asymptotic_sd(spec, N),
         diagnostics={
             "objective": _objective_value(d_hat, c, g, logI),
-            "boundary": boundary,
+            "boundary": bool(boundary[0]),
         },
     )
 
@@ -261,3 +321,31 @@ def estimate(y, spec):
     if spec.family == "lpr":
         return lpr_estimate(y, spec)
     return splw_estimate(y, spec)
+
+
+def _estimate_rows(y, spec):
+    """Memory estimates of a stack of series, one per row of ``y``.
+
+    The block form of :func:`estimate`, run by the bootstrap on its draws:
+    one FFT gives the ordinates of every row, and the LPR coefficients or
+    the SPLW solve use the same design pieces and kernels as the one-series
+    functions. A row on which ``estimate`` would raise (ordinates all zero
+    or not finite) gets ``ok`` False and a NaN estimate.
+
+    Returns (d_hat, ok), arrays over the rows.
+    """
+    T = y.shape[-1]
+    N = bandwidth(T, spec.bandwidth_exponent, spec.P)
+    ordinates = _ordinates(y, N)
+    ok = np.all(np.isfinite(ordinates), axis=-1) & np.any(
+        ordinates > _LOG_FLOOR, axis=-1
+    )
+    logI = np.log(np.maximum(ordinates[ok], _LOG_FLOOR))
+    d_hat = np.full(y.shape[0], np.nan)
+    if spec.family == "lpr":
+        d_hat[ok] = _lpr_coefficients(logI, _lpr_design(T, N, spec.P)[1])[:, 1]
+    else:
+        g, poly, pinv_poly = _whittle_design(T, N, spec.P)
+        base = _whittle_offsets(logI, poly, pinv_poly) + logI
+        d_hat[ok] = _newton_solve(base, g, SEARCH_LO, SEARCH_HI)[0]
+    return d_hat, ok

@@ -18,9 +18,10 @@ import numpy as np
 from scipy.stats import norm
 
 from .arfima import ArfimaParams, simulate_gaussian
-from .bootstrap import BootstrapConfig, bias_correct, iterate_bias_correct
-from .estimators import EstimatorSpec, estimate
+from .bootstrap import _MODES, BootstrapConfig, bias_correct, iterate_bias_correct
+from .estimators import EstimatorSpec, asymptotic_sd, estimate
 from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
+from .spectral import bandwidth
 from .streams import generator_at, substream
 
 __all__ = [
@@ -153,6 +154,22 @@ class McDesign:
             raise InvalidDesignError("need at least one estimator task")
         if any(t.needs_bootstrap for t in self.estimators) and self.B < 2:
             raise InvalidDesignError("bootstrap tasks require B >= 2")
+        if any(t.hpd for t in self.estimators) and self.B < 10:
+            raise InvalidDesignError("HPD tasks require B >= 10")
+        if self.mode not in _MODES:
+            raise InvalidDesignError(f"mode must be one of {_MODES}")
+        for task in self.estimators:
+            try:
+                EstimatorSpec(task.family, task.P, self.bandwidth_exponent)
+                for T in self.T_values:
+                    bandwidth(T, self.bandwidth_exponent, task.P)
+            except InvalidParameterError as exc:
+                raise InvalidDesignError(f"task {task.name}: {exc}") from exc
+        for d, phi in product(self.d_values, self.phi_values):
+            try:
+                ArfimaParams(d=d, phi=phi, law=self.law, dof=self.dof)
+            except InvalidParameterError as exc:
+                raise InvalidDesignError(f"cell d={d}, phi={phi}: {exc}") from exc
 
     def cells(self):
         """(index, (T, d, phi)) pairs in lexicographic design order."""
@@ -191,13 +208,14 @@ def _always_continue(k, N, B, upsilon, P):
 
 def _run_task(y, task, design, stream):
     spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
-    base = estimate(y, spec)
+    N = bandwidth(y.size, design.bandwidth_exponent, task.P)
     out = {
-        "point": base.d_hat,
-        "asym_half": _Z975 * base.asymptotic_sd,
+        "asym_half": _Z975 * asymptotic_sd(spec, N),
         "hpd": None,
         "detstop": False,
     }
+    if task.correction == "none":
+        out["point"] = estimate(y, spec).d_hat
     if not task.needs_bootstrap:
         return out
     config = BootstrapConfig(
@@ -205,7 +223,7 @@ def _run_task(y, task, design, stream):
     )
     if task.correction == "none":
         outcome = bias_correct(
-            y, spec, base.d_hat, config, design.alpha_lower, design.alpha_upper
+            y, spec, out["point"], config, design.alpha_lower, design.alpha_upper
         )
         out["hpd"] = outcome.hpd
     elif task.correction == "bba":

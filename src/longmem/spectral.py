@@ -97,7 +97,14 @@ def periodogram(y, N):
     N = int(N)
     if not 1 <= N < T / 2:
         raise InvalidParameterError("need 1 <= N < T/2")
-    x = y - y.mean()
-    dft = np.fft.rfft(x)[1 : N + 1]
-    ordinates = (dft.real ** 2 + dft.imag ** 2) / (2.0 * np.pi * T)
-    return PeriodogramSlice(T=T, freqs=fourier_frequencies(T, N), ordinates=ordinates)
+    return PeriodogramSlice(
+        T=T, freqs=fourier_frequencies(T, N), ordinates=_ordinates(y, N)
+    )
+
+
+def _ordinates(y, N):
+    """Periodogram ordinates j = 1..N of each series along the last axis."""
+    T = y.shape[-1]
+    x = y - y.mean(axis=-1, keepdims=True)
+    dft = np.fft.rfft(x, axis=-1)[..., 1 : N + 1]
+    return (dft.real ** 2 + dft.imag ** 2) / (2.0 * np.pi * T)

@@ -22,6 +22,7 @@ from longmem import (
     simulate_gaussian,
     stopping_thresholds,
 )
+import longmem.bootstrap as bmod
 from longmem.arsieve import ArFit, ar_residuals, simulate_ar_path
 from longmem.fracdiff import apply_frac_filter
 from longmem.streams import generator_at
@@ -184,6 +185,129 @@ class TestBiasCorrect:
                                   rng_stream=np.random.SeedSequence(41000 + r))
             vals.append(bias_correct(y, spec, d_hat, cfg).d_tilde)
         assert abs(np.mean(vals) - 0.1558) <= 0.033  # 3 MC standard errors
+
+
+@pytest.fixture(scope="module")
+def series_by_T():
+    params = ArfimaParams(d=0.3, phi=0.5)
+    return {
+        T: simulate_gaussian(params, T, np.random.default_rng(T))
+        for T in (100, 500, 2000)
+    }
+
+
+def record_draw_rows(monkeypatch):
+    """Collect every block of bootstrap series that a pass builds."""
+    seen = []
+    real = bmod._draw_rows
+
+    def recording(*args):
+        out = real(*args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(bmod, "_draw_rows", recording)
+    return seen
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("T", [100, 500, 2000])
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    @pytest.mark.parametrize("family", ["lpr", "splw"])
+    def test_matches_per_draw_estimates(self, series_by_T, family, mode, T):
+        y = series_by_T[T]
+        cfg = BootstrapConfig(B=20, innovation_mode=mode, rng_stream=T + 1)
+        sieve = prefilter_sieve(y, 0.25, cfg)
+        for P in range(4):
+            spec = EstimatorSpec(family, P)
+            batched = bias_correct(y, spec, 0.25, cfg).draws
+            single = [
+                estimate(
+                    bootstrap_draw(y, 0.25, cfg, sieve,
+                                   generator_at(cfg.rng_stream, 0, b, 0)),
+                    spec,
+                ).d_hat
+                for b in range(cfg.B)
+            ]
+            assert np.max(np.abs(batched - single)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spec", [EstimatorSpec("lpr", 1), EstimatorSpec("splw", 2)]
+    )
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_block_size_does_not_change_results(self, arfima_series, spec, mode,
+                                                monkeypatch):
+        cfg = BootstrapConfig(B=150, innovation_mode=mode, rng_stream=8)
+        seen = record_draw_rows(monkeypatch)
+        default = bias_correct(arfima_series, spec, 0.2, cfg).draws
+        default_rows = np.concatenate(seen)
+        seen.clear()
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 1)
+        one = bias_correct(arfima_series, spec, 0.2, cfg).draws
+        assert len(seen) == cfg.B  # one draw per block
+        assert np.array_equal(np.concatenate(seen), default_rows)
+        assert np.array_equal(one, default)
+
+    def test_failed_rows_redrawn_on_retry_streams(self, arfima_series,
+                                                  monkeypatch):
+        chosen = {3, 7, 40}
+        calls = []
+        real_generator_at = bmod.generator_at
+
+        def logged(stream, *path):
+            calls.append(path)
+            return real_generator_at(stream, *path)
+
+        monkeypatch.setattr(bmod, "generator_at", logged)
+        seen = {"n": -1}  # call 0 is the point estimate on the data
+
+        def stub(s):
+            seen["n"] += 1
+            if seen["n"] - 1 in chosen:  # first pass visits b = 0..B-1 in order
+                raise DegenerateInputError("chosen row")
+            return s[0]
+
+        cfg = BootstrapConfig(B=64, rng_stream=12)
+        out = bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.2, cfg,
+                           estimator_fn=stub)
+        assert out.retries == len(chosen)
+        assert sorted(b for (_, b, a) in calls if a == 1) == sorted(chosen)
+        assert len(calls) == cfg.B + len(chosen)
+        sieve = prefilter_sieve(arfima_series, 0.2, cfg)
+        for b in range(cfg.B):
+            attempt = 1 if b in chosen else 0
+            draw = bootstrap_draw(arfima_series, 0.2, cfg, sieve,
+                                  real_generator_at(12, 0, b, attempt))
+            assert out.draws[b] == draw[0]
+
+    def test_batched_estimator_failures_redraw_only_those_rows(
+        self, arfima_series, monkeypatch
+    ):
+        chosen = {0, 5, 99}
+        spec = EstimatorSpec("splw", 1)
+        cfg = BootstrapConfig(B=100, rng_stream=14)
+        clean = bias_correct(arfima_series, spec, 0.2, cfg).draws
+        real = bmod._estimate_rows
+        offset = {"rows": 0}
+
+        def failing(ystar, spec_):
+            values, ok = real(ystar, spec_)
+            rows = offset["rows"] + np.arange(len(ystar))
+            offset["rows"] += len(ystar)
+            ok = ok & ~np.isin(rows, list(chosen))
+            return np.where(ok, values, np.nan), ok
+
+        monkeypatch.setattr(bmod, "_estimate_rows", failing)
+        out = bias_correct(arfima_series, spec, 0.2, cfg)
+        assert out.retries == len(chosen)
+        assert offset["rows"] == cfg.B + len(chosen)
+        keep = [b for b in range(cfg.B) if b not in chosen]
+        assert np.array_equal(out.draws[keep], clean[keep])
+        sieve = prefilter_sieve(arfima_series, 0.2, cfg)
+        for b in chosen:
+            draw = bootstrap_draw(arfima_series, 0.2, cfg, sieve,
+                                  generator_at(14, 0, b, 1))
+            assert abs(out.draws[b] - estimate(draw, spec).d_hat) <= 1e-12
 
 
 class TestStoppingThresholds:

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from longmem.cli import main
+
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = os.environ.copy()
@@ -147,6 +149,17 @@ class TestMcRun:
             proc = run_cli("mc-run", "--config", str(cfg), "--out-dir", str(out))
             assert proc.returncode == 2
             assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, threads):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("T = 64\nd = 0\nphi = 0.3\nR = 2\nestimators = lpr0\n")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mc-run", "--config", str(cfg), "--out-dir", str(out),
+                  "--threads", threads])
+        assert exit_info.value.code == 2
+        assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         proc = run_cli("mc-run", "--config", str(tmp_path / "none.txt"),

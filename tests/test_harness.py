@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import longmem.bootstrap as bmod
 import longmem.harness as hmod
 from longmem import (
     ArfimaParams,
@@ -65,6 +66,22 @@ class TestDesign:
     def test_bootstrap_tasks_need_B(self):
         with pytest.raises(InvalidDesignError):
             small_design(B=0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(mode="bogus"),
+            dict(T_values=(6,)),
+            dict(bandwidth_exponent=1.5),
+            dict(B=5, estimators=(parse_estimator_token("lpr1-hpd"),)),
+            dict(estimators=(parse_estimator_token("lpr7"),)),
+            dict(d_values=(0.2, 0.5)),
+        ],
+        ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d"],
+    )
+    def test_infeasible_design_rejected(self, bad):
+        with pytest.raises(InvalidDesignError):
+            small_design(**bad)
 
     def test_cells_enumerated_lexicographically(self):
         design = small_design(T_values=(64, 128), phi_values=(0.3, 0.6))
@@ -145,6 +162,27 @@ class TestRunDesign:
         res = run_design(design)[0]
         assert res.R_effective == 2
         assert res.stats["n_failed"] == 1.0
+
+    def test_ssr_task_estimates_data_once(self, monkeypatch):
+        design = small_design(
+            estimators=(parse_estimator_token("splw1-ssr"),), B=12
+        )
+        y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 64,
+                              np.random.default_rng(5))
+        on_data = {"n": 0}
+        real = hmod.estimate
+
+        def counting(series, spec):
+            on_data["n"] += np.array_equal(series, y)
+            return real(series, spec)
+
+        monkeypatch.setattr(hmod, "estimate", counting)
+        monkeypatch.setattr(bmod, "estimate", counting)
+        task = design.estimators[0]
+        out = hmod._run_task(y, task, design, task_stream(11, 0, 0, 0))
+        assert on_data["n"] == 1
+        base = real(y, EstimatorSpec("splw", 1))
+        assert out["asym_half"] == hmod._Z975 * base.asymptotic_sd
 
     def test_mse_at_least_bias_squared(self):
         for res in run_design(small_design()):
