@@ -139,15 +139,30 @@ def simulate_gaussian(params, T, rng):
     T = int(T)
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
+    return _simulate_rows(params, _standardized_deviates(params, T, rng)[None])[0]
+
+
+def _simulate_rows(params, Z):
+    """Series with the exact ACVF of `params`, one per row of deviates Z.
+
+    The block form of :func:`simulate_gaussian`, which is its one-row
+    case: Z holds the (R, T) standardized deviates, one Durbin-Levinson
+    sweep of the ACVF drives the recursion of every row, and each step is
+    one row-wise dot product, so a row's values do not depend on the rows
+    stacked with it. No T x T factor is formed; memory is O(R T).
+    """
+    R, T = Z.shape
     gam = arfima_acvf(params, max_lag=T - 1).values
-    z = _standardized_deviates(params, T, rng)
     if T == 1 or not np.any(gam[1:]):
-        return math.sqrt(gam[0]) * z
-    y = np.empty(T)
-    y[0] = math.sqrt(gam[0]) * z[0]
+        return math.sqrt(gam[0]) * Z
+    # Time runs backwards along a row of rev, rev[:, T-1-t] = y(t), so the
+    # past y(t-1), ..., y(0) of step t is the contiguous slice rev[:, T-t:]
+    # and every row's prediction is a unit-stride (BLAS) dot product.
+    rev = np.empty((R, T))
+    rev[:, T - 1] = math.sqrt(gam[0]) * Z[:, 0]
     for t, b, v in _durbin_levinson(gam):
-        y[t] = np.dot(b, y[t - 1 :: -1]) + math.sqrt(v) * z[t]
-    return y
+        rev[:, T - 1 - t] = np.vecdot(rev[:, T - t :], b) + math.sqrt(v) * Z[:, t]
+    return rev[:, ::-1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import sys
 
 import numpy as np
 
-from .arfima import ArfimaParams, simulate_gaussian
-from .bootstrap import BootstrapConfig, bias_correct, iterate_bias_correct
+from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
+from .bootstrap import BootstrapConfig, _correction_pass, iterate_bias_correct
 from .estimators import EstimatorSpec, estimate
 from .exceptions import (
     DegenerateInputError,
@@ -48,6 +48,10 @@ def _worker_count(text):
 
 def _read_series(path):
     data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[1] != 1:
+        raise InvalidParameterError(
+            f"{path} has {data.shape[1]} columns; expected one series"
+        )
     return data[:, 0]
 
 
@@ -55,11 +59,15 @@ def _cmd_simulate(args):
     law, dof = _parse_law(args.law)
     params = ArfimaParams(d=args.d, phi=args.phi, sigma2=1.0, law=law, dof=dof)
     seed = _default_seed(args.seed)
-    cols = [
-        simulate_gaussian(params, args.T, generator_at(seed, i))
-        for i in range(args.n)
-    ]
-    np.savetxt(args.out, np.column_stack(cols), fmt="%.17g", delimiter=",")
+    if args.T < 1 or args.n < 1:
+        raise InvalidParameterError("--T and --n must be at least 1")
+    Z = np.array(
+        [
+            _standardized_deviates(params, args.T, generator_at(seed, i))
+            for i in range(args.n)
+        ]
+    )
+    np.savetxt(args.out, _simulate_rows(params, Z).T, fmt="%.17g", delimiter=",")
     return 0
 
 
@@ -94,8 +102,8 @@ def _cmd_bias_correct(args):
                 f" stop {rec.stop_reason}"
             )
     else:
-        res = estimate(y, spec)
-        outcome = bias_correct(y, spec, res.d_hat, config)
+        d_hat = estimate(y, spec).d_hat
+        outcome = _correction_pass(y, d_hat, d_hat, config, spec, None, 0.025, 0.025)
         print(f"d_hat {outcome.d_hat:.10g}")
         print(f"d_tilde {outcome.d_tilde:.10g}")
         print(f"bias_hat {outcome.bias_hat:.10g}")

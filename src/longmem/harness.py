@@ -5,6 +5,13 @@ series and runs every requested estimator task on it, so estimators are
 compared on common data. Random streams are pure functions of
 (master seed, cell index, replication, task), which makes runs
 reproducible bit-for-bit at any worker count.
+
+A job is one cell and a contiguous block of its replications. Without a
+bootstrap task a block holds about ``_BLOCK_VALUES`` simulated values,
+the block's series come from one Durbin-Levinson sweep, and each plain
+task estimates the whole block in one batched call; a design with a
+bootstrap task runs one replication per job. The layout depends on the
+design alone, and one process pool serves every job of the design.
 """
 
 import csv
@@ -17,8 +24,15 @@ from itertools import product
 import numpy as np
 from scipy.stats import norm
 
-from .arfima import ArfimaParams, simulate_gaussian
-from .bootstrap import _MODES, BootstrapConfig, bias_correct, iterate_bias_correct
+from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
+from .bootstrap import (
+    _BLOCK_VALUES,
+    _MODES,
+    BootstrapConfig,
+    _correction_pass,
+    _estimate_block,
+    iterate_bias_correct,
+)
 from .estimators import EstimatorSpec, asymptotic_sd, estimate
 from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
 from .spectral import bandwidth
@@ -207,6 +221,7 @@ def _always_continue(k, N, B, upsilon, P):
 
 
 def _run_task(y, task, design, stream):
+    """Point estimate, intervals and stop flag of one bootstrap task on y."""
     spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
     N = bandwidth(y.size, design.bandwidth_exponent, task.P)
     out = {
@@ -214,16 +229,14 @@ def _run_task(y, task, design, stream):
         "hpd": None,
         "detstop": False,
     }
-    if task.correction == "none":
-        out["point"] = estimate(y, spec).d_hat
-    if not task.needs_bootstrap:
-        return out
     config = BootstrapConfig(
         B=design.B, innovation_mode=design.mode, rng_stream=stream
     )
     if task.correction == "none":
-        outcome = bias_correct(
-            y, spec, out["point"], config, design.alpha_lower, design.alpha_upper
+        out["point"] = estimate(y, spec).d_hat
+        outcome = _correction_pass(
+            y, out["point"], out["point"], config, spec, None,
+            design.alpha_lower, design.alpha_upper,
         )
         out["hpd"] = outcome.hpd
     elif task.correction == "bba":
@@ -256,28 +269,77 @@ def _run_task(y, task, design, stream):
     return out
 
 
-def _replication_worker(args):
-    design, cell_index, cell, r = args
+def _plain_task(Y, task, design):
+    """Per-row results of a task without bootstrap on the series block Y."""
+    spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
+    N = bandwidth(Y.shape[-1], design.bandwidth_exponent, task.P)
+    half = _Z975 * asymptotic_sd(spec, N)
+    values, failures = _estimate_block(Y, spec, None)
+    return [
+        {"failed": str(failures[i])}
+        if i in failures
+        else {"point": float(d), "asym_half": half, "hpd": None, "detstop": False}
+        for i, d in enumerate(values)
+    ]
+
+
+def _block_worker(args):
+    """Simulate replications start..stop-1 of one cell and run every task.
+
+    Returns one list of per-replication results per task, and the job's
+    wall time.
+    """
+    design, cell_index, cell, start, stop = args
+    began = time.perf_counter()
     T, d_true, phi = cell
     params = ArfimaParams(
         d=d_true, phi=phi, sigma2=1.0, law=design.law, dof=design.dof
     )
-    y = simulate_gaussian(params, T, generator_at(design.seed, cell_index, r, 0))
-    results = []
+    Z = np.empty((stop - start, T))
+    for i, r in enumerate(range(start, stop)):
+        Z[i] = _standardized_deviates(
+            params, T, generator_at(design.seed, cell_index, r, 0)
+        )
+    Y = _simulate_rows(params, Z)
+    columns = []
     for ti, task in enumerate(design.estimators):
-        stream = task_stream(design.seed, cell_index, r, ti)
-        try:
-            results.append(_run_task(y, task, design, stream))
-        except LongmemError as exc:
-            results.append({"failed": str(exc)})
-    return results
+        if not task.needs_bootstrap:
+            columns.append(_plain_task(Y, task, design))
+            continue
+        column = []
+        for r, y in zip(range(start, stop), Y):
+            stream = task_stream(design.seed, cell_index, r, ti)
+            try:
+                column.append(_run_task(y, task, design, stream))
+            except LongmemError as exc:
+                column.append({"failed": str(exc)})
+        columns.append(column)
+    return columns, time.perf_counter() - began
 
 
-def _aggregate_cell(design, cell, reps, wall_time):
+def _jobs(design):
+    """(design, cell index, cell, start, stop) of every job, in design order.
+
+    A design with a bootstrap task runs one replication per job; otherwise
+    a job is a block of about ``_BLOCK_VALUES`` simulated values. The
+    layout depends on the design alone, so results do not depend on the
+    number of workers.
+    """
+    boot = any(task.needs_bootstrap for task in design.estimators)
+    jobs = []
+    for cell_index, cell in design.cells():
+        rows = 1 if boot else max(1, _BLOCK_VALUES // cell[0])
+        for start in range(0, design.R, rows):
+            jobs.append(
+                (design, cell_index, cell, start, min(start + rows, design.R))
+            )
+    return jobs
+
+
+def _aggregate_cell(design, cell, columns, wall_time):
     T, d_true, phi = cell
     out = []
-    for ti, task in enumerate(design.estimators):
-        rows = [rep[ti] for rep in reps]
+    for task, rows in zip(design.estimators, columns):
         ok = [row for row in rows if "failed" not in row]
         n_failed = len(rows) - len(ok)
         stats = {}
@@ -328,24 +390,31 @@ def run_design(design, threads=1):
     ----------
     design : McDesign
     threads : int
-        Worker processes; results are identical for any value.
+        Worker processes; results are identical for any value. One pool
+        serves the whole design; 1 runs every job in this process.
 
     Returns
     -------
     list of McCellResult
         One entry per (cell, estimator task), in design order.
     """
+    jobs = _jobs(design)
+    if threads <= 1:
+        done = list(map(_block_worker, jobs))
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(_block_worker, jobs))
+    columns = {i: [[] for _ in design.estimators] for i, _ in design.cells()}
+    wall = dict.fromkeys(columns, 0.0)
+    for job, (job_columns, seconds) in zip(jobs, done):
+        for column, rows in zip(columns[job[1]], job_columns):
+            column.extend(rows)
+        wall[job[1]] += seconds
     results = []
     for cell_index, cell in design.cells():
-        jobs = [(design, cell_index, cell, r) for r in range(design.R)]
-        start = time.perf_counter()
-        if threads <= 1:
-            reps = [_replication_worker(job) for job in jobs]
-        else:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                reps = list(pool.map(_replication_worker, jobs))
-        wall = time.perf_counter() - start
-        results.extend(_aggregate_cell(design, cell, reps, wall))
+        results.extend(
+            _aggregate_cell(design, cell, columns[cell_index], wall[cell_index])
+        )
     return results
 
 

@@ -18,7 +18,10 @@ from longmem.arfima import (
     _acvf_rows,
     _ar1_tail_length,
     _profile_loglik_point,
+    _simulate_rows,
+    _standardized_deviates,
 )
+from longmem.streams import generator_at
 
 from _oracles import ma_truncated_acvf
 
@@ -117,6 +120,32 @@ class TestSimulation:
         y = simulate_gaussian(params, 200000, np.random.default_rng(5))
         assert abs(y.var() - 1.0) <= 0.05
         assert kurtosis(y) > 1.0  # excess kurtosis; normal would be ~0
+
+    @pytest.mark.parametrize("law", ["gaussian", "student-t"])
+    @pytest.mark.parametrize("phi", [0.0, 0.6])
+    @pytest.mark.parametrize("T", [1, 2, 3, 64, 500])
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    def test_block_rows_equal_one_row_draws(self, rows, T, phi, law):
+        params = ArfimaParams(d=0.3, phi=phi, law=law, dof=5.0)
+        Z = np.array(
+            [_standardized_deviates(params, T, generator_at(3, i)) for i in range(rows)]
+        )
+        got = _simulate_rows(params, Z)
+        assert got.shape == (rows, T)
+        for i in range(rows):
+            want = simulate_gaussian(params, T, generator_at(3, i))
+            assert np.array_equal(got[i], want)
+
+    def test_block_rows_match_cholesky_factor(self):
+        # y = L z with L the Cholesky factor of the Toeplitz covariance is the
+        # innovations form of the same recursion, so the two agree exactly
+        # up to rounding.
+        T = 200
+        for phi in (0.0, 0.6):
+            params = ArfimaParams(d=0.3, phi=phi)
+            L = np.linalg.cholesky(sl.toeplitz(arfima_acvf(params, T - 1).values))
+            Z = np.random.default_rng(8).standard_normal((5, T))
+            assert_allclose(_simulate_rows(params, Z), Z @ L.T, rtol=0, atol=1e-10)
 
     def test_student_t_dof_validated(self):
         with pytest.raises(InvalidParameterError):

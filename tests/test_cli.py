@@ -5,7 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+import longmem.bootstrap as bmod
+import longmem.cli as cmod
+from longmem import ArfimaParams, simulate_gaussian
 from longmem.cli import main
+from longmem.streams import generator_at
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -61,6 +65,17 @@ class TestSimulate:
         data = np.loadtxt(path, delimiter=",")
         assert data.shape == (50, 3)
 
+    def test_columns_equal_one_row_draws(self, tmp_path):
+        path = tmp_path / "multi.csv"
+        assert main(["simulate", "--d", "0.3", "--phi", "0.6", "--T", "80",
+                     "--n", "4", "--seed", "6", "--law", "student-t:7",
+                     "--out", str(path)]) == 0
+        params = ArfimaParams(d=0.3, phi=0.6, law="student-t", dof=7.0)
+        cols = [simulate_gaussian(params, 80, generator_at(6, i)) for i in range(4)]
+        want = tmp_path / "want.csv"
+        np.savetxt(want, np.column_stack(cols), fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == want.read_bytes()
+
     def test_student_t_law(self, tmp_path):
         path = tmp_path / "t.csv"
         proc = run_cli("simulate", "--d", "0.1", "--phi", "0.0", "--T", "50",
@@ -91,6 +106,14 @@ class TestEstimate:
         proc = run_cli("estimate", "--in", "no-such-file.csv", "--family", "lpr")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command", [["estimate"], ["bias-correct", "--B", "20"]])
+    def test_multi_column_input_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "multi.csv"
+        assert main(["simulate", "--d", "0.2", "--phi", "0.3", "--T", "100",
+                     "--n", "3", "--seed", "1", "--out", str(path)]) == 0
+        assert main([*command, "--in", str(path), "--family", "lpr"]) == 2
+        assert "3 columns" in capsys.readouterr().err
+
     def test_degenerate_input_exit_3(self, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("\n".join(["1.0"] * 100) + "\n")
@@ -115,6 +138,22 @@ class TestBiasCorrect:
         assert proc.returncode == 0
         assert "stop_reason" in proc.stdout
         assert "iter 0" in proc.stdout
+
+    def test_one_shot_estimates_data_once(self, series_file, monkeypatch, capsys):
+        y = np.loadtxt(series_file)
+        on_data = {"n": 0}
+        real = cmod.estimate
+
+        def counting(series, spec):
+            on_data["n"] += np.array_equal(series, y)
+            return real(series, spec)
+
+        monkeypatch.setattr(cmod, "estimate", counting)
+        monkeypatch.setattr(bmod, "estimate", counting)
+        assert main(["bias-correct", "--in", str(series_file), "--family",
+                     "splw", "--P", "1", "--B", "20", "--seed", "3"]) == 0
+        assert on_data["n"] == 1
+        assert "d_tilde" in capsys.readouterr().out
 
     def test_deterministic_given_seed(self, series_file):
         args = ("bias-correct", "--in", str(series_file), "--family", "lpr",

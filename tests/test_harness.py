@@ -10,7 +10,6 @@ import longmem.harness as hmod
 from longmem import (
     ArfimaParams,
     BootstrapConfig,
-    EstimateResult,
     EstimatorSpec,
     InvalidDesignError,
     InvalidParameterError,
@@ -114,8 +113,8 @@ class TestRunDesign:
         # an estimator that returns the true d exactly: zero bias and MSE,
         # full coverage from any nonzero-width interval
         monkeypatch.setattr(
-            hmod, "estimate",
-            lambda y, spec: EstimateResult(d_hat=0.2, N=18, asymptotic_sd=0.1),
+            hmod, "_estimate_block",
+            lambda Y, spec, fn: (np.full(len(Y), 0.2), {}),
         )
         design = McDesign(
             T_values=(64,), d_values=(0.2,), phi_values=(0.3,), R=4,
@@ -145,16 +144,14 @@ class TestRunDesign:
         assert res[0].stats["bias"] == res[1].stats["bias"]
 
     def test_failures_excluded_and_counted(self, monkeypatch):
-        calls = {"n": 0}
-        real = hmod.estimate
+        real = hmod._estimate_block
 
-        def sometimes(y, spec):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise InvalidParameterError("synthetic failure")
-            return real(y, spec)
+        def sometimes(Y, spec, fn):
+            values, failures = real(Y, spec, fn)
+            failures[1] = InvalidParameterError("synthetic failure")
+            return values, failures
 
-        monkeypatch.setattr(hmod, "estimate", sometimes)
+        monkeypatch.setattr(hmod, "_estimate_block", sometimes)
         design = McDesign(
             T_values=(64,), d_values=(0.0,), phi_values=(0.3,), R=3,
             estimators=(parse_estimator_token("lpr0"),), seed=13,
@@ -183,6 +180,50 @@ class TestRunDesign:
         assert on_data["n"] == 1
         base = real(y, EstimatorSpec("splw", 1))
         assert out["asym_half"] == hmod._Z975 * base.asymptotic_sd
+
+    def test_hpd_task_estimates_data_once(self, monkeypatch):
+        design = small_design(
+            estimators=(parse_estimator_token("lpr1-hpd"),), B=12
+        )
+        y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 64,
+                              np.random.default_rng(5))
+        on_data = {"n": 0}
+        real = hmod.estimate
+
+        def counting(series, spec):
+            on_data["n"] += np.array_equal(series, y)
+            return real(series, spec)
+
+        monkeypatch.setattr(hmod, "estimate", counting)
+        monkeypatch.setattr(bmod, "estimate", counting)
+        task = design.estimators[0]
+        out = hmod._run_task(y, task, design, task_stream(11, 0, 0, 0))
+        assert on_data["n"] == 1
+        assert out["point"] == real(y, EstimatorSpec("lpr", 1)).d_hat
+        lo, hi = out["hpd"]
+        assert lo < out["point"] < hi
+
+    def test_plain_blocks_independent_of_layout_and_workers(self, monkeypatch):
+        # R = 7 spans three blocks of 3 rows at T = 64; the default block
+        # holds all seven replications.
+        design = McDesign(
+            T_values=(64, 100), d_values=(0.2,), phi_values=(0.0, 0.6), R=7,
+            estimators=(parse_estimator_token("lpr1"),
+                        parse_estimator_token("splw0")),
+            law="student-t", seed=21,
+        )
+        default = [res.stats for res in run_design(design)]
+        params = ArfimaParams(d=0.2, phi=0.0, law="student-t")
+        pts = np.array([
+            estimate(simulate_gaussian(params, 64, generator_at(21, 0, r, 0)),
+                     EstimatorSpec("lpr", 1)).d_hat
+            for r in range(7)
+        ])
+        assert default[0]["bias"] == float((pts - 0.2).mean())
+        monkeypatch.setattr(hmod, "_BLOCK_VALUES", 3 * 64)
+        assert [job[3:] for job in hmod._jobs(design)][:3] == [(0, 3), (3, 6), (6, 7)]
+        for threads in (1, 2, 3):
+            assert [res.stats for res in run_design(design, threads)] == default
 
     def test_mse_at_least_bias_squared(self):
         for res in run_design(small_design()):
