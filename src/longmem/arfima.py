@@ -15,7 +15,12 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from .arsieve import _durbin_levinson
-from .exceptions import EstimationFailedError, InvalidParameterError
+from .exceptions import (
+    DegenerateInputError,
+    EstimationFailedError,
+    InvalidParameterError,
+    NumericalDegeneracyError,
+)
 
 __all__ = [
     "ArfimaParams",
@@ -203,8 +208,10 @@ def _acvf_rows(d_values, phi, T, m_tail):
     return out[:, :T]
 
 
-# The one batched Durbin-Levinson kernel; simulation keeps the 1-D sweep,
-# which at G=1 runs about twice as fast at T=500 as this masked form.
+# The one batched Durbin-Levinson kernel, for the grid stage of the MLE.
+# A single ACVF goes through the 1-D sweep instead (simulation and the
+# likelihood points of the refinement), which at G=1 runs several times
+# faster than this masked form.
 def _profile_loglik_batch(Y, gammas):
     """Concentrated Gaussian log-likelihoods for many ACVFs and many series.
 
@@ -223,32 +230,29 @@ def _profile_loglik_batch(Y, gammas):
         Profiling variances.
     """
     G, T = gammas.shape
-    R = Y.shape[1]
+    # Time runs backwards along the reversed copies (Y_rev[T-1-t] = Y[t]),
+    # so the lagged values a step reads are contiguous forward slices.
+    g_rev = np.ascontiguousarray(gammas[:, ::-1])
+    Y_rev = np.ascontiguousarray(Y[::-1])
     b = np.zeros((G, T))
     v = gammas[:, 0].copy()
     bad = v <= 0
     v[bad] = 1.0
     sumlog = np.log(v)
-    e = Y[0][None, :] - 0.0
-    quad = e * e / v[:, None]
+    quad = Y[0][None, :] ** 2 / v[:, None]
+    any_bad = bool(bad.any())
     for t in range(1, T):
-        if t == 1:
-            k = gammas[:, 1] / v
-        else:
-            k = (
-                gammas[:, t]
-                - np.einsum("ij,ij->i", b[:, 1:t], gammas[:, t - 1 : 0 : -1])
-            ) / v
-        newbad = ~np.isfinite(k) | (np.abs(k) >= 1.0)
-        k[bad | newbad] = 0.0
-        bad |= newbad
-        if t > 1:
-            b[:, 1:t] = b[:, 1:t] - k[:, None] * b[:, t - 1 : 0 : -1]
+        k = (gammas[:, t] - np.vecdot(b[:, 1:t], g_rev[:, T - t : T - 1])) / v
+        # A bad row keeps k = 0 from then on, so its b and v stay finite.
+        if any_bad or not np.abs(k).max() < 1.0:
+            bad |= ~(np.abs(k) < 1.0)
+            k[bad] = 0.0
+            any_bad = True
+        b[:, 1:t] -= k[:, None] * b[:, t - 1 : 0 : -1]
         b[:, t] = k
         v = v * (1.0 - k * k)
         sumlog += np.log(v)
-        pred = b[:, 1 : t + 1] @ Y[t - 1 :: -1]
-        e = Y[t][None, :] - pred
+        e = Y[t][None, :] - b[:, 1 : t + 1] @ Y_rev[T - t :]
         quad += e * e / v[:, None]
     sigma2 = quad / T
     ll = -0.5 * T * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * sumlog[:, None]
@@ -257,9 +261,27 @@ def _profile_loglik_batch(Y, gammas):
 
 
 def _profile_loglik_point(y, d, phi, m_tail):
-    gam = _acvf_rows([d], phi, y.size, m_tail)
-    ll, sigma2 = _profile_loglik_batch(y[:, None], gam)
-    return float(ll[0, 0]), float(sigma2[0, 0])
+    """Profile log-likelihood and sigma2 of one series at one (d, phi).
+
+    The 1-D Durbin-Levinson sweep run as the inverse of
+    :func:`_simulate_rows`: each prediction error e(t) = y(t) - b . past
+    adds e(t)^2 / v(t) to the quadratic form and log v(t) to the
+    log-determinant. An ACVF that is not positive definite gives -inf.
+    """
+    T = y.size
+    gam = _acvf_rows([d], phi, T, m_tail)[0]
+    rev = np.ascontiguousarray(y[::-1])  # rev[T-1-t] = y(t)
+    quad = y[0] * y[0] / gam[0]
+    sumlog = math.log(gam[0])
+    try:
+        for t, b, v in _durbin_levinson(gam):
+            e = y[t] - np.dot(b, rev[T - t :])
+            quad += e * e / v
+            sumlog += math.log(v)
+    except NumericalDegeneracyError:
+        return -math.inf, math.nan
+    sigma2 = float(quad / T)
+    return -0.5 * T * (_LOG_2PI + math.log(sigma2) + 1.0) - 0.5 * sumlog, sigma2
 
 
 @dataclass
@@ -276,6 +298,10 @@ class MleResult:
 _D_BOUNDS = (-0.49, 0.49)
 _PHI_BOUNDS = (-0.99, 0.99)
 _GRID_STEP = 0.02
+# ACVF values per call of the batched kernel in the grid stage: whole phi
+# rows of the grid are stacked up to this size, which bounds the memory of
+# a call while amortizing its Python steps over many grid points.
+_BLOCK_VALUES = 2 ** 15
 
 
 def _mle_grids():
@@ -284,33 +310,43 @@ def _mle_grids():
     return d_grid, phi_grid
 
 
+def _tail(phi):
+    """AR(1) tail of the ACVF convolution, sized to phi."""
+    return _ar1_tail_length(phi, rel=1e-15)
+
+
 def _grid_search_many(Y):
-    """Best coarse-grid (d, phi) per series; returns indices and values."""
+    """Best coarse-grid d, phi and log-likelihood per series (columns of Y)."""
     T, R = Y.shape
     d_grid, phi_grid = _mle_grids()
-    m_tail = _ar1_tail_length(np.max(np.abs(phi_grid)), rel=1e-15)
+    n_d = d_grid.size
+    per_call = max(1, _BLOCK_VALUES // (n_d * T))
     best_ll = np.full(R, -np.inf)
     best_d = np.zeros(R)
     best_phi = np.zeros(R)
-    for phi in phi_grid:
-        gammas = _acvf_rows(d_grid, phi, T, m_tail)
+    cols = np.arange(R)
+    for start in range(0, phi_grid.size, per_call):
+        phis = phi_grid[start : start + per_call]
+        gammas = np.concatenate(
+            [_acvf_rows(d_grid, phi, T, _tail(phi)) for phi in phis]
+        )
         ll, _ = _profile_loglik_batch(Y, gammas)
+        # Rows run phi-major, so the first maximum is the one a sweep over
+        # phi, then d, would keep.
         idx = np.argmax(ll, axis=0)
-        cand = ll[idx, np.arange(R)]
+        cand = ll[idx, cols]
         better = cand > best_ll
         best_ll[better] = cand[better]
-        best_d[better] = d_grid[idx[better]]
-        best_phi[better] = phi
+        best_d[better] = d_grid[idx[better] % n_d]
+        best_phi[better] = phis[idx[better] // n_d]
     return best_d, best_phi, best_ll
 
 
 def _refine_one(y, d0, phi0, ll0, tol):
-    m_tail = _ar1_tail_length(_PHI_BOUNDS[1], rel=1e-15)
-
     def negll(x):
         d = min(max(x[0], _D_BOUNDS[0]), _D_BOUNDS[1])
         phi = min(max(x[1], _PHI_BOUNDS[0]), _PHI_BOUNDS[1])
-        ll, _ = _profile_loglik_point(y, d, phi, m_tail)
+        ll, _ = _profile_loglik_point(y, d, phi, _tail(phi))
         return -ll
 
     res = minimize(
@@ -325,50 +361,98 @@ def _refine_one(y, d0, phi0, ll0, tol):
             f"likelihood refinement failed; best grid point d={d0}, phi={phi0}"
         )
     if -res.fun >= ll0:
-        d_hat, phi_hat = res.x
+        d_hat, phi_hat = (float(x) for x in res.x)
     else:
         d_hat, phi_hat = d0, phi0
-    ll, sigma2 = _profile_loglik_point(y, d_hat, phi_hat, m_tail)
+    ll, sigma2 = _profile_loglik_point(y, d_hat, phi_hat, _tail(phi_hat))
+    boundary = (
+        min(d_hat - _D_BOUNDS[0], _D_BOUNDS[1] - d_hat) <= 1e-9
+        or min(phi_hat - _PHI_BOUNDS[0], _PHI_BOUNDS[1] - phi_hat) <= 1e-9
+    )
     return MleResult(
-        d_hat=float(d_hat),
-        phi_hat=float(phi_hat),
+        d_hat=d_hat,
+        phi_hat=phi_hat,
         sigma2=sigma2,
         loglik=ll,
-        diagnostics={"grid_d": d0, "grid_phi": phi0, "grid_loglik": ll0},
+        diagnostics={
+            "grid_d": d0,
+            "grid_phi": phi0,
+            "grid_loglik": ll0,
+            "evals": int(res.nfev),
+            "converged": bool(res.success),
+            "boundary": boundary,
+        },
     )
+
+
+def _series_columns(ys):
+    """Validate series for the MLE and stack them as the columns of (T, R)."""
+    try:
+        ys = [np.asarray(y, dtype=float) for y in ys]
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"series must be numeric: {exc}") from None
+    if not ys:
+        raise InvalidParameterError("need at least one series")
+    if any(y.ndim != 1 for y in ys):
+        raise InvalidParameterError("each series must be one-dimensional")
+    T = ys[0].size
+    if any(y.size != T for y in ys):
+        raise InvalidParameterError("series must all have the same length")
+    if T < 20:
+        raise InvalidParameterError("need at least 20 observations")
+    Y = np.column_stack(ys)
+    if not np.all(np.isfinite(Y)):
+        raise InvalidParameterError("series must be finite")
+    if not np.all(np.vecdot(Y.T, Y.T) > 0.0):
+        raise DegenerateInputError("a series is identically zero")
+    return Y
 
 
 def mle_fit(y, refine_tol=1e-6):
     """Exact Gaussian MLE of (d, phi, sigma2) for an ARFIMA(1,d,0) model.
 
     The likelihood is evaluated through the Durbin-Levinson
-    prediction-error decomposition with sigma2 profiled out analytically;
-    the search is a 0.02-step grid over (-0.49, 0.49) x (-0.99, 0.99)
-    followed by derivative-free refinement.
+    prediction-error decomposition with sigma2 profiled out analytically.
+    The search is a 0.02-step grid over (-0.49, 0.49) x (-0.99, 0.99),
+    evaluated by the batched kernel on blocks of about 2**15 ACVF values
+    (whole phi rows of the grid per call), followed by Nelder-Mead
+    refinement whose likelihood points run the 1-D sweep. Every ACVF
+    carries an AR(1) tail sized to its own phi.
 
     Parameters
     ----------
     y : array_like
-        Zero-mean series, length >= 20.
+        Zero-mean, finite, one-dimensional series, length >= 20.
     refine_tol : float
         Parameter tolerance of the local refinement.
 
     Returns
     -------
     MleResult
+        ``diagnostics`` holds the grid point (``grid_d``, ``grid_phi``,
+        ``grid_loglik``), the refinement's likelihood evaluations
+        (``evals``) and convergence flag (``converged``), and whether the
+        estimate lies on an edge of the search box (``boundary``).
+
+    Raises
+    ------
+    InvalidParameterError
+        Input that is not a finite 1-D series of length >= 20.
+    DegenerateInputError
+        A series that is identically zero.
     """
-    y = np.asarray(y, dtype=float)
-    if y.size < 20:
-        raise InvalidParameterError("need at least 20 observations")
-    d0, phi0, ll0 = _grid_search_many(y[:, None])
-    return _refine_one(y, float(d0[0]), float(phi0[0]), float(ll0[0]), refine_tol)
+    Y = _series_columns([y])
+    d0, phi0, ll0 = _grid_search_many(Y)
+    return _refine_one(Y[:, 0], float(d0[0]), float(phi0[0]), float(ll0[0]), refine_tol)
 
 
 def mle_fit_many(ys, refine_tol=1e-6):
-    """Fit many same-length series; the grid stage is shared across series."""
-    Y = np.column_stack([np.asarray(y, dtype=float) for y in ys])
-    if Y.shape[0] < 20:
-        raise InvalidParameterError("need at least 20 observations")
+    """Fit many same-length series; the grid stage is shared across series.
+
+    Validates like :func:`mle_fit`; an empty sequence or series of unequal
+    lengths also raise :class:`InvalidParameterError`.
+    """
+    Y = _series_columns(ys)
     d0, phi0, ll0 = _grid_search_many(Y)
     return [
         _refine_one(Y[:, r], float(d0[r]), float(phi0[r]), float(ll0[r]), refine_tol)

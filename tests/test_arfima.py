@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,15 +9,20 @@ from scipy.stats import kstest, kurtosis
 
 from longmem import (
     ArfimaParams,
+    DegenerateInputError,
     InvalidParameterError,
+    LongmemError,
     arfima_acvf,
     mle_fit,
     mle_fit_many,
     simulate_gaussian,
 )
+from longmem import arfima
 from longmem.arfima import (
     _acvf_rows,
     _ar1_tail_length,
+    _grid_search_many,
+    _profile_loglik_batch,
     _profile_loglik_point,
     _simulate_rows,
     _standardized_deviates,
@@ -206,3 +212,136 @@ class TestMle:
         fits = mle_fit_many(ys)
         assert abs(np.mean([f.d_hat for f in fits])) <= 0.09
         assert abs(np.mean([f.phi_hat for f in fits]) - 0.6) <= 0.09
+
+
+def _dense_profile_loglik(y, gam):
+    # Oracle: the Toeplitz covariance itself, with sigma2 profiled out.
+    cov = sl.toeplitz(gam)
+    _, logdet = np.linalg.slogdet(cov)
+    sigma2 = y @ np.linalg.solve(cov, y) / y.size
+    ll = -0.5 * y.size * (math.log(2 * math.pi * sigma2) + 1.0) - 0.5 * logdet
+    return ll, sigma2
+
+
+class TestLikelihoodKernels:
+    POINTS = [
+        (d, phi)
+        for d in (-0.49, -0.2, 0.0, 0.3, 0.49)
+        for phi in (-0.99, -0.5, 0.0, 0.6, 0.99)
+    ]
+
+    def test_point_batch_and_dense_oracle_agree(self):
+        T = 60
+        rng = np.random.default_rng(21)
+        Y = np.column_stack(
+            [
+                rng.standard_normal(T),
+                simulate_gaussian(ArfimaParams(d=0.3, phi=0.6), T, rng),
+            ]
+        )
+        gammas = np.concatenate(
+            [
+                _acvf_rows([d], phi, T, _ar1_tail_length(phi, rel=1e-15))
+                for d, phi in self.POINTS
+            ]
+        )
+        ll_batch, s2_batch = _profile_loglik_batch(Y, gammas)
+        for g, (d, phi) in enumerate(self.POINTS):
+            for r in range(Y.shape[1]):
+                y = Y[:, r]
+                ll_dense, s2_dense = _dense_profile_loglik(y, gammas[g])
+                ll_point, s2_point = _profile_loglik_point(
+                    y, d, phi, _ar1_tail_length(phi, rel=1e-15)
+                )
+                assert_allclose(ll_point, ll_dense, rtol=1e-10)
+                assert_allclose(ll_batch[g, r], ll_dense, rtol=1e-10)
+                # The dense solve loses digits at (0.49, 0.99), whose
+                # covariance has condition number about 7e7 at T=60; the two
+                # recursions carry the same rounding and agree closer.
+                assert_allclose(s2_point, s2_batch[g, r], rtol=1e-12)
+                assert_allclose(s2_point, s2_dense, rtol=1e-9)
+
+    def test_not_positive_definite_gives_minus_inf(self):
+        y = np.random.default_rng(4).standard_normal(30)
+        gam = np.zeros((2, 30))
+        gam[:, 0] = 1.0
+        gam[1, 1] = 0.8  # MA(1)-like with |rho(1)| > 1/2: not positive definite
+        ll, _ = _profile_loglik_batch(y[:, None], gam)
+        assert np.isfinite(ll[0, 0]) and ll[1, 0] == -np.inf
+
+    def test_grid_independent_of_block_size(self, monkeypatch):
+        T = 40
+        Y = np.column_stack(
+            [
+                simulate_gaussian(ArfimaParams(d=d, phi=phi), T, generator_at(9, i))
+                for i, (d, phi) in enumerate([(0.3, 0.3), (-0.2, 0.7), (0.1, -0.5)])
+            ]
+        )
+        d_grid, phi_grid = arfima._mle_grids()
+        results = []
+        # One phi per call, the default blocks, the whole grid in one call.
+        for block in (1, arfima._BLOCK_VALUES, d_grid.size * phi_grid.size * T):
+            monkeypatch.setattr(arfima, "_BLOCK_VALUES", block)
+            results.append(_grid_search_many(Y))
+        d0, phi0, ll0 = results[0]
+        for d1, phi1, ll1 in results[1:]:
+            assert np.array_equal(d0, d1) and np.array_equal(phi0, phi1)
+            assert_allclose(ll1, ll0, rtol=1e-12)
+
+    def test_tails_sized_to_phi_match_widest_tail(self):
+        ds = np.linspace(-0.48, 0.48, 9)
+        wide = _ar1_tail_length(0.99, rel=1e-15)
+        for phi in (-0.98, -0.6, -0.1, 0.02, 0.3, 0.8, 0.98, 0.99):
+            for T in (20, 100, 500):
+                own = _acvf_rows(ds, phi, T, arfima._tail(phi))
+                assert_allclose(own, _acvf_rows(ds, phi, T, wide), rtol=1e-13)
+
+
+class TestMleValidation:
+    # Inputs that both entry points receive as one series.
+    BAD_SERIES = {
+        "zeros": (np.zeros(50), DegenerateInputError),
+        "nan": (np.r_[np.ones(30), np.nan, np.ones(19)], InvalidParameterError),
+        "inf": (np.r_[np.ones(49), np.inf], InvalidParameterError),
+        "two_dim": (np.ones((50, 2)), InvalidParameterError),
+        "short": (np.ones(19), InvalidParameterError),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_SERIES))
+    def test_bad_series_rejected_alike(self, case):
+        y, error = self.BAD_SERIES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as single:
+                mle_fit(y)
+            with pytest.raises(error) as many:
+                mle_fit_many([np.ones(50) + np.arange(50), y])
+        assert type(single.value) is type(many.value)
+        assert isinstance(single.value, LongmemError)
+
+    def test_unequal_lengths_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidParameterError):
+            mle_fit_many([rng.standard_normal(50), rng.standard_normal(51)])
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            mle_fit_many([])
+
+
+class TestMleDiagnostics:
+    def test_interior_fit(self):
+        y = simulate_gaussian(
+            ArfimaParams(d=0.2, phi=0.3), 120, np.random.default_rng(3)
+        )
+        diag = mle_fit(y).diagnostics
+        assert diag["converged"] is True and diag["boundary"] is False
+        assert isinstance(diag["evals"], int) and diag["evals"] > 0
+        assert {"grid_d", "grid_phi", "grid_loglik"} <= set(diag)
+
+    def test_over_differenced_noise_hits_d_bound(self):
+        # Differenced white noise has d = -1, below the search box.
+        y = np.diff(np.random.default_rng(6).standard_normal(201))
+        res = mle_fit(y)
+        assert res.d_hat == pytest.approx(arfima._D_BOUNDS[0], abs=1e-9)
+        assert res.diagnostics["boundary"] is True
