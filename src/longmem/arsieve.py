@@ -8,13 +8,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .exceptions import (
     DegenerateInputError,
     InvalidParameterError,
     NumericalDegeneracyError,
 )
+from .fracdiff import _causal_filter, _causal_spectrum
 
 __all__ = [
     "ArFit",
@@ -241,11 +241,68 @@ def ar_residuals(w, fit):
     return ResidualSet(raw=raw, standardized=(raw - mean) / scale, scale=scale)
 
 
+def _offset_weights(phi):
+    """Weights W with z = -W . past, the offsets of :func:`_presample_offsets`."""
+    h = phi.size - 1
+    ext = np.concatenate((phi[1:], np.zeros(h)))
+    return ext[np.add.outer(np.arange(h), np.arange(h))]  # W[k, c] = phi[k+1+c]
+
+
+def _presample_offsets(weights, init):
+    """Input offsets that stand in for a pre-sample block of the AR recursion.
+
+    Running sum_j phi[j] w(t-j) = eps(t) from the pre-sample values
+    init = (w(1-h), ..., w(0)) gives the same path as running it from
+    zeros with z[k] = -sum_{j>k} phi[j] w(k-j) added to eps(k), k < h.
+    `weights` is :func:`_offset_weights` of phi. Works on the last axis
+    of `init`; every row's sums are its own.
+    """
+    past = init[..., None, ::-1]  # past[..., 0, c] = w(-c)
+    return -(past * weights).sum(axis=-1)
+
+
+def _impulse_response(phi, T):
+    """First T weights psi of 1/phi(z), psi(0) = 1, by block doubling.
+
+    Once psi(0..m-1) is known, the recursion continues from the
+    pre-sample block psi(m-h..m-1), so the next m weights are the
+    zero-state response to its offsets: psi(m..2m-1) = (z * psi)(0..m-1).
+    """
+    h = phi.size - 1
+    weights = _offset_weights(phi)
+    psi = np.zeros(T + h)  # h leading zeros: psi(-h..-1) = 0
+    psi[h] = 1.0
+    m = 1
+    while m < T and h > 0:
+        z = _presample_offsets(weights, psi[m : m + h])
+        n = min(m, T - m)
+        psi[h + m : h + m + n] = np.convolve(z, psi[h : h + n])[:n]
+        m *= 2
+    return psi[h:]
+
+
+def _run_sieve(phi, eps, init, spectrum):
+    """AR paths from innovations and pre-sample blocks, filtered by `spectrum`.
+
+    The pre-sample blocks enter as offsets on the first h innovations, and
+    one causal FFT convolution with the kernel of `spectrum` (the AR
+    impulse response, possibly followed by more causal filtering) runs
+    every row.
+    """
+    x = eps.copy()
+    h = min(phi.size - 1, x.shape[-1])
+    x[..., :h] += _presample_offsets(_offset_weights(phi), init)[..., :h]
+    return _causal_filter(x, spectrum)
+
+
 def simulate_ar_path(fit, innovations, init_block):
     """Run the AR(h) recursion sum_j phi[j] w(t-j) = eps(t) forward.
 
-    Stacked inputs run as many independent paths in one filter call, one
-    per row along the leading axes.
+    Stacked inputs run as many independent paths at once, one per row
+    along the leading axes. The pre-sample block of a row becomes offsets
+    on its first h innovations, and the path is one causal FFT
+    convolution of the shifted innovations with the first T weights of
+    the AR impulse response (O(T log T) per path).
 
     Parameters
     ----------
@@ -270,11 +327,5 @@ def simulate_ar_path(fit, innovations, init_block):
         raise InvalidParameterError("AR fit is not stable")
     if h == 0:
         return eps.copy()
-    # Filter state that reproduces the pre-sample block: what
-    # scipy.signal.lfiltic computes for one path, here for every row.
-    past = init[..., ::-1]
-    zi = np.empty(init.shape)
-    for m in range(h):
-        zi[..., m] = -(fit.phi[m + 1 :] * past[..., : h - m]).sum(axis=-1)
-    path, _ = lfilter([1.0], fit.phi, eps, axis=-1, zi=zi)
-    return path
+    spectrum = _causal_spectrum(_impulse_response(fit.phi, eps.shape[-1]))
+    return _run_sieve(fit.phi, eps, init, spectrum)

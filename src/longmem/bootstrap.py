@@ -10,16 +10,17 @@ with stochastic stopping rules deciding when to quit.
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .arsieve import (
+    _impulse_response,
+    _run_sieve,
     ar_residuals,
     burg_fit,
     default_max_order,
     select_order_aic,
-    simulate_ar_path,
 )
 from .estimators import _estimate_rows, asymptotic_sd, estimate
 from .exceptions import (
@@ -28,7 +29,7 @@ from .exceptions import (
     InvalidParameterError,
     LongmemError,
 )
-from .fracdiff import apply_frac_filter
+from .fracdiff import _causal_spectrum, apply_frac_filter
 from .spectral import bandwidth
 from .streams import as_seed_sequence, generator_at
 
@@ -55,6 +56,8 @@ DETERMINISTIC_WINDOW = (-1.0, 1.5)
 _BLOCK_VALUES = 2 ** 15
 
 _MODES = ("parametric", "nonparametric")
+
+_NORMAL = NormalDist()
 
 
 @dataclass
@@ -106,7 +109,11 @@ class BootstrapOutcome:
 
 @dataclass
 class IterationRecord:
-    """One step of the iterative correction."""
+    """One step of the iterative correction.
+
+    ``retries`` counts the draws of this step's pass that were redrawn
+    after a failed estimate.
+    """
 
     k: int
     d_current: float
@@ -117,6 +124,7 @@ class IterationRecord:
     crit1: float
     crit2: float
     stop_reason: str = None
+    retries: int = 0
 
 
 @dataclass
@@ -151,7 +159,8 @@ def bootstrap_draw(y, d_f, config, sieve, rng):
     Innovations are drawn per ``config.innovation_mode``, the AR path is
     seeded with an h-block of the filtered series starting at a uniform
     random position, and the inverse filter (-d_f) maps the path back to
-    the observation scale.
+    the observation scale. Both filters run as one causal convolution
+    (see :func:`_draw_spectrum`).
 
     Parameters
     ----------
@@ -170,15 +179,29 @@ def bootstrap_draw(y, d_f, config, sieve, rng):
     ndarray
         Bootstrap series of the same length as `y`.
     """
-    return _draw_rows(np.asarray(y).size, d_f, config, sieve, [rng])[0]
+    T = np.asarray(y).size
+    return _draw_rows(T, config, sieve, [rng], _draw_spectrum(sieve, T, d_f))[0]
 
 
-def _draw_rows(T, d_f, config, sieve, rngs):
+def _draw_spectrum(sieve, T, d_f):
+    """Spectrum of the draw filter: the sieve's AR recursion, then (1-z)**-d_f.
+
+    Its kernel is the inverse fractional filter applied to the first T
+    weights of the AR impulse response, so a draw is one causal
+    convolution of the innovations (shifted by the pre-sample offsets).
+    Built once per pass and shared by every block of draws.
+    """
+    psi = _impulse_response(sieve.fit.phi, T)
+    return _causal_spectrum(apply_frac_filter(psi, -d_f))
+
+
+def _draw_rows(T, config, sieve, rngs, spectrum):
     """Bootstrap replicas of length T, one row per generator in `rngs`.
 
     Each generator is consumed as in :func:`bootstrap_draw`: innovations
-    first, then the start of the seeding block. The AR recursion and the
-    inverse filter then run once over the whole block.
+    first, then the start of the seeding block. One causal convolution
+    with the kernel of `spectrum` (:func:`_draw_spectrum`) then runs the
+    AR recursion and the inverse filter over the whole block.
     """
     res = sieve.residuals
     h = sieve.fit.order
@@ -193,8 +216,7 @@ def _draw_rows(T, d_f, config, sieve, rngs):
             tau[i] = rng.integers(h, T + 1)  # uniform on {h, ..., T}, 1-based
     eps *= res.scale
     init = sieve.filtered[tau[:, None] + np.arange(-h, 0)]
-    w_star = simulate_ar_path(sieve.fit, eps, init)
-    return apply_frac_filter(w_star, -d_f)
+    return _run_sieve(sieve.fit.phi, eps, init, spectrum)
 
 
 def _estimate_block(ystar, spec, estimator_fn):
@@ -226,6 +248,7 @@ def _estimate_draws(y, d_f, config, iteration, spec, estimator_fn):
     """
     sieve = prefilter_sieve(y, d_f, config)
     T = sieve.filtered.size
+    spectrum = _draw_spectrum(sieve, T, d_f)
     rows = max(1, _BLOCK_VALUES // T)
     draws = np.empty(config.B)
 
@@ -236,7 +259,7 @@ def _estimate_draws(y, d_f, config, iteration, spec, estimator_fn):
             rngs = [
                 generator_at(config.rng_stream, iteration, b, attempt) for b in block
             ]
-            ystar = _draw_rows(T, d_f, config, sieve, rngs)
+            ystar = _draw_rows(T, config, sieve, rngs, spectrum)
             values, failures = _estimate_block(ystar, spec, estimator_fn)
             draws[block] = values
             failed.update((int(block[i]), exc) for i, exc in failures.items())
@@ -368,7 +391,7 @@ def stopping_thresholds(k, N, B, upsilon, P):
     for _ in range(k):
         var_k = 2.0 * var_k + noise
     p_k = _p_schedule(k, P)
-    z = norm.ppf(1.0 - p_k / 2.0)
+    z = _NORMAL.inv_cdf(1.0 - p_k / 2.0)
     tau1 = z * math.sqrt(var_k + noise)
     power = 2.0 ** (k - 1) if k >= 1 else 1.0
     tau2 = z * math.sqrt(base * (1.0 + power * (1.0 + 1.0 / B)))
@@ -432,9 +455,9 @@ def iterate_bias_correct(
                 y, d0, d0, config, spec, estimator_fn, alpha_lower, alpha_upper
             )
             trace.outcomes.append(outcome)
-            draws = outcome.draws
+            draws, retries = outcome.draws, outcome.retries
         else:
-            draws, _ = _estimate_draws(y, d_cur, config, k, spec, estimator_fn)
+            draws, retries = _estimate_draws(y, d_cur, config, k, spec, estimator_fn)
         bias_k = float(draws.mean() - d_cur)
         d_next = d_cur - bias_k
         crit1 = abs(d_next - d_cur)
@@ -448,6 +471,7 @@ def iterate_bias_correct(
             tau2=tau2,
             crit1=crit1,
             crit2=crit2,
+            retries=retries,
         )
         trace.records.append(record)
         if deterministic_window is not None and not (

@@ -10,6 +10,7 @@ rounding).
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; load it here, not inside the first filter call
 
 from .exceptions import InvalidParameterError
 
@@ -82,8 +83,31 @@ def apply_frac_filter(y, d):
         raise InvalidParameterError("series contains non-finite values")
     if d == 0:
         return y.copy()
-    T = y.shape[-1]
-    coeffs = frac_diff_coeffs(d, T).coeffs
-    n = 1 << (2 * T - 2).bit_length()  # no wrap-around into the first T outputs
-    spectrum = np.fft.rfft(y, n, axis=-1) * np.fft.rfft(coeffs, n)
-    return np.fft.irfft(spectrum, n, axis=-1)[..., :T]
+    return _causal_filter(y, _causal_spectrum(frac_diff_coeffs(d, y.shape[-1]).coeffs))
+
+
+# The one causal filter kernel: the fractional filter, the AR sieve path
+# and the bootstrap draw filter all run as one FFT convolution of rows of
+# length T with the first T weights of a causal impulse response.
+
+
+def _fft_length(T):
+    """FFT length for T outputs of a causal convolution: no wrap-around."""
+    return 1 << (2 * T - 2).bit_length()
+
+
+def _causal_spectrum(weights):
+    """Spectrum of the T impulse-response weights, for :func:`_causal_filter`."""
+    return np.fft.rfft(weights, _fft_length(weights.size))
+
+
+def _causal_filter(x, spectrum):
+    """out(t) = sum_{j=0}^{t} k(j) x(t-j), t < T, along the last axis of x.
+
+    `spectrum` is :func:`_causal_spectrum` of the weights k(0..T-1). Each
+    row is transformed on its own, so a row's output does not depend on
+    the rows stacked with it.
+    """
+    T = x.shape[-1]
+    n = _fft_length(T)
+    return np.fft.irfft(np.fft.rfft(x, n, axis=-1) * spectrum, n, axis=-1)[..., :T]

@@ -20,9 +20,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
 from .bootstrap import (
@@ -51,7 +51,7 @@ __all__ = [
     "task_stream",
 ]
 
-_Z975 = float(norm.ppf(0.975))
+_Z975 = NormalDist().inv_cdf(0.975)
 
 CSV_HEADER = [
     "T",

@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; load it here, not inside the first periodogram
 
 from .exceptions import InvalidDesignError, InvalidParameterError
 

@@ -8,6 +8,7 @@ they execute.
 """
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it here, not inside the first draw
 
 
 def as_seed_sequence(seed):

@@ -2,13 +2,19 @@
 
 Everything here deliberately avoids the library's own computational
 paths: the periodogram is a direct DFT sum, the ACVF is a truncated
-MA(infinity) convolution, and the HPD window comes from exhaustive
-enumeration.
+MA(infinity) convolution, the HPD window comes from exhaustive
+enumeration, and the ARFIMA ACVF rows, the AR path and the bootstrap
+draws run their recursions sequentially through ``scipy.signal.lfilter``.
 """
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.signal import lfilter
 from scipy.special import gamma as _gamma
+
+from longmem import arfima
+from longmem.arfima import _fractional_acvf
+from longmem.fracdiff import apply_frac_filter
 
 
 def direct_periodogram(y, N):
@@ -84,3 +90,70 @@ def hpd_window_exhaustive(draws, d_hat, alpha_lower, alpha_upper):
             best = (width, i)
     i = best[1]
     return (d_hat - centered[i + m - 1], d_hat - centered[i])
+
+
+def acvf_rows_lfilter(d_values, phi, T, m_tail):
+    """ARFIMA(1,d,0) ACVF rows gamma(0..T-1) by sequential recursions.
+
+    The same two geometric recursions as ``arfima._acvf_rows``, each run
+    by ``lfilter``: g(k) = gamma_d(k) + phi g(k+1) backwards from m_tail
+    terms beyond lag n - 1 (tail included, so its alternating terms are
+    summed by the recursion too), then gamma_y(k) = phi gamma_y(k-1) + g(k)
+    from gamma_y(0) = (g(0) + phi g(1)) / (1 - phi^2).
+    """
+    n = max(T, 2)
+    rows = np.array([_fractional_acvf(d, 1.0, n + m_tail) for d in d_values])
+    if phi == 0.0:
+        return rows[:, :T]
+    g = lfilter([1.0], [1.0, -phi], rows[:, ::-1], axis=1)[:, ::-1]
+    gamma0 = (g[:, 0] + phi * g[:, 1]) / (1.0 - phi * phi)
+    out = np.empty((len(d_values), n))
+    out[:, 0] = gamma0
+    out[:, 1:], _ = lfilter(
+        [1.0], [1.0, -phi], g[:, 1:n], axis=1, zi=(phi * gamma0)[:, None]
+    )
+    return out[:, :T]
+
+
+def ar_path_lfilter(phi, eps, init):
+    """AR paths sum_j phi[j] w(t-j) = eps(t) along the last axis, by lfilter.
+
+    The filter state that reproduces the pre-sample block ``init``
+    (w(1-h), ..., w(0)) is what ``scipy.signal.lfiltic`` gives, built for
+    every row.
+    """
+    h = len(phi) - 1
+    if h == 0:
+        return np.array(eps, dtype=float)
+    past = init[..., ::-1]
+    zi = np.empty(init.shape)
+    for m in range(h):
+        zi[..., m] = -(phi[m + 1 :] * past[..., : h - m]).sum(axis=-1)
+    return lfilter([1.0], phi, eps, axis=-1, zi=zi)[0]
+
+
+def draw_lfilter(phi, eps, init, d_f):
+    """Bootstrap draw in two stages: the AR path by lfilter, then (1-z)**-d_f."""
+    return apply_frac_filter(ar_path_lfilter(phi, eps, init), -d_f)
+
+
+def nelder_mead_loglik(y, d0, phi0, tol=1e-6):
+    """Profile log-likelihood that bounded Nelder-Mead reaches from (d0, phi0).
+
+    The refinement the MLE used before its projected Newton step, on the
+    same 1-D likelihood sweep and search box.
+    """
+
+    def negll(x):
+        d = min(max(x[0], arfima._D_BOUNDS[0]), arfima._D_BOUNDS[1])
+        phi = min(max(x[1], arfima._PHI_BOUNDS[0]), arfima._PHI_BOUNDS[1])
+        return -arfima._profile_loglik_point(y, d, phi, arfima._tail(phi))[0]
+
+    res = minimize(
+        negll,
+        x0=[d0, phi0],
+        method="Nelder-Mead",
+        bounds=[arfima._D_BOUNDS, arfima._PHI_BOUNDS],
+        options={"xatol": tol, "fatol": 1e-10, "maxiter": 400},
+    )
+    return -res.fun

@@ -29,7 +29,7 @@ from longmem.arfima import (
 )
 from longmem.streams import generator_at
 
-from _oracles import ma_truncated_acvf
+from _oracles import acvf_rows_lfilter, ma_truncated_acvf, nelder_mead_loglik
 
 
 class TestAcvf:
@@ -79,6 +79,34 @@ class TestAcvf:
             for i, d in enumerate(ds):
                 want = arfima_acvf(ArfimaParams(d=d, phi=phi), 39).values
                 assert_allclose(rows[i], want, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("T", [1, 2, 100, 500, 2000])
+    def test_scan_matches_lfilter_oracle(self, T):
+        d_grid, _ = arfima._mle_grids()
+        for phi in (0.0, 0.98, -0.98, -0.5, 0.3, 0.9):
+            tail = arfima._tail(phi)
+            got = _acvf_rows(d_grid, phi, T, tail)
+            want = acvf_rows_lfilter(d_grid, phi, T, tail)
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    def test_grid_rows_sliced_from_widest_tail(self):
+        # cumprod runs in sequence, so the prefix of a longer fractional
+        # row is bit-identical to the row computed at its own length.
+        d_grid, phi_grid = arfima._mle_grids()
+        for T in (1, 40, 100):
+            need = max(T, 2) + max(arfima._tail(phi) for phi in phi_grid)
+            frac = np.array([arfima._fractional_acvf(d, 1.0, need) for d in d_grid])
+            for phi in (-0.98, -0.4, 0.0, 0.02, 0.6, 0.98):
+                tail = arfima._tail(phi)
+                own = np.array(
+                    [arfima._fractional_acvf(d, 1.0, max(T, 2) + tail) for d in d_grid]
+                )
+                assert np.array_equal(frac[:, : own.shape[1]], own)
+                assert np.array_equal(
+                    _acvf_rows(d_grid, phi, T, tail, frac),
+                    _acvf_rows(d_grid, phi, T, tail),
+                )
 
 
 class TestSimulation:
@@ -345,3 +373,38 @@ class TestMleDiagnostics:
         res = mle_fit(y)
         assert res.d_hat == pytest.approx(arfima._D_BOUNDS[0], abs=1e-9)
         assert res.diagnostics["boundary"] is True
+
+
+class TestNewtonRefinement:
+    @pytest.mark.parametrize("T, n", [(100, 16), (500, 8)])
+    def test_loglik_at_least_nelder_mead(self, T, n):
+        cells = [(d, phi) for d in (-0.3, 0.0, 0.2, 0.4) for phi in (-0.6, 0.3, 0.8, 0.95)]
+        Y = np.column_stack(
+            [
+                simulate_gaussian(ArfimaParams(d=d, phi=phi), T, generator_at(T, r))
+                for r, (d, phi) in enumerate(cells[:n])
+            ]
+        )
+        d0, phi0, ll0 = _grid_search_many(Y)
+        for r in range(n):
+            args = (Y[:, r], float(d0[r]), float(phi0[r]))
+            fit = arfima._refine_one(*args, float(ll0[r]), 1e-6)
+            assert fit.diagnostics["converged"] is True
+            assert fit.loglik >= nelder_mead_loglik(*args) - 1e-9
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.diff(np.random.default_rng(6).standard_normal(201)),  # d edge
+            lambda: np.cumsum(np.random.default_rng(7).standard_normal(200)),  # phi edge
+            lambda: simulate_gaussian(
+                ArfimaParams(d=0.3, phi=-0.995), 200, np.random.default_rng(9)
+            ),
+        ],
+    )
+    def test_edge_fits_report_boundary(self, make):
+        y = make()
+        fit = mle_fit(y)
+        diag = fit.diagnostics
+        assert diag["boundary"] is True and diag["converged"] is True
+        assert fit.loglik >= nelder_mead_loglik(y, diag["grid_d"], diag["grid_phi"]) - 1e-9

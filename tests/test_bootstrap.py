@@ -23,11 +23,11 @@ from longmem import (
     stopping_thresholds,
 )
 import longmem.bootstrap as bmod
-from longmem.arsieve import ArFit, ar_residuals, simulate_ar_path
+from longmem.arsieve import ArFit, _run_sieve, ar_residuals, burg_fit, simulate_ar_path
 from longmem.fracdiff import apply_frac_filter
 from longmem.streams import generator_at
 
-from _oracles import hpd_window_exhaustive
+from _oracles import draw_lfilter, hpd_window_exhaustive
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +58,11 @@ class TestDraws:
         eps = sieve.residuals.scale * rng.standard_normal(T)
         tau = int(rng.integers(h, T + 1))
         init = sieve.filtered[tau - h : tau]
-        w_star = simulate_ar_path(sieve.fit, eps, init)
-        assert np.array_equal(draw, apply_frac_filter(w_star, -0.2))
+        spectrum = bmod._draw_spectrum(sieve, T, 0.2)
+        assert np.array_equal(draw, _run_sieve(sieve.fit.phi, eps, init, spectrum))
+        # One fused convolution: the AR path, then the inverse filter.
+        two_stage = apply_frac_filter(simulate_ar_path(sieve.fit, eps, init), -0.2)
+        assert np.abs(draw - two_stage).max() <= 1e-13 * np.abs(two_stage).max()
 
     def test_zero_prefilter_reduces_to_raw_sieve(self):
         # with d_f = 0 the filter steps are identities: the draw equals the
@@ -98,10 +101,34 @@ class TestDraws:
         picks = rng.integers(0, T, size=T)
         eps = sieve.residuals.scale * sieve.residuals.standardized[picks]
         tau = int(rng.integers(sieve.fit.order, T + 1))
-        w_star = simulate_ar_path(
-            sieve.fit, eps, sieve.filtered[tau - sieve.fit.order : tau]
-        )
-        assert np.array_equal(draw, apply_frac_filter(w_star, -0.2))
+        init = sieve.filtered[tau - sieve.fit.order : tau]
+        spectrum = bmod._draw_spectrum(sieve, T, 0.2)
+        assert np.array_equal(draw, _run_sieve(sieve.fit.phi, eps, init, spectrum))
+        two_stage = apply_frac_filter(simulate_ar_path(sieve.fit, eps, init), -0.2)
+        assert np.abs(draw - two_stage).max() <= 1e-13 * np.abs(two_stage).max()
+
+    @pytest.mark.parametrize("h", [0, 1, 4])
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_fused_filter_matches_lfilter_oracle(self, arfima_series, h, mode):
+        y = arfima_series
+        T = y.size
+        cfg = BootstrapConfig(B=40, innovation_mode=mode, rng_stream=6)
+        for d_f in (0.0, 0.2, 0.45):
+            w_f = apply_frac_filter(y, d_f)
+            fit = ArFit(order=0, phi=[1.0], sigma2=1.0) if h == 0 else burg_fit(w_f, h)
+            sieve = SieveFit(d_f, w_f, fit, ar_residuals(w_f, fit))
+            rngs = [generator_at(6, 0, b, 0) for b in range(cfg.B)]
+            got = bmod._draw_rows(T, cfg, sieve, rngs, bmod._draw_spectrum(sieve, T, d_f))
+            for b, row in enumerate(got):
+                rng = generator_at(6, 0, b, 0)
+                if mode == "parametric":
+                    eps = rng.standard_normal(T)
+                else:
+                    eps = sieve.residuals.standardized[rng.integers(0, T, size=T)]
+                eps = eps * sieve.residuals.scale
+                tau = int(rng.integers(h, T + 1)) if h else 0
+                want = draw_lfilter(fit.phi, eps, sieve.filtered[tau - h : tau], d_f)
+                assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestBiasCorrect:
@@ -338,6 +365,19 @@ class TestStoppingThresholds:
         assert_allclose(tau2_p0 / scale, norm.ppf(1 - 0.05 / 2), rtol=1e-12)
         assert_allclose(tau2_p1 / scale, norm.ppf(1 - 0.025 / 2), rtol=1e-12)
 
+    def test_quantiles_match_scipy(self):
+        # Every continuation probability of the schedule, through tau2: the
+        # quantiles agree within 1e-15, and the product with the (identical)
+        # scale adds at most one more rounding.
+        u, n, b = 1.0, 64, 200
+        for P in (0, 1):
+            for k in range(12):
+                power = 2.0 ** (k - 1) if k >= 1 else 1.0
+                scale = math.sqrt(u * u / n * (1.0 + power * (1.0 + 1.0 / b)))
+                _, tau2 = stopping_thresholds(k, n, b, u, P)
+                want = norm.ppf(1.0 - bmod._p_schedule(k, P) / 2.0) * scale
+                assert abs(tau2 - want) <= (1e-15 + 2.0 ** -52) * want
+
     def test_infinite_B_limit(self):
         u = math.sqrt(math.pi ** 2 / 24)
         tau1, _ = stopping_thresholds(1, 77, math.inf, u, P=0)
@@ -398,6 +438,27 @@ class TestIterate:
         assert len(trace.records) == 3
         for rec in trace.records:
             assert rec.d_next == rec.d_current - rec.bias_hat
+
+    def test_every_pass_counts_its_retries(self, arfima_series):
+        # Fail chosen draws at iteration k = 1 only; k = 0 runs clean.
+        chosen = {2, 9, 13}
+        seen = {"n": -1}  # call 0 is the point estimate on the data
+        B = 16
+
+        def stub(s):
+            seen["n"] += 1
+            if B <= seen["n"] - 1 < 2 * B and seen["n"] - 1 - B in chosen:
+                raise DegenerateInputError("chosen row at k = 1")
+            return 0.1
+
+        trace = iterate_bias_correct(
+            arfima_series, EstimatorSpec("lpr", 0),
+            BootstrapConfig(B=B, rng_stream=41), max_iter=3,
+            thresholds_fn=lambda *a: (-math.inf, -math.inf),
+            estimator_fn=stub,
+        )
+        assert [rec.retries for rec in trace.records] == [0, len(chosen), 0]
+        assert trace.outcomes[0].retries == trace.records[0].retries
 
     def test_trace_reproduces_stop_reason(self):
         y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.6), 300,

@@ -204,3 +204,43 @@ class TestMcRun:
         proc = run_cli("mc-run", "--config", str(tmp_path / "none.txt"),
                        "--out-dir", str(tmp_path / "o"))
         assert proc.returncode == 2
+
+
+class TestNumpyOnlyRuntime:
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, longmem, longmem.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # None in sys.modules makes every import of scipy (or a submodule)
+        # raise, so a lazy import anywhere on these paths would fail.
+        code = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import longmem as lm
+from longmem.cli import main
+
+d = {str(tmp_path)!r}
+assert main(["simulate", "--d", "0.2", "--phi", "0.3", "--T", "200",
+             "--seed", "4", "--out", d + "/y.csv"]) == 0
+assert main(["estimate", "--in", d + "/y.csv", "--family", "lpr", "--P", "1"]) == 0
+assert main(["bias-correct", "--in", d + "/y.csv", "--family", "splw", "--P", "1",
+             "--B", "20", "--iterate", "--max-iter", "2", "--seed", "3"]) == 0
+with open(d + "/cfg.txt", "w") as fh:
+    fh.write("T = 64\\nd = 0.2\\nphi = 0.3\\nR = 1\\nB = 12\\n"
+             "estimators = lpr1-bba1\\nseed = 5\\n")
+assert main(["mc-run", "--config", d + "/cfg.txt", "--out-dir", d + "/out",
+             "--threads", "1"]) == 0
+fit = lm.mle_fit(np.loadtxt(d + "/y.csv")[:60])
+assert np.isfinite(fit.loglik) and fit.diagnostics["converged"]
+print("numpy-only ok")
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy-only ok" in proc.stdout

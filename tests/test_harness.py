@@ -235,6 +235,12 @@ class TestRunDesign:
         assert ssr.task.correction == "ssr"
         assert "n_detstop" in ssr.stats
 
+    def test_interval_quantile_matches_scipy(self):
+        from scipy.stats import norm
+
+        want = norm.ppf(0.975)
+        assert abs(hmod._Z975 - want) <= 1e-15 * want
+
 
 class TestEmission:
     def test_csv_layout(self, tmp_path):
