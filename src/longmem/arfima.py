@@ -17,7 +17,6 @@ from .exceptions import (
     DegenerateInputError,
     EstimationFailedError,
     InvalidParameterError,
-    NumericalDegeneracyError,
 )
 
 __all__ = [
@@ -235,11 +234,9 @@ def _acvf_rows(d_values, phi, T, m_tail, frac_rows=None):
     return _ar1_scan(out, phi)[:, :T]
 
 
-# The one batched Durbin-Levinson kernel, for the grid stage of the MLE
-# and the nine points of each refinement stencil. A single ACVF goes
-# through the 1-D sweep instead (simulation and the line-search points of
-# the refinement), which at G=1 runs several times faster than this
-# masked form.
+# The one likelihood kernel of the MLE: the grid stage and every
+# refinement stencil run through it. Simulation, which needs a single
+# ACVF, runs the 1-D sweep instead.
 def _profile_loglik_batch(Y, gammas):
     """Concentrated Gaussian log-likelihoods for many ACVFs and many series.
 
@@ -286,30 +283,6 @@ def _profile_loglik_batch(Y, gammas):
     ll = -0.5 * T * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * sumlog[:, None]
     ll[bad] = -np.inf
     return ll, sigma2
-
-
-def _profile_loglik_point(y, d, phi, m_tail):
-    """Profile log-likelihood and sigma2 of one series at one (d, phi).
-
-    The 1-D Durbin-Levinson sweep run as the inverse of
-    :func:`_simulate_rows`: each prediction error e(t) = y(t) - b . past
-    adds e(t)^2 / v(t) to the quadratic form and log v(t) to the
-    log-determinant. An ACVF that is not positive definite gives -inf.
-    """
-    T = y.size
-    gam = _acvf_rows([d], phi, T, m_tail)[0]
-    rev = np.ascontiguousarray(y[::-1])  # rev[T-1-t] = y(t)
-    quad = y[0] * y[0] / gam[0]
-    sumlog = math.log(gam[0])
-    try:
-        for t, b, v in _durbin_levinson(gam):
-            e = y[t] - np.dot(b, rev[T - t :])
-            quad += e * e / v
-            sumlog += math.log(v)
-    except NumericalDegeneracyError:
-        return -math.inf, math.nan
-    sigma2 = float(quad / T)
-    return -0.5 * T * (_LOG_2PI + math.log(sigma2) + 1.0) - 0.5 * sumlog, sigma2
 
 
 @dataclass
@@ -380,25 +353,31 @@ def _grid_search_many(Y):
 
 
 def _loglik_stencil(y, x):
-    """Gradient and Hessian of the profile log-likelihood at x = (d, phi).
+    """Profile log-likelihood at x = (d, phi), with its gradient and Hessian.
 
     Central differences on the 3 x 3 stencil x + h (i, j), i, j in
-    {-1, 0, 1}. The nine points run through one call of the batched
-    kernel, which at T=100 takes about a third of the time of eight 1-D
-    sweeps. The stencil may reach h past the search box, which stays
-    inside the stationary, invertible region.
+    {-1, 0, 1}, whose nine points run through one call of the batched
+    kernel. The centre, row 4, is x itself and supplies the returned
+    log-likelihood and sigma2. The stencil may reach h past the search
+    box, which stays inside the stationary, invertible region.
+
+    Returns
+    -------
+    (loglik, sigma2, grad, hess)
     """
     h = _STENCIL_STEP
     steps = h * np.arange(-1, 2)
     gammas = np.concatenate(
         [_acvf_rows(x[0] + steps, phi, y.size, _tail(phi)) for phi in x[1] + steps]
     )
-    F = _profile_loglik_batch(y[:, None], gammas)[0][:, 0].reshape(3, 3).T  # F[d, phi]
+    ll, sigma2 = _profile_loglik_batch(y[:, None], gammas)
+    F = ll[:, 0].reshape(3, 3).T  # F[d, phi]
     grad = np.array([F[2, 1] - F[0, 1], F[1, 2] - F[1, 0]]) / (2.0 * h)
     h_dd = F[2, 1] - 2.0 * F[1, 1] + F[0, 1]
     h_pp = F[1, 2] - 2.0 * F[1, 1] + F[1, 0]
     h_dp = (F[2, 2] - F[2, 0] - F[0, 2] + F[0, 0]) / 4.0
-    return grad, np.array([[h_dd, h_dp], [h_dp, h_pp]]) / (h * h)
+    hess = np.array([[h_dd, h_dp], [h_dp, h_pp]]) / (h * h)
+    return float(ll[4, 0]), float(sigma2[4, 0]), grad, hess
 
 
 def _newton_step(x, grad, hess, lo, hi):
@@ -424,22 +403,21 @@ def _newton_step(x, grad, hess, lo, hi):
 def _refine_one(y, d0, phi0, ll0, tol):
     """Maximize the profile log-likelihood from a grid point by projected Newton.
 
-    Each iteration takes the gradient and Hessian from a central-difference
-    stencil (:func:`_loglik_stencil`) and a projected Newton step
-    (:func:`_newton_step`), then halves the step until the log-likelihood
-    does not fall; a lower log-likelihood is never accepted. The search
-    stops once the step, clipped to the box, is shorter than `tol` in
-    every coordinate.
+    Every point is one stencil (:func:`_loglik_stencil`): its centre gives
+    the log-likelihood and its differences the gradient and Hessian of a
+    projected Newton step (:func:`_newton_step`). The step is halved until
+    the log-likelihood at the trial stencil does not fall; a lower
+    log-likelihood is never accepted, and an accepted trial's stencil
+    supplies the next step. The search stops once the step, clipped to
+    the box, is shorter than `tol` in every coordinate.
     """
     lo = np.array([_D_BOUNDS[0], _PHI_BOUNDS[0]])
     hi = np.array([_D_BOUNDS[1], _PHI_BOUNDS[1]])
     x = np.array([d0, phi0])
-    f, sigma2 = _profile_loglik_point(y, d0, phi0, _tail(phi0))
-    evals = 1
+    f, sigma2, grad, hess = _loglik_stencil(y, x)
+    evals = 9
     converged = False
     for _ in range(_MAX_NEWTON):
-        grad, hess = _loglik_stencil(y, x)
-        evals += 9
         if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
             break
         step = _newton_step(x, grad, hess, lo, hi)
@@ -448,10 +426,11 @@ def _refine_one(y, d0, phi0, ll0, tol):
             if np.abs(x_new - x).max() < tol:
                 converged = True
                 break
-            f_new, s2_new = _profile_loglik_point(y, *x_new, _tail(x_new[1]))
-            evals += 1
-            if f_new >= f:
-                x, f, sigma2 = x_new, f_new, s2_new
+            trial = _loglik_stencil(y, x_new)
+            evals += 9
+            if trial[0] >= f:
+                x = x_new
+                f, sigma2, grad, hess = trial
                 break
             step = 0.5 * step
         if converged:
@@ -512,11 +491,12 @@ def mle_fit(y, refine_tol=1e-6):
     The search is a 0.02-step grid over (-0.49, 0.49) x (-0.99, 0.99),
     evaluated by the batched kernel on blocks of about 2**15 ACVF values
     (whole phi rows of the grid per call), followed by a projected Newton
-    ascent: gradient and Hessian from a 3 x 3 central-difference stencil
-    (step 1e-4), a step-halving line search on the 1-D sweep that never
-    accepts a lower log-likelihood, bounds that the gradient pushes
-    against held fixed, and a stop once the step is below `refine_tol`.
-    Every ACVF carries an AR(1) tail sized to its own phi.
+    ascent on the same kernel: every point is a 3 x 3 central-difference
+    stencil (step 1e-4) whose centre gives the log-likelihood and whose
+    differences give the gradient and Hessian, a step-halving line search
+    never accepts a lower log-likelihood, bounds that the gradient pushes
+    against held fixed, and the search stops once the step is below
+    `refine_tol`. Every ACVF carries an AR(1) tail sized to its own phi.
 
     Parameters
     ----------

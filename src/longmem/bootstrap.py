@@ -74,7 +74,6 @@ class BootstrapConfig:
     B: int
     innovation_mode: str = "parametric"
     rng_stream: object = 0
-    h_max: int = None
 
     def __post_init__(self):
         if self.B < 2:
@@ -146,8 +145,7 @@ def prefilter_sieve(y, d_f, config):
     """
     y = np.asarray(y, dtype=float)
     w_f = apply_frac_filter(y, d_f)
-    h_cap = config.h_max if config.h_max is not None else default_max_order(y.size)
-    h = select_order_aic(w_f, h_cap)
+    h = select_order_aic(w_f, default_max_order(y.size))
     fit = burg_fit(w_f, h)
     res = ar_residuals(w_f, fit)
     return SieveFit(d_f=float(d_f), filtered=w_f, fit=fit, residuals=res)

@@ -29,14 +29,13 @@ from .bootstrap import (
     _BLOCK_VALUES,
     _MODES,
     BootstrapConfig,
-    _correction_pass,
     _estimate_block,
     iterate_bias_correct,
 )
-from .estimators import EstimatorSpec, asymptotic_sd, estimate
+from .estimators import EstimatorSpec, asymptotic_sd
 from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
 from .spectral import bandwidth
-from .streams import generator_at, substream
+from .streams import substream
 
 __all__ = [
     "EstimatorTask",
@@ -221,52 +220,40 @@ def _always_continue(k, N, B, upsilon, P):
 
 
 def _run_task(y, task, design, stream):
-    """Point estimate, intervals and stop flag of one bootstrap task on y."""
+    """Point estimate, intervals and stop flag of one bootstrap task on y.
+
+    Every task is one run of :func:`iterate_bias_correct`: SSR under the
+    stochastic stopping rules, BBA(K) as K fixed passes, and an HPD task
+    without correction as one fixed pass whose point is the plain
+    estimate.
+    """
     spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
     N = bandwidth(y.size, design.bandwidth_exponent, task.P)
-    out = {
-        "asym_half": _Z975 * asymptotic_sd(spec, N),
-        "hpd": None,
-        "detstop": False,
-    }
     config = BootstrapConfig(
         B=design.B, innovation_mode=design.mode, rng_stream=stream
     )
-    if task.correction == "none":
-        out["point"] = estimate(y, spec).d_hat
-        outcome = _correction_pass(
-            y, out["point"], out["point"], config, spec, None,
-            design.alpha_lower, design.alpha_upper,
-        )
-        out["hpd"] = outcome.hpd
-    elif task.correction == "bba":
-        trace = iterate_bias_correct(
-            y,
-            spec,
-            config,
-            max_iter=task.K,
-            thresholds_fn=_always_continue,
-            deterministic_window=None,
-            alpha_lower=design.alpha_lower,
-            alpha_upper=design.alpha_upper,
-        )
-        out["point"] = trace.final
-        if task.hpd:
-            out["hpd"] = trace.outcomes[0].hpd
-    else:  # ssr
-        trace = iterate_bias_correct(
-            y,
-            spec,
-            config,
-            max_iter=design.max_iter,
-            alpha_lower=design.alpha_lower,
-            alpha_upper=design.alpha_upper,
-        )
-        out["point"] = trace.final
-        out["detstop"] = trace.stop_reason == "deterministic"
-        if task.hpd:
-            out["hpd"] = trace.outcomes[0].hpd
-    return out
+    if task.correction == "ssr":
+        rules = {"max_iter": design.max_iter}
+    else:
+        rules = {
+            "max_iter": max(task.K, 1),
+            "thresholds_fn": _always_continue,
+            "deterministic_window": None,
+        }
+    trace = iterate_bias_correct(
+        y,
+        spec,
+        config,
+        alpha_lower=design.alpha_lower,
+        alpha_upper=design.alpha_upper,
+        **rules,
+    )
+    return {
+        "point": trace.d_initial if task.correction == "none" else trace.final,
+        "asym_half": _Z975 * asymptotic_sd(spec, N),
+        "hpd": trace.outcomes[0].hpd if task.hpd else None,
+        "detstop": trace.stop_reason == "deterministic",
+    }
 
 
 def _plain_task(Y, task, design):
@@ -297,9 +284,8 @@ def _block_worker(args):
     )
     Z = np.empty((stop - start, T))
     for i, r in enumerate(range(start, stop)):
-        Z[i] = _standardized_deviates(
-            params, T, generator_at(design.seed, cell_index, r, 0)
-        )
+        rng = np.random.default_rng(simulation_stream(design.seed, cell_index, r))
+        Z[i] = _standardized_deviates(params, T, rng)
     Y = _simulate_rows(params, Z)
     columns = []
     for ti, task in enumerate(design.estimators):

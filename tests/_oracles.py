@@ -141,13 +141,14 @@ def nelder_mead_loglik(y, d0, phi0, tol=1e-6):
     """Profile log-likelihood that bounded Nelder-Mead reaches from (d0, phi0).
 
     The refinement the MLE used before its projected Newton step, on the
-    same 1-D likelihood sweep and search box.
+    same likelihood kernel (one point per call) and search box.
     """
 
     def negll(x):
         d = min(max(x[0], arfima._D_BOUNDS[0]), arfima._D_BOUNDS[1])
         phi = min(max(x[1], arfima._PHI_BOUNDS[0]), arfima._PHI_BOUNDS[1])
-        return -arfima._profile_loglik_point(y, d, phi, arfima._tail(phi))[0]
+        gam = arfima._acvf_rows([d], phi, y.size, arfima._tail(phi))
+        return -arfima._profile_loglik_batch(y[:, None], gam)[0][0, 0]
 
     res = minimize(
         negll,

@@ -23,7 +23,6 @@ from longmem.arfima import (
     _ar1_tail_length,
     _grid_search_many,
     _profile_loglik_batch,
-    _profile_loglik_point,
     _simulate_rows,
     _standardized_deviates,
 )
@@ -189,7 +188,7 @@ class TestSimulation:
 class TestMle:
     def test_iid_profile_likelihood_identity(self):
         y = np.random.default_rng(2).standard_normal(200)
-        ll, s2 = _profile_loglik_point(y, 0.0, 0.0, 10)
+        ll, s2 = _profile_loglik_batch(y[:, None], _acvf_rows([0.0], 0.0, y.size, 10))
         s2_emp = np.mean(y ** 2)
         want = -(len(y) / 2) * (math.log(2 * math.pi * s2_emp) + 1.0)
         assert_allclose(ll, want, rtol=1e-12)
@@ -258,7 +257,7 @@ class TestLikelihoodKernels:
         for phi in (-0.99, -0.5, 0.0, 0.6, 0.99)
     ]
 
-    def test_point_batch_and_dense_oracle_agree(self):
+    def test_batch_and_dense_oracle_agree(self):
         T = 60
         rng = np.random.default_rng(21)
         Y = np.column_stack(
@@ -274,20 +273,13 @@ class TestLikelihoodKernels:
             ]
         )
         ll_batch, s2_batch = _profile_loglik_batch(Y, gammas)
-        for g, (d, phi) in enumerate(self.POINTS):
+        for g in range(len(self.POINTS)):
             for r in range(Y.shape[1]):
-                y = Y[:, r]
-                ll_dense, s2_dense = _dense_profile_loglik(y, gammas[g])
-                ll_point, s2_point = _profile_loglik_point(
-                    y, d, phi, _ar1_tail_length(phi, rel=1e-15)
-                )
-                assert_allclose(ll_point, ll_dense, rtol=1e-10)
+                ll_dense, s2_dense = _dense_profile_loglik(Y[:, r], gammas[g])
                 assert_allclose(ll_batch[g, r], ll_dense, rtol=1e-10)
                 # The dense solve loses digits at (0.49, 0.99), whose
-                # covariance has condition number about 7e7 at T=60; the two
-                # recursions carry the same rounding and agree closer.
-                assert_allclose(s2_point, s2_batch[g, r], rtol=1e-12)
-                assert_allclose(s2_point, s2_dense, rtol=1e-9)
+                # covariance has condition number about 7e7 at T=60.
+                assert_allclose(s2_batch[g, r], s2_dense, rtol=1e-9)
 
     def test_not_positive_definite_gives_minus_inf(self):
         y = np.random.default_rng(4).standard_normal(30)
@@ -408,3 +400,27 @@ class TestNewtonRefinement:
         diag = fit.diagnostics
         assert diag["boundary"] is True and diag["converged"] is True
         assert fit.loglik >= nelder_mead_loglik(y, diag["grid_d"], diag["grid_phi"]) - 1e-9
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: simulate_gaussian(
+                ArfimaParams(d=0.2, phi=0.3), 120, np.random.default_rng(3)
+            ),
+            lambda: simulate_gaussian(
+                ArfimaParams(d=-0.3, phi=0.8), 500, generator_at(500, 6)
+            ),
+            lambda: np.diff(np.random.default_rng(6).standard_normal(201)),  # d edge
+            lambda: np.cumsum(np.random.default_rng(7).standard_normal(200)),  # phi edge
+        ],
+    )
+    def test_reported_fit_is_the_kernel_value_at_the_estimate(self, make):
+        # The refinement's points are stencil centres of the batched kernel.
+        y = make()
+        fit = mle_fit(y)
+        gam = _acvf_rows([fit.d_hat], fit.phi_hat, y.size, arfima._tail(fit.phi_hat))
+        ll, s2 = _profile_loglik_batch(y[:, None], gam)
+        assert_allclose(fit.loglik, ll[0, 0], rtol=1e-12)
+        assert_allclose(fit.sigma2, s2[0, 0], rtol=1e-12)
+        evals = fit.diagnostics["evals"]
+        assert evals > 0 and evals % 9 == 0

@@ -14,6 +14,7 @@ from longmem import (
     InvalidDesignError,
     InvalidParameterError,
     McDesign,
+    bias_correct,
     emit_tables,
     estimate,
     iterate_bias_correct,
@@ -167,13 +168,12 @@ class TestRunDesign:
         y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 64,
                               np.random.default_rng(5))
         on_data = {"n": 0}
-        real = hmod.estimate
+        real = bmod.estimate
 
         def counting(series, spec):
             on_data["n"] += np.array_equal(series, y)
             return real(series, spec)
 
-        monkeypatch.setattr(hmod, "estimate", counting)
         monkeypatch.setattr(bmod, "estimate", counting)
         task = design.estimators[0]
         out = hmod._run_task(y, task, design, task_stream(11, 0, 0, 0))
@@ -188,13 +188,12 @@ class TestRunDesign:
         y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 64,
                               np.random.default_rng(5))
         on_data = {"n": 0}
-        real = hmod.estimate
+        real = bmod.estimate
 
         def counting(series, spec):
             on_data["n"] += np.array_equal(series, y)
             return real(series, spec)
 
-        monkeypatch.setattr(hmod, "estimate", counting)
         monkeypatch.setattr(bmod, "estimate", counting)
         task = design.estimators[0]
         out = hmod._run_task(y, task, design, task_stream(11, 0, 0, 0))
@@ -202,6 +201,34 @@ class TestRunDesign:
         assert out["point"] == real(y, EstimatorSpec("lpr", 1)).d_hat
         lo, hi = out["hpd"]
         assert lo < out["point"] < hi
+
+    @pytest.mark.parametrize(
+        "token", ["lpr1-hpd", "splw1-bba2", "lpr2-ssr-hpd", "splw0-bba1-hpd"]
+    )
+    def test_task_equals_public_calls(self, token):
+        task = parse_estimator_token(token)
+        design = small_design(estimators=(task,), B=12)
+        y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 64,
+                              np.random.default_rng(5))
+        stream = task_stream(11, 0, 0, 0)
+        out = hmod._run_task(y, task, design, stream)
+        spec = EstimatorSpec(task.family, task.P)
+        cfg = BootstrapConfig(B=12, rng_stream=stream)
+        if task.correction == "none":
+            d_hat = estimate(y, spec).d_hat
+            want = (d_hat, bias_correct(y, spec, d_hat, cfg).hpd, False)
+        else:
+            if task.correction == "bba":
+                trace = iterate_bias_correct(
+                    y, spec, cfg, max_iter=task.K,
+                    thresholds_fn=lambda *a: (-math.inf, -math.inf),
+                    deterministic_window=None,
+                )
+            else:
+                trace = iterate_bias_correct(y, spec, cfg)
+            hpd = trace.outcomes[0].hpd if task.hpd else None
+            want = (trace.final, hpd, trace.stop_reason == "deterministic")
+        assert (out["point"], out["hpd"], out["detstop"]) == want
 
     def test_plain_blocks_independent_of_layout_and_workers(self, monkeypatch):
         # R = 7 spans three blocks of 3 rows at T = 64; the default block
