@@ -67,8 +67,11 @@ class BootstrapConfig:
     innovation_mode 'parametric' draws Gaussian innovations scaled by the
     residual standard deviation; 'nonparametric' resamples the
     standardized residuals with replacement. ``rng_stream`` is a
-    SeedSequence (or int seed); every draw receives its own child stream,
-    so draws are reproducible and order-independent.
+    SeedSequence (or int seed). Pass k of a correction draws from two
+    child streams: (k, 0) fills the B rows of innovations in draw order
+    and (k, 1) gives the B starts of the seeding blocks. A draw b whose
+    estimate fails is rebuilt from its own stream (k, b, 1). Draws are
+    reproducible and do not depend on how the pass is blocked.
     """
 
     B: int
@@ -137,7 +140,7 @@ class IterationTrace:
     outcomes: list = field(default_factory=list)
 
 
-def prefilter_sieve(y, d_f, config):
+def prefilter_sieve(y, d_f):
     """Filter the data by d_f and fit the autoregressive sieve once.
 
     The sieve order is chosen by AIC below the cap floor((log T)^2)
@@ -154,11 +157,14 @@ def prefilter_sieve(y, d_f, config):
 def bootstrap_draw(y, d_f, config, sieve, rng):
     """Generate one pre-filtered sieve bootstrap replica of the data.
 
-    Innovations are drawn per ``config.innovation_mode``, the AR path is
-    seeded with an h-block of the filtered series starting at a uniform
-    random position, and the inverse filter (-d_f) maps the path back to
-    the observation scale. Both filters run as one causal convolution
-    (see :func:`_draw_spectrum`).
+    Innovations are drawn from `rng` per ``config.innovation_mode``, then
+    the AR path is seeded with an h-block of the filtered series starting
+    at a uniform random position drawn from the same `rng`, and the
+    inverse filter (-d_f) maps the path back to the observation scale.
+    Both filters run as one causal convolution (see :func:`_draw_spectrum`).
+    A bias-correction pass draws its B replicas from two pass streams
+    instead (see :func:`_estimate_draws`); it uses this per-rng layout
+    only for the draws it rebuilds after a failed estimate.
 
     Parameters
     ----------
@@ -178,7 +184,8 @@ def bootstrap_draw(y, d_f, config, sieve, rng):
         Bootstrap series of the same length as `y`.
     """
     T = np.asarray(y).size
-    return _draw_rows(T, config, sieve, [rng], _draw_spectrum(sieve, T, d_f))[0]
+    eps, tau = _draw_inputs(config, sieve, rng)
+    return _draw_rows(sieve, eps, tau, _draw_spectrum(sieve, T, d_f))[0]
 
 
 def _draw_spectrum(sieve, T, d_f):
@@ -193,28 +200,42 @@ def _draw_spectrum(sieve, T, d_f):
     return _causal_spectrum(apply_frac_filter(psi, -d_f))
 
 
-def _draw_rows(T, config, sieve, rngs, spectrum):
-    """Bootstrap replicas of length T, one row per generator in `rngs`.
+def _innovations(config, sieve, rng, n):
+    """n rows of standardized innovations from `rng`, in row order."""
+    T = sieve.filtered.size
+    if config.innovation_mode == "parametric":
+        return rng.standard_normal((n, T))
+    return sieve.residuals.standardized[rng.integers(0, T, size=(n, T))]
 
-    Each generator is consumed as in :func:`bootstrap_draw`: innovations
-    first, then the start of the seeding block. One causal convolution
-    with the kernel of `spectrum` (:func:`_draw_spectrum`) then runs the
-    AR recursion and the inverse filter over the whole block.
+
+def _starts(sieve, rng, n):
+    """n starts of the seeding block, uniform on {h, ..., T} (1-based).
+
+    An order-0 sieve has no seeding block and draws nothing from `rng`.
     """
-    res = sieve.residuals
     h = sieve.fit.order
-    eps = np.empty((len(rngs), T))
-    tau = np.zeros(len(rngs), dtype=np.intp)
-    for i, rng in enumerate(rngs):
-        if config.innovation_mode == "parametric":
-            eps[i] = rng.standard_normal(T)
-        else:
-            eps[i] = res.standardized[rng.integers(0, T, size=T)]
-        if h > 0:
-            tau[i] = rng.integers(h, T + 1)  # uniform on {h, ..., T}, 1-based
-    eps *= res.scale
+    if h == 0:
+        return np.zeros(n, dtype=np.intp)
+    return rng.integers(h, sieve.filtered.size + 1, size=n)
+
+
+def _draw_inputs(config, sieve, rng):
+    """Innovations, then the seeding-block start, of one draw from its own rng."""
+    return _innovations(config, sieve, rng, 1), _starts(sieve, rng, 1)
+
+
+def _draw_rows(sieve, eps, tau, spectrum):
+    """Bootstrap replicas, one row per row of standardized innovations.
+
+    Row i scales ``eps[i]`` by the residual standard deviation and seeds
+    the AR path with the h filtered values before position ``tau[i]``.
+    One causal convolution with the kernel of `spectrum`
+    (:func:`_draw_spectrum`) then runs the AR recursion and the inverse
+    filter over all rows.
+    """
+    h = sieve.fit.order
     init = sieve.filtered[tau[:, None] + np.arange(-h, 0)]
-    return _run_sieve(sieve.fit.phi, eps, init, spectrum)
+    return _run_sieve(sieve.fit.phi, eps * sieve.residuals.scale, init, spectrum)
 
 
 def _estimate_block(ystar, spec, estimator_fn):
@@ -238,34 +259,47 @@ def _estimate_block(ystar, spec, estimator_fn):
 def _estimate_draws(y, d_f, config, iteration, spec, estimator_fn):
     """Run B draws and estimates in blocks; failed draws are redrawn once.
 
-    Draw b of this iteration comes from stream (iteration, b, 0); a draw
-    whose estimate fails is rebuilt from stream (iteration, b, 1), and a
-    second failure aborts the pass. Only the failed draws are recomputed.
-    ``estimator_fn`` None uses the batched form of ``estimate(., spec)``;
-    otherwise it is applied to the draws one at a time.
+    The B draws of this iteration come from two pass streams: stream
+    (iteration, 0) fills their innovations row by row in draw order, and
+    stream (iteration, 1) gives their B seeding-block starts in one call
+    (no call when the sieve order is 0). The values therefore do not
+    depend on the block size. A draw b whose estimate fails is rebuilt
+    from its own stream (iteration, b, 1), consumed as in
+    :func:`bootstrap_draw`, and a second failure aborts the pass. Only the
+    failed draws are recomputed. ``estimator_fn`` None uses the batched
+    form of ``estimate(., spec)``; otherwise it is applied to the draws
+    one at a time.
     """
-    sieve = prefilter_sieve(y, d_f, config)
+    sieve = prefilter_sieve(y, d_f)
     T = sieve.filtered.size
     spectrum = _draw_spectrum(sieve, T, d_f)
     rows = max(1, _BLOCK_VALUES // T)
     draws = np.empty(config.B)
 
-    def fill(indices, attempt):
+    def fill(indices, inputs):
         failed = {}
         for start in range(0, indices.size, rows):
             block = indices[start : start + rows]
-            rngs = [
-                generator_at(config.rng_stream, iteration, b, attempt) for b in block
-            ]
-            ystar = _draw_rows(T, config, sieve, rngs, spectrum)
+            ystar = _draw_rows(sieve, *inputs(block), spectrum)
             values, failures = _estimate_block(ystar, spec, estimator_fn)
             draws[block] = values
             failed.update((int(block[i]), exc) for i, exc in failures.items())
         return failed
 
-    failed = fill(np.arange(config.B), 0)
+    innovations_rng = generator_at(config.rng_stream, iteration, 0)
+    tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
+
+    def pass_inputs(block):
+        return _innovations(config, sieve, innovations_rng, block.size), tau[block]
+
+    def retry_inputs(block):
+        rngs = (generator_at(config.rng_stream, iteration, b, 1) for b in block)
+        eps, starts = zip(*(_draw_inputs(config, sieve, rng) for rng in rngs))
+        return np.concatenate(eps), np.concatenate(starts)
+
+    failed = fill(np.arange(config.B), pass_inputs)
     if failed:
-        again = fill(np.array(sorted(failed)), 1)
+        again = fill(np.array(sorted(failed)), retry_inputs)
         if again:
             b = min(again)
             raise EstimationFailedError(

@@ -82,6 +82,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_bias_correct(args):
+    if args.B < 10:
+        raise InvalidParameterError("--B must be at least 10 for the hpd95 interval")
     y = _read_series(args.infile)
     spec = EstimatorSpec(args.family, args.P, args.bandwidth_exp)
     seed = _default_seed(args.seed)

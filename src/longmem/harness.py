@@ -171,6 +171,12 @@ class McDesign:
             raise InvalidDesignError("HPD tasks require B >= 10")
         if self.mode not in _MODES:
             raise InvalidDesignError(f"mode must be one of {_MODES}")
+        if self.max_iter < 1:
+            raise InvalidDesignError("max_iter must be at least 1")
+        if not (0.0 <= self.alpha_lower < 1.0 and 0.0 <= self.alpha_upper < 1.0):
+            raise InvalidDesignError("hpd_tails must both lie in [0, 1)")
+        if self.alpha_lower + self.alpha_upper >= 1.0:
+            raise InvalidDesignError("hpd_tails must sum to less than 1")
         for task in self.estimators:
             try:
                 EstimatorSpec(task.family, task.P, self.bandwidth_exponent)

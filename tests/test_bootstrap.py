@@ -12,12 +12,14 @@ from longmem import (
     EstimationFailedError,
     EstimatorSpec,
     InvalidParameterError,
+    McDesign,
     SieveFit,
     bias_correct,
     bootstrap_draw,
     estimate,
     hpd_interval,
     iterate_bias_correct,
+    parse_estimator_token,
     prefilter_sieve,
     simulate_gaussian,
     stopping_thresholds,
@@ -25,7 +27,8 @@ from longmem import (
 import longmem.bootstrap as bmod
 from longmem.arsieve import ArFit, _run_sieve, ar_residuals, burg_fit, simulate_ar_path
 from longmem.fracdiff import apply_frac_filter
-from longmem.streams import generator_at
+from longmem.harness import simulation_stream, task_stream
+from longmem.streams import generator_at, substream
 
 from _oracles import draw_lfilter, hpd_window_exhaustive
 
@@ -40,7 +43,7 @@ def arfima_series():
 class TestDraws:
     def test_deterministic_given_stream(self, arfima_series):
         cfg = BootstrapConfig(B=2, rng_stream=3)
-        sieve = prefilter_sieve(arfima_series, 0.2, cfg)
+        sieve = prefilter_sieve(arfima_series, 0.2)
         a = bootstrap_draw(arfima_series, 0.2, cfg, sieve, generator_at(3, 0))
         b = bootstrap_draw(arfima_series, 0.2, cfg, sieve, generator_at(3, 0))
         assert np.array_equal(a, b)
@@ -50,7 +53,7 @@ class TestDraws:
         # then the start of the seeding block
         y = arfima_series
         cfg = BootstrapConfig(B=2, rng_stream=3)
-        sieve = prefilter_sieve(y, 0.2, cfg)
+        sieve = prefilter_sieve(y, 0.2)
         draw = bootstrap_draw(y, 0.2, cfg, sieve, generator_at(7, 1))
         rng = generator_at(7, 1)
         T = y.size
@@ -70,7 +73,7 @@ class TestDraws:
         y = simulate_gaussian(ArfimaParams(d=0.0, phi=0.5), 400,
                               np.random.default_rng(21))
         cfg = BootstrapConfig(B=2, rng_stream=5)
-        sieve = prefilter_sieve(y, 0.0, cfg)
+        sieve = prefilter_sieve(y, 0.0)
         assert np.array_equal(sieve.filtered, y)
         draw = bootstrap_draw(y, 0.0, cfg, sieve, generator_at(5, 0))
         rng = generator_at(5, 0)
@@ -94,7 +97,7 @@ class TestDraws:
 
     def test_nonparametric_innovations_resample_residuals(self, arfima_series):
         cfg = BootstrapConfig(B=2, innovation_mode="nonparametric", rng_stream=2)
-        sieve = prefilter_sieve(arfima_series, 0.2, cfg)
+        sieve = prefilter_sieve(arfima_series, 0.2)
         draw = bootstrap_draw(arfima_series, 0.2, cfg, sieve, generator_at(2, 0))
         rng = generator_at(2, 0)
         T = arfima_series.size
@@ -117,17 +120,16 @@ class TestDraws:
             w_f = apply_frac_filter(y, d_f)
             fit = ArFit(order=0, phi=[1.0], sigma2=1.0) if h == 0 else burg_fit(w_f, h)
             sieve = SieveFit(d_f, w_f, fit, ar_residuals(w_f, fit))
-            rngs = [generator_at(6, 0, b, 0) for b in range(cfg.B)]
-            got = bmod._draw_rows(T, cfg, sieve, rngs, bmod._draw_spectrum(sieve, T, d_f))
-            for b, row in enumerate(got):
-                rng = generator_at(6, 0, b, 0)
-                if mode == "parametric":
-                    eps = rng.standard_normal(T)
-                else:
-                    eps = sieve.residuals.standardized[rng.integers(0, T, size=T)]
-                eps = eps * sieve.residuals.scale
-                tau = int(rng.integers(h, T + 1)) if h else 0
-                want = draw_lfilter(fit.phi, eps, sieve.filtered[tau - h : tau], d_f)
+            rng = generator_at(6, 0, 0)
+            if mode == "parametric":
+                eps = rng.standard_normal((cfg.B, T))
+            else:
+                eps = sieve.residuals.standardized[rng.integers(0, T, size=(cfg.B, T))]
+            tau = rng.integers(h, T + 1, size=cfg.B) if h else np.zeros(cfg.B, int)
+            got = bmod._draw_rows(sieve, eps, tau, bmod._draw_spectrum(sieve, T, d_f))
+            for row, e, t in zip(got, eps, tau):
+                e = e * sieve.residuals.scale
+                want = draw_lfilter(fit.phi, e, sieve.filtered[t - h : t], d_f)
                 assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -237,25 +239,56 @@ def record_draw_rows(monkeypatch):
     return seen
 
 
+def pass_rows(y, d_f, cfg, k, sieve=None):
+    """Hand assembly of the B series of pass k from its two pass streams."""
+    sieve = sieve or prefilter_sieve(y, d_f)
+    T, h = y.size, sieve.fit.order
+    rng = generator_at(cfg.rng_stream, k, 0)
+    if cfg.innovation_mode == "parametric":
+        eps = rng.standard_normal((cfg.B, T))
+    else:
+        eps = sieve.residuals.standardized[rng.integers(0, T, size=(cfg.B, T))]
+    tau = np.zeros(cfg.B, dtype=int)
+    if h:
+        tau = generator_at(cfg.rng_stream, k, 1).integers(h, T + 1, size=cfg.B)
+    return bmod._draw_rows(sieve, eps, tau, bmod._draw_spectrum(sieve, T, d_f))
+
+
+def order_zero_sieve(y, d_f):
+    w_f = apply_frac_filter(y, d_f)
+    fit = ArFit(order=0, phi=[1.0], sigma2=1.0)
+    return SieveFit(float(d_f), w_f, fit, ar_residuals(w_f, fit))
+
+
+def log_generator_at(monkeypatch):
+    """Record the index path of every generator the bootstrap builds."""
+    calls = []
+    real = bmod.generator_at
+
+    def logged(stream, *path):
+        calls.append(path)
+        return real(stream, *path)
+
+    monkeypatch.setattr(bmod, "generator_at", logged)
+    return calls
+
+
 class TestBatchedDraws:
     @pytest.mark.parametrize("T", [100, 500, 2000])
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
     @pytest.mark.parametrize("family", ["lpr", "splw"])
-    def test_matches_per_draw_estimates(self, series_by_T, family, mode, T):
+    def test_matches_per_draw_estimates(self, series_by_T, family, mode, T,
+                                        monkeypatch):
         y = series_by_T[T]
         cfg = BootstrapConfig(B=20, innovation_mode=mode, rng_stream=T + 1)
-        sieve = prefilter_sieve(y, 0.25, cfg)
+        want = pass_rows(y, 0.25, cfg, 0)
+        seen = record_draw_rows(monkeypatch)
         for P in range(4):
             spec = EstimatorSpec(family, P)
+            seen.clear()
             batched = bias_correct(y, spec, 0.25, cfg).draws
-            single = [
-                estimate(
-                    bootstrap_draw(y, 0.25, cfg, sieve,
-                                   generator_at(cfg.rng_stream, 0, b, 0)),
-                    spec,
-                ).d_hat
-                for b in range(cfg.B)
-            ]
+            assert np.array_equal(np.concatenate(seen), want)
+            single = [estimate(row, spec).d_hat for row in want]
             assert np.max(np.abs(batched - single)) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -264,28 +297,31 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
     def test_block_size_does_not_change_results(self, arfima_series, spec, mode,
                                                 monkeypatch):
+        y = arfima_series
         cfg = BootstrapConfig(B=150, innovation_mode=mode, rng_stream=8)
         seen = record_draw_rows(monkeypatch)
-        default = bias_correct(arfima_series, spec, 0.2, cfg).draws
-        default_rows = np.concatenate(seen)
-        seen.clear()
-        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 1)
-        one = bias_correct(arfima_series, spec, 0.2, cfg).draws
-        assert len(seen) == cfg.B  # one draw per block
-        assert np.array_equal(np.concatenate(seen), default_rows)
-        assert np.array_equal(one, default)
+        default_block = bmod._BLOCK_VALUES
+        for build_sieve in (prefilter_sieve, order_zero_sieve):  # h > 0, h = 0
+            monkeypatch.setattr(bmod, "prefilter_sieve", build_sieve)
+            monkeypatch.setattr(bmod, "_BLOCK_VALUES", default_block)
+            seen.clear()
+            default = bias_correct(y, spec, 0.2, cfg).draws
+            default_rows = np.concatenate(seen)
+            sieve = build_sieve(y, 0.2)
+            assert (sieve.fit.order == 0) == (build_sieve is order_zero_sieve)
+            assert np.array_equal(default_rows, pass_rows(y, 0.2, cfg, 0, sieve))
+            for block_values, blocks in ((1, cfg.B), (3 * y.size, cfg.B // 3)):
+                seen.clear()
+                monkeypatch.setattr(bmod, "_BLOCK_VALUES", block_values)
+                draws = bias_correct(y, spec, 0.2, cfg).draws
+                assert len(seen) == blocks
+                assert np.array_equal(np.concatenate(seen), default_rows)
+                assert np.array_equal(draws, default)
 
     def test_failed_rows_redrawn_on_retry_streams(self, arfima_series,
                                                   monkeypatch):
         chosen = {3, 7, 40}
-        calls = []
-        real_generator_at = bmod.generator_at
-
-        def logged(stream, *path):
-            calls.append(path)
-            return real_generator_at(stream, *path)
-
-        monkeypatch.setattr(bmod, "generator_at", logged)
+        calls = log_generator_at(monkeypatch)
         seen = {"n": -1}  # call 0 is the point estimate on the data
 
         def stub(s):
@@ -298,14 +334,55 @@ class TestBatchedDraws:
         out = bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.2, cfg,
                            estimator_fn=stub)
         assert out.retries == len(chosen)
-        assert sorted(b for (_, b, a) in calls if a == 1) == sorted(chosen)
-        assert len(calls) == cfg.B + len(chosen)
-        sieve = prefilter_sieve(arfima_series, 0.2, cfg)
+        assert calls == [(0, 0), (0, 1)] + [(0, b, 1) for b in sorted(chosen)]
+        sieve = prefilter_sieve(arfima_series, 0.2)
+        first = pass_rows(arfima_series, 0.2, cfg, 0)
         for b in range(cfg.B):
-            attempt = 1 if b in chosen else 0
-            draw = bootstrap_draw(arfima_series, 0.2, cfg, sieve,
-                                  real_generator_at(12, 0, b, attempt))
-            assert out.draws[b] == draw[0]
+            if b in chosen:
+                draw = bootstrap_draw(arfima_series, 0.2, cfg, sieve,
+                                      generator_at(12, 0, b, 1))
+                assert out.draws[b] == draw[0]
+            else:
+                assert out.draws[b] == first[b, 0]
+
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_first_attempt_uses_two_streams_per_pass(self, arfima_series, mode,
+                                                     monkeypatch):
+        calls = log_generator_at(monkeypatch)
+        seen = record_draw_rows(monkeypatch)
+        cfg = BootstrapConfig(B=40, innovation_mode=mode, rng_stream=15)
+        trace = iterate_bias_correct(
+            arfima_series, EstimatorSpec("lpr", 1), cfg, max_iter=3,
+            thresholds_fn=lambda *a: (-math.inf, -math.inf),
+            deterministic_window=None,
+        )
+        assert calls == [(k, s) for k in range(3) for s in (0, 1)]
+        # pass k is pre-filtered by the value it corrects
+        for rec, rows in zip(trace.records, list(seen)):
+            want = pass_rows(arfima_series, rec.d_current, cfg, rec.k)
+            assert np.array_equal(rows, want)
+
+    def test_pass_stream_keys_are_distinct(self):
+        design = McDesign(
+            T_values=(64,), d_values=(0.0, 0.2), phi_values=(0.3,), R=3,
+            estimators=(parse_estimator_token("lpr0-bba2"),
+                        parse_estimator_token("splw1-ssr")),
+            B=12, max_iter=4, seed=2026,
+        )
+        passes, others = set(), set()
+        for cell, _ in design.cells():
+            for r in range(design.R):
+                others.add(simulation_stream(design.seed, cell, r).spawn_key)
+                for ti in range(len(design.estimators)):
+                    task = task_stream(design.seed, cell, r, ti)
+                    others.add(task.spawn_key)
+                    for k in range(design.max_iter):
+                        passes.update(substream(task, k, s).spawn_key for s in (0, 1))
+                        others.update(substream(task, k, b, 1).spawn_key
+                                      for b in range(design.B))
+        count = design.R * 2 * len(design.estimators) * design.max_iter * 2
+        assert len(passes) == count
+        assert passes.isdisjoint(others)
 
     def test_batched_estimator_failures_redraw_only_those_rows(
         self, arfima_series, monkeypatch
@@ -330,7 +407,7 @@ class TestBatchedDraws:
         assert offset["rows"] == cfg.B + len(chosen)
         keep = [b for b in range(cfg.B) if b not in chosen]
         assert np.array_equal(out.draws[keep], clean[keep])
-        sieve = prefilter_sieve(arfima_series, 0.2, cfg)
+        sieve = prefilter_sieve(arfima_series, 0.2)
         for b in chosen:
             draw = bootstrap_draw(arfima_series, 0.2, cfg, sieve,
                                   generator_at(14, 0, b, 1))

@@ -155,6 +155,20 @@ class TestBiasCorrect:
         assert on_data["n"] == 1
         assert "d_tilde" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("B", ["2", "5", "9"])
+    @pytest.mark.parametrize("form", [[], ["--iterate"]])
+    def test_too_few_draws_exit_2_before_any_estimate(self, series_file, monkeypatch,
+                                                       capsys, form, B):
+        def forbidden(*args):
+            raise AssertionError("estimate called")
+
+        for module, name in ((cmod, "estimate"), (bmod, "estimate"),
+                             (bmod, "_estimate_rows")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert main(["bias-correct", "--in", str(series_file), "--family", "lpr",
+                     "--B", B, *form]) == 2
+        assert "--B" in capsys.readouterr().err
+
     def test_deterministic_given_seed(self, series_file):
         args = ("bias-correct", "--in", str(series_file), "--family", "lpr",
                 "--P", "0", "--B", "40", "--seed", "9")
@@ -180,9 +194,13 @@ class TestMcRun:
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         out = tmp_path / "o"
+        boot = "T = 64\nd = 0\nphi = 0.3\nR = 2\nB = 16\nestimators = lpr0-ssr-hpd\n"
         for text in (
             "T = 64\nnope = 1\n",
             "T = 64\nd = 0\nphi = 0.3\nR = 2\nestimators = lpr0\nlaw = bogus\n",
+            boot + "max_iter = 0\n",
+            boot + "hpd_tails = 0.6, 0.5\n",
+            boot + "hpd_tails = -0.2, 0.1\n",
         ):
             cfg.write_text(text)
             proc = run_cli("mc-run", "--config", str(cfg), "--out-dir", str(out))

@@ -76,8 +76,12 @@ class TestDesign:
             dict(B=5, estimators=(parse_estimator_token("lpr1-hpd"),)),
             dict(estimators=(parse_estimator_token("lpr7"),)),
             dict(d_values=(0.2, 0.5)),
+            dict(max_iter=0),
+            dict(alpha_lower=0.6, alpha_upper=0.5),
+            dict(alpha_lower=-0.2, alpha_upper=0.1),
         ],
-        ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d"],
+        ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d", "max_iter",
+             "tails_sum", "tail_negative"],
     )
     def test_infeasible_design_rejected(self, bad):
         with pytest.raises(InvalidDesignError):
