@@ -22,13 +22,15 @@ from .arsieve import (
     default_max_order,
     select_order_aic,
 )
-from .estimators import _estimate_rows, asymptotic_sd, estimate
-from .exceptions import (
-    DegenerateInputError,
-    EstimationFailedError,
-    InvalidParameterError,
-    LongmemError,
+from .estimators import (
+    _DEGENERATE,
+    SEARCH_HI,
+    SEARCH_LO,
+    _estimate_rows,
+    asymptotic_sd,
+    estimate,
 )
+from .exceptions import EstimationFailedError, InvalidParameterError
 from .fracdiff import _causal_spectrum, apply_frac_filter
 from .spectral import bandwidth
 from .streams import as_seed_sequence, generator_at
@@ -48,8 +50,9 @@ __all__ = [
     "DETERMINISTIC_WINDOW",
 ]
 
-# Updates leaving this window are discarded and iteration stops.
-DETERMINISTIC_WINDOW = (-1.0, 1.5)
+# Updates leaving this window are discarded and iteration stops; it is the
+# estimators' search interval.
+DETERMINISTIC_WINDOW = (SEARCH_LO, SEARCH_HI)
 
 # Values per block of draws that are built, filtered and estimated
 # together; bounds the working memory of a pass at any T and B.
@@ -238,25 +241,7 @@ def _draw_rows(sieve, eps, tau, spectrum):
     return _run_sieve(sieve.fit.phi, eps * sieve.residuals.scale, init, spectrum)
 
 
-def _estimate_block(ystar, spec, estimator_fn):
-    """Estimates of a block of draws and the failures, keyed by row."""
-    if estimator_fn is None:
-        values, ok = _estimate_rows(ystar, spec)
-        return values, {
-            i: DegenerateInputError("periodogram ordinates vanish or are not finite")
-            for i in np.flatnonzero(~ok)
-        }
-    values = np.empty(len(ystar))
-    failures = {}
-    for i, row in enumerate(ystar):
-        try:
-            values[i] = estimator_fn(row)
-        except LongmemError as exc:
-            failures[i] = exc
-    return values, failures
-
-
-def _estimate_draws(y, d_f, config, iteration, spec, estimator_fn):
+def _estimate_draws(y, d_f, config, iteration, spec):
     """Run B draws and estimates in blocks; failed draws are redrawn once.
 
     The B draws of this iteration come from two pass streams: stream
@@ -266,9 +251,7 @@ def _estimate_draws(y, d_f, config, iteration, spec, estimator_fn):
     depend on the block size. A draw b whose estimate fails is rebuilt
     from its own stream (iteration, b, 1), consumed as in
     :func:`bootstrap_draw`, and a second failure aborts the pass. Only the
-    failed draws are recomputed. ``estimator_fn`` None uses the batched
-    form of ``estimate(., spec)``; otherwise it is applied to the draws
-    one at a time.
+    failed draws are recomputed.
     """
     sieve = prefilter_sieve(y, d_f)
     T = sieve.filtered.size
@@ -277,14 +260,15 @@ def _estimate_draws(y, d_f, config, iteration, spec, estimator_fn):
     draws = np.empty(config.B)
 
     def fill(indices, inputs):
-        failed = {}
+        """Estimate the draws `indices` block by block; return the failed ones."""
+        failed = []
         for start in range(0, indices.size, rows):
             block = indices[start : start + rows]
             ystar = _draw_rows(sieve, *inputs(block), spectrum)
-            values, failures = _estimate_block(ystar, spec, estimator_fn)
+            values, ok, _ = _estimate_rows(ystar, spec)
             draws[block] = values
-            failed.update((int(block[i]), exc) for i, exc in failures.items())
-        return failed
+            failed.append(block[~ok])
+        return np.concatenate(failed)
 
     innovations_rng = generator_at(config.rng_stream, iteration, 0)
     tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
@@ -298,21 +282,18 @@ def _estimate_draws(y, d_f, config, iteration, spec, estimator_fn):
         return np.concatenate(eps), np.concatenate(starts)
 
     failed = fill(np.arange(config.B), pass_inputs)
-    if failed:
-        again = fill(np.array(sorted(failed)), retry_inputs)
-        if again:
-            b = min(again)
+    if failed.size:
+        again = fill(failed, retry_inputs)
+        if again.size:
             raise EstimationFailedError(
-                f"draw {b} failed twice at iteration {iteration}: {again[b]}"
-            ) from again[b]
-    return draws, len(failed)
+                f"draw {again[0]} failed twice at iteration {iteration}: {_DEGENERATE}"
+            )
+    return draws, failed.size
 
 
-def _correction_pass(
-    y, d_hat, d_f, config, spec, estimator_fn, alpha_lower, alpha_upper
-):
+def _correction_pass(y, d_hat, d_f, config, spec, alpha_lower, alpha_upper):
     """First bias-correction pass: B draws pre-filtered by d_f at iteration 0."""
-    draws, retries = _estimate_draws(y, d_f, config, 0, spec, estimator_fn)
+    draws, retries = _estimate_draws(y, d_f, config, 0, spec)
     bias_hat = float(draws.mean() - d_f)
     return BootstrapOutcome(
         draws=draws,
@@ -325,12 +306,6 @@ def _correction_pass(
     )
 
 
-def _point_estimate(y, spec, estimator_fn):
-    if estimator_fn is None:
-        return float(estimate(y, spec).d_hat)
-    return float(estimator_fn(y))
-
-
 def bias_correct(
     y,
     spec,
@@ -338,13 +313,14 @@ def bias_correct(
     config,
     alpha_lower=0.025,
     alpha_upper=0.025,
-    estimator_fn=None,
 ):
     """One-shot bootstrap bias correction of a memory estimator.
 
     Estimates the bias as (mean of the B bootstrap estimates) - d_f and
     subtracts it from the point estimate on the data. Also returns the
-    HPD interval built from the mean-corrected draws.
+    HPD interval built from the mean-corrected draws. The data and every
+    draw are estimated by the same batched kernel as :func:`estimate`.
+    The tail masses and d_f are checked before any estimate is made.
 
     Parameters
     ----------
@@ -355,9 +331,7 @@ def bias_correct(
         Pre-filtering value (normally the estimate itself).
     config : BootstrapConfig
     alpha_lower, alpha_upper : float
-        Tail masses of the HPD interval.
-    estimator_fn : callable, optional
-        Override mapping a series to d-hat; used by tests.
+        Tail masses of the HPD interval, each in [0, 1), summing below 1.
 
     Returns
     -------
@@ -365,11 +339,10 @@ def bias_correct(
     """
     if not np.isfinite(d_f):
         raise InvalidParameterError("pre-filter value must be finite")
+    _check_tails(alpha_lower, alpha_upper)
     y = np.asarray(y, dtype=float)
-    d_hat = _point_estimate(y, spec, estimator_fn)
-    return _correction_pass(
-        y, d_hat, d_f, config, spec, estimator_fn, alpha_lower, alpha_upper
-    )
+    d_hat = estimate(y, spec).d_hat
+    return _correction_pass(y, d_hat, d_f, config, spec, alpha_lower, alpha_upper)
 
 
 def _p_schedule(k, P):
@@ -439,7 +412,6 @@ def iterate_bias_correct(
     deterministic_window=DETERMINISTIC_WINDOW,
     alpha_lower=0.025,
     alpha_upper=0.025,
-    estimator_fn=None,
 ):
     """Iterative bootstrap bias correction with stochastic stopping rules.
 
@@ -449,7 +421,9 @@ def iterate_bias_correct(
     |accumulated correction - current bias| > tau2; when either rule
     binds, the newly corrected value is returned. An update falling
     outside `deterministic_window` is discarded and the previous value
-    returned instead.
+    returned instead. The data and every draw are estimated by the same
+    batched kernel as :func:`estimate`. ``max_iter`` and the tail masses
+    are checked before any estimate is made.
 
     Parameters
     ----------
@@ -463,6 +437,9 @@ def iterate_bias_correct(
         force stops or force continuation.
     deterministic_window : tuple or None
         Bounds for the update; None disables the check (fixed-K mode).
+    alpha_lower, alpha_upper : float
+        Tail masses of the first pass's HPD interval, each in [0, 1),
+        summing below 1.
 
     Returns
     -------
@@ -470,13 +447,14 @@ def iterate_bias_correct(
     """
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
+    _check_tails(alpha_lower, alpha_upper)
     if thresholds_fn is None:
         thresholds_fn = stopping_thresholds
 
     y = np.asarray(y, dtype=float)
     n_band = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
     upsilon = asymptotic_sd(spec, n_band) * math.sqrt(n_band)
-    d0 = _point_estimate(y, spec, estimator_fn)
+    d0 = estimate(y, spec).d_hat
 
     trace = IterationTrace(d_initial=d0)
     d_cur = d0
@@ -484,12 +462,12 @@ def iterate_bias_correct(
         tau1, tau2 = thresholds_fn(k, n_band, config.B, upsilon, spec.P)
         if k == 0:
             outcome = _correction_pass(
-                y, d0, d0, config, spec, estimator_fn, alpha_lower, alpha_upper
+                y, d0, d0, config, spec, alpha_lower, alpha_upper
             )
             trace.outcomes.append(outcome)
             draws, retries = outcome.draws, outcome.retries
         else:
-            draws, retries = _estimate_draws(y, d_cur, config, k, spec, estimator_fn)
+            draws, retries = _estimate_draws(y, d_cur, config, k, spec)
         bias_k = float(draws.mean() - d_cur)
         d_next = d_cur - bias_k
         crit1 = abs(d_next - d_cur)
@@ -525,6 +503,12 @@ def iterate_bias_correct(
     return trace
 
 
+def _check_tails(alpha_lower, alpha_upper):
+    """Reject HPD tail masses that are negative or sum to 1 or more."""
+    if min(alpha_lower, alpha_upper) < 0.0 or not alpha_lower + alpha_upper < 1.0:
+        raise InvalidParameterError("tail masses must lie in [0, 1) and sum below 1")
+
+
 def hpd_interval(draws, d_hat, alpha_lower=0.025, alpha_upper=0.025):
     """Highest-density bootstrap interval, recentered at the estimate.
 
@@ -540,7 +524,7 @@ def hpd_interval(draws, d_hat, alpha_lower=0.025, alpha_upper=0.025):
     d_hat : float
         Point estimate at which the interval is centered.
     alpha_lower, alpha_upper : float
-        Tail masses, with alpha_lower + alpha_upper < 1.
+        Tail masses, each in [0, 1), with alpha_lower + alpha_upper < 1.
 
     Returns
     -------
@@ -550,11 +534,8 @@ def hpd_interval(draws, d_hat, alpha_lower=0.025, alpha_upper=0.025):
     B = draws.size
     if B < 10:
         raise InvalidParameterError("need at least 10 draws")
-    if not 0.0 <= alpha_lower + alpha_upper < 1.0:
-        raise InvalidParameterError("tail masses must satisfy a_L + a_U < 1")
+    _check_tails(alpha_lower, alpha_upper)
     m = int(math.ceil((1.0 - alpha_lower - alpha_upper) * B))
-    if m > B:
-        raise InvalidParameterError("window larger than the number of draws")
     centered = np.sort(draws - draws.mean())
     widths = centered[m - 1 :] - centered[: B - m + 1]
     i = int(np.argmin(widths))  # first narrowest window

@@ -105,7 +105,7 @@ def _cmd_bias_correct(args):
             )
     else:
         d_hat = estimate(y, spec).d_hat
-        outcome = _correction_pass(y, d_hat, d_hat, config, spec, None, 0.025, 0.025)
+        outcome = _correction_pass(y, d_hat, d_hat, config, spec, 0.025, 0.025)
         print(f"d_hat {outcome.d_hat:.10g}")
         print(f"d_tilde {outcome.d_tilde:.10g}")
         print(f"bias_hat {outcome.bias_hat:.10g}")

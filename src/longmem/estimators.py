@@ -17,7 +17,7 @@ from .exceptions import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .spectral import _ordinates, bandwidth, fourier_frequencies, periodogram
+from .spectral import _ordinates, bandwidth, fourier_frequencies
 
 __all__ = [
     "EstimatorSpec",
@@ -30,13 +30,16 @@ __all__ = [
     "SEARCH_HI",
 ]
 
-# Search region for the Whittle objective; the harness's deterministic
-# stopping window uses the same bounds.
+# Search region for the Whittle objective; the bootstrap's deterministic
+# stopping window (``bootstrap.DETERMINISTIC_WINDOW``) is the same interval.
 SEARCH_LO = -1.0
 SEARCH_HI = 1.5
 
 # Floor applied to periodogram ordinates before taking logs.
 _LOG_FLOOR = 1e-300
+
+# Why a series has no estimate: its ordinates all vanish or are not finite.
+_DEGENERATE = "periodogram ordinates vanish or are not finite"
 
 # Variance inflation factors psi_P^2 for P = 0..3.
 _PSI2 = (1.0, 2.25, 3.52, 4.79)
@@ -84,19 +87,6 @@ def asymptotic_sd(spec, N):
     return math.sqrt(_OMEGA2[spec.family] * _PSI2[spec.P] / N)
 
 
-def _log_ordinates(ordinates):
-    if np.all(ordinates <= _LOG_FLOOR):
-        raise DegenerateInputError("all periodogram ordinates vanish")
-    return np.log(np.maximum(ordinates, _LOG_FLOOR))
-
-
-def _design_matrix(freqs, P):
-    cols = [np.ones_like(freqs), -2.0 * np.log(freqs)]
-    for p in range(1, P + 1):
-        cols.append(freqs ** (2 * p))
-    return np.column_stack(cols)
-
-
 def _frozen(a):
     a.setflags(write=False)
     return a
@@ -111,19 +101,19 @@ def _full_rank(X, what):
 # first N Fourier frequencies of a length-T series. They are built once per
 # shape and shared by every series of that shape.
 @lru_cache(maxsize=64)
-def _lpr_design(T, N, P):
-    """LPR design X on the first N Fourier frequencies of T, and pinv(X)."""
-    X = _design_matrix(fourier_frequencies(T, N), P)
+def _lpr_weights(T, N, P):
+    """Weights w with d_hat = w @ logI: the -2 log l row of pinv(X).
+
+    X is the LPR design {1, -2 log l_j, l_j^2, ..., l_j^(2P)} on the first
+    N Fourier frequencies of T.
+    """
+    freqs = fourier_frequencies(T, N)
+    X = np.column_stack(
+        [np.ones_like(freqs), -2.0 * np.log(freqs)]
+        + [freqs ** (2 * p) for p in range(1, P + 1)]
+    )
     _full_rank(X, "regression")
-    return _frozen(X), _frozen(np.linalg.pinv(X))
-
-
-# Row-wise products below go through np.vecdot, one dot product per row:
-# unlike a matrix product, whose blocking depends on the number of rows, it
-# gives each row the same result however many rows are stacked with it.
-def _lpr_coefficients(logI, pinv):
-    """Least-squares coefficients pinv(X) @ logI of each row of log-ordinates."""
-    return np.vecdot(logI[..., None, :], pinv)
+    return _frozen(np.linalg.pinv(X)[1])
 
 
 def lpr_estimate(y, spec):
@@ -142,33 +132,27 @@ def lpr_estimate(y, spec):
     Returns
     -------
     EstimateResult
+        ``diagnostics['boundary']`` is always False (LPR has no search
+        interval).
     """
-    if spec.family != "lpr":
-        raise InvalidParameterError("spec.family must be 'lpr'")
-    y = np.asarray(y, dtype=float)
-    N = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
-    pgram = periodogram(y, N)
-    response = _log_ordinates(pgram.ordinates)
-    X, pinv = _lpr_design(pgram.T, N, spec.P)
-    beta = _lpr_coefficients(response, pinv)
-    resid = response - X @ beta
-    dof = max(N - X.shape[1], 1)
-    return EstimateResult(
-        d_hat=float(beta[1]),
-        N=N,
-        asymptotic_sd=asymptotic_sd(spec, N),
-        diagnostics={"residual_variance": float(resid @ resid / dof)},
-    )
+    return _estimate_one(y, spec, "lpr")
 
 
 @lru_cache(maxsize=64)
 def _whittle_design(T, N, P):
     """Profiling pieces of the SPLW(P) objective for the shape (T, N, P).
 
-    Returns (g, poly, pinv_poly). g is the slope of s(d) = c + d g, shared
-    by every series of this shape. For P >= 1 the polynomial coefficients
-    are profiled out by the fixed projection c = -poly @ (pinv_poly @ logI)
-    of the log-ordinates; poly and pinv_poly are None for P = 0 (c = 0).
+    The local spectrum is modelled as G * l**(-2d) * exp(-sum_k th_k l**(2k)).
+    With G profiled out analytically, R(d, th) = log mean_j[I_j e^{s_j}]
+    - mean_j s_j where s_j = 2 d log l_j + sum_k th_k l_j**(2k). For P >= 1
+    the polynomial coefficients are profiled by least squares on the
+    log-periodogram: regressing log I_j + 2 d log l_j on {1, l^2, ..,
+    l^(2P)} gives th_hat(d) affine in d, so s_j(d) = c_j + d * g_j.
+
+    Returns (g, poly, pinv_poly). g is the slope of s(d), shared by every
+    series of this shape; the offsets are the fixed projection
+    c = -poly @ (pinv_poly @ logI) of the log-ordinates. poly and
+    pinv_poly are None for P = 0 (c = 0).
     """
     freqs = fourier_frequencies(T, N)
     two_loglam = 2.0 * np.log(freqs)
@@ -186,36 +170,15 @@ def _whittle_design(T, N, P):
     return _frozen(g), _frozen(poly), _frozen(pinv_poly)
 
 
+# Row-wise products go through np.vecdot, one dot product per row: unlike a
+# matrix product, whose blocking depends on the number of rows, it gives
+# each row the same result however many rows are stacked with it.
 def _whittle_offsets(logI, poly, pinv_poly):
     """Profiled offsets c of each row of log-ordinates."""
     if poly is None:
         return np.zeros_like(logI)
     theta = np.vecdot(logI[..., None, :], pinv_poly)
     return -np.vecdot(theta[..., None, :], poly)
-
-
-def _whittle_profile(pgram, P):
-    """Concentrated Whittle objective R(d) as a pair (constant, slope).
-
-    The local spectrum is modelled as G * l**(-2d) * exp(-sum_k th_k l**(2k)).
-    With G profiled out analytically, R(d, th) = log mean_j[I_j e^{s_j}]
-    - mean_j s_j where s_j = 2 d log l_j + sum_k th_k l_j**(2k). For P >= 1
-    the polynomial coefficients are profiled by least squares on the
-    log-periodogram: regressing log I_j + 2 d log l_j on {1, l^2, ..,
-    l^(2P)} gives th_hat(d) affine in d, so s_j(d) = c_j + d * g_j.
-
-    Returns (c, g, logI) with s_j(d) = c[j] + d * g[j].
-    """
-    logI = _log_ordinates(pgram.ordinates)
-    g, poly, pinv_poly = _whittle_design(pgram.T, pgram.n_freqs, P)
-    return _whittle_offsets(logI, poly, pinv_poly), g, logI
-
-
-def _objective_value(d, c, g, logI):
-    s = c + d * g
-    expo = s + logI
-    shift = expo.max()
-    return shift + math.log(np.mean(np.exp(expo - shift))) - np.mean(s)
 
 
 def _newton_solve(base, g, lo, hi):
@@ -283,7 +246,7 @@ def splw_estimate(y, spec):
     R(d) = log(mean_j l_j^{2d} I_j) - 2d mean_j log l_j over
     d in [SEARCH_LO, SEARCH_HI]. For P >= 1 the objective carries P even
     powers of frequency whose coefficients are profiled out by least
-    squares on the log-periodogram (see `_whittle_profile`). R is convex
+    squares on the log-periodogram (see `_whittle_design`). R is convex
     in d, so the minimizer is the root of R'(d) = 0, found by a Newton
     iteration safeguarded by bisection and stopped once a step falls
     below 1e-13; when R' keeps one sign over the interval the minimizer
@@ -292,28 +255,11 @@ def splw_estimate(y, spec):
     Returns
     -------
     EstimateResult
-        ``diagnostics['objective']`` is R at the estimate, and
         ``diagnostics['boundary']`` is set when the minimizer sits on an
         edge of the search interval (``d_hat`` then equals SEARCH_LO or
         SEARCH_HI exactly).
     """
-    if spec.family != "splw":
-        raise InvalidParameterError("spec.family must be 'splw'")
-    y = np.asarray(y, dtype=float)
-    N = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
-    pgram = periodogram(y, N)
-    c, g, logI = _whittle_profile(pgram, spec.P)
-    d, boundary = _newton_solve((c + logI)[None], g, SEARCH_LO, SEARCH_HI)
-    d_hat = float(d[0])
-    return EstimateResult(
-        d_hat=d_hat,
-        N=N,
-        asymptotic_sd=asymptotic_sd(spec, N),
-        diagnostics={
-            "objective": _objective_value(d_hat, c, g, logI),
-            "boundary": bool(boundary[0]),
-        },
-    )
+    return _estimate_one(y, spec, "splw")
 
 
 def estimate(y, spec):
@@ -323,16 +269,37 @@ def estimate(y, spec):
     return splw_estimate(y, spec)
 
 
+def _estimate_one(y, spec, family):
+    """The one-series case of :func:`_estimate_rows`, as an EstimateResult."""
+    if spec.family != family:
+        raise InvalidParameterError(f"spec.family must be '{family}'")
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or not np.all(np.isfinite(y)):
+        raise InvalidParameterError("series must be one-dimensional and finite")
+    d_hat, ok, boundary = _estimate_rows(y[None], spec)
+    if not ok[0]:
+        raise DegenerateInputError(_DEGENERATE)
+    N = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
+    return EstimateResult(
+        d_hat=float(d_hat[0]),
+        N=N,
+        asymptotic_sd=asymptotic_sd(spec, N),
+        diagnostics={"boundary": bool(boundary[0])},
+    )
+
+
 def _estimate_rows(y, spec):
     """Memory estimates of a stack of series, one per row of ``y``.
 
-    The block form of :func:`estimate`, run by the bootstrap on its draws:
-    one FFT gives the ordinates of every row, and the LPR coefficients or
-    the SPLW solve use the same design pieces and kernels as the one-series
-    functions. A row on which ``estimate`` would raise (ordinates all zero
-    or not finite) gets ``ok`` False and a NaN estimate.
+    The one estimate kernel: :func:`estimate` is its one-row case, and the
+    bootstrap draws and the harness's plain tasks run it on their blocks.
+    One FFT gives the ordinates of every row; each row's LPR coefficients
+    or SPLW solve do not depend on the other rows. A row whose ordinates
+    all vanish or are not finite gets ``ok`` False and a NaN estimate.
 
-    Returns (d_hat, ok), arrays over the rows.
+    Returns (d_hat, ok, boundary), arrays over the rows; ``boundary`` marks
+    the SPLW estimates on an edge of [SEARCH_LO, SEARCH_HI] and is all
+    False for LPR.
     """
     T = y.shape[-1]
     N = bandwidth(T, spec.bandwidth_exponent, spec.P)
@@ -342,10 +309,11 @@ def _estimate_rows(y, spec):
     )
     logI = np.log(np.maximum(ordinates[ok], _LOG_FLOOR))
     d_hat = np.full(y.shape[0], np.nan)
+    boundary = np.zeros(y.shape[0], dtype=bool)
     if spec.family == "lpr":
-        d_hat[ok] = _lpr_coefficients(logI, _lpr_design(T, N, spec.P)[1])[:, 1]
+        d_hat[ok] = np.vecdot(logI, _lpr_weights(T, N, spec.P))
     else:
         g, poly, pinv_poly = _whittle_design(T, N, spec.P)
         base = _whittle_offsets(logI, poly, pinv_poly) + logI
-        d_hat[ok] = _newton_solve(base, g, SEARCH_LO, SEARCH_HI)[0]
-    return d_hat, ok
+        d_hat[ok], boundary[ok] = _newton_solve(base, g, SEARCH_LO, SEARCH_HI)
+    return d_hat, ok, boundary

@@ -25,14 +25,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
-from .bootstrap import (
-    _BLOCK_VALUES,
-    _MODES,
-    BootstrapConfig,
-    _estimate_block,
-    iterate_bias_correct,
-)
-from .estimators import EstimatorSpec, asymptotic_sd
+from .bootstrap import _BLOCK_VALUES, _MODES, BootstrapConfig, iterate_bias_correct
+from .estimators import _DEGENERATE, EstimatorSpec, _estimate_rows, asymptotic_sd
 from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
 from .spectral import bandwidth
 from .streams import substream
@@ -267,12 +261,12 @@ def _plain_task(Y, task, design):
     spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
     N = bandwidth(Y.shape[-1], design.bandwidth_exponent, task.P)
     half = _Z975 * asymptotic_sd(spec, N)
-    values, failures = _estimate_block(Y, spec, None)
+    values, ok, _ = _estimate_rows(Y, spec)
     return [
-        {"failed": str(failures[i])}
-        if i in failures
-        else {"point": float(d), "asym_half": half, "hpd": None, "detstop": False}
-        for i, d in enumerate(values)
+        {"point": float(d), "asym_half": half, "hpd": None, "detstop": False}
+        if good
+        else {"failed": _DEGENERATE}
+        for d, good in zip(values, ok)
     ]
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own computational
 paths: the periodogram is a direct DFT sum, the ACVF is a truncated
 MA(infinity) convolution, the HPD window comes from exhaustive
-enumeration, and the ARFIMA ACVF rows, the AR path and the bootstrap
+enumeration, the profiled local Whittle objective is a least-squares
+fit per d, and the ARFIMA ACVF rows, the AR path and the bootstrap
 draws run their recursions sequentially through ``scipy.signal.lfilter``.
 """
 
@@ -29,6 +30,27 @@ def direct_periodogram(y, N):
         s = np.sum(x * np.exp(-1j * lam * t))
         out[j - 1] = abs(s) ** 2 / (2.0 * np.pi * T)
     return out
+
+
+def whittle_objective(d, y, N, P):
+    """Profiled SPLW(P) objective R(d) of series y on its first N ordinates.
+
+    The local spectrum is G l**(-2d) exp(-sum_k th_k l**(2k)). G is
+    profiled analytically, and th by least squares: log I_j + 2 d log l_j
+    is regressed on {1, l^2, .., l^(2P)} at this d, so th_k is minus the
+    coefficient of l^(2k). Then R = log mean_j[I_j e^{s_j}] - mean_j s_j
+    with s_j = 2 d log l_j + sum_k th_k l_j^(2k).
+    """
+    lam = 2.0 * np.pi * np.arange(1, N + 1) / np.asarray(y).size
+    logI = np.log(direct_periodogram(y, N))
+    s = 2.0 * d * np.log(lam)
+    if P:
+        X = np.column_stack([lam ** (2 * k) for k in range(P + 1)])
+        coef = np.linalg.lstsq(X, logI + s, rcond=None)[0]
+        s = s - X[:, 1:] @ coef[1:]
+    expo = s + logI
+    shift = expo.max()
+    return shift + np.log(np.mean(np.exp(expo - shift))) - np.mean(s)
 
 
 def frac_filter_by_loop(y, d):

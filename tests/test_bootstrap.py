@@ -8,7 +8,6 @@ from scipy.stats import norm
 from longmem import (
     ArfimaParams,
     BootstrapConfig,
-    DegenerateInputError,
     EstimationFailedError,
     EstimatorSpec,
     InvalidParameterError,
@@ -25,6 +24,7 @@ from longmem import (
     stopping_thresholds,
 )
 import longmem.bootstrap as bmod
+import longmem.estimators as est_mod
 from longmem.arsieve import ArFit, _run_sieve, ar_residuals, burg_fit, simulate_ar_path
 from longmem.fracdiff import apply_frac_filter
 from longmem.harness import simulation_stream, task_stream
@@ -38,6 +38,23 @@ def arfima_series():
     return simulate_gaussian(
         ArfimaParams(d=0.2, phi=0.3), 500, np.random.default_rng(9)
     )
+
+
+def stub_estimates(monkeypatch, row_estimate):
+    """Route every estimate, on the data and on the draws, through a stub.
+
+    ``row_estimate(series)`` gives the estimate of one series, or None for
+    a failed one. Rows are visited in order, so the data comes first and
+    then the draws of each pass in draw order.
+    """
+    def rows(y, spec):
+        values = [row_estimate(row) for row in y]
+        ok = np.array([v is not None for v in values])
+        d_hat = np.array([np.nan if v is None else v for v in values])
+        return d_hat, ok, np.zeros(len(y), dtype=bool)
+
+    for module in (bmod, est_mod):
+        monkeypatch.setattr(module, "_estimate_rows", rows)
 
 
 class TestDraws:
@@ -134,11 +151,11 @@ class TestDraws:
 
 
 class TestBiasCorrect:
-    def test_stub_estimator_identity(self, arfima_series):
+    def test_stub_estimator_identity(self, arfima_series, monkeypatch):
+        stub_estimates(monkeypatch, lambda s: 0.123)
         cfg = BootstrapConfig(B=16, rng_stream=11)
         out = bias_correct(
             arfima_series, EstimatorSpec("lpr", 0), d_f=0.17, config=cfg,
-            estimator_fn=lambda s: 0.123,
         )
         assert_allclose(out.bias_hat, 0.123 - 0.17, rtol=0, atol=0)
         assert_allclose(out.d_tilde, 0.123 - out.bias_hat, rtol=0, atol=0)
@@ -166,35 +183,37 @@ class TestBiasCorrect:
         bound = 4 * a.draws.std() / math.sqrt(2000)
         assert abs(a.bias_hat - b.bias_hat) <= bound
 
-    def test_failed_draw_redrawn_once(self, arfima_series):
+    def test_failed_draw_redrawn_once(self, arfima_series, monkeypatch):
         calls = {"n": 0}
 
         def flaky(s):
             calls["n"] += 1
             if calls["n"] == 3:  # fail on one bootstrap draw only
-                raise DegenerateInputError("boom")
+                return None
             return 0.1
 
+        stub_estimates(monkeypatch, flaky)
         out = bias_correct(
             arfima_series, EstimatorSpec("lpr", 0), 0.1,
-            BootstrapConfig(B=12, rng_stream=4), estimator_fn=flaky,
+            BootstrapConfig(B=12, rng_stream=4),
         )
         assert out.retries == 1
         assert out.draws.size == 12
 
-    def test_two_consecutive_failures_abort(self, arfima_series):
+    def test_two_consecutive_failures_abort(self, arfima_series, monkeypatch):
         calls = {"n": 0}
 
         def broken(s):
             calls["n"] += 1
             if calls["n"] == 1:  # point estimate on the data itself
                 return 0.1
-            raise DegenerateInputError("boom")
+            return None
 
+        stub_estimates(monkeypatch, broken)
         with pytest.raises(EstimationFailedError):
             bias_correct(
                 arfima_series, EstimatorSpec("lpr", 0), 0.1,
-                BootstrapConfig(B=12, rng_stream=4), estimator_fn=broken,
+                BootstrapConfig(B=12, rng_stream=4),
             )
 
     def test_nonfinite_prefilter_rejected(self, arfima_series):
@@ -327,12 +346,12 @@ class TestBatchedDraws:
         def stub(s):
             seen["n"] += 1
             if seen["n"] - 1 in chosen:  # first pass visits b = 0..B-1 in order
-                raise DegenerateInputError("chosen row")
+                return None
             return s[0]
 
+        stub_estimates(monkeypatch, stub)
         cfg = BootstrapConfig(B=64, rng_stream=12)
-        out = bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.2, cfg,
-                           estimator_fn=stub)
+        out = bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.2, cfg)
         assert out.retries == len(chosen)
         assert calls == [(0, 0), (0, 1)] + [(0, b, 1) for b in sorted(chosen)]
         sieve = prefilter_sieve(arfima_series, 0.2)
@@ -395,11 +414,11 @@ class TestBatchedDraws:
         offset = {"rows": 0}
 
         def failing(ystar, spec_):
-            values, ok = real(ystar, spec_)
+            values, ok, boundary = real(ystar, spec_)
             rows = offset["rows"] + np.arange(len(ystar))
             offset["rows"] += len(ystar)
             ok = ok & ~np.isin(rows, list(chosen))
-            return np.where(ok, values, np.nan), ok
+            return np.where(ok, values, np.nan), ok, boundary
 
         monkeypatch.setattr(bmod, "_estimate_rows", failing)
         out = bias_correct(arfima_series, spec, 0.2, cfg)
@@ -488,16 +507,18 @@ class TestIterate:
         assert trace.final == one.d_tilde
         assert np.array_equal(trace.outcomes[0].draws, one.draws)
 
-    def test_deterministic_window_discards_update(self, arfima_series):
+    def test_deterministic_window_discards_update(self, arfima_series,
+                                                  monkeypatch):
         calls = {"n": 0}
 
         def stub(s):
             calls["n"] += 1
             return 0.2 if calls["n"] == 1 else -1.2
 
+        stub_estimates(monkeypatch, stub)
         trace = iterate_bias_correct(
             arfima_series, EstimatorSpec("lpr", 0),
-            BootstrapConfig(B=12, rng_stream=35), estimator_fn=stub,
+            BootstrapConfig(B=12, rng_stream=35),
         )
         # update would be 0.2 - (-1.2 - 0.2) = 1.6 >= 1.5
         assert trace.records[0].d_next == pytest.approx(1.6)
@@ -516,7 +537,7 @@ class TestIterate:
         for rec in trace.records:
             assert rec.d_next == rec.d_current - rec.bias_hat
 
-    def test_every_pass_counts_its_retries(self, arfima_series):
+    def test_every_pass_counts_its_retries(self, arfima_series, monkeypatch):
         # Fail chosen draws at iteration k = 1 only; k = 0 runs clean.
         chosen = {2, 9, 13}
         seen = {"n": -1}  # call 0 is the point estimate on the data
@@ -525,14 +546,14 @@ class TestIterate:
         def stub(s):
             seen["n"] += 1
             if B <= seen["n"] - 1 < 2 * B and seen["n"] - 1 - B in chosen:
-                raise DegenerateInputError("chosen row at k = 1")
+                return None  # chosen row at k = 1
             return 0.1
 
+        stub_estimates(monkeypatch, stub)
         trace = iterate_bias_correct(
             arfima_series, EstimatorSpec("lpr", 0),
             BootstrapConfig(B=B, rng_stream=41), max_iter=3,
             thresholds_fn=lambda *a: (-math.inf, -math.inf),
-            estimator_fn=stub,
         )
         assert [rec.retries for rec in trace.records] == [0, len(chosen), 0]
         assert trace.outcomes[0].retries == trace.records[0].retries
@@ -603,3 +624,27 @@ class TestHpd:
     def test_tail_masses_validated(self):
         with pytest.raises(InvalidParameterError):
             hpd_interval(np.arange(20.0), 0.0, alpha_lower=0.6, alpha_upper=0.5)
+
+    @pytest.mark.parametrize("tails", [(-0.3, 0.4), (0.4, -0.3), (np.nan, 0.1)])
+    def test_each_tail_mass_validated(self, tails):
+        # a negative mass is rejected even when the pair sums into [0, 1)
+        with pytest.raises(InvalidParameterError):
+            hpd_interval(np.arange(20.0), 0.0, *tails)
+
+    @pytest.mark.parametrize("tails", [(0.7, 0.5), (-0.3, 0.4)])
+    @pytest.mark.parametrize("iterate", [False, True])
+    def test_tails_rejected_before_any_estimate(self, arfima_series, monkeypatch,
+                                                tails, iterate):
+        def forbidden(*args):
+            raise AssertionError("estimate made")
+
+        for module in (bmod, est_mod):
+            monkeypatch.setattr(module, "_estimate_rows", forbidden)
+        spec = EstimatorSpec("lpr", 0)
+        cfg = BootstrapConfig(B=12, rng_stream=4)
+        with pytest.raises(InvalidParameterError, match="tail masses"):
+            if iterate:
+                iterate_bias_correct(arfima_series, spec, cfg, alpha_lower=tails[0],
+                                     alpha_upper=tails[1])
+            else:
+                bias_correct(arfima_series, spec, 0.1, cfg, *tails)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,27 +10,33 @@ from longmem import (
     DegenerateInputError,
     EstimatorSpec,
     InvalidParameterError,
-    PeriodogramSlice,
     asymptotic_sd,
     estimate,
     lpr_estimate,
     simulate_gaussian,
     splw_estimate,
 )
-from longmem.estimators import _objective_value, _whittle_profile
+from longmem.estimators import _estimate_rows
 from longmem.fracdiff import apply_frac_filter
 from longmem.spectral import fourier_frequencies
 
+from _oracles import whittle_objective
 
-def synthetic_slice(T, N, coeffs):
-    """Periodogram slice with log-ordinates an exact function of frequency.
+
+def use_synthetic_ordinates(monkeypatch, T, N, coeffs):
+    """Make every series' ordinates an exact function of frequency.
 
     coeffs = (a, b, c2, c4): log I_j = a + b*(-2 log l_j) + c2 l^2 + c4 l^4.
     """
     freqs = fourier_frequencies(T, N)
     a, b, c2, c4 = coeffs
     logI = a + b * (-2.0 * np.log(freqs)) + c2 * freqs ** 2 + c4 * freqs ** 4
-    return PeriodogramSlice(T=T, freqs=freqs, ordinates=np.exp(logI))
+
+    def synthetic(y, n):
+        assert y.shape[-1] == T and n == N
+        return np.tile(np.exp(logI), (len(y), 1))
+
+    monkeypatch.setattr(est_mod, "_ordinates", synthetic)
 
 
 class TestSpec:
@@ -67,16 +75,14 @@ class TestAsymptoticSd:
 class TestLprRegression:
     @pytest.mark.parametrize("P", [0, 1, 2, 3])
     def test_exact_log_linear_signal(self, P, monkeypatch):
-        slice_ = synthetic_slice(500, 77, (1.3, 0.35, 0.0, 0.0))
-        monkeypatch.setattr(est_mod, "periodogram", lambda y, N: slice_)
+        use_synthetic_ordinates(monkeypatch, 500, 77, (1.3, 0.35, 0.0, 0.0))
         res = lpr_estimate(np.zeros(500), EstimatorSpec("lpr", P))
         assert abs(res.d_hat - 0.35) <= 1e-10
 
     def test_extra_regressor_gets_zero_weight(self, monkeypatch):
         # log-periodogram an exact degree-1 even polynomial plus log term:
         # P=1 and P=2 must agree
-        slice_ = synthetic_slice(500, 77, (0.4, 0.22, -0.8, 0.0))
-        monkeypatch.setattr(est_mod, "periodogram", lambda y, N: slice_)
+        use_synthetic_ordinates(monkeypatch, 500, 77, (0.4, 0.22, -0.8, 0.0))
         d1 = lpr_estimate(np.zeros(500), EstimatorSpec("lpr", 1)).d_hat
         d2 = lpr_estimate(np.zeros(500), EstimatorSpec("lpr", 2)).d_hat
         assert abs(d1 - 0.22) <= 1e-9
@@ -111,8 +117,7 @@ class TestLprRegression:
 class TestSplwSolver:
     @pytest.mark.parametrize("P", [0, 1, 2, 3])
     def test_exact_power_law_interior(self, P, monkeypatch):
-        slice_ = synthetic_slice(500, 77, (1.3, 0.35, 0.0, 0.0))
-        monkeypatch.setattr(est_mod, "periodogram", lambda y, N: slice_)
+        use_synthetic_ordinates(monkeypatch, 500, 77, (1.3, 0.35, 0.0, 0.0))
         res = splw_estimate(np.zeros(500), EstimatorSpec("splw", P))
         assert abs(res.d_hat - 0.35) <= 1e-10
         assert not res.diagnostics["boundary"]
@@ -122,8 +127,7 @@ class TestSplwSolver:
         "d, edge", [(1.8, est_mod.SEARCH_HI), (-1.4, est_mod.SEARCH_LO)]
     )
     def test_power_law_beyond_search_region_hits_edge(self, P, d, edge, monkeypatch):
-        slice_ = synthetic_slice(500, 77, (0.2, d, 0.0, 0.0))
-        monkeypatch.setattr(est_mod, "periodogram", lambda y, N: slice_)
+        use_synthetic_ordinates(monkeypatch, 500, 77, (0.2, d, 0.0, 0.0))
         res = splw_estimate(np.zeros(500), EstimatorSpec("splw", P))
         assert res.d_hat == edge
         assert res.diagnostics["boundary"]
@@ -157,11 +161,10 @@ class TestSplw:
             for P in (0, 1):
                 spec = EstimatorSpec("splw", P)
                 res = splw_estimate(y, spec)
-                pgram = est_mod.periodogram(y, res.N)
-                c, g, logI = _whittle_profile(pgram, P)
                 grid = np.linspace(est_mod.SEARCH_LO, est_mod.SEARCH_HI, 251)
-                grid_best = min(_objective_value(d, c, g, logI) for d in grid)
-                assert res.diagnostics["objective"] <= grid_best + 1e-12
+                grid_best = min(whittle_objective(d, y, res.N, P) for d in grid)
+                at_estimate = whittle_objective(res.d_hat, y, res.N, P)
+                assert at_estimate <= grid_best + 1e-12
 
     def test_boundary_flag_on_overdifferenced_data(self):
         w = np.random.default_rng(11).standard_normal(400)
@@ -213,3 +216,57 @@ def test_dispatch_matches_direct_calls():
     assert estimate(y, EstimatorSpec("splw", 1)).d_hat == splw_estimate(
         y, EstimatorSpec("splw", 1)
     ).d_hat
+
+
+class TestOnePath:
+    """Every estimate is the one-row case of the batched kernel."""
+
+    @pytest.mark.parametrize("T", [64, 500, 2000])
+    @pytest.mark.parametrize("P", [0, 1, 2, 3])
+    @pytest.mark.parametrize("family", ["lpr", "splw"])
+    def test_estimate_is_a_row_of_the_kernel(self, family, P, T):
+        spec = EstimatorSpec(family, P)
+        direct = lpr_estimate if family == "lpr" else splw_estimate
+        rng = np.random.default_rng(100 * P + T)
+        stack = np.stack([
+            simulate_gaussian(ArfimaParams(d=d, phi=0.5), T, rng)
+            for d in (0.4, 0.1, -0.2)
+        ])
+        y = stack[1]
+        alone, ok, edge = _estimate_rows(y[None], spec)
+        middle, ok3, edge3 = _estimate_rows(stack, spec)
+        assert ok.all() and ok3.all()
+        for res in (estimate(y, spec), direct(y, spec)):
+            assert res.d_hat == alone[0] == middle[1]
+            assert res.diagnostics["boundary"] == edge[0] == edge3[1]
+
+    def test_boundary_mask(self):
+        w = np.random.default_rng(11).standard_normal(400)
+        stack = np.stack([apply_frac_filter(w, 2.2), w])
+        _, _, edge = _estimate_rows(stack, EstimatorSpec("splw", 0))
+        assert edge.tolist() == [True, False]
+        _, _, edge = _estimate_rows(stack, EstimatorSpec("lpr", 0))
+        assert not edge.any()
+
+    @pytest.mark.parametrize("family", ["lpr", "splw"])
+    @pytest.mark.parametrize(
+        "y, error",
+        [
+            (np.ones((2, 100)), InvalidParameterError),
+            (np.r_[np.zeros(99), np.nan], InvalidParameterError),
+            (np.r_[np.zeros(99), np.inf], InvalidParameterError),
+            (np.full(100, 3.0), DegenerateInputError),
+        ],
+        ids=["2-D", "nan", "inf", "constant"],
+    )
+    def test_bad_input_raises_without_warning(self, family, y, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                estimate(y, EstimatorSpec(family, 1))
+
+    def test_family_checked(self):
+        with pytest.raises(InvalidParameterError):
+            lpr_estimate(np.arange(100.0), EstimatorSpec("splw", 0))
+        with pytest.raises(InvalidParameterError):
+            splw_estimate(np.arange(100.0), EstimatorSpec("lpr", 0))

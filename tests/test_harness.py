@@ -118,8 +118,9 @@ class TestRunDesign:
         # an estimator that returns the true d exactly: zero bias and MSE,
         # full coverage from any nonzero-width interval
         monkeypatch.setattr(
-            hmod, "_estimate_block",
-            lambda Y, spec, fn: (np.full(len(Y), 0.2), {}),
+            hmod, "_estimate_rows",
+            lambda Y, spec: (np.full(len(Y), 0.2), np.ones(len(Y), bool),
+                             np.zeros(len(Y), bool)),
         )
         design = McDesign(
             T_values=(64,), d_values=(0.2,), phi_values=(0.3,), R=4,
@@ -149,14 +150,14 @@ class TestRunDesign:
         assert res[0].stats["bias"] == res[1].stats["bias"]
 
     def test_failures_excluded_and_counted(self, monkeypatch):
-        real = hmod._estimate_block
+        real = hmod._estimate_rows
 
-        def sometimes(Y, spec, fn):
-            values, failures = real(Y, spec, fn)
-            failures[1] = InvalidParameterError("synthetic failure")
-            return values, failures
+        def sometimes(Y, spec):
+            values, ok, boundary = real(Y, spec)
+            ok[1] = False  # synthetic failure
+            return values, ok, boundary
 
-        monkeypatch.setattr(hmod, "_estimate_block", sometimes)
+        monkeypatch.setattr(hmod, "_estimate_rows", sometimes)
         design = McDesign(
             T_values=(64,), d_values=(0.0,), phi_values=(0.3,), R=3,
             estimators=(parse_estimator_token("lpr0"),), seed=13,
