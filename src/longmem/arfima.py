@@ -17,6 +17,7 @@ from .exceptions import (
     DegenerateInputError,
     EstimationFailedError,
     InvalidParameterError,
+    NumericalDegeneracyError,
 )
 
 __all__ = [
@@ -126,6 +127,9 @@ def simulate_gaussian(params, T, rng):
     coefficients and scales from the Durbin-Levinson sweep of the ACVF.
     Gaussian deviates give an exact draw from the process; the student-t
     law swaps in standardized t(dof) deviates for the robustness design.
+    This is the one-row case of the batched simulation that the Monte
+    Carlo harness runs; a row's values do not depend on what is
+    simulated with it.
 
     Parameters
     ----------
@@ -141,30 +145,43 @@ def simulate_gaussian(params, T, rng):
     T = int(T)
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
-    return _simulate_rows(params, _standardized_deviates(params, T, rng)[None])[0]
+    Z = _standardized_deviates(params, T, rng)
+    return _simulate_rows([params], Z[None, None])[0, 0]
 
 
-def _simulate_rows(params, Z):
-    """Series with the exact ACVF of `params`, one per row of deviates Z.
+def _simulate_rows(cells, Z):
+    """Series with the exact ACVF of each cell, one per row of deviates Z.
 
-    The block form of :func:`simulate_gaussian`, which is its one-row
-    case: Z holds the (R, T) standardized deviates, one Durbin-Levinson
-    sweep of the ACVF drives the recursion of every row, and each step is
-    one row-wise dot product, so a row's values do not depend on the rows
-    stacked with it. No T x T factor is formed; memory is O(R T).
+    The batched form of :func:`simulate_gaussian`, which is its one-row
+    case: `cells` holds one ArfimaParams per cell and Z the (G, R, T)
+    standardized deviates, R rows per cell. One Durbin-Levinson sweep of
+    the G ACVFs drives the recursion of every row, and each step is one
+    row-wise dot product, so a row's values do not depend on the rows or
+    cells stacked with it. White-noise cells (and T = 1) skip the sweep.
+    No T x T factor is formed; memory is O(G R T).
     """
-    R, T = Z.shape
-    gam = arfima_acvf(params, max_lag=T - 1).values
-    if T == 1 or not np.any(gam[1:]):
-        return math.sqrt(gam[0]) * Z
-    # Time runs backwards along a row of rev, rev[:, T-1-t] = y(t), so the
-    # past y(t-1), ..., y(0) of step t is the contiguous slice rev[:, T-t:]
+    T = Z.shape[-1]
+    gams = np.array([arfima_acvf(params, max_lag=T - 1).values for params in cells])
+    out = np.sqrt(gams[:, :1, None]) * Z
+    live = np.flatnonzero(np.any(gams[:, 1:], axis=1))
+    if live.size == 0:
+        return out
+    Z = Z[live]
+    # Time runs backwards along a row of rev, rev[..., T-1-t] = y(t), so the
+    # past y(t-1), ..., y(0) of step t is the contiguous slice rev[..., T-t:]
     # and every row's prediction is a unit-stride (BLAS) dot product.
-    rev = np.empty((R, T))
-    rev[:, T - 1] = math.sqrt(gam[0]) * Z[:, 0]
-    for t, b, v in _durbin_levinson(gam):
-        rev[:, T - 1 - t] = np.vecdot(rev[:, T - t :], b) + math.sqrt(v) * Z[:, t]
-    return rev[:, ::-1].copy()
+    rev = np.empty(Z.shape)
+    rev[:, :, T - 1] = out[live, :, 0]
+    steps = _durbin_levinson(gams[live])
+    next(steps)
+    for t, _, b, v, bad in steps:
+        rev[:, :, T - 1 - t] = np.vecdot(rev[:, :, T - t :], b[:, None]) + (
+            np.sqrt(v)[:, None] * Z[:, :, t]
+        )
+    if bad.any():
+        raise NumericalDegeneracyError("ACVF is not positive definite")
+    out[live] = rev[:, :, ::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +252,7 @@ def _acvf_rows(d_values, phi, T, m_tail, frac_rows=None):
 
 
 # The one likelihood kernel of the MLE: the grid stage and every
-# refinement stencil run through it. Simulation, which needs a single
-# ACVF, runs the 1-D sweep instead.
+# refinement stencil run through it.
 def _profile_loglik_batch(Y, gammas):
     """Concentrated Gaussian log-likelihoods for many ACVFs and many series.
 
@@ -250,34 +266,22 @@ def _profile_loglik_batch(Y, gammas):
     Returns
     -------
     ll : ndarray (G, R)
-        Profile log-likelihood (sigma2 maximized out analytically).
+        Profile log-likelihood (sigma2 maximized out analytically); -inf
+        where the ACVF row is not positive definite.
     sigma2 : ndarray (G, R)
         Profiling variances.
     """
-    G, T = gammas.shape
-    # Time runs backwards along the reversed copies (Y_rev[T-1-t] = Y[t]),
-    # so the lagged values a step reads are contiguous forward slices.
-    g_rev = np.ascontiguousarray(gammas[:, ::-1])
+    T = gammas.shape[1]
+    # Y_rev[T-1-t] = Y[t], so the lagged values a step reads are a
+    # contiguous forward slice.
     Y_rev = np.ascontiguousarray(Y[::-1])
-    b = np.zeros((G, T))
-    v = gammas[:, 0].copy()
-    bad = v <= 0
-    v[bad] = 1.0
+    steps = _durbin_levinson(gammas)
+    _, _, _, v, bad = next(steps)
     sumlog = np.log(v)
     quad = Y[0][None, :] ** 2 / v[:, None]
-    any_bad = bool(bad.any())
-    for t in range(1, T):
-        k = (gammas[:, t] - np.vecdot(b[:, 1:t], g_rev[:, T - t : T - 1])) / v
-        # A bad row keeps k = 0 from then on, so its b and v stay finite.
-        if any_bad or not np.abs(k).max() < 1.0:
-            bad |= ~(np.abs(k) < 1.0)
-            k[bad] = 0.0
-            any_bad = True
-        b[:, 1:t] -= k[:, None] * b[:, t - 1 : 0 : -1]
-        b[:, t] = k
-        v = v * (1.0 - k * k)
+    for t, _, b, v, _ in steps:
         sumlog += np.log(v)
-        e = Y[t][None, :] - b[:, 1 : t + 1] @ Y_rev[T - t :]
+        e = Y[t][None, :] - b @ Y_rev[T - t :]
         quad += e * e / v[:, None]
     sigma2 = quad / T
     ll = -0.5 * T * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * sumlog[:, None]

@@ -69,43 +69,73 @@ def default_max_order(T):
 
 
 def _step_up(b, t, k):
-    """Raise prediction coefficients b[1:t] to order t with reflection k."""
-    if t > 1:
-        b[1:t] -= k * b[t - 1 : 0 : -1]
-    b[t] = k
+    """Raise every row's prediction coefficients b[:, 1:t] to order t.
 
-
-def _durbin_levinson(gam):
-    """Durbin-Levinson sweep of autocovariances gamma(0..n-1).
-
-    Yields (t, b[1:t+1], v) for t = 1..n-1, where y(t) is predicted from
-    its past by sum_{j=1}^{t} b[j] y(t-j) with error variance v. The
-    coefficient array is a view that the next step overwrites. This
-    prediction convention is the negative of the ``phi`` convention.
+    Row i takes reflection coefficient k[i] in the prediction convention:
+    b[i, j] -= k[i] b[i, t-j] for j = 1..t-1, then b[i, t] = k[i].
+    Returns the view b[:, 1:t+1].
     """
-    b = np.zeros(gam.size)
-    v = gam[0]
-    for t in range(1, gam.size):
-        k = (gam[t] - np.dot(b[1:t], gam[t - 1 : 0 : -1])) / v
-        if not np.isfinite(k) or abs(k) >= 1.0:
-            raise NumericalDegeneracyError(
-                f"autocovariance sequence is not positive definite at order {t}"
-            )
-        _step_up(b, t, k)
-        v *= 1.0 - k * k
-        yield t, b[1 : t + 1], v
+    if t > 1:
+        head = b[:, 1:t]
+        head -= k[:, None] * b[:, t - 1 : 0 : -1]
+    b[:, t] = k
+    return b[:, 1 : t + 1]
+
+
+def _durbin_levinson(gammas):
+    """Durbin-Levinson sweep of G autocovariance rows gamma(0..n-1) at once.
+
+    The one Durbin-Levinson kernel: the exact likelihood, the simulation
+    and :func:`levinson_durbin` all run on it. Yields (t, k, b, v, bad)
+    for t = 0..n-1, where row i predicts y(t) from its past by
+    sum_{j=1}^{t} b[i, j-1] y(t-j) with error variance v[i], and k[i] is
+    the step's reflection coefficient (None at t = 0). This prediction
+    convention is the negative of the ``phi`` convention. bad[i] marks a
+    row whose Toeplitz matrix is not positive definite up to order t:
+    gamma(0) <= 0, or a reflection that is not finite or not inside
+    (-1, 1). A bad row keeps k = 0 from then on, so its b and v stay
+    finite, and has v = 1 from the start when gamma(0) <= 0. Each row's
+    arithmetic is its own, so a row's values do not depend on the rows
+    swept with it. `b` is a view that the next step overwrites and `bad`
+    is updated in place.
+    """
+    G, n = gammas.shape
+    # Reversed rows make the lags a step reads one contiguous forward slice.
+    g_rev = np.ascontiguousarray(gammas[:, ::-1])
+    b = np.zeros((G, n))
+    one = np.ones(G)  # one - kk skips converting the float 1.0 at every step
+    v = gammas[:, 0].copy()
+    bad = v <= 0
+    v[bad] = 1.0
+    any_bad = bool(bad.any())
+    yield 0, None, b[:, 1:1], v, bad
+    for t in range(1, n):
+        k = (gammas[:, t] - np.vecdot(b[:, 1:t], g_rev[:, n - t : n - 1])) / v
+        kk = k * k
+        # k * k < 1 exactly when |k| < 1, and NaN fails the test too; a
+        # single row (simulate_gaussian, levinson_durbin) skips the reduction.
+        if any_bad or not (kk[0] if G == 1 else kk.max()) < 1.0:
+            bad |= ~(kk < 1.0)
+            k[bad] = 0.0
+            kk[bad] = 0.0
+            any_bad = True
+        v = v * (one - kk)
+        yield t, k, _step_up(b, t, k), v, bad
 
 
 def _coeffs_from_reflections(ks):
     """Assemble AR coefficients (phi convention) from reflection coefficients."""
-    b = np.zeros(len(ks) + 1)
-    for t, k in enumerate(ks, start=1):
-        _step_up(b, t, -k)
-    return np.concatenate(([1.0], -b[1:]))
+    b = np.zeros((1, len(ks) + 1))
+    for t in range(1, len(ks) + 1):
+        _step_up(b, t, -ks[t - 1 : t])
+    return np.concatenate(([1.0], -b[0, 1:]))
 
 
 def levinson_durbin(acvf):
     """Solve the Yule-Walker equations for all orders 1..h.
+
+    The one-row case of the batched Durbin-Levinson sweep that also
+    drives the ARFIMA simulation and exact likelihood.
 
     Parameters
     ----------
@@ -129,13 +159,19 @@ def levinson_durbin(acvf):
 
     fits = []
     ks = []
-    for m, b, sigma2 in _durbin_levinson(g):
-        ks.append(-b[-1])
+    for m, k, b, sigma2, bad in _durbin_levinson(g[None]):
+        if m == 0:
+            continue
+        if bad[0]:
+            raise NumericalDegeneracyError(
+                f"autocovariance sequence is not positive definite at order {m}"
+            )
+        ks.append(-k[0])
         fits.append(
             ArFit(
                 order=m,
-                phi=np.concatenate(([1.0], -b)),
-                sigma2=sigma2,
+                phi=np.concatenate(([1.0], -b[0])),
+                sigma2=sigma2[0],
                 reflection=np.array(ks),
             )
         )
@@ -172,6 +208,27 @@ def _burg_reflections(w, h_max):
     return ks, sig
 
 
+def _burg_input(w, h, name):
+    """The series as floats and the order as an int, checked for a sweep to h."""
+    w = np.asarray(w, dtype=float)
+    h = int(h)
+    if h < 1:
+        raise InvalidParameterError(f"{name} must be >= 1")
+    if w.size <= 2 * h:
+        raise InvalidParameterError(f"need T > 2*{name} observations")
+    return w, h
+
+
+def _burg_arfit(ks, sig):
+    """The AR fit of the order len(ks) from a Burg sweep's first reflections."""
+    return ArFit(
+        order=ks.size,
+        phi=_coeffs_from_reflections(ks),
+        sigma2=float(sig[ks.size - 1]),
+        reflection=ks,
+    )
+
+
 def burg_fit(w, h):
     """Fit an AR(h) model by Burg's forward/backward error recursion.
 
@@ -187,15 +244,8 @@ def burg_fit(w, h):
     ArFit
         Stable fit (all reflection coefficients in (-1, 1)).
     """
-    w = np.asarray(w, dtype=float)
-    h = int(h)
-    if h < 1:
-        raise InvalidParameterError("Burg order must be >= 1")
-    if w.size <= 2 * h:
-        raise InvalidParameterError("need T > 2h observations")
-    ks, sig = _burg_reflections(w, h)
-    phi = _coeffs_from_reflections(ks)
-    return ArFit(order=h, phi=phi, sigma2=float(sig[-1]), reflection=ks)
+    w, h = _burg_input(w, h, "h")
+    return _burg_arfit(*_burg_reflections(w, h))
 
 
 def select_order_aic(w, h_max):
@@ -204,16 +254,21 @@ def select_order_aic(w, h_max):
     AIC(h) = T*log(sigma_h^2) + 2h, with all variances taken from a
     single Burg sweep to h_max. Ties break toward the smaller order.
     """
-    w = np.asarray(w, dtype=float)
-    h_max = int(h_max)
-    if h_max < 1:
-        raise InvalidParameterError("h_max must be >= 1")
-    if w.size <= 2 * h_max:
-        raise InvalidParameterError("need T > 2*h_max observations")
-    _, sig = _burg_reflections(w, h_max)
-    T = w.size
-    aic = T * np.log(sig) + 2.0 * np.arange(1, h_max + 1)
-    return int(np.argmin(aic)) + 1  # argmin returns the first minimum
+    return _aic_burg_fit(w, h_max).order
+
+
+def _aic_burg_fit(w, h_max):
+    """``burg_fit(w, select_order_aic(w, h_max))`` from one Burg sweep.
+
+    The reflection at order m does not depend on where the sweep stops, so
+    the first h reflections of the sweep to h_max give the same fit, bit
+    for bit, as a second sweep to the chosen order h.
+    """
+    w, h_max = _burg_input(w, h_max, "h_max")
+    ks, sig = _burg_reflections(w, h_max)
+    aic = w.size * np.log(sig) + 2.0 * np.arange(1, h_max + 1)
+    h = int(np.argmin(aic)) + 1  # argmin returns the first minimum
+    return _burg_arfit(ks[:h].copy(), sig)
 
 
 def ar_residuals(w, fit):

@@ -15,12 +15,11 @@ from statistics import NormalDist
 import numpy as np
 
 from .arsieve import (
+    _aic_burg_fit,
     _impulse_response,
     _run_sieve,
     ar_residuals,
-    burg_fit,
     default_max_order,
-    select_order_aic,
 )
 from .estimators import (
     _DEGENERATE,
@@ -59,6 +58,9 @@ DETERMINISTIC_WINDOW = (SEARCH_LO, SEARCH_HI)
 _BLOCK_VALUES = 2 ** 15
 
 _MODES = ("parametric", "nonparametric")
+
+# Fewest draws of an HPD interval, which every correction pass builds.
+_MIN_DRAWS = 10
 
 _NORMAL = NormalDist()
 
@@ -147,12 +149,12 @@ def prefilter_sieve(y, d_f):
     """Filter the data by d_f and fit the autoregressive sieve once.
 
     The sieve order is chosen by AIC below the cap floor((log T)^2)
-    (and T/4), and the parameters come from Burg's algorithm.
+    (and T/4), and the parameters come from Burg's algorithm; one Burg
+    sweep to the cap serves both.
     """
     y = np.asarray(y, dtype=float)
     w_f = apply_frac_filter(y, d_f)
-    h = select_order_aic(w_f, default_max_order(y.size))
-    fit = burg_fit(w_f, h)
+    fit = _aic_burg_fit(w_f, default_max_order(y.size))
     res = ar_residuals(w_f, fit)
     return SieveFit(d_f=float(d_f), filtered=w_f, fit=fit, residuals=res)
 
@@ -340,6 +342,7 @@ def bias_correct(
     if not np.isfinite(d_f):
         raise InvalidParameterError("pre-filter value must be finite")
     _check_tails(alpha_lower, alpha_upper)
+    _check_draws(config)
     y = np.asarray(y, dtype=float)
     d_hat = estimate(y, spec).d_hat
     return _correction_pass(y, d_hat, d_f, config, spec, alpha_lower, alpha_upper)
@@ -448,6 +451,7 @@ def iterate_bias_correct(
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
     _check_tails(alpha_lower, alpha_upper)
+    _check_draws(config)
     if thresholds_fn is None:
         thresholds_fn = stopping_thresholds
 
@@ -509,6 +513,14 @@ def _check_tails(alpha_lower, alpha_upper):
         raise InvalidParameterError("tail masses must lie in [0, 1) and sum below 1")
 
 
+def _check_draws(config):
+    """Reject fewer draws than a correction pass needs for its HPD interval."""
+    if config.B < _MIN_DRAWS:
+        raise InvalidParameterError(
+            f"a bias correction needs at least B = {_MIN_DRAWS} draws"
+        )
+
+
 def hpd_interval(draws, d_hat, alpha_lower=0.025, alpha_upper=0.025):
     """Highest-density bootstrap interval, recentered at the estimate.
 
@@ -532,8 +544,8 @@ def hpd_interval(draws, d_hat, alpha_lower=0.025, alpha_upper=0.025):
     """
     draws = np.asarray(draws, dtype=float)
     B = draws.size
-    if B < 10:
-        raise InvalidParameterError("need at least 10 draws")
+    if B < _MIN_DRAWS:
+        raise InvalidParameterError(f"need at least {_MIN_DRAWS} draws")
     _check_tails(alpha_lower, alpha_upper)
     m = int(math.ceil((1.0 - alpha_lower - alpha_upper) * B))
     centered = np.sort(draws - draws.mean())

@@ -7,7 +7,12 @@ import sys
 import numpy as np
 
 from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
-from .bootstrap import BootstrapConfig, _correction_pass, iterate_bias_correct
+from .bootstrap import (
+    _MIN_DRAWS,
+    BootstrapConfig,
+    _correction_pass,
+    iterate_bias_correct,
+)
 from .estimators import EstimatorSpec, estimate
 from .exceptions import (
     DegenerateInputError,
@@ -67,7 +72,8 @@ def _cmd_simulate(args):
             for i in range(args.n)
         ]
     )
-    np.savetxt(args.out, _simulate_rows(params, Z).T, fmt="%.17g", delimiter=",")
+    Y = _simulate_rows([params], Z[None])[0]
+    np.savetxt(args.out, Y.T, fmt="%.17g", delimiter=",")
     return 0
 
 
@@ -82,8 +88,10 @@ def _cmd_estimate(args):
 
 
 def _cmd_bias_correct(args):
-    if args.B < 10:
-        raise InvalidParameterError("--B must be at least 10 for the hpd95 interval")
+    if args.B < _MIN_DRAWS:
+        raise InvalidParameterError(
+            f"--B must be at least {_MIN_DRAWS} for the hpd95 interval"
+        )
     y = _read_series(args.infile)
     spec = EstimatorSpec(args.family, args.P, args.bandwidth_exp)
     seed = _default_seed(args.seed)

@@ -6,12 +6,12 @@ compared on common data. Random streams are pure functions of
 (master seed, cell index, replication, task), which makes runs
 reproducible bit-for-bit at any worker count.
 
-A job is one cell and a contiguous block of its replications. Without a
-bootstrap task a block holds about ``_BLOCK_VALUES`` simulated values,
-the block's series come from one Durbin-Levinson sweep, and each plain
-task estimates the whole block in one batched call; a design with a
-bootstrap task runs one replication per job. The layout depends on the
-design alone, and one process pool serves every job of the design.
+A job is one contiguous block of replications of a group of cells that
+share T (see :func:`_jobs`). One batched Durbin-Levinson sweep simulates
+every series of the job, each plain task estimates all of its rows in
+one batched call, and bootstrap tasks run per (cell, replication). The
+layout depends on the design alone, and one process pool serves every
+job of the design.
 """
 
 import csv
@@ -19,13 +19,19 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from statistics import NormalDist
 
 import numpy as np
 
 from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
-from .bootstrap import _BLOCK_VALUES, _MODES, BootstrapConfig, iterate_bias_correct
+from .bootstrap import (
+    _BLOCK_VALUES,
+    _MIN_DRAWS,
+    _MODES,
+    BootstrapConfig,
+    iterate_bias_correct,
+)
 from .estimators import _DEGENERATE, EstimatorSpec, _estimate_rows, asymptotic_sd
 from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
 from .spectral import bandwidth
@@ -45,6 +51,10 @@ __all__ = [
 ]
 
 _Z975 = NormalDist().inv_cdf(0.975)
+
+# Simulated values per job: whole cell blocks of one T are grouped up to
+# this size, so one Durbin-Levinson sweep simulates them all.
+_JOB_VALUES = 2 ** 17
 
 CSV_HEADER = [
     "T",
@@ -159,10 +169,8 @@ class McDesign:
             raise InvalidDesignError("need at least one replication")
         if not self.estimators:
             raise InvalidDesignError("need at least one estimator task")
-        if any(t.needs_bootstrap for t in self.estimators) and self.B < 2:
-            raise InvalidDesignError("bootstrap tasks require B >= 2")
-        if any(t.hpd for t in self.estimators) and self.B < 10:
-            raise InvalidDesignError("HPD tasks require B >= 10")
+        if any(t.needs_bootstrap for t in self.estimators) and self.B < _MIN_DRAWS:
+            raise InvalidDesignError(f"bootstrap tasks require B >= {_MIN_DRAWS}")
         if self.mode not in _MODES:
             raise InvalidDesignError(f"mode must be one of {_MODES}")
         if self.max_iter < 1:
@@ -193,7 +201,13 @@ class McDesign:
 
 @dataclass
 class McCellResult:
-    """Aggregates of one (cell, estimator task) pair."""
+    """Aggregates of one (cell, estimator task) pair.
+
+    ``wall_time`` is the cell's time in seconds, the same for each of its
+    tasks: summed over the jobs that hold the cell, its equal share of a
+    job's simulation and plain-task estimates plus the time of its own
+    bootstrap tasks.
+    """
 
     T: int
     d: float
@@ -271,54 +285,78 @@ def _plain_task(Y, task, design):
 
 
 def _block_worker(args):
-    """Simulate replications start..stop-1 of one cell and run every task.
+    """Simulate replications start..stop-1 of a group of cells and run every task.
 
-    Returns one list of per-replication results per task, and the job's
-    wall time.
+    Every (cell, replication) draws its deviates from its own simulation
+    stream, and one batched Durbin-Levinson sweep turns them into the
+    job's series. A plain task estimates all of the job's rows in one
+    batched call; a bootstrap task runs per (cell, replication).
+
+    Returns a (cell index, columns, wall time) triple per cell: one list
+    of per-replication results per task, and the cell's equal share of
+    the simulation and plain tasks plus the time of its bootstrap tasks.
     """
-    design, cell_index, cell, start, stop = args
+    design, T, cells, start, stop = args
     began = time.perf_counter()
-    T, d_true, phi = cell
-    params = ArfimaParams(
-        d=d_true, phi=phi, sigma2=1.0, law=design.law, dof=design.dof
-    )
-    Z = np.empty((stop - start, T))
-    for i, r in enumerate(range(start, stop)):
-        rng = np.random.default_rng(simulation_stream(design.seed, cell_index, r))
-        Z[i] = _standardized_deviates(params, T, rng)
+    n = stop - start
+    params = [
+        ArfimaParams(d=d_true, phi=phi, sigma2=1.0, law=design.law, dof=design.dof)
+        for _, (_, d_true, phi) in cells
+    ]
+    Z = np.empty((len(cells), n, T))
+    for g, (cell_index, _) in enumerate(cells):
+        for i, r in enumerate(range(start, stop)):
+            rng = np.random.default_rng(simulation_stream(design.seed, cell_index, r))
+            Z[g, i] = _standardized_deviates(params[g], T, rng)
     Y = _simulate_rows(params, Z)
-    columns = []
+    columns = [[] for _ in cells]
+    own = [0.0] * len(cells)
     for ti, task in enumerate(design.estimators):
         if not task.needs_bootstrap:
-            columns.append(_plain_task(Y, task, design))
+            rows = _plain_task(Y.reshape(-1, T), task, design)
+            for g, column in enumerate(columns):
+                column.append(rows[g * n : (g + 1) * n])
             continue
-        column = []
-        for r, y in zip(range(start, stop), Y):
-            stream = task_stream(design.seed, cell_index, r, ti)
-            try:
-                column.append(_run_task(y, task, design, stream))
-            except LongmemError as exc:
-                column.append({"failed": str(exc)})
-        columns.append(column)
-    return columns, time.perf_counter() - began
+        for g, (cell_index, _) in enumerate(cells):
+            began_task = time.perf_counter()
+            column = []
+            for r, y in zip(range(start, stop), Y[g]):
+                stream = task_stream(design.seed, cell_index, r, ti)
+                try:
+                    column.append(_run_task(y, task, design, stream))
+                except LongmemError as exc:
+                    column.append({"failed": str(exc)})
+            columns[g].append(column)
+            own[g] += time.perf_counter() - began_task
+    shared = (time.perf_counter() - began - sum(own)) / len(cells)
+    return [
+        (cell_index, cell_columns, shared + seconds)
+        for (cell_index, _), cell_columns, seconds in zip(cells, columns, own)
+    ]
 
 
 def _jobs(design):
-    """(design, cell index, cell, start, stop) of every job, in design order.
+    """(design, T, cells, start, stop) of every job, in design order.
 
-    A design with a bootstrap task runs one replication per job; otherwise
-    a job is a block of about ``_BLOCK_VALUES`` simulated values. The
-    layout depends on the design alone, so results do not depend on the
-    number of workers.
+    A job is one replication block start..stop-1 of a group of cells that
+    share T; `cells` holds their (index, (T, d, phi)) pairs. The block is
+    one replication when the design has a bootstrap task and about
+    ``_BLOCK_VALUES`` simulated values per cell otherwise. Whole cell
+    blocks are grouped in design order, up to about ``_JOB_VALUES``
+    values per job; a cell's block is never split to fit more cells.
+    The layout depends on the design alone, so results do not depend on
+    the number of workers.
     """
     boot = any(task.needs_bootstrap for task in design.estimators)
     jobs = []
-    for cell_index, cell in design.cells():
-        rows = 1 if boot else max(1, _BLOCK_VALUES // cell[0])
+    for T, group in groupby(design.cells(), key=lambda cell: cell[1][0]):
+        group = tuple(group)
+        rows = 1 if boot else max(1, _BLOCK_VALUES // T)
         for start in range(0, design.R, rows):
-            jobs.append(
-                (design, cell_index, cell, start, min(start + rows, design.R))
-            )
+            stop = min(start + rows, design.R)
+            size = max(1, _JOB_VALUES // ((stop - start) * T))
+            for first in range(0, len(group), size):
+                jobs.append((design, T, group[first : first + size], start, stop))
     return jobs
 
 
@@ -392,10 +430,11 @@ def run_design(design, threads=1):
             done = list(pool.map(_block_worker, jobs))
     columns = {i: [[] for _ in design.estimators] for i, _ in design.cells()}
     wall = dict.fromkeys(columns, 0.0)
-    for job, (job_columns, seconds) in zip(jobs, done):
-        for column, rows in zip(columns[job[1]], job_columns):
-            column.extend(rows)
-        wall[job[1]] += seconds
+    for job_cells in done:
+        for cell_index, job_columns, seconds in job_cells:
+            for column, rows in zip(columns[cell_index], job_columns):
+                column.extend(rows)
+            wall[cell_index] += seconds
     results = []
     for cell_index, cell in design.cells():
         results.extend(

@@ -163,11 +163,40 @@ class TestSimulation:
         Z = np.array(
             [_standardized_deviates(params, T, generator_at(3, i)) for i in range(rows)]
         )
-        got = _simulate_rows(params, Z)
+        got = _simulate_rows([params], Z[None])[0]
         assert got.shape == (rows, T)
         for i in range(rows):
             want = simulate_gaussian(params, T, generator_at(3, i))
             assert np.array_equal(got[i], want)
+
+    @pytest.mark.parametrize("law", ["gaussian", "student-t"])
+    @pytest.mark.parametrize("T", [1, 2, 64, 500])
+    def test_multi_cell_rows_equal_one_row_draws(self, T, law):
+        # Mixed d and phi, with a white-noise cell among swept cells.
+        pairs = ((0.3, 0.6), (0.0, 0.0), (-0.2, 0.0), (0.45, -0.9), (0.0, 0.5))
+        cells = [ArfimaParams(d=d, phi=phi, law=law, dof=5.0) for d, phi in pairs]
+        rows = 3
+        Z = np.array([
+            [_standardized_deviates(p, T, generator_at(4, g, r)) for r in range(rows)]
+            for g, p in enumerate(cells)
+        ])
+        got = _simulate_rows(cells, Z)
+        assert got.shape == (len(cells), rows, T)
+        for g, p in enumerate(cells):
+            for r in range(rows):
+                want = simulate_gaussian(p, T, generator_at(4, g, r))
+                assert np.array_equal(got[g, r], want)
+            assert np.array_equal(_simulate_rows([p], Z[g : g + 1])[0], got[g])
+
+    def test_all_white_noise_cells_skip_the_sweep(self, monkeypatch):
+        def no_sweep(gammas):
+            raise AssertionError("white noise ran the Durbin-Levinson sweep")
+
+        monkeypatch.setattr(arfima, "_durbin_levinson", no_sweep)
+        cells = [ArfimaParams(d=0.0, phi=0.0), ArfimaParams(d=0.0, phi=0.0, sigma2=4.0)]
+        Z = np.random.default_rng(6).standard_normal((2, 2, 50))
+        got = _simulate_rows(cells, Z)
+        assert np.array_equal(got[0], Z[0]) and np.array_equal(got[1], 2.0 * Z[1])
 
     def test_block_rows_match_cholesky_factor(self):
         # y = L z with L the Cholesky factor of the Toeplitz covariance is the
@@ -178,7 +207,8 @@ class TestSimulation:
             params = ArfimaParams(d=0.3, phi=phi)
             L = np.linalg.cholesky(sl.toeplitz(arfima_acvf(params, T - 1).values))
             Z = np.random.default_rng(8).standard_normal((5, T))
-            assert_allclose(_simulate_rows(params, Z), Z @ L.T, rtol=0, atol=1e-10)
+            got = _simulate_rows([params], Z[None])[0]
+            assert_allclose(got, Z @ L.T, rtol=0, atol=1e-10)
 
     def test_student_t_dof_validated(self):
         with pytest.raises(InvalidParameterError):

@@ -4,16 +4,19 @@ from numpy.testing import assert_allclose
 
 from longmem import (
     ArFit,
+    ArfimaParams,
     InvalidParameterError,
     NumericalDegeneracyError,
     ar_residuals,
+    arfima_acvf,
     burg_fit,
     default_max_order,
     levinson_durbin,
     select_order_aic,
     simulate_ar_path,
 )
-from longmem.arsieve import _burg_reflections
+import longmem.arsieve as arsieve
+from longmem.arsieve import _aic_burg_fit, _burg_reflections, _durbin_levinson
 
 
 def ar_path(phi, T, seed, h=None):
@@ -50,6 +53,26 @@ class TestLevinson:
     def test_nonpositive_gamma0_rejected(self):
         with pytest.raises(NumericalDegeneracyError):
             levinson_durbin([0.0, 0.0])
+
+
+    def test_fits_are_one_row_of_the_batched_sweep(self):
+        good = [
+            arfima_acvf(ArfimaParams(d=d, phi=phi), 12).values
+            for d, phi in ((0.3, 0.6), (0.0, 0.0), (-0.2, -0.8))
+        ]
+        bad = np.r_[1.0, 1.1, np.zeros(11)]  # not positive definite at order 1
+        rows = np.array([good[0], bad, good[1], good[2]])
+        fits = [levinson_durbin(g) for g in good]
+        for t, k, b, v, flags in _durbin_levinson(rows):
+            assert flags.tolist() == [False, t >= 1, False, False]
+            for i, row in ((0, 0), (1, 2), (2, 3)):
+                if t == 0:
+                    assert v[row] == good[i][0]
+                    continue
+                fit = fits[i][t - 1]
+                assert fit.phi.tobytes() == np.r_[1.0, -b[row]].tobytes()
+                assert fit.sigma2 == v[row] and fit.reflection[-1] == -k[row]
+            assert np.all(np.isfinite(b[1])) and np.isfinite(v[1])
 
 
 class TestBurg:
@@ -127,6 +150,24 @@ class TestOrderSelection:
         _, sig = _burg_reflections(w, 10)
         for h in range(1, 11):
             assert_allclose(burg_fit(w, h).sigma2, sig[h - 1], rtol=1e-12)
+
+    @pytest.mark.parametrize("T", [40, 500, 2000])
+    def test_aic_fit_from_one_sweep_equals_refit(self, monkeypatch, T):
+        w = ar_path([1.0, -0.7, 0.3], T, seed=T)
+        h_max = default_max_order(T)
+        want = burg_fit(w, select_order_aic(w, h_max))
+        calls = []
+
+        def counting(series, h):
+            calls.append(h)
+            return _burg_reflections(series, h)
+
+        monkeypatch.setattr(arsieve, "_burg_reflections", counting)
+        got = _aic_burg_fit(w, h_max)
+        assert calls == [h_max]
+        assert got.order == want.order and got.sigma2 == want.sigma2
+        assert got.phi.tobytes() == want.phi.tobytes()
+        assert got.reflection.tobytes() == want.reflection.tobytes()
 
     def test_default_cap_values(self):
         assert default_max_order(100) == 21

@@ -23,9 +23,18 @@ from longmem import (
     simulate_gaussian,
     stopping_thresholds,
 )
+import longmem.arsieve as arsieve_mod
 import longmem.bootstrap as bmod
 import longmem.estimators as est_mod
-from longmem.arsieve import ArFit, _run_sieve, ar_residuals, burg_fit, simulate_ar_path
+from longmem.arsieve import (
+    ArFit,
+    _run_sieve,
+    ar_residuals,
+    burg_fit,
+    default_max_order,
+    select_order_aic,
+    simulate_ar_path,
+)
 from longmem.fracdiff import apply_frac_filter
 from longmem.harness import simulation_stream, task_stream
 from longmem.streams import generator_at, substream
@@ -55,6 +64,36 @@ def stub_estimates(monkeypatch, row_estimate):
 
     for module in (bmod, est_mod):
         monkeypatch.setattr(module, "_estimate_rows", rows)
+
+
+class TestSieve:
+    def test_fit_equals_aic_order_refit(self, arfima_series):
+        for d_f in (0.0, 0.2, 0.45):
+            sieve = prefilter_sieve(arfima_series, d_f)
+            w_f = apply_frac_filter(arfima_series, d_f)
+            want = burg_fit(w_f, select_order_aic(w_f, default_max_order(w_f.size)))
+            assert sieve.fit.order == want.order
+            assert sieve.fit.sigma2 == want.sigma2
+            assert sieve.fit.phi.tobytes() == want.phi.tobytes()
+            assert sieve.fit.reflection.tobytes() == want.reflection.tobytes()
+
+    def test_one_burg_sweep_per_pass(self, arfima_series, monkeypatch):
+        real = arsieve_mod._burg_reflections
+        sweeps = []
+
+        def counting(w, h_max):
+            sweeps.append(h_max)
+            return real(w, h_max)
+
+        monkeypatch.setattr(arsieve_mod, "_burg_reflections", counting)
+        trace = iterate_bias_correct(
+            arfima_series, EstimatorSpec("lpr", 0),
+            BootstrapConfig(B=12, rng_stream=5), max_iter=3,
+            thresholds_fn=lambda *a: (-math.inf, -math.inf),
+            deterministic_window=None,
+        )
+        assert len(trace.records) == 3
+        assert sweeps == [default_max_order(arfima_series.size)] * 3
 
 
 class TestDraws:
@@ -648,3 +687,21 @@ class TestHpd:
                                      alpha_upper=tails[1])
             else:
                 bias_correct(arfima_series, spec, 0.1, cfg, *tails)
+
+    @pytest.mark.parametrize("B", [2, 5, 9])
+    @pytest.mark.parametrize("iterate", [False, True])
+    def test_too_few_draws_rejected_before_any_estimate(self, arfima_series,
+                                                        monkeypatch, B, iterate):
+        # Every pass builds an HPD interval, which needs ten draws.
+        def forbidden(*args):
+            raise AssertionError("estimate made")
+
+        for module in (bmod, est_mod):
+            monkeypatch.setattr(module, "_estimate_rows", forbidden)
+        spec = EstimatorSpec("lpr", 0)
+        cfg = BootstrapConfig(B=B, rng_stream=4)
+        with pytest.raises(InvalidParameterError, match="at least B = 10"):
+            if iterate:
+                iterate_bias_correct(arfima_series, spec, cfg)
+            else:
+                bias_correct(arfima_series, spec, 0.1, cfg)

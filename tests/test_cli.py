@@ -201,6 +201,7 @@ class TestMcRun:
             boot + "max_iter = 0\n",
             boot + "hpd_tails = 0.6, 0.5\n",
             boot + "hpd_tails = -0.2, 0.1\n",
+            "T = 64\nd = 0\nphi = 0.3\nR = 2\nB = 5\nestimators = lpr0-bba1\n",
         ):
             cfg.write_text(text)
             proc = run_cli("mc-run", "--config", str(cfg), "--out-dir", str(out))

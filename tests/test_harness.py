@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ def small_design(**kw):
     return McDesign(**base)
 
 
+def assert_layout_free(monkeypatch, design, want):
+    """Stats equal `want` with one cell per job and all of a T's cells per job."""
+    per_T = len(design.d_values) * len(design.phi_values)
+    for budget, cells_per_job in ((1, 1), (2 ** 40, per_T)):
+        monkeypatch.setattr(hmod, "_JOB_VALUES", budget)
+        assert {len(job[2]) for job in hmod._jobs(design)} == {cells_per_job}
+        for threads in (1, 2, 3):
+            assert [res.stats for res in run_design(design, threads)] == want
+
+
 class TestTokens:
     @pytest.mark.parametrize(
         "token, name",
@@ -79,9 +90,11 @@ class TestDesign:
             dict(max_iter=0),
             dict(alpha_lower=0.6, alpha_upper=0.5),
             dict(alpha_lower=-0.2, alpha_upper=0.1),
+            dict(B=5, estimators=(parse_estimator_token("lpr0-bba1"),)),
+            dict(B=9, estimators=(parse_estimator_token("splw1-ssr"),)),
         ],
         ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d", "max_iter",
-             "tails_sum", "tail_negative"],
+             "tails_sum", "tail_negative", "bba_B", "ssr_B"],
     )
     def test_infeasible_design_rejected(self, bad):
         with pytest.raises(InvalidDesignError):
@@ -254,8 +267,42 @@ class TestRunDesign:
         assert default[0]["bias"] == float((pts - 0.2).mean())
         monkeypatch.setattr(hmod, "_BLOCK_VALUES", 3 * 64)
         assert [job[3:] for job in hmod._jobs(design)][:3] == [(0, 3), (3, 6), (6, 7)]
-        for threads in (1, 2, 3):
-            assert [res.stats for res in run_design(design, threads)] == default
+        assert_layout_free(monkeypatch, design, default)
+
+    def test_bootstrap_jobs_independent_of_layout_and_workers(self, monkeypatch):
+        design = McDesign(
+            T_values=(64, 100), d_values=(0.2,), phi_values=(0.0, 0.6), R=2,
+            estimators=(parse_estimator_token("lpr1-hpd"),
+                        parse_estimator_token("splw1-bba1")),
+            B=12, seed=23,
+        )
+        default = [res.stats for res in run_design(design)]
+        # A bootstrap job is one replication of every cell of one T.
+        assert [(job[1], len(job[2]), job[3:]) for job in hmod._jobs(design)] == [
+            (64, 2, (0, 1)), (64, 2, (1, 2)), (100, 2, (0, 1)), (100, 2, (1, 2)),
+        ]
+        assert_layout_free(monkeypatch, design, default)
+
+    def test_cell_wall_time_is_its_share_of_the_job(self, monkeypatch):
+        real = hmod._simulate_rows
+
+        def slow(cells, Z):
+            time.sleep(0.2)
+            return real(cells, Z)
+
+        monkeypatch.setattr(hmod, "_simulate_rows", slow)
+        design = McDesign(
+            T_values=(64,), d_values=(0.0, 0.2), phi_values=(0.3,), R=2,
+            estimators=(parse_estimator_token("lpr0"),
+                        parse_estimator_token("splw0")), seed=3,
+        )
+        results = run_design(design)
+        # One job simulates both cells, so each is charged half of it; the
+        # tasks of a cell share its time.
+        assert results[0].wall_time == results[1].wall_time
+        assert results[2].wall_time == results[3].wall_time
+        for res in results:
+            assert 0.1 <= res.wall_time < 0.18
 
     def test_mse_at_least_bias_squared(self):
         for res in run_design(small_design()):
