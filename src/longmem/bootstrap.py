@@ -49,8 +49,8 @@ __all__ = [
     "DETERMINISTIC_WINDOW",
 ]
 
-# Updates leaving this window are discarded and iteration stops; it is the
-# estimators' search interval.
+# Updates leaving this window are discarded and iteration stops, unless the
+# passes are fixed; it is the estimators' search interval.
 DETERMINISTIC_WINDOW = (SEARCH_LO, SEARCH_HI)
 
 # Values per block of draws that are built, filtered and estimated
@@ -74,8 +74,7 @@ class BootstrapConfig:
     standardized residuals with replacement. ``rng_stream`` is a
     SeedSequence (or int seed). Pass k of a correction draws from two
     child streams: (k, 0) fills the B rows of innovations in draw order
-    and (k, 1) gives the B starts of the seeding blocks. A draw b whose
-    estimate fails is rebuilt from its own stream (k, b, 1). Draws are
+    and (k, 1) gives the B starts of the seeding blocks. Draws are
     reproducible and do not depend on how the pass is blocked.
     """
 
@@ -111,16 +110,11 @@ class BootstrapOutcome:
     bias_hat: float
     d_tilde: float
     hpd: tuple = None
-    retries: int = 0
 
 
 @dataclass
 class IterationRecord:
-    """One step of the iterative correction.
-
-    ``retries`` counts the draws of this step's pass that were redrawn
-    after a failed estimate.
-    """
+    """One step of the iterative correction."""
 
     k: int
     d_current: float
@@ -131,7 +125,6 @@ class IterationRecord:
     crit1: float
     crit2: float
     stop_reason: str = None
-    retries: int = 0
 
 
 @dataclass
@@ -167,9 +160,9 @@ def bootstrap_draw(y, d_f, config, sieve, rng):
     at a uniform random position drawn from the same `rng`, and the
     inverse filter (-d_f) maps the path back to the observation scale.
     Both filters run as one causal convolution (see :func:`_draw_spectrum`).
-    A bias-correction pass draws its B replicas from two pass streams
-    instead (see :func:`_estimate_draws`); it uses this per-rng layout
-    only for the draws it rebuilds after a failed estimate.
+    A bias-correction pass builds its B replicas by the same step, but
+    draws their innovations and starts from two pass streams instead of
+    one generator per draw (see :func:`_estimate_draws`).
 
     Parameters
     ----------
@@ -189,7 +182,8 @@ def bootstrap_draw(y, d_f, config, sieve, rng):
         Bootstrap series of the same length as `y`.
     """
     T = np.asarray(y).size
-    eps, tau = _draw_inputs(config, sieve, rng)
+    eps = _innovations(config, sieve, rng, 1)
+    tau = _starts(sieve, rng, 1)
     return _draw_rows(sieve, eps, tau, _draw_spectrum(sieve, T, d_f))[0]
 
 
@@ -224,11 +218,6 @@ def _starts(sieve, rng, n):
     return rng.integers(h, sieve.filtered.size + 1, size=n)
 
 
-def _draw_inputs(config, sieve, rng):
-    """Innovations, then the seeding-block start, of one draw from its own rng."""
-    return _innovations(config, sieve, rng, 1), _starts(sieve, rng, 1)
-
-
 def _draw_rows(sieve, eps, tau, spectrum):
     """Bootstrap replicas, one row per row of standardized innovations.
 
@@ -244,68 +233,34 @@ def _draw_rows(sieve, eps, tau, spectrum):
 
 
 def _estimate_draws(y, d_f, config, iteration, spec):
-    """Run B draws and estimates in blocks; failed draws are redrawn once.
+    """Run the B draws and estimates of one pass in blocks.
 
     The B draws of this iteration come from two pass streams: stream
     (iteration, 0) fills their innovations row by row in draw order, and
     stream (iteration, 1) gives their B seeding-block starts in one call
     (no call when the sieve order is 0). The values therefore do not
-    depend on the block size. A draw b whose estimate fails is rebuilt
-    from its own stream (iteration, b, 1), consumed as in
-    :func:`bootstrap_draw`, and a second failure aborts the pass. Only the
-    failed draws are recomputed.
+    depend on the block size. A draw whose estimate fails raises
+    :class:`EstimationFailedError` naming the draw and the pass.
     """
     sieve = prefilter_sieve(y, d_f)
     T = sieve.filtered.size
     spectrum = _draw_spectrum(sieve, T, d_f)
     rows = max(1, _BLOCK_VALUES // T)
-    draws = np.empty(config.B)
-
-    def fill(indices, inputs):
-        """Estimate the draws `indices` block by block; return the failed ones."""
-        failed = []
-        for start in range(0, indices.size, rows):
-            block = indices[start : start + rows]
-            ystar = _draw_rows(sieve, *inputs(block), spectrum)
-            values, ok, _ = _estimate_rows(ystar, spec)
-            draws[block] = values
-            failed.append(block[~ok])
-        return np.concatenate(failed)
-
     innovations_rng = generator_at(config.rng_stream, iteration, 0)
     tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
-
-    def pass_inputs(block):
-        return _innovations(config, sieve, innovations_rng, block.size), tau[block]
-
-    def retry_inputs(block):
-        rngs = (generator_at(config.rng_stream, iteration, b, 1) for b in block)
-        eps, starts = zip(*(_draw_inputs(config, sieve, rng) for rng in rngs))
-        return np.concatenate(eps), np.concatenate(starts)
-
-    failed = fill(np.arange(config.B), pass_inputs)
-    if failed.size:
-        again = fill(failed, retry_inputs)
-        if again.size:
+    draws = np.empty(config.B)
+    for start in range(0, config.B, rows):
+        tau_block = tau[start : start + rows]
+        eps = _innovations(config, sieve, innovations_rng, tau_block.size)
+        ystar = _draw_rows(sieve, eps, tau_block, spectrum)
+        values, ok, _ = _estimate_rows(ystar, spec)
+        if not ok.all():
             raise EstimationFailedError(
-                f"draw {again[0]} failed twice at iteration {iteration}: {_DEGENERATE}"
+                f"draw {start + int(np.argmin(ok))} of pass {iteration} failed:"
+                f" {_DEGENERATE}"
             )
-    return draws, failed.size
-
-
-def _correction_pass(y, d_hat, d_f, config, spec, alpha_lower, alpha_upper):
-    """First bias-correction pass: B draws pre-filtered by d_f at iteration 0."""
-    draws, retries = _estimate_draws(y, d_f, config, 0, spec)
-    bias_hat = float(draws.mean() - d_f)
-    return BootstrapOutcome(
-        draws=draws,
-        d_f=float(d_f),
-        d_hat=d_hat,
-        bias_hat=bias_hat,
-        d_tilde=d_hat - bias_hat,
-        hpd=hpd_interval(draws, d_hat, alpha_lower, alpha_upper),
-        retries=retries,
-    )
+        draws[start : start + rows] = values
+    return draws
 
 
 def bias_correct(
@@ -345,7 +300,16 @@ def bias_correct(
     _check_draws(config)
     y = np.asarray(y, dtype=float)
     d_hat = estimate(y, spec).d_hat
-    return _correction_pass(y, d_hat, d_f, config, spec, alpha_lower, alpha_upper)
+    draws = _estimate_draws(y, d_f, config, 0, spec)
+    bias_hat = float(draws.mean() - d_f)
+    return BootstrapOutcome(
+        draws=draws,
+        d_f=float(d_f),
+        d_hat=d_hat,
+        bias_hat=bias_hat,
+        d_tilde=d_hat - bias_hat,
+        hpd=hpd_interval(draws, d_hat, alpha_lower, alpha_upper),
+    )
 
 
 def _p_schedule(k, P):
@@ -411,8 +375,7 @@ def iterate_bias_correct(
     spec,
     config,
     max_iter=10,
-    thresholds_fn=None,
-    deterministic_window=DETERMINISTIC_WINDOW,
+    fixed=False,
     alpha_lower=0.025,
     alpha_upper=0.025,
 ):
@@ -423,10 +386,16 @@ def iterate_bias_correct(
     it. Iteration continues only while BOTH |change| > tau1 and
     |accumulated correction - current bias| > tau2; when either rule
     binds, the newly corrected value is returned. An update falling
-    outside `deterministic_window` is discarded and the previous value
-    returned instead. The data and every draw are estimated by the same
-    batched kernel as :func:`estimate`. ``max_iter`` and the tail masses
-    are checked before any estimate is made.
+    outside ``DETERMINISTIC_WINDOW`` is discarded and the previous value
+    returned instead. In the fixed-pass mode every record carries its
+    thresholds and criteria, but neither the rules nor the window stop
+    the iteration: exactly ``max_iter`` passes run (BBA(K) is
+    ``max_iter=K``; the one-shot correction is ``max_iter=1``). The
+    first pass, pre-filtered by the point estimate, is also recorded as
+    a :class:`BootstrapOutcome` with the HPD interval. The data and
+    every draw are estimated by the same batched kernel as
+    :func:`estimate`. ``max_iter`` and the tail masses are checked
+    before any estimate is made.
 
     Parameters
     ----------
@@ -435,11 +404,8 @@ def iterate_bias_correct(
     config : BootstrapConfig
     max_iter : int
         Hard cap on iterations (reported as stop reason 'max-iter').
-    thresholds_fn : callable, optional
-        Override (k, N, B, upsilon, P) -> (tau1, tau2); tests use this to
-        force stops or force continuation.
-    deterministic_window : tuple or None
-        Bounds for the update; None disables the check (fixed-K mode).
+    fixed : bool
+        Run exactly `max_iter` passes, without early stops.
     alpha_lower, alpha_upper : float
         Tail masses of the first pass's HPD interval, each in [0, 1),
         summing below 1.
@@ -452,8 +418,6 @@ def iterate_bias_correct(
         raise InvalidParameterError("max_iter must be >= 1")
     _check_tails(alpha_lower, alpha_upper)
     _check_draws(config)
-    if thresholds_fn is None:
-        thresholds_fn = stopping_thresholds
 
     y = np.asarray(y, dtype=float)
     n_band = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
@@ -462,18 +426,22 @@ def iterate_bias_correct(
 
     trace = IterationTrace(d_initial=d0)
     d_cur = d0
+    lo, hi = DETERMINISTIC_WINDOW
     for k in range(max_iter):
-        tau1, tau2 = thresholds_fn(k, n_band, config.B, upsilon, spec.P)
-        if k == 0:
-            outcome = _correction_pass(
-                y, d0, d0, config, spec, alpha_lower, alpha_upper
-            )
-            trace.outcomes.append(outcome)
-            draws, retries = outcome.draws, outcome.retries
-        else:
-            draws, retries = _estimate_draws(y, d_cur, config, k, spec)
+        tau1, tau2 = stopping_thresholds(k, n_band, config.B, upsilon, spec.P)
+        draws = _estimate_draws(y, d_cur, config, k, spec)
         bias_k = float(draws.mean() - d_cur)
         d_next = d_cur - bias_k
+        if k == 0:
+            outcome = BootstrapOutcome(
+                draws=draws,
+                d_f=float(d0),
+                d_hat=d0,
+                bias_hat=bias_k,
+                d_tilde=d_next,
+                hpd=hpd_interval(draws, d0, alpha_lower, alpha_upper),
+            )
+            trace.outcomes.append(outcome)
         crit1 = abs(d_next - d_cur)
         crit2 = abs(d0 - d_cur - bias_k)
         record = IterationRecord(
@@ -485,17 +453,14 @@ def iterate_bias_correct(
             tau2=tau2,
             crit1=crit1,
             crit2=crit2,
-            retries=retries,
         )
         trace.records.append(record)
-        if deterministic_window is not None and not (
-            deterministic_window[0] <= d_next < deterministic_window[1]
-        ):
+        if not fixed and not lo <= d_next < hi:
             record.stop_reason = "deterministic"
             trace.final = d_cur
             trace.stop_reason = "deterministic"
             return trace
-        if crit1 <= tau1 or crit2 <= tau2:
+        if not fixed and (crit1 <= tau1 or crit2 <= tau2):
             record.stop_reason = "rule1" if crit1 <= tau1 else "rule2"
             trace.final = d_next
             trace.stop_reason = record.stop_reason

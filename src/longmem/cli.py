@@ -7,12 +7,7 @@ import sys
 import numpy as np
 
 from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
-from .bootstrap import (
-    _MIN_DRAWS,
-    BootstrapConfig,
-    _correction_pass,
-    iterate_bias_correct,
-)
+from .bootstrap import _MIN_DRAWS, BootstrapConfig, iterate_bias_correct
 from .estimators import EstimatorSpec, estimate
 from .exceptions import (
     DegenerateInputError,
@@ -96,13 +91,19 @@ def _cmd_bias_correct(args):
     spec = EstimatorSpec(args.family, args.P, args.bandwidth_exp)
     seed = _default_seed(args.seed)
     config = BootstrapConfig(B=args.B, innovation_mode=args.mode, rng_stream=seed)
+    trace = iterate_bias_correct(
+        y,
+        spec,
+        config,
+        max_iter=args.max_iter if args.iterate else 1,
+        fixed=not args.iterate,
+    )
+    first = trace.outcomes[0]
+    print(f"d_hat {trace.d_initial:.10g}")
+    print(f"d_tilde {trace.final:.10g}")
+    print(f"bias_hat {first.bias_hat:.10g}")
+    print(f"hpd95 {first.hpd[0]:.10g} {first.hpd[1]:.10g}")
     if args.iterate:
-        trace = iterate_bias_correct(y, spec, config, max_iter=args.max_iter)
-        first = trace.outcomes[0]
-        print(f"d_hat {trace.d_initial:.10g}")
-        print(f"d_tilde {trace.final:.10g}")
-        print(f"bias_hat {first.bias_hat:.10g}")
-        print(f"hpd95 {first.hpd[0]:.10g} {first.hpd[1]:.10g}")
         print(f"stop_reason {trace.stop_reason}")
         for rec in trace.records:
             print(
@@ -111,13 +112,6 @@ def _cmd_bias_correct(args):
                 f" crit1 {rec.crit1:.6g} crit2 {rec.crit2:.6g}"
                 f" stop {rec.stop_reason}"
             )
-    else:
-        d_hat = estimate(y, spec).d_hat
-        outcome = _correction_pass(y, d_hat, d_hat, config, spec, 0.025, 0.025)
-        print(f"d_hat {outcome.d_hat:.10g}")
-        print(f"d_tilde {outcome.d_tilde:.10g}")
-        print(f"bias_hat {outcome.bias_hat:.10g}")
-        print(f"hpd95 {outcome.hpd[0]:.10g} {outcome.hpd[1]:.10g}")
     return 0
 
 

@@ -15,7 +15,6 @@ job of the design.
 """
 
 import csv
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from .bootstrap import (
 from .estimators import _DEGENERATE, EstimatorSpec, _estimate_rows, asymptotic_sd
 from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
 from .spectral import bandwidth
-from .streams import substream
+from .streams import as_seed_sequence, substream
 
 __all__ = [
     "EstimatorTask",
@@ -220,17 +219,17 @@ class McCellResult:
 
 
 def simulation_stream(seed, cell_index, r):
-    """Stream feeding the simulated series of one replication."""
+    """Stream feeding the simulated series of one replication.
+
+    `seed` is the design's seed or its root SeedSequence; both give the
+    same stream.
+    """
     return substream(seed, cell_index, r, 0)
 
 
 def task_stream(seed, cell_index, r, task_index):
-    """Stream feeding the bootstrap of one estimator task."""
+    """Stream feeding the bootstrap of one estimator task (`seed` as above)."""
     return substream(seed, cell_index, r, 1 + task_index)
-
-
-def _always_continue(k, N, B, upsilon, P):
-    return (-math.inf, -math.inf)
 
 
 def _run_task(y, task, design, stream):
@@ -246,21 +245,15 @@ def _run_task(y, task, design, stream):
     config = BootstrapConfig(
         B=design.B, innovation_mode=design.mode, rng_stream=stream
     )
-    if task.correction == "ssr":
-        rules = {"max_iter": design.max_iter}
-    else:
-        rules = {
-            "max_iter": max(task.K, 1),
-            "thresholds_fn": _always_continue,
-            "deterministic_window": None,
-        }
+    ssr = task.correction == "ssr"
     trace = iterate_bias_correct(
         y,
         spec,
         config,
+        max_iter=design.max_iter if ssr else max(task.K, 1),
+        fixed=not ssr,
         alpha_lower=design.alpha_lower,
         alpha_upper=design.alpha_upper,
-        **rules,
     )
     return {
         "point": trace.d_initial if task.correction == "none" else trace.final,
@@ -299,6 +292,7 @@ def _block_worker(args):
     design, T, cells, start, stop = args
     began = time.perf_counter()
     n = stop - start
+    root = as_seed_sequence(design.seed)
     params = [
         ArfimaParams(d=d_true, phi=phi, sigma2=1.0, law=design.law, dof=design.dof)
         for _, (_, d_true, phi) in cells
@@ -306,7 +300,7 @@ def _block_worker(args):
     Z = np.empty((len(cells), n, T))
     for g, (cell_index, _) in enumerate(cells):
         for i, r in enumerate(range(start, stop)):
-            rng = np.random.default_rng(simulation_stream(design.seed, cell_index, r))
+            rng = np.random.default_rng(simulation_stream(root, cell_index, r))
             Z[g, i] = _standardized_deviates(params[g], T, rng)
     Y = _simulate_rows(params, Z)
     columns = [[] for _ in cells]
@@ -321,7 +315,7 @@ def _block_worker(args):
             began_task = time.perf_counter()
             column = []
             for r, y in zip(range(start, stop), Y[g]):
-                stream = task_stream(design.seed, cell_index, r, ti)
+                stream = task_stream(root, cell_index, r, ti)
                 try:
                     column.append(_run_task(y, task, design, stream))
                 except LongmemError as exc:

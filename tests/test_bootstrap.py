@@ -88,9 +88,7 @@ class TestSieve:
         monkeypatch.setattr(arsieve_mod, "_burg_reflections", counting)
         trace = iterate_bias_correct(
             arfima_series, EstimatorSpec("lpr", 0),
-            BootstrapConfig(B=12, rng_stream=5), max_iter=3,
-            thresholds_fn=lambda *a: (-math.inf, -math.inf),
-            deterministic_window=None,
+            BootstrapConfig(B=12, rng_stream=5), max_iter=3, fixed=True,
         )
         assert len(trace.records) == 3
         assert sweeps == [default_max_order(arfima_series.size)] * 3
@@ -222,22 +220,27 @@ class TestBiasCorrect:
         bound = 4 * a.draws.std() / math.sqrt(2000)
         assert abs(a.bias_hat - b.bias_hat) <= bound
 
-    def test_failed_draw_redrawn_once(self, arfima_series, monkeypatch):
-        calls = {"n": 0}
+    @pytest.mark.parametrize("iterate", [False, True])
+    def test_failed_draw_fails_the_pass(self, arfima_series, monkeypatch, iterate):
+        # Draw 5 of pass k fails (k = 1 when iterating, else the only pass);
+        # blocks of four draws put it in the second block of its pass.
+        B, k = 12, int(iterate)
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
+        seen = {"n": -1}  # call 0 is the point estimate on the data
 
-        def flaky(s):
-            calls["n"] += 1
-            if calls["n"] == 3:  # fail on one bootstrap draw only
-                return None
-            return 0.1
+        def stub(s):
+            seen["n"] += 1
+            return None if seen["n"] - 1 == k * B + 5 else 0.1
 
-        stub_estimates(monkeypatch, flaky)
-        out = bias_correct(
-            arfima_series, EstimatorSpec("lpr", 0), 0.1,
-            BootstrapConfig(B=12, rng_stream=4),
-        )
-        assert out.retries == 1
-        assert out.draws.size == 12
+        stub_estimates(monkeypatch, stub)
+        spec, cfg = EstimatorSpec("lpr", 0), BootstrapConfig(B=B, rng_stream=4)
+        with pytest.raises(EstimationFailedError) as err:
+            if iterate:
+                iterate_bias_correct(arfima_series, spec, cfg, max_iter=3, fixed=True)
+            else:
+                bias_correct(arfima_series, spec, 0.1, cfg)
+        assert str(err.value) == f"draw 5 of pass {k} failed: {est_mod._DEGENERATE}"
+        assert seen["n"] == k * B + 8  # no block after the failed one is estimated
 
     def test_two_consecutive_failures_abort(self, arfima_series, monkeypatch):
         calls = {"n": 0}
@@ -376,33 +379,6 @@ class TestBatchedDraws:
                 assert np.array_equal(np.concatenate(seen), default_rows)
                 assert np.array_equal(draws, default)
 
-    def test_failed_rows_redrawn_on_retry_streams(self, arfima_series,
-                                                  monkeypatch):
-        chosen = {3, 7, 40}
-        calls = log_generator_at(monkeypatch)
-        seen = {"n": -1}  # call 0 is the point estimate on the data
-
-        def stub(s):
-            seen["n"] += 1
-            if seen["n"] - 1 in chosen:  # first pass visits b = 0..B-1 in order
-                return None
-            return s[0]
-
-        stub_estimates(monkeypatch, stub)
-        cfg = BootstrapConfig(B=64, rng_stream=12)
-        out = bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.2, cfg)
-        assert out.retries == len(chosen)
-        assert calls == [(0, 0), (0, 1)] + [(0, b, 1) for b in sorted(chosen)]
-        sieve = prefilter_sieve(arfima_series, 0.2)
-        first = pass_rows(arfima_series, 0.2, cfg, 0)
-        for b in range(cfg.B):
-            if b in chosen:
-                draw = bootstrap_draw(arfima_series, 0.2, cfg, sieve,
-                                      generator_at(12, 0, b, 1))
-                assert out.draws[b] == draw[0]
-            else:
-                assert out.draws[b] == first[b, 0]
-
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
     def test_first_attempt_uses_two_streams_per_pass(self, arfima_series, mode,
                                                      monkeypatch):
@@ -410,9 +386,7 @@ class TestBatchedDraws:
         seen = record_draw_rows(monkeypatch)
         cfg = BootstrapConfig(B=40, innovation_mode=mode, rng_stream=15)
         trace = iterate_bias_correct(
-            arfima_series, EstimatorSpec("lpr", 1), cfg, max_iter=3,
-            thresholds_fn=lambda *a: (-math.inf, -math.inf),
-            deterministic_window=None,
+            arfima_series, EstimatorSpec("lpr", 1), cfg, max_iter=3, fixed=True,
         )
         assert calls == [(k, s) for k in range(3) for s in (0, 1)]
         # pass k is pre-filtered by the value it corrects
@@ -436,40 +410,9 @@ class TestBatchedDraws:
                     others.add(task.spawn_key)
                     for k in range(design.max_iter):
                         passes.update(substream(task, k, s).spawn_key for s in (0, 1))
-                        others.update(substream(task, k, b, 1).spawn_key
-                                      for b in range(design.B))
         count = design.R * 2 * len(design.estimators) * design.max_iter * 2
         assert len(passes) == count
         assert passes.isdisjoint(others)
-
-    def test_batched_estimator_failures_redraw_only_those_rows(
-        self, arfima_series, monkeypatch
-    ):
-        chosen = {0, 5, 99}
-        spec = EstimatorSpec("splw", 1)
-        cfg = BootstrapConfig(B=100, rng_stream=14)
-        clean = bias_correct(arfima_series, spec, 0.2, cfg).draws
-        real = bmod._estimate_rows
-        offset = {"rows": 0}
-
-        def failing(ystar, spec_):
-            values, ok, boundary = real(ystar, spec_)
-            rows = offset["rows"] + np.arange(len(ystar))
-            offset["rows"] += len(ystar)
-            ok = ok & ~np.isin(rows, list(chosen))
-            return np.where(ok, values, np.nan), ok, boundary
-
-        monkeypatch.setattr(bmod, "_estimate_rows", failing)
-        out = bias_correct(arfima_series, spec, 0.2, cfg)
-        assert out.retries == len(chosen)
-        assert offset["rows"] == cfg.B + len(chosen)
-        keep = [b for b in range(cfg.B) if b not in chosen]
-        assert np.array_equal(out.draws[keep], clean[keep])
-        sieve = prefilter_sieve(arfima_series, 0.2)
-        for b in chosen:
-            draw = bootstrap_draw(arfima_series, 0.2, cfg, sieve,
-                                  generator_at(14, 0, b, 1))
-            assert abs(out.draws[b] - estimate(draw, spec).d_hat) <= 1e-12
 
 
 class TestStoppingThresholds:
@@ -521,19 +464,19 @@ class TestStoppingThresholds:
 
 
 class TestIterate:
-    def test_immediate_stop_returns_corrected_value(self, arfima_series):
+    def test_immediate_stop_returns_corrected_value(self, arfima_series,
+                                                    monkeypatch):
+        monkeypatch.setattr(bmod, "stopping_thresholds",
+                            lambda *a: (math.inf, math.inf))
         spec = EstimatorSpec("lpr", 1)
         cfg = BootstrapConfig(B=16, rng_stream=31)
-        trace = iterate_bias_correct(
-            arfima_series, spec, cfg, max_iter=5,
-            thresholds_fn=lambda *a: (math.inf, math.inf),
-        )
+        trace = iterate_bias_correct(arfima_series, spec, cfg, max_iter=5)
         assert trace.stop_reason == "rule1"
         rec = trace.records[0]
         assert trace.final == rec.d_current - rec.bias_hat
 
     def test_nests_one_shot_correction(self, arfima_series):
-        # max_iter=1 with infinite thresholds reproduces bias_correct exactly
+        # one fixed pass reproduces bias_correct at the point estimate exactly
         spec = EstimatorSpec("lpr", 1)
         one = bias_correct(
             arfima_series, spec, estimate(arfima_series, spec).d_hat,
@@ -541,10 +484,13 @@ class TestIterate:
         )
         trace = iterate_bias_correct(
             arfima_series, spec, BootstrapConfig(B=24, rng_stream=33),
-            max_iter=1, thresholds_fn=lambda *a: (math.inf, math.inf),
+            max_iter=1, fixed=True,
         )
         assert trace.final == one.d_tilde
         assert np.array_equal(trace.outcomes[0].draws, one.draws)
+        first = trace.outcomes[0]
+        fields = ("d_f", "d_hat", "bias_hat", "d_tilde", "hpd")
+        assert [getattr(first, f) for f in fields] == [getattr(one, f) for f in fields]
 
     def test_deterministic_window_discards_update(self, arfima_series,
                                                   monkeypatch):
@@ -564,38 +510,36 @@ class TestIterate:
         assert trace.stop_reason == "deterministic"
         assert trace.final == 0.2
 
+    def test_fixed_passes_ignore_rules_and_window(self, arfima_series,
+                                                  monkeypatch):
+        # Every update leaves the window and the thresholds would stop at
+        # once; a fixed run still makes every pass.
+        monkeypatch.setattr(bmod, "stopping_thresholds",
+                            lambda *a: (math.inf, math.inf))
+        stub_estimates(monkeypatch, lambda s: -1.2)
+        trace = iterate_bias_correct(
+            arfima_series, EstimatorSpec("lpr", 0),
+            BootstrapConfig(B=12, rng_stream=35), max_iter=3, fixed=True,
+        )
+        assert [rec.stop_reason for rec in trace.records] == [None, None, "max-iter"]
+        assert trace.stop_reason == "max-iter"
+        assert trace.final == trace.records[-1].d_next
+        assert [rec.tau1 for rec in trace.records] == [math.inf] * 3
+
     def test_max_iter_cap_reported(self, arfima_series):
         spec = EstimatorSpec("lpr", 1)
         trace = iterate_bias_correct(
             arfima_series, spec, BootstrapConfig(B=16, rng_stream=37),
-            max_iter=3, thresholds_fn=lambda *a: (-math.inf, -math.inf),
-            deterministic_window=None,
+            max_iter=3, fixed=True,
         )
         assert trace.stop_reason == "max-iter"
         assert len(trace.records) == 3
+        N = bmod.bandwidth(arfima_series.size, spec.bandwidth_exponent, spec.P)
+        upsilon = bmod.asymptotic_sd(spec, N) * math.sqrt(N)
         for rec in trace.records:
             assert rec.d_next == rec.d_current - rec.bias_hat
-
-    def test_every_pass_counts_its_retries(self, arfima_series, monkeypatch):
-        # Fail chosen draws at iteration k = 1 only; k = 0 runs clean.
-        chosen = {2, 9, 13}
-        seen = {"n": -1}  # call 0 is the point estimate on the data
-        B = 16
-
-        def stub(s):
-            seen["n"] += 1
-            if B <= seen["n"] - 1 < 2 * B and seen["n"] - 1 - B in chosen:
-                return None  # chosen row at k = 1
-            return 0.1
-
-        stub_estimates(monkeypatch, stub)
-        trace = iterate_bias_correct(
-            arfima_series, EstimatorSpec("lpr", 0),
-            BootstrapConfig(B=B, rng_stream=41), max_iter=3,
-            thresholds_fn=lambda *a: (-math.inf, -math.inf),
-        )
-        assert [rec.retries for rec in trace.records] == [0, len(chosen), 0]
-        assert trace.outcomes[0].retries == trace.records[0].retries
+            # a fixed run still records the stopping rules' thresholds
+            assert (rec.tau1, rec.tau2) == stopping_thresholds(rec.k, N, 16, upsilon, 1)
 
     def test_trace_reproduces_stop_reason(self):
         y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.6), 300,

@@ -7,7 +7,14 @@ import pytest
 
 import longmem.bootstrap as bmod
 import longmem.cli as cmod
-from longmem import ArfimaParams, simulate_gaussian
+from longmem import (
+    ArfimaParams,
+    BootstrapConfig,
+    EstimatorSpec,
+    bias_correct,
+    estimate,
+    simulate_gaussian,
+)
 from longmem.cli import main
 from longmem.streams import generator_at
 
@@ -130,6 +137,22 @@ class TestBiasCorrect:
         out = proc.stdout
         for key in ("d_hat", "d_tilde", "bias_hat", "hpd95"):
             assert key in out
+
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_one_shot_prints_bias_correct(self, series_file, capsys, mode):
+        # The one-shot output is bias_correct pre-filtered by the estimate.
+        assert main(["bias-correct", "--in", str(series_file), "--family", "splw",
+                     "--P", "1", "--B", "40", "--mode", mode, "--seed", "3"]) == 0
+        y = np.loadtxt(series_file)
+        spec = EstimatorSpec("splw", 1)
+        cfg = BootstrapConfig(B=40, innovation_mode=mode, rng_stream=3)
+        out = bias_correct(y, spec, estimate(y, spec).d_hat, cfg)
+        assert capsys.readouterr().out == (
+            f"d_hat {out.d_hat:.10g}\n"
+            f"d_tilde {out.d_tilde:.10g}\n"
+            f"bias_hat {out.bias_hat:.10g}\n"
+            f"hpd95 {out.hpd[0]:.10g} {out.hpd[1]:.10g}\n"
+        )
 
     def test_iterate_prints_trace(self, series_file):
         proc = run_cli("bias-correct", "--in", str(series_file),

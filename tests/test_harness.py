@@ -1,4 +1,3 @@
-import math
 import os
 import time
 
@@ -119,11 +118,7 @@ class TestRunDesign:
         )
         spec = EstimatorSpec("lpr", 1)
         cfg = BootstrapConfig(B=24, rng_stream=task_stream(7, 0, 0, 0))
-        trace = iterate_bias_correct(
-            y, spec, cfg, max_iter=1,
-            thresholds_fn=lambda *a: (-math.inf, -math.inf),
-            deterministic_window=None,
-        )
+        trace = iterate_bias_correct(y, spec, cfg, max_iter=1, fixed=True)
         assert res[0].stats["bias"] == trace.final - 0.2
         assert res[0].R_effective == 1
 
@@ -178,6 +173,43 @@ class TestRunDesign:
         res = run_design(design)[0]
         assert res.R_effective == 2
         assert res.stats["n_failed"] == 1.0
+
+    def test_failed_draw_fails_only_its_task(self, monkeypatch):
+        # The pass of replication 1 loses one draw: that BBA task is counted
+        # as failed, and the plain task on the same series is untouched.
+        design = McDesign(
+            T_values=(64,), d_values=(0.2,), phi_values=(0.3,), R=3,
+            estimators=(parse_estimator_token("lpr0"),
+                        parse_estimator_token("lpr0-bba1")),
+            B=12, seed=13,
+        )
+        clean = run_design(design)
+        real = bmod._estimate_rows
+        passes = {"n": 0}
+
+        def failing(ystar, spec):
+            values, ok, boundary = real(ystar, spec)
+            passes["n"] += 1
+            if passes["n"] == 2:  # one block per pass, one pass per replication
+                ok[3] = False
+            return values, ok, boundary
+
+        monkeypatch.setattr(bmod, "_estimate_rows", failing)
+        plain, bba = run_design(design)
+        assert passes["n"] == design.R
+        assert (plain.stats, plain.R_effective) == (clean[0].stats, 3)
+        assert (bba.R_effective, bba.stats["n_failed"]) == (2, 1.0)
+        points = []
+        for r in (0, 2):
+            rng = np.random.default_rng(simulation_stream(13, 0, r))
+            y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 64, rng)
+            out = hmod._run_task(y, bba.task, design, task_stream(13, 0, r, 1))
+            points.append(out["point"])
+        assert bba.stats["bias"] == float(np.mean(np.array(points) - 0.2))
+        passes["n"] = 1  # the failing task keeps its reason
+        [(_, (_, bba_rows), _)] = hmod._block_worker(hmod._jobs(design)[1])
+        reason = f"draw 3 of pass 0 failed: {hmod._DEGENERATE}"
+        assert bba_rows == [{"failed": reason}]
 
     def test_ssr_task_estimates_data_once(self, monkeypatch):
         design = small_design(
@@ -237,11 +269,7 @@ class TestRunDesign:
             want = (d_hat, bias_correct(y, spec, d_hat, cfg).hpd, False)
         else:
             if task.correction == "bba":
-                trace = iterate_bias_correct(
-                    y, spec, cfg, max_iter=task.K,
-                    thresholds_fn=lambda *a: (-math.inf, -math.inf),
-                    deterministic_window=None,
-                )
+                trace = iterate_bias_correct(y, spec, cfg, max_iter=task.K, fixed=True)
             else:
                 trace = iterate_bias_correct(y, spec, cfg)
             hpd = trace.outcomes[0].hpd if task.hpd else None
