@@ -32,7 +32,6 @@ from .bootstrap import (
     IterationTrace,
     SieveFit,
     bias_correct,
-    bootstrap_draw,
     hpd_interval,
     iterate_bias_correct,
     prefilter_sieve,

@@ -52,8 +52,27 @@ class ArfimaParams:
             raise InvalidParameterError("sigma2 must be positive")
         if self.law not in ("gaussian", "student-t"):
             raise InvalidParameterError("law must be 'gaussian' or 'student-t'")
-        if self.law == "student-t" and not self.dof > 2.0:
-            raise InvalidParameterError("student-t dof must exceed 2")
+        if self.law == "student-t" and not 2.0 < self.dof < math.inf:
+            raise InvalidParameterError("student-t dof must be finite and exceed 2")
+
+
+def _parse_law(text):
+    """Split a law token into (law, dof).
+
+    The tokens are 'gaussian', 'student-t' (5 degrees of freedom) and
+    'student-t:DOF'; anything else raises InvalidParameterError.
+    """
+    law, colon, dof = text.partition(":")
+    if law == "gaussian" and not colon:
+        return "gaussian", 5.0
+    if law == "student-t":
+        try:
+            return "student-t", float(dof) if colon else 5.0
+        except ValueError:
+            pass
+    raise InvalidParameterError(
+        "law must be 'gaussian', 'student-t' or 'student-t:DOF'"
+    )
 
 
 @dataclass
@@ -525,9 +544,7 @@ def mle_fit(y, refine_tol=1e-6):
     DegenerateInputError
         A series that is identically zero.
     """
-    Y = _series_columns([y])
-    d0, phi0, ll0 = _grid_search_many(Y)
-    return _refine_one(Y[:, 0], float(d0[0]), float(phi0[0]), float(ll0[0]), refine_tol)
+    return mle_fit_many([y], refine_tol)[0]
 
 
 def mle_fit_many(ys, refine_tol=1e-6):

@@ -41,7 +41,6 @@ __all__ = [
     "IterationTrace",
     "IterationRecord",
     "prefilter_sieve",
-    "bootstrap_draw",
     "bias_correct",
     "stopping_thresholds",
     "iterate_bias_correct",
@@ -75,7 +74,8 @@ class BootstrapConfig:
     SeedSequence (or int seed). Pass k of a correction draws from two
     child streams: (k, 0) fills the B rows of innovations in draw order
     and (k, 1) gives the B starts of the seeding blocks. Draws are
-    reproducible and do not depend on how the pass is blocked.
+    reproducible and do not depend on how the pass is blocked. Every
+    pass builds an HPD interval, so B must be at least 10.
     """
 
     B: int
@@ -83,8 +83,10 @@ class BootstrapConfig:
     rng_stream: object = 0
 
     def __post_init__(self):
-        if self.B < 2:
-            raise InvalidParameterError("need at least B = 2 bootstrap draws")
+        if self.B < _MIN_DRAWS:
+            raise InvalidParameterError(
+                f"need at least B = {_MIN_DRAWS} bootstrap draws"
+            )
         if self.innovation_mode not in _MODES:
             raise InvalidParameterError(f"innovation mode must be one of {_MODES}")
         self.rng_stream = as_seed_sequence(self.rng_stream)
@@ -152,51 +154,16 @@ def prefilter_sieve(y, d_f):
     return SieveFit(d_f=float(d_f), filtered=w_f, fit=fit, residuals=res)
 
 
-def bootstrap_draw(y, d_f, config, sieve, rng):
-    """Generate one pre-filtered sieve bootstrap replica of the data.
-
-    Innovations are drawn from `rng` per ``config.innovation_mode``, then
-    the AR path is seeded with an h-block of the filtered series starting
-    at a uniform random position drawn from the same `rng`, and the
-    inverse filter (-d_f) maps the path back to the observation scale.
-    Both filters run as one causal convolution (see :func:`_draw_spectrum`).
-    A bias-correction pass builds its B replicas by the same step, but
-    draws their innovations and starts from two pass streams instead of
-    one generator per draw (see :func:`_estimate_draws`).
-
-    Parameters
-    ----------
-    y : array_like
-        Original series (defines the length).
-    d_f : float
-        Pre-filtering value used to build `sieve`.
-    config : BootstrapConfig
-    sieve : SieveFit
-        Output of :func:`prefilter_sieve` for (y, d_f).
-    rng : numpy.random.Generator
-        Private stream of this draw.
-
-    Returns
-    -------
-    ndarray
-        Bootstrap series of the same length as `y`.
-    """
-    T = np.asarray(y).size
-    eps = _innovations(config, sieve, rng, 1)
-    tau = _starts(sieve, rng, 1)
-    return _draw_rows(sieve, eps, tau, _draw_spectrum(sieve, T, d_f))[0]
-
-
-def _draw_spectrum(sieve, T, d_f):
+def _draw_spectrum(sieve):
     """Spectrum of the draw filter: the sieve's AR recursion, then (1-z)**-d_f.
 
-    Its kernel is the inverse fractional filter applied to the first T
-    weights of the AR impulse response, so a draw is one causal
-    convolution of the innovations (shifted by the pre-sample offsets).
-    Built once per pass and shared by every block of draws.
+    Its kernel is the inverse fractional filter (the sieve's d_f) applied
+    to the first T weights of the AR impulse response, so a draw is one
+    causal convolution of the innovations (shifted by the pre-sample
+    offsets). Built once per pass and shared by every block of draws.
     """
-    psi = _impulse_response(sieve.fit.phi, T)
-    return _causal_spectrum(apply_frac_filter(psi, -d_f))
+    psi = _impulse_response(sieve.fit.phi, sieve.filtered.size)
+    return _causal_spectrum(apply_frac_filter(psi, -sieve.d_f))
 
 
 def _innovations(config, sieve, rng, n):
@@ -243,9 +210,8 @@ def _estimate_draws(y, d_f, config, iteration, spec):
     :class:`EstimationFailedError` naming the draw and the pass.
     """
     sieve = prefilter_sieve(y, d_f)
-    T = sieve.filtered.size
-    spectrum = _draw_spectrum(sieve, T, d_f)
-    rows = max(1, _BLOCK_VALUES // T)
+    spectrum = _draw_spectrum(sieve)
+    rows = max(1, _BLOCK_VALUES // sieve.filtered.size)
     innovations_rng = generator_at(config.rng_stream, iteration, 0)
     tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
     draws = np.empty(config.B)
@@ -297,7 +263,6 @@ def bias_correct(
     if not np.isfinite(d_f):
         raise InvalidParameterError("pre-filter value must be finite")
     _check_tails(alpha_lower, alpha_upper)
-    _check_draws(config)
     y = np.asarray(y, dtype=float)
     d_hat = estimate(y, spec).d_hat
     draws = _estimate_draws(y, d_f, config, 0, spec)
@@ -417,7 +382,6 @@ def iterate_bias_correct(
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
     _check_tails(alpha_lower, alpha_upper)
-    _check_draws(config)
 
     y = np.asarray(y, dtype=float)
     n_band = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
@@ -476,14 +440,6 @@ def _check_tails(alpha_lower, alpha_upper):
     """Reject HPD tail masses that are negative or sum to 1 or more."""
     if min(alpha_lower, alpha_upper) < 0.0 or not alpha_lower + alpha_upper < 1.0:
         raise InvalidParameterError("tail masses must lie in [0, 1) and sum below 1")
-
-
-def _check_draws(config):
-    """Reject fewer draws than a correction pass needs for its HPD interval."""
-    if config.B < _MIN_DRAWS:
-        raise InvalidParameterError(
-            f"a bias correction needs at least B = {_MIN_DRAWS} draws"
-        )
 
 
 def hpd_interval(draws, d_hat, alpha_lower=0.025, alpha_upper=0.025):

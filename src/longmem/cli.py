@@ -6,8 +6,8 @@ import sys
 
 import numpy as np
 
-from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
-from .bootstrap import _MIN_DRAWS, BootstrapConfig, iterate_bias_correct
+from .arfima import ArfimaParams, _parse_law, _simulate_rows, _standardized_deviates
+from .bootstrap import BootstrapConfig, iterate_bias_correct
 from .estimators import EstimatorSpec, estimate
 from .exceptions import (
     DegenerateInputError,
@@ -16,7 +16,7 @@ from .exceptions import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .harness import _parse_law, emit_tables, load_design, run_design
+from .harness import emit_tables, load_design, run_design
 from .streams import generator_at
 
 _SEED_ENV = "LONGMEM_SEED"
@@ -83,14 +83,10 @@ def _cmd_estimate(args):
 
 
 def _cmd_bias_correct(args):
-    if args.B < _MIN_DRAWS:
-        raise InvalidParameterError(
-            f"--B must be at least {_MIN_DRAWS} for the hpd95 interval"
-        )
-    y = _read_series(args.infile)
-    spec = EstimatorSpec(args.family, args.P, args.bandwidth_exp)
     seed = _default_seed(args.seed)
     config = BootstrapConfig(B=args.B, innovation_mode=args.mode, rng_stream=seed)
+    y = _read_series(args.infile)
+    spec = EstimatorSpec(args.family, args.P, args.bandwidth_exp)
     trace = iterate_bias_correct(
         y,
         spec,
@@ -141,7 +137,9 @@ def build_parser():
     sim.add_argument("--T", type=int, required=True, help="series length")
     sim.add_argument("--n", type=int, default=1, help="number of series (columns)")
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--law", default="gaussian", help="gaussian or student-t:DOF")
+    sim.add_argument(
+        "--law", default="gaussian", help="gaussian, student-t or student-t:DOF"
+    )
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 

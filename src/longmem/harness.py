@@ -23,14 +23,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
-from .bootstrap import (
-    _BLOCK_VALUES,
-    _MIN_DRAWS,
-    _MODES,
-    BootstrapConfig,
-    iterate_bias_correct,
-)
+from .arfima import ArfimaParams, _parse_law, _simulate_rows, _standardized_deviates
+from .bootstrap import _BLOCK_VALUES, _MODES, BootstrapConfig, iterate_bias_correct
 from .estimators import _DEGENERATE, EstimatorSpec, _estimate_rows, asymptotic_sd
 from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
 from .spectral import bandwidth
@@ -108,7 +102,10 @@ class EstimatorTask:
 
 
 def parse_estimator_token(token):
-    """Parse tokens like 'lpr0', 'splw2-ssr', 'lpr1-bba2-hpd'."""
+    """Parse tokens like 'lpr0', 'splw2-ssr', 'lpr1-bba2-hpd'.
+
+    Each suffix may appear once, and at most one of '-ssr' and '-bbaK'.
+    """
     parts = token.strip().lower().split("-")
     head = parts[0]
     if head.startswith("lpr"):
@@ -123,18 +120,20 @@ def parse_estimator_token(token):
         raise InvalidParameterError(f"missing correction order in '{token}'") from None
     correction, K, hpd = "none", 0, False
     for part in parts[1:]:
-        if part == "hpd":
+        if part == "hpd" and not hpd:
             hpd = True
-        elif part == "ssr":
+        elif part == "ssr" and correction == "none":
             correction = "ssr"
-        elif part.startswith("bba"):
+        elif part.startswith("bba") and correction == "none":
             correction = "bba"
             try:
                 K = int(part[3:])
             except ValueError:
                 raise InvalidParameterError(f"bad BBA count in '{token}'") from None
         else:
-            raise InvalidParameterError(f"unknown suffix '{part}' in '{token}'")
+            raise InvalidParameterError(
+                f"unknown, repeated or second correction suffix '{part}' in '{token}'"
+            )
     return EstimatorTask(family=family, P=P, correction=correction, K=K, hpd=hpd)
 
 
@@ -168,8 +167,6 @@ class McDesign:
             raise InvalidDesignError("need at least one replication")
         if not self.estimators:
             raise InvalidDesignError("need at least one estimator task")
-        if any(t.needs_bootstrap for t in self.estimators) and self.B < _MIN_DRAWS:
-            raise InvalidDesignError(f"bootstrap tasks require B >= {_MIN_DRAWS}")
         if self.mode not in _MODES:
             raise InvalidDesignError(f"mode must be one of {_MODES}")
         if self.max_iter < 1:
@@ -178,11 +175,17 @@ class McDesign:
             raise InvalidDesignError("hpd_tails must both lie in [0, 1)")
         if self.alpha_lower + self.alpha_upper >= 1.0:
             raise InvalidDesignError("hpd_tails must sum to less than 1")
+        try:
+            as_seed_sequence(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise InvalidDesignError(f"bad seed {self.seed!r}: {exc}") from exc
         for task in self.estimators:
             try:
                 EstimatorSpec(task.family, task.P, self.bandwidth_exponent)
                 for T in self.T_values:
                     bandwidth(T, self.bandwidth_exponent, task.P)
+                if task.needs_bootstrap:
+                    BootstrapConfig(self.B, self.mode)
             except InvalidParameterError as exc:
                 raise InvalidDesignError(f"task {task.name}: {exc}") from exc
         for d, phi in product(self.d_values, self.phi_values):
@@ -587,20 +590,6 @@ _SCALAR_KEYS = {
     "max_iter",
     "hpd_tails",
 }
-
-
-def _parse_law(text):
-    """Split a law token ('gaussian' or 'student-t[:DOF]') into (law, dof)."""
-    if text == "gaussian":
-        return "gaussian", 5.0
-    if text.startswith("student-t"):
-        dof = 5.0
-        if ":" in text:
-            dof = float(text.split(":", 1)[1])
-        return "student-t", dof
-    raise InvalidParameterError(
-        "law must be 'gaussian' or 'student-t:DOF'"
-    )
 
 
 def load_design(path, default_seed=None):

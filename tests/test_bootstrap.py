@@ -14,7 +14,6 @@ from longmem import (
     McDesign,
     SieveFit,
     bias_correct,
-    bootstrap_draw,
     estimate,
     hpd_interval,
     iterate_bias_correct,
@@ -28,7 +27,6 @@ import longmem.bootstrap as bmod
 import longmem.estimators as est_mod
 from longmem.arsieve import (
     ArFit,
-    _run_sieve,
     ar_residuals,
     burg_fit,
     default_max_order,
@@ -95,74 +93,29 @@ class TestSieve:
 
 
 class TestDraws:
-    def test_deterministic_given_stream(self, arfima_series):
-        cfg = BootstrapConfig(B=2, rng_stream=3)
-        sieve = prefilter_sieve(arfima_series, 0.2)
-        a = bootstrap_draw(arfima_series, 0.2, cfg, sieve, generator_at(3, 0))
-        b = bootstrap_draw(arfima_series, 0.2, cfg, sieve, generator_at(3, 0))
-        assert np.array_equal(a, b)
-
-    def test_pipeline_matches_hand_assembly(self, arfima_series):
-        # same rng stream consumed in the documented order: innovations,
-        # then the start of the seeding block
-        y = arfima_series
-        cfg = BootstrapConfig(B=2, rng_stream=3)
-        sieve = prefilter_sieve(y, 0.2)
-        draw = bootstrap_draw(y, 0.2, cfg, sieve, generator_at(7, 1))
-        rng = generator_at(7, 1)
-        T = y.size
-        h = sieve.fit.order
-        eps = sieve.residuals.scale * rng.standard_normal(T)
-        tau = int(rng.integers(h, T + 1))
-        init = sieve.filtered[tau - h : tau]
-        spectrum = bmod._draw_spectrum(sieve, T, 0.2)
-        assert np.array_equal(draw, _run_sieve(sieve.fit.phi, eps, init, spectrum))
-        # One fused convolution: the AR path, then the inverse filter.
-        two_stage = apply_frac_filter(simulate_ar_path(sieve.fit, eps, init), -0.2)
-        assert np.abs(draw - two_stage).max() <= 1e-13 * np.abs(two_stage).max()
-
     def test_zero_prefilter_reduces_to_raw_sieve(self):
-        # with d_f = 0 the filter steps are identities: the draw equals the
-        # sieve path itself
+        # with d_f = 0 the filter steps are identities: every draw of the
+        # pass equals the sieve path itself
         y = simulate_gaussian(ArfimaParams(d=0.0, phi=0.5), 400,
                               np.random.default_rng(21))
-        cfg = BootstrapConfig(B=2, rng_stream=5)
+        cfg = BootstrapConfig(B=10, rng_stream=5)
         sieve = prefilter_sieve(y, 0.0)
         assert np.array_equal(sieve.filtered, y)
-        draw = bootstrap_draw(y, 0.0, cfg, sieve, generator_at(5, 0))
-        rng = generator_at(5, 0)
-        eps = sieve.residuals.scale * rng.standard_normal(y.size)
-        tau = int(rng.integers(sieve.fit.order, y.size + 1))
-        w_star = simulate_ar_path(
-            sieve.fit, eps, sieve.filtered[tau - sieve.fit.order : tau]
-        )
-        assert np.array_equal(draw, w_star)
+        rows = pass_rows(y, 0.0, cfg, 0, sieve)
+        T, h = y.size, sieve.fit.order
+        eps = generator_at(5, 0, 0).standard_normal((cfg.B, T)) * sieve.residuals.scale
+        tau = generator_at(5, 0, 1).integers(h, T + 1, size=cfg.B)
+        init = sieve.filtered[tau[:, None] + np.arange(-h, 0)]
+        assert np.array_equal(rows, simulate_ar_path(sieve.fit, eps, init))
 
     def test_order_zero_parametric_variance(self):
         y = np.random.default_rng(3).standard_normal(2000)
-        cfg = BootstrapConfig(B=2, rng_stream=1)
-        w_f = apply_frac_filter(y, 0.3)
-        fit0 = ArFit(order=0, phi=[1.0], sigma2=1.0)
-        res0 = ar_residuals(w_f, fit0)
-        sieve0 = SieveFit(d_f=0.3, filtered=w_f, fit=fit0, residuals=res0)
-        ystar = bootstrap_draw(y, 0.3, cfg, sieve0, np.random.default_rng(500))
-        w_star = apply_frac_filter(ystar, 0.3)
-        assert abs(w_star.var() - res0.scale ** 2) / res0.scale ** 2 < 0.10
-
-    def test_nonparametric_innovations_resample_residuals(self, arfima_series):
-        cfg = BootstrapConfig(B=2, innovation_mode="nonparametric", rng_stream=2)
-        sieve = prefilter_sieve(arfima_series, 0.2)
-        draw = bootstrap_draw(arfima_series, 0.2, cfg, sieve, generator_at(2, 0))
-        rng = generator_at(2, 0)
-        T = arfima_series.size
-        picks = rng.integers(0, T, size=T)
-        eps = sieve.residuals.scale * sieve.residuals.standardized[picks]
-        tau = int(rng.integers(sieve.fit.order, T + 1))
-        init = sieve.filtered[tau - sieve.fit.order : tau]
-        spectrum = bmod._draw_spectrum(sieve, T, 0.2)
-        assert np.array_equal(draw, _run_sieve(sieve.fit.phi, eps, init, spectrum))
-        two_stage = apply_frac_filter(simulate_ar_path(sieve.fit, eps, init), -0.2)
-        assert np.abs(draw - two_stage).max() <= 1e-13 * np.abs(two_stage).max()
+        cfg = BootstrapConfig(B=10, rng_stream=500)
+        sieve0 = order_zero_sieve(y, 0.3)
+        scale2 = sieve0.residuals.scale ** 2
+        w_star = apply_frac_filter(pass_rows(y, 0.3, cfg, 0, sieve0), 0.3)
+        for row in w_star:
+            assert abs(row.var() - scale2) / scale2 < 0.10
 
     @pytest.mark.parametrize("h", [0, 1, 4])
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
@@ -180,11 +133,15 @@ class TestDraws:
             else:
                 eps = sieve.residuals.standardized[rng.integers(0, T, size=(cfg.B, T))]
             tau = rng.integers(h, T + 1, size=cfg.B) if h else np.zeros(cfg.B, int)
-            got = bmod._draw_rows(sieve, eps, tau, bmod._draw_spectrum(sieve, T, d_f))
+            got = bmod._draw_rows(sieve, eps, tau, bmod._draw_spectrum(sieve))
             for row, e, t in zip(got, eps, tau):
                 e = e * sieve.residuals.scale
-                want = draw_lfilter(fit.phi, e, sieve.filtered[t - h : t], d_f)
+                init = sieve.filtered[t - h : t]
+                want = draw_lfilter(fit.phi, e, init, d_f)
                 assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
+                # One fused convolution: the AR path, then the inverse filter.
+                two_stage = apply_frac_filter(simulate_ar_path(fit, e, init), -d_f)
+                assert np.abs(row - two_stage).max() <= 1e-13 * np.abs(two_stage).max()
 
 
 class TestBiasCorrect:
@@ -312,7 +269,7 @@ def pass_rows(y, d_f, cfg, k, sieve=None):
     tau = np.zeros(cfg.B, dtype=int)
     if h:
         tau = generator_at(cfg.rng_stream, k, 1).integers(h, T + 1, size=cfg.B)
-    return bmod._draw_rows(sieve, eps, tau, bmod._draw_spectrum(sieve, T, d_f))
+    return bmod._draw_rows(sieve, eps, tau, bmod._draw_spectrum(sieve))
 
 
 def order_zero_sieve(y, d_f):
@@ -636,15 +593,16 @@ class TestHpd:
     @pytest.mark.parametrize("iterate", [False, True])
     def test_too_few_draws_rejected_before_any_estimate(self, arfima_series,
                                                         monkeypatch, B, iterate):
-        # Every pass builds an HPD interval, which needs ten draws.
+        # Every pass builds an HPD interval, which needs ten draws; the
+        # config itself refuses fewer, so neither entry point starts.
         def forbidden(*args):
             raise AssertionError("estimate made")
 
         for module in (bmod, est_mod):
             monkeypatch.setattr(module, "_estimate_rows", forbidden)
         spec = EstimatorSpec("lpr", 0)
-        cfg = BootstrapConfig(B=B, rng_stream=4)
         with pytest.raises(InvalidParameterError, match="at least B = 10"):
+            cfg = BootstrapConfig(B=B, rng_stream=4)
             if iterate:
                 iterate_bias_correct(arfima_series, spec, cfg)
             else:

@@ -90,9 +90,13 @@ class TestSimulate:
         assert proc.returncode == 0
 
     def test_bad_law_exit_2(self, tmp_path):
-        proc = run_cli("simulate", "--d", "0.1", "--phi", "0.0", "--T", "50",
-                       "--law", "cauchy", "--out", str(tmp_path / "x.csv"))
-        assert proc.returncode == 2
+        out = tmp_path / "x.csv"
+        for law in ("cauchy", "student-t7", "student-tx:3", "gaussian:3",
+                    "student-t:inf"):
+            proc = run_cli("simulate", "--d", "0.1", "--phi", "0.0", "--T", "50",
+                           "--law", law, "--out", str(out))
+            assert proc.returncode == 2
+            assert not out.exists()
 
 
 class TestEstimate:
@@ -190,7 +194,7 @@ class TestBiasCorrect:
             monkeypatch.setattr(module, name, forbidden)
         assert main(["bias-correct", "--in", str(series_file), "--family", "lpr",
                      "--B", B, *form]) == 2
-        assert "--B" in capsys.readouterr().err
+        assert "at least B = 10" in capsys.readouterr().err
 
     def test_deterministic_given_seed(self, series_file):
         args = ("bias-correct", "--in", str(series_file), "--family", "lpr",
@@ -221,6 +225,9 @@ class TestMcRun:
         for text in (
             "T = 64\nnope = 1\n",
             "T = 64\nd = 0\nphi = 0.3\nR = 2\nestimators = lpr0\nlaw = bogus\n",
+            "T = 64\nd = 0\nphi = 0.3\nR = 2\nestimators = lpr0\nlaw = student-t7\n",
+            "T = 64\nd = 0\nphi = 0.3\nR = 2\nestimators = lpr0\nseed = -1\n",
+            boot.replace("lpr0-ssr-hpd", "splw0-bba2-ssr"),
             boot + "max_iter = 0\n",
             boot + "hpd_tails = 0.6, 0.5\n",
             boot + "hpd_tails = -0.2, 0.1\n",

@@ -66,7 +66,10 @@ class TestTokens:
     def test_round_trip_names(self, token, name):
         assert parse_estimator_token(token).name == name
 
-    @pytest.mark.parametrize("token", ["ols0", "lpr", "lpr1-bbaX", "lpr1-foo"])
+    @pytest.mark.parametrize("token", [
+        "ols0", "lpr", "lpr1-bbaX", "lpr1-foo",
+        "splw0-bba2-ssr", "lpr1-ssr-bba2", "lpr1-bba1-bba3", "lpr1-hpd-hpd",
+    ])
     def test_bad_tokens_rejected(self, token):
         with pytest.raises(InvalidParameterError):
             parse_estimator_token(token)
@@ -91,9 +94,10 @@ class TestDesign:
             dict(alpha_lower=-0.2, alpha_upper=0.1),
             dict(B=5, estimators=(parse_estimator_token("lpr0-bba1"),)),
             dict(B=9, estimators=(parse_estimator_token("splw1-ssr"),)),
+            dict(seed=-1),
         ],
         ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d", "max_iter",
-             "tails_sum", "tail_negative", "bba_B", "ssr_B"],
+             "tails_sum", "tail_negative", "bba_B", "ssr_B", "seed"],
     )
     def test_infeasible_design_rejected(self, bad):
         with pytest.raises(InvalidDesignError):
