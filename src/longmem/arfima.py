@@ -271,40 +271,47 @@ def _acvf_rows(d_values, phi, T, m_tail, frac_rows=None):
 
 
 # The one likelihood kernel of the MLE: the grid stage and every
-# refinement stencil run through it.
+# refinement round run through it.
 def _profile_loglik_batch(Y, gammas):
-    """Concentrated Gaussian log-likelihoods for many ACVFs and many series.
+    """Concentrated Gaussian log-likelihoods of k independent problems.
+
+    Problem i evaluates its g ACVF rows on its r series. One
+    Durbin-Levinson sweep runs over all k * g rows, and each step is one
+    stacked matmul of every problem's prediction coefficients with its
+    own series, so a problem's values do not depend on the problems
+    stacked with it. The grid stage is the k = 1 case; a refinement
+    round stacks one 9-point stencil per live series.
 
     Parameters
     ----------
-    Y : ndarray (T, R)
-        Columns are series.
-    gammas : ndarray (G, T)
-        Unit-variance ACVF rows, one per parameter point.
+    Y : ndarray (k, T, r)
+        Columns of Y[i] are the series of problem i.
+    gammas : ndarray (k, g, T)
+        Unit-variance ACVF rows of problem i, one per parameter point.
 
     Returns
     -------
-    ll : ndarray (G, R)
+    ll : ndarray (k, g, r)
         Profile log-likelihood (sigma2 maximized out analytically); -inf
         where the ACVF row is not positive definite.
-    sigma2 : ndarray (G, R)
+    sigma2 : ndarray (k, g, r)
         Profiling variances.
     """
-    T = gammas.shape[1]
-    # Y_rev[T-1-t] = Y[t], so the lagged values a step reads are a
+    k, g, T = gammas.shape
+    # Y_rev[:, T-1-t] = Y[:, t], so the lagged values a step reads are a
     # contiguous forward slice.
-    Y_rev = np.ascontiguousarray(Y[::-1])
-    steps = _durbin_levinson(gammas)
+    Y_rev = np.ascontiguousarray(Y[:, ::-1])
+    steps = _durbin_levinson(gammas.reshape(k * g, T))
     _, _, _, v, bad = next(steps)
     sumlog = np.log(v)
-    quad = Y[0][None, :] ** 2 / v[:, None]
+    quad = Y[:, :1] ** 2 / v.reshape(k, g, 1)
     for t, _, b, v, _ in steps:
         sumlog += np.log(v)
-        e = Y[t][None, :] - b @ Y_rev[T - t :]
-        quad += e * e / v[:, None]
+        e = Y[:, t : t + 1] - b.reshape(k, g, t) @ Y_rev[:, T - t :]
+        quad += e * e / v.reshape(k, g, 1)
     sigma2 = quad / T
-    ll = -0.5 * T * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * sumlog[:, None]
-    ll[bad] = -np.inf
+    ll = -0.5 * T * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * sumlog.reshape(k, g, 1)
+    ll[bad.reshape(k, g)] = -np.inf
     return ll, sigma2
 
 
@@ -322,9 +329,9 @@ class MleResult:
 _D_BOUNDS = (-0.49, 0.49)
 _PHI_BOUNDS = (-0.99, 0.99)
 _GRID_STEP = 0.02
-# ACVF values per call of the batched kernel in the grid stage: whole phi
-# rows of the grid are stacked up to this size, which bounds the memory of
-# a call while amortizing its Python steps over many grid points.
+# ACVF values per call of the batched kernel: whole phi rows of the grid,
+# or whole refinement stencils, are stacked up to this size, which bounds
+# the memory of a call while amortizing its Python steps over many points.
 _BLOCK_VALUES = 2 ** 15
 # Refinement: central-difference step of the likelihood stencil, cap on
 # the Newton step per coordinate, and cap on the Newton iterations.
@@ -363,7 +370,7 @@ def _grid_search_many(Y):
         gammas = np.concatenate(
             [_acvf_rows(d_grid, phi, T, _tail(phi), frac) for phi in phis]
         )
-        ll, _ = _profile_loglik_batch(Y, gammas)
+        ll = _profile_loglik_batch(Y[None], gammas[None])[0][0]
         # Rows run phi-major, so the first maximum is the one a sweep over
         # phi, then d, would keep.
         idx = np.argmax(ll, axis=0)
@@ -375,32 +382,38 @@ def _grid_search_many(Y):
     return best_d, best_phi, best_ll
 
 
-def _loglik_stencil(y, x):
-    """Profile log-likelihood at x = (d, phi), with its gradient and Hessian.
+def _stencil_rows(x, T):
+    """ACVF rows of the 3 x 3 stencil x + h (i, j), i, j in {-1, 0, 1}.
 
-    Central differences on the 3 x 3 stencil x + h (i, j), i, j in
-    {-1, 0, 1}, whose nine points run through one call of the batched
-    kernel. The centre, row 4, is x itself and supplies the returned
-    log-likelihood and sigma2. The stencil may reach h past the search
-    box, which stays inside the stationary, invertible region.
+    Rows run phi-major, so row 4 is the centre x = (d, phi). The three
+    fractional-noise ACVFs are built once, at the widest of the three phi
+    tails. The stencil may reach h past the search box, which stays
+    inside the stationary, invertible region.
+    """
+    steps = _STENCIL_STEP * np.arange(-1, 2)
+    d_values = x[0] + steps
+    phis = x[1] + steps
+    need = max(T, 2) + max(_tail(phi) for phi in phis)
+    frac = np.array([_fractional_acvf(d, 1.0, need) for d in d_values])
+    return np.concatenate(
+        [_acvf_rows(d_values, phi, T, _tail(phi), frac) for phi in phis]
+    )
 
-    Returns
-    -------
-    (loglik, sigma2, grad, hess)
+
+def _stencil_fit(ll, sigma2):
+    """(loglik, sigma2, grad, hess) from the nine kernel values of a stencil.
+
+    The centre supplies the log-likelihood and sigma2, and central
+    differences the gradient and Hessian.
     """
     h = _STENCIL_STEP
-    steps = h * np.arange(-1, 2)
-    gammas = np.concatenate(
-        [_acvf_rows(x[0] + steps, phi, y.size, _tail(phi)) for phi in x[1] + steps]
-    )
-    ll, sigma2 = _profile_loglik_batch(y[:, None], gammas)
-    F = ll[:, 0].reshape(3, 3).T  # F[d, phi]
+    F = ll.reshape(3, 3).T  # F[d, phi]
     grad = np.array([F[2, 1] - F[0, 1], F[1, 2] - F[1, 0]]) / (2.0 * h)
     h_dd = F[2, 1] - 2.0 * F[1, 1] + F[0, 1]
     h_pp = F[1, 2] - 2.0 * F[1, 1] + F[1, 0]
     h_dp = (F[2, 2] - F[2, 0] - F[0, 2] + F[0, 0]) / 4.0
     hess = np.array([[h_dd, h_dp], [h_dp, h_pp]]) / (h * h)
-    return float(ll[4, 0]), float(sigma2[4, 0]), grad, hess
+    return float(ll[4]), float(sigma2[4]), grad, hess
 
 
 def _newton_step(x, grad, hess, lo, hi):
@@ -423,21 +436,24 @@ def _newton_step(x, grad, hess, lo, hi):
     return step
 
 
-def _refine_one(y, d0, phi0, ll0, tol):
+def _refine_one(d0, phi0, ll0, tol):
     """Maximize the profile log-likelihood from a grid point by projected Newton.
 
-    Every point is one stencil (:func:`_loglik_stencil`): its centre gives
-    the log-likelihood and its differences the gradient and Hessian of a
-    projected Newton step (:func:`_newton_step`). The step is halved until
-    the log-likelihood at the trial stencil does not fall; a lower
-    log-likelihood is never accepted, and an accepted trial's stencil
-    supplies the next step. The search stops once the step, clipped to
-    the box, is shorter than `tol` in every coordinate.
+    A generator: it yields every point x it needs and receives back the
+    (loglik, sigma2, grad, hess) of the stencil at x (:func:`_stencil_fit`),
+    so :func:`mle_fit_many` can evaluate the points of many searches in
+    one kernel call; its return value is the MleResult. The stencil's
+    centre gives the log-likelihood and its differences the gradient and
+    Hessian of a projected Newton step (:func:`_newton_step`). The step is
+    halved until the log-likelihood at the trial stencil does not fall; a
+    lower log-likelihood is never accepted, and an accepted trial's
+    stencil supplies the next step. The search stops once the step,
+    clipped to the box, is shorter than `tol` in every coordinate.
     """
     lo = np.array([_D_BOUNDS[0], _PHI_BOUNDS[0]])
     hi = np.array([_D_BOUNDS[1], _PHI_BOUNDS[1]])
     x = np.array([d0, phi0])
-    f, sigma2, grad, hess = _loglik_stencil(y, x)
+    f, sigma2, grad, hess = yield x
     evals = 9
     converged = False
     for _ in range(_MAX_NEWTON):
@@ -449,7 +465,7 @@ def _refine_one(y, d0, phi0, ll0, tol):
             if np.abs(x_new - x).max() < tol:
                 converged = True
                 break
-            trial = _loglik_stencil(y, x_new)
+            trial = yield x_new
             evals += 9
             if trial[0] >= f:
                 x = x_new
@@ -520,6 +536,7 @@ def mle_fit(y, refine_tol=1e-6):
     never accepts a lower log-likelihood, bounds that the gradient pushes
     against held fixed, and the search stops once the step is below
     `refine_tol`. Every ACVF carries an AR(1) tail sized to its own phi.
+    This is the one-series case of :func:`mle_fit_many`.
 
     Parameters
     ----------
@@ -543,19 +560,49 @@ def mle_fit(y, refine_tol=1e-6):
         Input that is not a finite 1-D series of length >= 20.
     DegenerateInputError
         A series that is identically zero.
+    EstimationFailedError
+        A refinement that neither converges nor reaches the grid's
+        log-likelihood.
     """
     return mle_fit_many([y], refine_tol)[0]
 
 
 def mle_fit_many(ys, refine_tol=1e-6):
-    """Fit many same-length series; the grid stage is shared across series.
+    """Fit many same-length series; each likelihood sweep serves them all.
 
-    Validates like :func:`mle_fit`; an empty sequence or series of unequal
-    lengths also raise :class:`InvalidParameterError`.
+    The grid stage evaluates every series in each call of the batched
+    kernel. The refinement then runs in lockstep rounds: each round takes
+    the pending stencil point of every live series and evaluates all of
+    them in one stacked kernel call (split in whole stencils to about
+    2**15 ACVF values per call), and a series leaves once its search
+    stops. A fit does not depend on the series fitted with it, except for
+    ``grid_loglik``, whose rounding follows how many series share the
+    grid's matmuls. Validates like :func:`mle_fit`; an empty sequence or
+    series of unequal lengths also raise :class:`InvalidParameterError`.
     """
     Y = _series_columns(ys)
+    T, R = Y.shape
     d0, phi0, ll0 = _grid_search_many(Y)
-    return [
-        _refine_one(Y[:, r], float(d0[r]), float(phi0[r]), float(ll0[r]), refine_tol)
-        for r in range(Y.shape[1])
+    searches = [
+        _refine_one(float(d0[r]), float(phi0[r]), float(ll0[r]), refine_tol)
+        for r in range(R)
     ]
+    pending = {r: next(search) for r, search in enumerate(searches)}
+    series = np.ascontiguousarray(Y.T)[:, :, None]
+    per_call = max(1, _BLOCK_VALUES // (9 * T))
+    fits = [None] * R
+    while pending:
+        live = list(pending)
+        values = []
+        for start in range(0, len(live), per_call):
+            block = live[start : start + per_call]
+            gammas = np.stack([_stencil_rows(pending[r], T) for r in block])
+            ll, sigma2 = _profile_loglik_batch(series[block], gammas)
+            values += map(_stencil_fit, ll[:, :, 0], sigma2[:, :, 0])
+        for r, value in zip(live, values):
+            try:
+                pending[r] = searches[r].send(value)
+            except StopIteration as stop:
+                fits[r] = stop.value
+                del pending[r]
+    return fits

@@ -7,11 +7,12 @@ compared on common data. Random streams are pure functions of
 reproducible bit-for-bit at any worker count.
 
 A job is one contiguous block of replications of a group of cells that
-share T (see :func:`_jobs`). One batched Durbin-Levinson sweep simulates
+share T (see :func:`_jobs`); a design with a bootstrap task takes blocks
+of up to 16 replications. One batched Durbin-Levinson sweep simulates
 every series of the job, each plain task estimates all of its rows in
-one batched call, and bootstrap tasks run per (cell, replication). The
-layout depends on the design alone, and one process pool serves every
-job of the design.
+one batched call, and bootstrap tasks run per (cell, replication), each
+on its own task stream. The layout depends on the design alone, and one
+process pool serves every job of the design.
 """
 
 import csv
@@ -175,6 +176,9 @@ class McDesign:
             raise InvalidDesignError("hpd_tails must both lie in [0, 1)")
         if self.alpha_lower + self.alpha_upper >= 1.0:
             raise InvalidDesignError("hpd_tails must sum to less than 1")
+        if self.seed is None:
+            # SeedSequence(None) draws fresh OS entropy in every job.
+            raise InvalidDesignError("seed must be given; None is not reproducible")
         try:
             as_seed_sequence(self.seed)
         except (TypeError, ValueError) as exc:
@@ -337,7 +341,9 @@ def _jobs(design):
 
     A job is one replication block start..stop-1 of a group of cells that
     share T; `cells` holds their (index, (T, d, phi)) pairs. The block is
-    one replication when the design has a bootstrap task and about
+    up to 16 replications when the design has a bootstrap task, enough
+    for one simulation sweep to serve many rows while a design of a few
+    hundred replications still spreads over the workers, and about
     ``_BLOCK_VALUES`` simulated values per cell otherwise. Whole cell
     blocks are grouped in design order, up to about ``_JOB_VALUES``
     values per job; a cell's block is never split to fit more cells.
@@ -348,7 +354,7 @@ def _jobs(design):
     jobs = []
     for T, group in groupby(design.cells(), key=lambda cell: cell[1][0]):
         group = tuple(group)
-        rows = 1 if boot else max(1, _BLOCK_VALUES // T)
+        rows = 16 if boot else max(1, _BLOCK_VALUES // T)
         for start in range(0, design.R, rows):
             stop = min(start + rows, design.R)
             size = max(1, _JOB_VALUES // ((stop - start) * T))

@@ -170,7 +170,7 @@ def nelder_mead_loglik(y, d0, phi0, tol=1e-6):
         d = min(max(x[0], arfima._D_BOUNDS[0]), arfima._D_BOUNDS[1])
         phi = min(max(x[1], arfima._PHI_BOUNDS[0]), arfima._PHI_BOUNDS[1])
         gam = arfima._acvf_rows([d], phi, y.size, arfima._tail(phi))
-        return -arfima._profile_loglik_batch(y[:, None], gam)[0][0, 0]
+        return -arfima._profile_loglik_batch(y[None, :, None], gam[None])[0][0, 0, 0]
 
     res = minimize(
         negll,

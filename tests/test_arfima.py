@@ -10,6 +10,7 @@ from scipy.stats import kstest, kurtosis
 from longmem import (
     ArfimaParams,
     DegenerateInputError,
+    EstimationFailedError,
     InvalidParameterError,
     LongmemError,
     arfima_acvf,
@@ -106,6 +107,13 @@ class TestAcvf:
                     _acvf_rows(d_grid, phi, T, tail, frac),
                     _acvf_rows(d_grid, phi, T, tail),
                 )
+        # A refinement stencil shares its rows at the widest of its three
+        # phi tails, which differ near |phi| = 1.
+        steps = arfima._STENCIL_STEP * np.arange(-1, 2)
+        for d, phi in ((0.3, 0.3), (-0.2, 0.95), (0.1, -0.98)):
+            own = [_acvf_rows(d + steps, p, 100, arfima._tail(p)) for p in phi + steps]
+            got = arfima._stencil_rows(np.array([d, phi]), 100)
+            assert np.array_equal(got, np.concatenate(own))
 
 
 class TestSimulation:
@@ -218,7 +226,8 @@ class TestSimulation:
 class TestMle:
     def test_iid_profile_likelihood_identity(self):
         y = np.random.default_rng(2).standard_normal(200)
-        ll, s2 = _profile_loglik_batch(y[:, None], _acvf_rows([0.0], 0.0, y.size, 10))
+        gam = _acvf_rows([0.0], 0.0, y.size, 10)
+        ll, s2 = _profile_loglik_batch(y[None, :, None], gam[None])
         s2_emp = np.mean(y ** 2)
         want = -(len(y) / 2) * (math.log(2 * math.pi * s2_emp) + 1.0)
         assert_allclose(ll, want, rtol=1e-12)
@@ -243,9 +252,55 @@ class TestMle:
         ]
         singles = [mle_fit(y) for y in ys]
         batch = mle_fit_many(ys)
-        for a, b in zip(singles, batch):
-            assert_allclose(a.d_hat, b.d_hat, atol=1e-10)
-            assert_allclose(a.loglik, b.loglik, rtol=1e-12)
+        assert [_fit_fields(fit) for fit in batch] == [_fit_fields(fit) for fit in singles]
+
+    def test_refinement_runs_in_lockstep_rounds(self, monkeypatch):
+        # Fits of 3 and 5 stencils: after the grid, every refinement round is
+        # one kernel call that stacks the stencils of the live series.
+        T = 60
+        ys = [
+            simulate_gaussian(ArfimaParams(d=d, phi=phi), T, generator_at(T, r))
+            for r, d, phi in ((0, 0.2, 0.3), (4, 0.4, 0.9))
+        ]
+        real = arfima._profile_loglik_batch
+        calls = []
+
+        def counting(Y, gammas):
+            calls.append(gammas.shape[:2])
+            return real(Y, gammas)
+
+        monkeypatch.setattr(arfima, "_profile_loglik_batch", counting)
+        fits = mle_fit_many(ys)
+        assert [fit.diagnostics["evals"] for fit in fits] == [27, 45]
+        rounds = [k for k, g in calls if g == 9]
+        assert rounds == [2, 2, 2, 1, 1]
+        assert calls[-len(rounds) :] == [(k, 9) for k in rounds]
+        assert {k for k, g in calls[: -len(rounds)]} == {1}  # the grid
+        for fit, y in zip(fits, ys):
+            assert _fit_fields(fit) == _fit_fields(mle_fit(y))
+        # A call holds whole stencils up to the block size.
+        calls.clear()
+        monkeypatch.setattr(arfima, "_BLOCK_VALUES", 9 * T)
+        refits = mle_fit_many(ys)
+        assert [k for k, g in calls if g == 9] == [1] * 8
+        assert [_fit_fields(fit) for fit in refits] == [_fit_fields(fit) for fit in fits]
+
+    def test_failed_refinement_raises(self, monkeypatch):
+        ys = [
+            simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 60, generator_at(60, r))
+            for r in range(2)
+        ]
+        real = arfima._grid_search_many
+
+        def raised_bar(Y):
+            d0, phi0, ll0 = real(Y)
+            ll0[1] += 1.0  # out of reach of a search cut short
+            return d0, phi0, ll0
+
+        monkeypatch.setattr(arfima, "_grid_search_many", raised_bar)
+        monkeypatch.setattr(arfima, "_MAX_NEWTON", 1)
+        with pytest.raises(EstimationFailedError, match="refinement failed"):
+            mle_fit_many(ys)
 
     @pytest.mark.slow
     def test_bias_T500(self):
@@ -269,6 +324,12 @@ class TestMle:
         fits = mle_fit_many(ys)
         assert abs(np.mean([f.d_hat for f in fits])) <= 0.09
         assert abs(np.mean([f.phi_hat for f in fits]) - 0.6) <= 0.09
+
+
+def _fit_fields(fit):
+    # Everything of a fit that does not depend on the series fitted with it.
+    diag = {key: val for key, val in fit.diagnostics.items() if key != "grid_loglik"}
+    return fit.d_hat, fit.phi_hat, fit.sigma2, fit.loglik, diag
 
 
 def _dense_profile_loglik(y, gam):
@@ -302,22 +363,42 @@ class TestLikelihoodKernels:
                 for d, phi in self.POINTS
             ]
         )
-        ll_batch, s2_batch = _profile_loglik_batch(Y, gammas)
+        ll_batch, s2_batch = _profile_loglik_batch(Y[None], gammas[None])
         for g in range(len(self.POINTS)):
             for r in range(Y.shape[1]):
                 ll_dense, s2_dense = _dense_profile_loglik(Y[:, r], gammas[g])
-                assert_allclose(ll_batch[g, r], ll_dense, rtol=1e-10)
+                assert_allclose(ll_batch[0, g, r], ll_dense, rtol=1e-10)
                 # The dense solve loses digits at (0.49, 0.99), whose
                 # covariance has condition number about 7e7 at T=60.
-                assert_allclose(s2_batch[g, r], s2_dense, rtol=1e-9)
+                assert_allclose(s2_batch[0, g, r], s2_dense, rtol=1e-9)
+
+    def test_stacked_problems_equal_each_alone(self):
+        # k = 3 problems with their own series and ACVF rows, one row of the
+        # last not positive definite: the stack gives each problem's values.
+        T = 50
+        rng = np.random.default_rng(8)
+        Y = rng.standard_normal((3, T, 2))
+        gammas = np.stack(
+            [
+                _acvf_rows([-0.2, 0.1, 0.4], phi, T, _ar1_tail_length(phi, rel=1e-15))
+                for phi in (-0.5, 0.3, 0.9)
+            ]
+        )
+        gammas[2, 1, 1] = 1.5 * gammas[2, 1, 0]
+        ll, s2 = _profile_loglik_batch(Y, gammas)
+        assert ll.shape == s2.shape == (3, 3, 2)
+        assert np.all(ll[2, 1] == -np.inf) and np.isfinite(np.delete(ll, 1, axis=1)).all()
+        for i in range(3):
+            ll_i, s2_i = _profile_loglik_batch(Y[i : i + 1], gammas[i : i + 1])
+            assert np.array_equal(ll[i], ll_i[0]) and np.array_equal(s2[i], s2_i[0])
 
     def test_not_positive_definite_gives_minus_inf(self):
         y = np.random.default_rng(4).standard_normal(30)
         gam = np.zeros((2, 30))
         gam[:, 0] = 1.0
         gam[1, 1] = 0.8  # MA(1)-like with |rho(1)| > 1/2: not positive definite
-        ll, _ = _profile_loglik_batch(y[:, None], gam)
-        assert np.isfinite(ll[0, 0]) and ll[1, 0] == -np.inf
+        ll, _ = _profile_loglik_batch(y[None, :, None], gam[None])
+        assert np.isfinite(ll[0, 0, 0]) and ll[0, 1, 0] == -np.inf
 
     def test_grid_independent_of_block_size(self, monkeypatch):
         T = 40
@@ -407,12 +488,11 @@ class TestNewtonRefinement:
                 for r, (d, phi) in enumerate(cells[:n])
             ]
         )
-        d0, phi0, ll0 = _grid_search_many(Y)
-        for r in range(n):
-            args = (Y[:, r], float(d0[r]), float(phi0[r]))
-            fit = arfima._refine_one(*args, float(ll0[r]), 1e-6)
-            assert fit.diagnostics["converged"] is True
-            assert fit.loglik >= nelder_mead_loglik(*args) - 1e-9
+        for y, fit in zip(Y.T, mle_fit_many(list(Y.T))):
+            diag = fit.diagnostics
+            assert diag["converged"] is True
+            start = (diag["grid_d"], diag["grid_phi"])
+            assert fit.loglik >= nelder_mead_loglik(y, *start) - 1e-9
 
     @pytest.mark.parametrize(
         "make",
@@ -449,8 +529,8 @@ class TestNewtonRefinement:
         y = make()
         fit = mle_fit(y)
         gam = _acvf_rows([fit.d_hat], fit.phi_hat, y.size, arfima._tail(fit.phi_hat))
-        ll, s2 = _profile_loglik_batch(y[:, None], gam)
-        assert_allclose(fit.loglik, ll[0, 0], rtol=1e-12)
-        assert_allclose(fit.sigma2, s2[0, 0], rtol=1e-12)
+        ll, s2 = _profile_loglik_batch(y[None, :, None], gam[None])
+        assert_allclose(fit.loglik, ll[0, 0, 0], rtol=1e-12)
+        assert_allclose(fit.sigma2, s2[0, 0, 0], rtol=1e-12)
         evals = fit.diagnostics["evals"]
         assert evals > 0 and evals % 9 == 0

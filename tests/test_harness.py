@@ -1,5 +1,6 @@
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,9 +96,10 @@ class TestDesign:
             dict(B=5, estimators=(parse_estimator_token("lpr0-bba1"),)),
             dict(B=9, estimators=(parse_estimator_token("splw1-ssr"),)),
             dict(seed=-1),
+            dict(seed=None),
         ],
         ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d", "max_iter",
-             "tails_sum", "tail_negative", "bba_B", "ssr_B", "seed"],
+             "tails_sum", "tail_negative", "bba_B", "ssr_B", "seed", "seed_none"],
     )
     def test_infeasible_design_rejected(self, bad):
         with pytest.raises(InvalidDesignError):
@@ -210,10 +212,13 @@ class TestRunDesign:
             out = hmod._run_task(y, bba.task, design, task_stream(13, 0, r, 1))
             points.append(out["point"])
         assert bba.stats["bias"] == float(np.mean(np.array(points) - 0.2))
-        passes["n"] = 1  # the failing task keeps its reason
-        [(_, (_, bba_rows), _)] = hmod._block_worker(hmod._jobs(design)[1])
+        # One job holds the three replications; the failing task keeps its reason.
+        [job] = hmod._jobs(design)
+        assert job[3:] == (0, 3)
+        passes["n"] = 0
+        [(_, (_, bba_rows), _)] = hmod._block_worker(job)
         reason = f"draw 3 of pass 0 failed: {hmod._DEGENERATE}"
-        assert bba_rows == [{"failed": reason}]
+        assert [row.get("failed") for row in bba_rows] == [None, reason, None]
 
     def test_ssr_task_estimates_data_once(self, monkeypatch):
         design = small_design(
@@ -309,9 +314,14 @@ class TestRunDesign:
             B=12, seed=23,
         )
         default = [res.stats for res in run_design(design)]
-        # A bootstrap job is one replication of every cell of one T.
+        # A bootstrap job is a block of up to 16 replications of every cell
+        # of one T.
         assert [(job[1], len(job[2]), job[3:]) for job in hmod._jobs(design)] == [
-            (64, 2, (0, 1)), (64, 2, (1, 2)), (100, 2, (0, 1)), (100, 2, (1, 2)),
+            (64, 2, (0, 2)), (100, 2, (0, 2)),
+        ]
+        longer = replace(design, R=40)
+        assert [(job[1], job[3:]) for job in hmod._jobs(longer)] == [
+            (T, block) for T in (64, 100) for block in ((0, 16), (16, 32), (32, 40))
         ]
         assert_layout_free(monkeypatch, design, default)
 
