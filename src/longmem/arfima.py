@@ -4,7 +4,12 @@ The process is (1 - phi z) y(t) = n(t) with n fractional noise of order d.
 Autocovariances combine the closed-form fractional-noise ACVF with the
 AR(1) transfer function; simulation and likelihood both run through the
 Durbin-Levinson prediction-error decomposition, so draws are exact and
-the likelihood is the exact Gaussian one.
+the likelihood is the exact Gaussian one. The likelihood factors the
+AR(1) out: x(t) = y(t) - phi y(t-1) is fractional noise, so its
+Durbin-Levinson sweep depends on d alone and one sweep per d serves
+every phi; the AR(1) enters through y(0) given x, whose moments need the
+cross-covariances of y(0) with the noise (Sowell 1992; Doornik & Ooms
+2003 for the Durbin-Levinson evaluation).
 """
 
 import math
@@ -209,15 +214,17 @@ def _simulate_rows(cells, Z):
 
 
 def _ar1_scan(x, phi):
-    """Run y(t) = x(t) + phi y(t-1) along the rows of x, in place.
+    """Run y(t) = x(t) + phi y(t-1) along the last axis of x, in place.
 
     A log-step doubling scan, the prefix form of the first-order
     recurrence (Blelloch, "Prefix sums and their applications", 1990):
     after the step with shift s, y(t) holds the terms from x(t-2s+1..t).
+    `phi` is a float, or an array of per-row coefficients that
+    broadcasts against x[..., :1].
     """
     s = 1
-    while s < x.shape[1]:
-        x[:, s:] += phi ** s * x[:, :-s]
+    while s < x.shape[-1]:
+        x[..., s:] += phi ** s * x[..., :-s]
         s *= 2
     return x
 
@@ -239,80 +246,161 @@ def _ar1_sum(x, phi):
     return x[:, 0]
 
 
-def _acvf_rows(d_values, phi, T, m_tail, frac_rows=None):
+def _cross_rows(head, phi, tail):
+    """Cross-covariances g(0..n-1) of y(0) with the noise, and gamma_y(0).
+
+    With (1 - phi z) y(t) = n(t) and n fractional noise of order d,
+    g(k) = cov(y(0), n(k)) = sum_m phi^m gamma_d(k+m) (unit sigma2). The
+    backward recursion g(k) = gamma_d(k) + phi g(k+1) is one
+    :func:`_ar1_scan` on reversed rows, started from `tail`, the sum
+    sum_m phi^m gamma_d(n+m) beyond lag n-1 (:func:`_ar1_sum`); then
+    gamma_y(0) = (g(0) + phi g(1)) / (1 - phi^2). `head` holds
+    gamma_d(0..n-1) on its last axis, and `phi` is a float or an array of
+    per-row coefficients shaped like `tail`, whose last axis has length
+    one; gamma_y(0) keeps that axis.
+    """
+    g = np.empty(np.broadcast_shapes(head.shape, tail.shape))
+    g[...] = head[..., ::-1]
+    g[..., :1] += phi * tail
+    g = _ar1_scan(g, phi)[..., ::-1]
+    return g, (g[..., :1] + phi * g[..., 1:2]) / (1.0 - phi * phi)
+
+
+def _acvf_rows(d_values, phi, T, m_tail):
     """ACVF rows gamma(0..T-1) for many d at a single phi, unit sigma2.
 
-    Two-sided AR(1) convolution of the fractional-noise ACVF: evaluates
-    gamma_y(k) = sum_m phi^{|m|} gamma_d(k-m) / (1-phi^2) via the
-    equivalent pair of geometric recursions
-        g(k) = gamma_d(k) + phi g(k+1)    (cross-covariance with the noise)
-        gamma_y(k) = phi gamma_y(k-1) + g(k),
-    seeded by gamma_y(0) = (g(0) + phi g(1)) / (1 - phi^2), with the
-    backward recursion started from m_tail + 1 terms beyond lag T - 1
-    (summed by :func:`_ar1_sum`). Each recursion is one :func:`_ar1_scan`.
-    `frac_rows`, when given, holds the fractional-noise ACVFs of
-    `d_values` to at least lag max(T, 2) + m_tail; they depend on d
-    alone, so a grid computes them once for all its phi.
+    Two-sided AR(1) convolution of the fractional-noise ACVF,
+    gamma_y(k) = sum_m phi^{|m|} gamma_d(k-m) / (1-phi^2), evaluated as
+    the forward recursion gamma_y(k) = phi gamma_y(k-1) + g(k) (one
+    :func:`_ar1_scan`) on the cross-covariances g of :func:`_cross_rows`,
+    whose backward recursion starts from m_tail + 1 terms beyond lag
+    max(T, 2) - 1.
     """
     n = max(T, 2)  # the seed of gamma_y(0) reads g(1)
-    need = n + m_tail
-    if frac_rows is None:
-        frac_rows = np.array([_fractional_acvf(d, 1.0, need) for d in d_values])
-    rows = frac_rows[:, : need + 1]
+    rows = np.array([_fractional_acvf(d, 1.0, n + m_tail) for d in d_values])
     if phi == 0.0:
         return rows[:, :T].copy()
-    g_tail = _ar1_sum(rows[:, n:], phi)
-    g = rows[:, n - 1 :: -1].copy()  # the backward recursion runs on reversed rows
-    g[:, 0] += phi * g_tail
-    g = _ar1_scan(g, phi)[:, ::-1]
+    g, gamma0 = _cross_rows(rows[:, :n], phi, _ar1_sum(rows[:, n:], phi)[:, None])
     out = g.copy()
-    out[:, 0] = (g[:, 0] + phi * g[:, 1]) / (1.0 - phi * phi)
+    out[:, :1] = gamma0
     return _ar1_scan(out, phi)[:, :T]
 
 
 # The one likelihood kernel of the MLE: the grid stage and every
 # refinement round run through it.
-def _profile_loglik_batch(Y, gammas):
+def _profile_loglik_batch(Y, d_values, phis):
     """Concentrated Gaussian log-likelihoods of k independent problems.
 
-    Problem i evaluates its g ACVF rows on its r series. One
-    Durbin-Levinson sweep runs over all k * g rows, and each step is one
-    stacked matmul of every problem's prediction coefficients with its
-    own series, so a problem's values do not depend on the problems
-    stacked with it. The grid stage is the k = 1 case; a refinement
-    round stacks one 9-point stencil per live series.
+    Problem i evaluates every pair of its D values d_values[i] and P
+    values phis[i] on its r series Y[i]. The AR(1) is factored out:
+    x(t) = y(t) - phi y(t-1), t = 1..T-1, is fractional noise of order
+    d, and y -> (y(0), x) has unit Jacobian, so
+
+        log f(y) = log f(x; d) + log f(y(0) | x; d, phi).
+
+    The Durbin-Levinson sweep of gamma_d(0..T-2) depends on d alone. The
+    innovations of x are A - phi B, with A and B the innovations of
+    y(1..T-1) and y(0..T-2), and y(0) given x is Gaussian with mean
+    sum U (A - phi B) / v and variance gamma_y(0) - sum U^2 / v, where U
+    holds the innovations of the cross-covariances g(1..T-1) of
+    :func:`_cross_rows`. So one sweep per d serves all of its phi, and
+    each phi adds one column to the sweep's triangular solve. The grid
+    is the k = 1 case (49 d x 99 phi); a refinement round stacks one
+    3 x 3 stencil per live series.
+
+    The (problem, d) rows are swept in blocks of at most _BLOCK_VALUES
+    (d, phi, lag) values (at least one row with all its phi). Each
+    row's arithmetic is its own, so a problem's values do not depend on
+    the problems stacked with it or on the block size.
 
     Parameters
     ----------
     Y : ndarray (k, T, r)
         Columns of Y[i] are the series of problem i.
-    gammas : ndarray (k, g, T)
-        Unit-variance ACVF rows of problem i, one per parameter point.
+    d_values : ndarray (k, D)
+    phis : ndarray (k, P)
 
     Returns
     -------
-    ll : ndarray (k, g, r)
-        Profile log-likelihood (sigma2 maximized out analytically); -inf
-        where the ACVF row is not positive definite.
-    sigma2 : ndarray (k, g, r)
+    ll : ndarray (k, P * D, r)
+        Profile log-likelihood (sigma2 maximized out analytically),
+        phi-major: entry p * D + j is (d_values[i, j], phis[i, p]). -inf
+        where the fractional ACVF is not positive definite, or the
+        conditional variance of y(0) is not positive and finite.
+    sigma2 : ndarray (k, P * D, r)
         Profiling variances.
     """
-    k, g, T = gammas.shape
-    # Y_rev[:, T-1-t] = Y[:, t], so the lagged values a step reads are a
-    # contiguous forward slice.
-    Y_rev = np.ascontiguousarray(Y[:, ::-1])
-    steps = _durbin_levinson(gammas.reshape(k * g, T))
-    _, _, _, v, bad = next(steps)
-    sumlog = np.log(v)
-    quad = Y[:, :1] ** 2 / v.reshape(k, g, 1)
-    for t, _, b, v, _ in steps:
-        sumlog += np.log(v)
-        e = Y[:, t : t + 1] - b.reshape(k, g, t) @ Y_rev[:, T - t :]
-        quad += e * e / v.reshape(k, g, 1)
+    k, T, r = Y.shape
+    D, P = d_values.shape[1], phis.shape[1]
+    # Each phi's tail sum runs once per problem, on the problem's D
+    # fractional ACVFs, built once at the widest of its phi tails.
+    head = np.empty((k, D, T))
+    tail = np.empty((k, D, P, 1))
+    for i in range(k):
+        lengths = [_tail(phi) for phi in phis[i]]
+        frac = np.array([_fractional_acvf(d, 1.0, T + max(lengths)) for d in d_values[i]])
+        head[i] = frac[:, :T]
+        for p, (phi, m) in enumerate(zip(phis[i], lengths)):
+            tail[i, :, p, 0] = _ar1_sum(frac[:, T : T + m + 1], phi)
+    del frac  # only the tail sums need the long rows
+    rows = k * D
+    head = head.reshape(rows, T)
+    tail = tail.reshape(rows, P, 1)
+    phi_rows = np.repeat(phis, D, axis=0)[..., None]
+    ll = np.empty((k, P, D, r))
+    sigma2 = np.empty((k, P, D, r))
+    per_block = max(1, _BLOCK_VALUES // (P * T))
+    for start in range(0, rows, per_block):
+        block = np.arange(start, min(start + per_block, rows))
+        i, j = np.divmod(block, D)
+        ll[i, :, j], sigma2[i, :, j] = _factored_loglik(
+            Y[i], head[block], phi_rows[block], tail[block]
+        )
+    return ll.reshape(k, P * D, r), sigma2.reshape(k, P * D, r)
+
+
+def _factored_loglik(Y, head, phi, tail):
+    """The factored likelihood of :func:`_profile_loglik_batch` on one block.
+
+    Row j sweeps gamma_d(0..T-2) from head[j] and evaluates its P values
+    phi[j] on its series Y[j] (T, r); returns ll and sigma2 of shape
+    (rows, P, r).
+    """
+    rows, T, r = Y.shape
+    n = T - 1
+    g, gamma0 = _cross_rows(head[:, None], phi, tail)
+    # Time runs backwards along Z, so the past of a step is one contiguous
+    # slice; its columns are y(1..T-1), y(0..T-2) and g(1..T-1) per phi.
+    Z = np.empty((rows, n, 2 * r + phi.shape[1]))
+    Z[:, :, :r] = Y[:, :0:-1]
+    Z[:, :, r : 2 * r] = Y[:, -2::-1]
+    Z[:, :, 2 * r :] = g[:, :, :0:-1].transpose(0, 2, 1)
+    E = np.empty(Z.shape)  # innovations, forward in time
+    E[:, 0] = Z[:, n - 1]
+    v = np.empty((rows, n))
+    steps = _durbin_levinson(head[:, :n])
+    _, _, _, v[:, 0], bad = next(steps)
+    for t, _, b, vt, _ in steps:
+        v[:, t] = vt
+        E[:, t] = Z[:, n - 1 - t] - (b[:, None] @ Z[:, n - t :])[:, 0]
+    # Time sums over 1/v: M[j, a, c] = sum_t E[t, a] E[t, c] / v(t).
+    Ev = (E / v[..., None]).transpose(0, 2, 1)
+    M = Ev @ E[..., : 2 * r]
+    diag = np.arange(r)
+    aa = M[:, diag, diag][:, None]
+    ab = M[:, diag, r + diag][:, None]
+    bb = M[:, r + diag, r + diag][:, None]
+    ua = M[:, 2 * r :, :r]
+    ub = M[:, 2 * r :, r:]
+    uu = np.vecdot(Ev[:, 2 * r :], E[..., 2 * r :].transpose(0, 2, 1))[..., None]
+    w = gamma0 - uu  # conditional variance of y(0) given x
+    ok = (w > 0.0) & np.isfinite(w) & ~bad[:, None, None]
+    w = np.where(ok, w, 1.0)
+    quad = aa - 2.0 * phi * ab + phi * phi * bb + (Y[:, None, 0] - (ua - phi * ub)) ** 2 / w
     sigma2 = quad / T
-    ll = -0.5 * T * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * sumlog.reshape(k, g, 1)
-    ll[bad.reshape(k, g)] = -np.inf
-    return ll, sigma2
+    sumlog = np.log(v).sum(axis=1)[:, None, None] + np.log(w)
+    ll = -0.5 * T * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * sumlog
+    return np.where(ok, ll, -np.inf), sigma2
 
 
 @dataclass
@@ -329,9 +417,9 @@ class MleResult:
 _D_BOUNDS = (-0.49, 0.49)
 _PHI_BOUNDS = (-0.99, 0.99)
 _GRID_STEP = 0.02
-# ACVF values per call of the batched kernel: whole phi rows of the grid,
-# or whole refinement stencils, are stacked up to this size, which bounds
-# the memory of a call while amortizing its Python steps over many points.
+# (d, phi, lag) values per block of the likelihood kernel: rows of one d
+# with all of their phi are swept together up to this size, which bounds
+# the memory of a block while amortizing its Python steps over many points.
 _BLOCK_VALUES = 2 ** 15
 # Refinement: central-difference step of the likelihood stencil, cap on
 # the Newton step per coordinate, and cap on the Newton iterations.
@@ -352,52 +440,16 @@ def _tail(phi):
 
 
 def _grid_search_many(Y):
-    """Best coarse-grid d, phi and log-likelihood per series (columns of Y)."""
-    T, R = Y.shape
-    d_grid, phi_grid = _mle_grids()
-    n_d = d_grid.size
-    per_call = max(1, _BLOCK_VALUES // (n_d * T))
-    # The fractional-noise ACVFs depend on d alone: compute them once, to
-    # the widest tail of the phi grid, and slice them for every phi.
-    need = max(T, 2) + max(_tail(phi) for phi in phi_grid)
-    frac = np.array([_fractional_acvf(d, 1.0, need) for d in d_grid])
-    best_ll = np.full(R, -np.inf)
-    best_d = np.zeros(R)
-    best_phi = np.zeros(R)
-    cols = np.arange(R)
-    for start in range(0, phi_grid.size, per_call):
-        phis = phi_grid[start : start + per_call]
-        gammas = np.concatenate(
-            [_acvf_rows(d_grid, phi, T, _tail(phi), frac) for phi in phis]
-        )
-        ll = _profile_loglik_batch(Y[None], gammas[None])[0][0]
-        # Rows run phi-major, so the first maximum is the one a sweep over
-        # phi, then d, would keep.
-        idx = np.argmax(ll, axis=0)
-        cand = ll[idx, cols]
-        better = cand > best_ll
-        best_ll[better] = cand[better]
-        best_d[better] = d_grid[idx[better] % n_d]
-        best_phi[better] = phis[idx[better] // n_d]
-    return best_d, best_phi, best_ll
+    """Best coarse-grid d, phi and log-likelihood per series (columns of Y).
 
-
-def _stencil_rows(x, T):
-    """ACVF rows of the 3 x 3 stencil x + h (i, j), i, j in {-1, 0, 1}.
-
-    Rows run phi-major, so row 4 is the centre x = (d, phi). The three
-    fractional-noise ACVFs are built once, at the widest of the three phi
-    tails. The stencil may reach h past the search box, which stays
-    inside the stationary, invertible region.
+    One kernel call evaluates the whole grid, 49 d x 99 phi, on every
+    series; its (phi, d) table runs phi-major, so the first maximum is
+    the one a sweep over phi, then d, would keep.
     """
-    steps = _STENCIL_STEP * np.arange(-1, 2)
-    d_values = x[0] + steps
-    phis = x[1] + steps
-    need = max(T, 2) + max(_tail(phi) for phi in phis)
-    frac = np.array([_fractional_acvf(d, 1.0, need) for d in d_values])
-    return np.concatenate(
-        [_acvf_rows(d_values, phi, T, _tail(phi), frac) for phi in phis]
-    )
+    d_grid, phi_grid = _mle_grids()
+    ll = _profile_loglik_batch(Y[None], d_grid[None], phi_grid[None])[0][0]
+    idx = np.argmax(ll, axis=0)
+    return d_grid[idx % d_grid.size], phi_grid[idx // d_grid.size], ll[idx, np.arange(Y.shape[1])]
 
 
 def _stencil_fit(ll, sigma2):
@@ -526,17 +578,20 @@ def mle_fit(y, refine_tol=1e-6):
     """Exact Gaussian MLE of (d, phi, sigma2) for an ARFIMA(1,d,0) model.
 
     The likelihood is evaluated through the Durbin-Levinson
-    prediction-error decomposition with sigma2 profiled out analytically.
-    The search is a 0.02-step grid over (-0.49, 0.49) x (-0.99, 0.99),
-    evaluated by the batched kernel on blocks of about 2**15 ACVF values
-    (whole phi rows of the grid per call), followed by a projected Newton
+    prediction-error decomposition with sigma2 profiled out analytically,
+    the AR(1) factored out so that one sweep of the fractional-noise ACVF
+    per d serves every phi. The search is a 0.02-step grid over
+    (-0.49, 0.49) x (-0.99, 0.99), one call of the batched kernel swept in
+    blocks of about 2**15 (d, phi, lag) values (one d with all 99 phi at
+    least), followed by a projected Newton
     ascent on the same kernel: every point is a 3 x 3 central-difference
     stencil (step 1e-4) whose centre gives the log-likelihood and whose
     differences give the gradient and Hessian, a step-halving line search
     never accepts a lower log-likelihood, bounds that the gradient pushes
     against held fixed, and the search stops once the step is below
-    `refine_tol`. Every ACVF carries an AR(1) tail sized to its own phi.
-    This is the one-series case of :func:`mle_fit_many`.
+    `refine_tol`. Every cross-covariance of y(0) with the noise carries an
+    AR(1) tail sized to its own phi. This is the one-series case of
+    :func:`mle_fit_many`.
 
     Parameters
     ----------
@@ -570,18 +625,20 @@ def mle_fit(y, refine_tol=1e-6):
 def mle_fit_many(ys, refine_tol=1e-6):
     """Fit many same-length series; each likelihood sweep serves them all.
 
-    The grid stage evaluates every series in each call of the batched
-    kernel. The refinement then runs in lockstep rounds: each round takes
-    the pending stencil point of every live series and evaluates all of
-    them in one stacked kernel call (split in whole stencils to about
-    2**15 ACVF values per call), and a series leaves once its search
-    stops. A fit does not depend on the series fitted with it, except for
-    ``grid_loglik``, whose rounding follows how many series share the
-    grid's matmuls. Validates like :func:`mle_fit`; an empty sequence or
-    series of unequal lengths also raise :class:`InvalidParameterError`.
+    The grid stage is one call of the batched kernel on all the series:
+    one fractional-noise sweep per d of the grid serves every phi and
+    every series. The refinement then runs in lockstep rounds: each round
+    takes the pending stencil point of every live series and evaluates
+    all of them in one stacked kernel call (3 d x 3 phi per series, swept
+    in blocks of about 2**15 (d, phi, lag) values), and a series leaves
+    once its search stops. A fit does not depend on the series fitted
+    with it, except for ``grid_loglik``, whose rounding follows how many
+    series share the grid's matmuls. Validates like :func:`mle_fit`; an
+    empty sequence or series of unequal lengths also raise
+    :class:`InvalidParameterError`.
     """
     Y = _series_columns(ys)
-    T, R = Y.shape
+    R = Y.shape[1]
     d0, phi0, ll0 = _grid_search_many(Y)
     searches = [
         _refine_one(float(d0[r]), float(phi0[r]), float(ll0[r]), refine_tol)
@@ -589,17 +646,13 @@ def mle_fit_many(ys, refine_tol=1e-6):
     ]
     pending = {r: next(search) for r, search in enumerate(searches)}
     series = np.ascontiguousarray(Y.T)[:, :, None]
-    per_call = max(1, _BLOCK_VALUES // (9 * T))
+    steps = _STENCIL_STEP * np.arange(-1, 2)
     fits = [None] * R
     while pending:
         live = list(pending)
-        values = []
-        for start in range(0, len(live), per_call):
-            block = live[start : start + per_call]
-            gammas = np.stack([_stencil_rows(pending[r], T) for r in block])
-            ll, sigma2 = _profile_loglik_batch(series[block], gammas)
-            values += map(_stencil_fit, ll[:, :, 0], sigma2[:, :, 0])
-        for r, value in zip(live, values):
+        x = np.array([pending[r] for r in live])
+        ll, sigma2 = _profile_loglik_batch(series[live], x[:, :1] + steps, x[:, 1:] + steps)
+        for r, value in zip(live, map(_stencil_fit, ll[:, :, 0], sigma2[:, :, 0])):
             try:
                 pending[r] = searches[r].send(value)
             except StopIteration as stop:

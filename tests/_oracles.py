@@ -14,7 +14,8 @@ from scipy.signal import lfilter
 from scipy.special import gamma as _gamma
 
 from longmem import arfima
-from longmem.arfima import _fractional_acvf
+from longmem.arfima import _LOG_2PI, _fractional_acvf
+from longmem.arsieve import _durbin_levinson
 from longmem.fracdiff import apply_frac_filter
 
 
@@ -159,6 +160,31 @@ def draw_lfilter(phi, eps, init, d_f):
     return apply_frac_filter(ar_path_lfilter(phi, eps, init), -d_f)
 
 
+def full_acvf_loglik(Y, gammas):
+    """Profile log-likelihoods from full ARFIMA ACVF rows, k problems at once.
+
+    The exact likelihood as the MLE evaluated it before the AR(1) was
+    factored out: one Durbin-Levinson sweep per ACVF row gamma_y(0..T-1)
+    (problem i has g rows in gammas[i], shape (k, g, T)) and the
+    prediction errors of its series Y[i] (T, r). Returns ll and sigma2 of
+    shape (k, g, r), -inf where a row is not positive definite.
+    """
+    k, g, T = gammas.shape
+    Y_rev = np.ascontiguousarray(Y[:, ::-1])
+    steps = _durbin_levinson(gammas.reshape(k * g, T))
+    _, _, _, v, bad = next(steps)
+    sumlog = np.log(v)
+    quad = Y[:, :1] ** 2 / v.reshape(k, g, 1)
+    for t, _, b, v, _ in steps:
+        sumlog += np.log(v)
+        e = Y[:, t : t + 1] - b.reshape(k, g, t) @ Y_rev[:, T - t :]
+        quad += e * e / v.reshape(k, g, 1)
+    sigma2 = quad / T
+    ll = -0.5 * T * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * sumlog.reshape(k, g, 1)
+    ll[bad.reshape(k, g)] = -np.inf
+    return ll, sigma2
+
+
 def nelder_mead_loglik(y, d0, phi0, tol=1e-6):
     """Profile log-likelihood that bounded Nelder-Mead reaches from (d0, phi0).
 
@@ -169,8 +195,8 @@ def nelder_mead_loglik(y, d0, phi0, tol=1e-6):
     def negll(x):
         d = min(max(x[0], arfima._D_BOUNDS[0]), arfima._D_BOUNDS[1])
         phi = min(max(x[1], arfima._PHI_BOUNDS[0]), arfima._PHI_BOUNDS[1])
-        gam = arfima._acvf_rows([d], phi, y.size, arfima._tail(phi))
-        return -arfima._profile_loglik_batch(y[None, :, None], gam[None])[0][0, 0, 0]
+        ll, _ = arfima._profile_loglik_batch(y[None, :, None], np.array([[d]]), np.array([[phi]]))
+        return -ll[0, 0, 0]
 
     res = minimize(
         negll,

@@ -29,7 +29,12 @@ from longmem.arfima import (
 )
 from longmem.streams import generator_at
 
-from _oracles import acvf_rows_lfilter, ma_truncated_acvf, nelder_mead_loglik
+from _oracles import (
+    acvf_rows_lfilter,
+    full_acvf_loglik,
+    ma_truncated_acvf,
+    nelder_mead_loglik,
+)
 
 
 class TestAcvf:
@@ -92,7 +97,9 @@ class TestAcvf:
 
     def test_grid_rows_sliced_from_widest_tail(self):
         # cumprod runs in sequence, so the prefix of a longer fractional
-        # row is bit-identical to the row computed at its own length.
+        # row is bit-identical to the row computed at its own length: the
+        # likelihood builds a problem's fractional rows once, at the widest
+        # of its phi tails, and sums each phi's tail from that prefix.
         d_grid, phi_grid = arfima._mle_grids()
         for T in (1, 40, 100):
             need = max(T, 2) + max(arfima._tail(phi) for phi in phi_grid)
@@ -103,17 +110,41 @@ class TestAcvf:
                     [arfima._fractional_acvf(d, 1.0, max(T, 2) + tail) for d in d_grid]
                 )
                 assert np.array_equal(frac[:, : own.shape[1]], own)
-                assert np.array_equal(
-                    _acvf_rows(d_grid, phi, T, tail, frac),
-                    _acvf_rows(d_grid, phi, T, tail),
-                )
-        # A refinement stencil shares its rows at the widest of its three
-        # phi tails, which differ near |phi| = 1.
+        # One scan serves a block's phi values, which differ in their tails
+        # near |phi| = 1; each row matches its phi scanned alone.
         steps = arfima._STENCIL_STEP * np.arange(-1, 2)
+        n = 100
         for d, phi in ((0.3, 0.3), (-0.2, 0.95), (0.1, -0.98)):
-            own = [_acvf_rows(d + steps, p, 100, arfima._tail(p)) for p in phi + steps]
-            got = arfima._stencil_rows(np.array([d, phi]), 100)
-            assert np.array_equal(got, np.concatenate(own))
+            phis = phi + steps
+            lengths = [arfima._tail(p) for p in phis]
+            frac = np.array(
+                [arfima._fractional_acvf(x, 1.0, n + max(lengths)) for x in d + steps]
+            )
+            tails = np.stack(
+                [arfima._ar1_sum(frac[:, n : n + m + 1], p) for p, m in zip(phis, lengths)]
+            )
+            g, gamma0 = arfima._cross_rows(frac[:, :n], phis[:, None, None], tails[..., None])
+            for p, m, g_p, gamma0_p in zip(phis, lengths, g, gamma0):
+                own = np.array([arfima._fractional_acvf(x, 1.0, n + m) for x in d + steps])
+                want = arfima._cross_rows(own[:, :n], p, arfima._ar1_sum(own[:, n:], p)[:, None])
+                assert_allclose(g_p, want[0], rtol=1e-14, atol=0)
+                assert_allclose(gamma0_p, want[1], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("phi", [-0.98, 0.0, 0.6, 0.98])
+    def test_cross_covariance_matches_ma_oracle(self, phi):
+        # g(k) = cov(y(0), x(k)) with x(t) = y(t) - phi y(t-1), and the
+        # seed gamma_y(0), against the truncated MA(infinity) ACVF.
+        T = 40
+        m = arfima._tail(phi)
+        for d in (-0.3, 0.25, 0.45):
+            gam = ma_truncated_acvf(d, phi, 1.0, T)
+            rows = arfima._fractional_acvf(d, 1.0, T + 1 + m)[None]
+            g, gamma0 = arfima._cross_rows(
+                rows[:, : T + 1], phi, arfima._ar1_sum(rows[:, T + 1 :], phi)[:, None]
+            )
+            want = gam[1:] - phi * gam[:-1]
+            assert np.max(np.abs(g[0, 1:] - want)) <= 1e-7 * np.max(np.abs(want))
+            assert_allclose(gamma0[0, 0], gam[0], rtol=1e-7)
 
 
 class TestSimulation:
@@ -226,8 +257,7 @@ class TestSimulation:
 class TestMle:
     def test_iid_profile_likelihood_identity(self):
         y = np.random.default_rng(2).standard_normal(200)
-        gam = _acvf_rows([0.0], 0.0, y.size, 10)
-        ll, s2 = _profile_loglik_batch(y[None, :, None], gam[None])
+        ll, s2 = _profile_loglik_batch(y[None, :, None], np.zeros((1, 1)), np.zeros((1, 1)))
         s2_emp = np.mean(y ** 2)
         want = -(len(y) / 2) * (math.log(2 * math.pi * s2_emp) + 1.0)
         assert_allclose(ll, want, rtol=1e-12)
@@ -265,24 +295,31 @@ class TestMle:
         real = arfima._profile_loglik_batch
         calls = []
 
-        def counting(Y, gammas):
-            calls.append(gammas.shape[:2])
-            return real(Y, gammas)
+        def counting(Y, d_values, phis):
+            calls.append((Y.shape[0], d_values.shape[1], phis.shape[1]))
+            return real(Y, d_values, phis)
 
         monkeypatch.setattr(arfima, "_profile_loglik_batch", counting)
         fits = mle_fit_many(ys)
         assert [fit.diagnostics["evals"] for fit in fits] == [27, 45]
-        rounds = [k for k, g in calls if g == 9]
+        rounds = [k for k, D, P in calls if (D, P) == (3, 3)]
         assert rounds == [2, 2, 2, 1, 1]
-        assert calls[-len(rounds) :] == [(k, 9) for k in rounds]
-        assert {k for k, g in calls[: -len(rounds)]} == {1}  # the grid
+        assert calls == [(1, 49, 99)] + [(k, 3, 3) for k in rounds]  # the grid first
         for fit, y in zip(fits, ys):
             assert _fit_fields(fit) == _fit_fields(mle_fit(y))
-        # A call holds whole stencils up to the block size.
-        calls.clear()
+        # A block holds whole rows of (problem, d) with all their phi, up to
+        # the block size: at 9 T values, one stencil per refinement block.
+        real_block = arfima._factored_loglik
+        blocks = []
+
+        def block_counting(Y, head, phi, tail):
+            blocks.append(phi.shape[:2])
+            return real_block(Y, head, phi, tail)
+
+        monkeypatch.setattr(arfima, "_factored_loglik", block_counting)
         monkeypatch.setattr(arfima, "_BLOCK_VALUES", 9 * T)
         refits = mle_fit_many(ys)
-        assert [k for k, g in calls if g == 9] == [1] * 8
+        assert blocks == [(1, 99)] * 49 + [(3, 3)] * 8
         assert [_fit_fields(fit) for fit in refits] == [_fit_fields(fit) for fit in fits]
 
     def test_failed_refinement_raises(self, monkeypatch):
@@ -357,48 +394,99 @@ class TestLikelihoodKernels:
                 simulate_gaussian(ArfimaParams(d=0.3, phi=0.6), T, rng),
             ]
         )
-        gammas = np.concatenate(
-            [
-                _acvf_rows([d], phi, T, _ar1_tail_length(phi, rel=1e-15))
-                for d, phi in self.POINTS
-            ]
-        )
-        ll_batch, s2_batch = _profile_loglik_batch(Y[None], gammas[None])
-        for g in range(len(self.POINTS)):
+        ds = sorted({d for d, _ in self.POINTS})
+        phis = sorted({phi for _, phi in self.POINTS})
+        ll_batch, s2_batch = _profile_loglik_batch(Y[None], np.array([ds]), np.array([phis]))
+        for d, phi in self.POINTS:
+            g = phis.index(phi) * len(ds) + ds.index(d)  # phi-major
+            gam = _acvf_rows([d], phi, T, _ar1_tail_length(phi, rel=1e-15))[0]
             for r in range(Y.shape[1]):
-                ll_dense, s2_dense = _dense_profile_loglik(Y[:, r], gammas[g])
+                ll_dense, s2_dense = _dense_profile_loglik(Y[:, r], gam)
                 assert_allclose(ll_batch[0, g, r], ll_dense, rtol=1e-10)
                 # The dense solve loses digits at (0.49, 0.99), whose
                 # covariance has condition number about 7e7 at T=60.
                 assert_allclose(s2_batch[0, g, r], s2_dense, rtol=1e-9)
 
+    @pytest.mark.parametrize("T", [40, 100])
+    def test_grid_and_full_acvf_oracle_agree(self, T):
+        # The whole grid against the full-ACVF Durbin-Levinson likelihood,
+        # with the same first maximum, phi-major, for every series.
+        Y = np.column_stack(
+            [
+                simulate_gaussian(ArfimaParams(d=d, phi=phi), T, generator_at(T, i))
+                for i, (d, phi) in enumerate([(0.3, 0.3), (-0.3, 0.9), (0.45, -0.9), (0.0, 0.0)])
+            ]
+        )
+        d_grid, phi_grid = arfima._mle_grids()
+        ll, s2 = _profile_loglik_batch(Y[None], d_grid[None], phi_grid[None])
+        gammas = np.concatenate([_acvf_rows(d_grid, phi, T, arfima._tail(phi)) for phi in phi_grid])
+        ll_full, s2_full = full_acvf_loglik(Y[None], gammas[None])
+        assert_allclose(ll, ll_full, rtol=1e-10)
+        assert np.array_equal(np.argmax(ll[0], axis=0), np.argmax(ll_full[0], axis=0))
+
+    def test_corner_stencils_and_full_acvf_oracle_agree(self):
+        # 3 x 3 stencils at the corners of the search box, stacked as k = 4
+        # problems with their own series.
+        T = 100
+        steps = arfima._STENCIL_STEP * np.arange(-1, 2)
+        corners = [(d, phi) for d in (-0.49, 0.49) for phi in (-0.99, 0.99)]
+        Y = np.stack(
+            [
+                simulate_gaussian(ArfimaParams(d=d, phi=phi), T, generator_at(11, i))[:, None]
+                for i, (d, phi) in enumerate(corners)
+            ]
+        )
+        d_values = np.array([[d] for d, _ in corners]) + steps
+        phis = np.array([[phi] for _, phi in corners]) + steps
+        ll, s2 = _profile_loglik_batch(Y, d_values, phis)
+        gammas = np.stack(
+            [
+                np.concatenate([_acvf_rows(ds, phi, T, arfima._tail(phi)) for phi in ps])
+                for ds, ps in zip(d_values, phis)
+            ]
+        )
+        ll_full, s2_full = full_acvf_loglik(Y, gammas)
+        assert_allclose(ll, ll_full, rtol=1e-10)
+        assert np.array_equal(np.argmax(ll, axis=1), np.argmax(ll_full, axis=1))
+
     def test_stacked_problems_equal_each_alone(self):
-        # k = 3 problems with their own series and ACVF rows, one row of the
-        # last not positive definite: the stack gives each problem's values.
+        # k = 3 problems with their own series, d and phi values, one d of
+        # the last not positive definite: the stack gives each problem's values.
         T = 50
         rng = np.random.default_rng(8)
         Y = rng.standard_normal((3, T, 2))
-        gammas = np.stack(
-            [
-                _acvf_rows([-0.2, 0.1, 0.4], phi, T, _ar1_tail_length(phi, rel=1e-15))
-                for phi in (-0.5, 0.3, 0.9)
-            ]
-        )
-        gammas[2, 1, 1] = 1.5 * gammas[2, 1, 0]
-        ll, s2 = _profile_loglik_batch(Y, gammas)
-        assert ll.shape == s2.shape == (3, 3, 2)
-        assert np.all(ll[2, 1] == -np.inf) and np.isfinite(np.delete(ll, 1, axis=1)).all()
+        d_values = np.array([[-0.2, 0.1, 0.4], [-0.2, 0.1, 0.4], [-0.2, 0.7, 0.4]])
+        phis = np.array([[-0.5, 0.2], [0.3, 0.6], [0.9, -0.1]])
+        ll, s2 = _profile_loglik_batch(Y, d_values, phis)
+        assert ll.shape == s2.shape == (3, 6, 2)
+        assert np.all(ll[2, 1::3] == -np.inf)
+        assert np.isfinite(ll[:2]).all() and np.isfinite(np.delete(ll[2], [1, 4], axis=0)).all()
         for i in range(3):
-            ll_i, s2_i = _profile_loglik_batch(Y[i : i + 1], gammas[i : i + 1])
+            ll_i, s2_i = _profile_loglik_batch(Y[i : i + 1], d_values[i : i + 1], phis[i : i + 1])
             assert np.array_equal(ll[i], ll_i[0]) and np.array_equal(s2[i], s2_i[0])
 
-    def test_not_positive_definite_gives_minus_inf(self):
-        y = np.random.default_rng(4).standard_normal(30)
-        gam = np.zeros((2, 30))
-        gam[:, 0] = 1.0
-        gam[1, 1] = 0.8  # MA(1)-like with |rho(1)| > 1/2: not positive definite
-        ll, _ = _profile_loglik_batch(y[None, :, None], gam[None])
-        assert np.isfinite(ll[0, 0, 0]) and ll[0, 1, 0] == -np.inf
+    def test_not_positive_definite_gives_minus_inf(self, monkeypatch):
+        y = np.random.default_rng(4).standard_normal(30)[None, :, None]
+        # d = 0.7 has gamma_d(0) < 0, and d = 1.2 a lag-one correlation of -6.
+        d_values = np.array([[0.2, 0.7, 1.2]])
+        phis = np.array([[0.0, 0.5, -0.5]])
+        ll, _ = _profile_loglik_batch(y, d_values, phis)
+        F = ll[0, :, 0].reshape(3, 3)  # F[phi, d]
+        assert np.isfinite(F[:, 0]).all() and np.all(F[:, 1:] == -np.inf)
+        # A conditional variance of y(0) that is not positive, or not finite.
+        real = arfima._cross_rows
+
+        def spoiled(head, phi, tail):
+            g, gamma0 = real(head, phi, tail)
+            gamma0[:, 1] = 0.0
+            gamma0[:, 2] = np.inf
+            return g, gamma0
+
+        monkeypatch.setattr(arfima, "_cross_rows", spoiled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll, _ = _profile_loglik_batch(y, d_values[:, :1], phis)
+        assert np.isfinite(ll[0, 0, 0]) and np.all(ll[0, 1:, 0] == -np.inf)
 
     def test_grid_independent_of_block_size(self, monkeypatch):
         T = 40
@@ -528,8 +616,9 @@ class TestNewtonRefinement:
         # The refinement's points are stencil centres of the batched kernel.
         y = make()
         fit = mle_fit(y)
-        gam = _acvf_rows([fit.d_hat], fit.phi_hat, y.size, arfima._tail(fit.phi_hat))
-        ll, s2 = _profile_loglik_batch(y[None, :, None], gam[None])
+        ll, s2 = _profile_loglik_batch(
+            y[None, :, None], np.array([[fit.d_hat]]), np.array([[fit.phi_hat]])
+        )
         assert_allclose(fit.loglik, ll[0, 0, 0], rtol=1e-12)
         assert_allclose(fit.sigma2, s2[0, 0, 0], rtol=1e-12)
         evals = fit.diagnostics["evals"]
