@@ -309,9 +309,12 @@ def _profile_loglik_batch(Y, d_values, phis):
     3 x 3 stencil per live series.
 
     The (problem, d) rows are swept in blocks of at most _BLOCK_VALUES
-    (d, phi, lag) values (at least one row with all its phi). Each
-    row's arithmetic is its own, so a problem's values do not depend on
-    the problems stacked with it or on the block size.
+    = 2**17 (d, phi, lag) values (at least one row with all its phi; the
+    T = 100 grid takes 4 blocks). A block stores the sweep's right-hand
+    sides, not its innovations, which enter the time sums a chunk of
+    _CHUNK_STEPS steps at a time (:func:`_factored_loglik`). Each row's
+    arithmetic is its own, so a problem's values do not depend on the
+    problems stacked with it or on the block size.
 
     Parameters
     ----------
@@ -364,7 +367,11 @@ def _factored_loglik(Y, head, phi, tail):
 
     Row j sweeps gamma_d(0..T-2) from head[j] and evaluates its P values
     phi[j] on its series Y[j] (T, r); returns ll and sigma2 of shape
-    (rows, P, r).
+    (rows, P, r). The innovations enter only through sums over time, so
+    they are kept for _CHUNK_STEPS steps at a time: each chunk is scaled
+    by 1/sqrt(v) and added into the sums as the sweep runs. A block of
+    at most _BLOCK_VALUES (d, phi, lag) values holds the sweep's
+    right-hand sides Z, and the cross-covariances only while Z is built.
     """
     rows, T, r = Y.shape
     n = T - 1
@@ -375,25 +382,31 @@ def _factored_loglik(Y, head, phi, tail):
     Z[:, :, :r] = Y[:, :0:-1]
     Z[:, :, r : 2 * r] = Y[:, -2::-1]
     Z[:, :, 2 * r :] = g[:, :, :0:-1].transpose(0, 2, 1)
-    E = np.empty(Z.shape)  # innovations, forward in time
-    E[:, 0] = Z[:, n - 1]
+    del g
+    # Time sums over 1/v: M[j, a, c] = sum_t E[t, a] E[t, c] / v(t) for the
+    # series columns c, and uu[j, p] = sum_t E[t, 2r + p]^2 / v(t).
+    M = np.zeros((rows, Z.shape[2], 2 * r))
+    uu = np.zeros((rows, phi.shape[1]))
+    chunk = min(_CHUNK_STEPS, n)
+    E = np.empty((rows, chunk, Z.shape[2]))  # innovations of one chunk
     v = np.empty((rows, n))
     steps = _durbin_levinson(head[:, :n])
-    _, _, _, v[:, 0], bad = next(steps)
-    for t, _, b, vt, _ in steps:
+    for t, _, b, vt, bad in steps:
         v[:, t] = vt
-        E[:, t] = Z[:, n - 1 - t] - (b[:, None] @ Z[:, n - t :])[:, 0]
-    # Time sums over 1/v: M[j, a, c] = sum_t E[t, a] E[t, c] / v(t).
-    Ev = (E / v[..., None]).transpose(0, 2, 1)
-    M = Ev @ E[..., : 2 * r]
+        c = t % chunk
+        E[:, c] = Z[:, n - 1 - t] - (b[:, None] @ Z[:, n - t :])[:, 0]
+        if c == chunk - 1 or t == n - 1:
+            S = E[:, : c + 1]
+            S /= np.sqrt(v[:, t - c : t + 1])[..., None]
+            M += S.transpose(0, 2, 1) @ S[..., : 2 * r]
+            uu += np.vecdot(S[..., 2 * r :], S[..., 2 * r :], axis=1)
     diag = np.arange(r)
     aa = M[:, diag, diag][:, None]
     ab = M[:, diag, r + diag][:, None]
     bb = M[:, r + diag, r + diag][:, None]
     ua = M[:, 2 * r :, :r]
     ub = M[:, 2 * r :, r:]
-    uu = np.vecdot(Ev[:, 2 * r :], E[..., 2 * r :].transpose(0, 2, 1))[..., None]
-    w = gamma0 - uu  # conditional variance of y(0) given x
+    w = gamma0 - uu[..., None]  # conditional variance of y(0) given x
     ok = (w > 0.0) & np.isfinite(w) & ~bad[:, None, None]
     w = np.where(ok, w, 1.0)
     quad = aa - 2.0 * phi * ab + phi * phi * bb + (Y[:, None, 0] - (ua - phi * ub)) ** 2 / w
@@ -420,7 +433,9 @@ _GRID_STEP = 0.02
 # (d, phi, lag) values per block of the likelihood kernel: rows of one d
 # with all of their phi are swept together up to this size, which bounds
 # the memory of a block while amortizing its Python steps over many points.
-_BLOCK_VALUES = 2 ** 15
+# A block keeps its innovations for _CHUNK_STEPS sweep steps at a time.
+_BLOCK_VALUES = 2 ** 17
+_CHUNK_STEPS = 16
 # Refinement: central-difference step of the likelihood stencil, cap on
 # the Newton step per coordinate, and cap on the Newton iterations.
 _STENCIL_STEP = 1e-4
@@ -582,7 +597,7 @@ def mle_fit(y, refine_tol=1e-6):
     the AR(1) factored out so that one sweep of the fractional-noise ACVF
     per d serves every phi. The search is a 0.02-step grid over
     (-0.49, 0.49) x (-0.99, 0.99), one call of the batched kernel swept in
-    blocks of about 2**15 (d, phi, lag) values (one d with all 99 phi at
+    blocks of about 2**17 (d, phi, lag) values (one d with all 99 phi at
     least), followed by a projected Newton
     ascent on the same kernel: every point is a 3 x 3 central-difference
     stencil (step 1e-4) whose centre gives the log-likelihood and whose
@@ -630,7 +645,7 @@ def mle_fit_many(ys, refine_tol=1e-6):
     every series. The refinement then runs in lockstep rounds: each round
     takes the pending stencil point of every live series and evaluates
     all of them in one stacked kernel call (3 d x 3 phi per series, swept
-    in blocks of about 2**15 (d, phi, lag) values), and a series leaves
+    in blocks of about 2**17 (d, phi, lag) values), and a series leaves
     once its search stops. A fit does not depend on the series fitted
     with it, except for ``grid_loglik``, whose rounding follows how many
     series share the grid's matmuls. Validates like :func:`mle_fit`; an

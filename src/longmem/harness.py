@@ -25,7 +25,13 @@ from statistics import NormalDist
 import numpy as np
 
 from .arfima import ArfimaParams, _parse_law, _simulate_rows, _standardized_deviates
-from .bootstrap import _BLOCK_VALUES, _MODES, BootstrapConfig, iterate_bias_correct
+from .bootstrap import (
+    _BLOCK_VALUES,
+    _MODES,
+    BootstrapConfig,
+    _check_tails,
+    iterate_bias_correct,
+)
 from .estimators import _DEGENERATE, EstimatorSpec, _estimate_rows, asymptotic_sd
 from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
 from .spectral import bandwidth
@@ -172,10 +178,10 @@ class McDesign:
             raise InvalidDesignError(f"mode must be one of {_MODES}")
         if self.max_iter < 1:
             raise InvalidDesignError("max_iter must be at least 1")
-        if not (0.0 <= self.alpha_lower < 1.0 and 0.0 <= self.alpha_upper < 1.0):
-            raise InvalidDesignError("hpd_tails must both lie in [0, 1)")
-        if self.alpha_lower + self.alpha_upper >= 1.0:
-            raise InvalidDesignError("hpd_tails must sum to less than 1")
+        try:
+            _check_tails(self.alpha_lower, self.alpha_upper)
+        except InvalidParameterError as exc:
+            raise InvalidDesignError(f"hpd_tails: {exc}") from exc
         if self.seed is None:
             # SeedSequence(None) draws fresh OS entropy in every job.
             raise InvalidDesignError("seed must be given; None is not reproducible")

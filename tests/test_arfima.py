@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -506,6 +507,39 @@ class TestLikelihoodKernels:
         for d1, phi1, ll1 in results[1:]:
             assert np.array_equal(d0, d1) and np.array_equal(phi0, phi1)
             assert_allclose(ll1, ll0, rtol=1e-12)
+
+    @pytest.mark.parametrize("T", [40, 100])
+    def test_grid_independent_of_chunk_length(self, monkeypatch, T):
+        # The sweep adds its innovations into the time sums chunk by chunk:
+        # one step per chunk and a single chunk give the default's values.
+        Y = np.column_stack(
+            [
+                simulate_gaussian(ArfimaParams(d=d, phi=phi), T, generator_at(T, i))
+                for i, (d, phi) in enumerate([(0.3, 0.3), (-0.3, 0.9), (0.45, -0.9), (0.0, 0.0)])
+            ]
+        )
+        d_grid, phi_grid = arfima._mle_grids()
+        ll0, s20 = _profile_loglik_batch(Y[None], d_grid[None], phi_grid[None])
+        for chunk in (1, T - 1):
+            monkeypatch.setattr(arfima, "_CHUNK_STEPS", chunk)
+            ll, s2 = _profile_loglik_batch(Y[None], d_grid[None], phi_grid[None])
+            assert_allclose(ll, ll0, rtol=1e-12)
+            assert_allclose(s2, s20, rtol=1e-12)
+
+    def test_block_memory_within_bound(self):
+        # A block holds the sweep's right-hand sides and, while they are
+        # built, the cross-covariances: about two tables of _BLOCK_VALUES
+        # doubles; the innovations are kept for one chunk of steps only.
+        T, r = 100, 8
+        Y = np.random.default_rng(5).standard_normal((1, T, r))
+        d_grid, phi_grid = arfima._mle_grids()
+        tracemalloc.start()
+        try:
+            ll, s2 = _profile_loglik_batch(Y, d_grid[None], phi_grid[None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * arfima._BLOCK_VALUES + ll.nbytes + s2.nbytes
 
     def test_tails_sized_to_phi_match_widest_tail(self):
         ds = np.linspace(-0.48, 0.48, 9)
