@@ -336,18 +336,18 @@ def _impulse_response(phi, T):
     return psi[h:]
 
 
-def _run_sieve(phi, eps, init, spectrum):
+def _run_sieve(phi, x, init, spectrum, freq=None, path=None):
     """AR paths from innovations and pre-sample blocks, filtered by `spectrum`.
 
-    The pre-sample blocks enter as offsets on the first h innovations, and
-    one causal FFT convolution with the kernel of `spectrum` (the AR
-    impulse response, possibly followed by more causal filtering) runs
-    every row.
+    The pre-sample blocks enter as offsets added in place to the first h
+    innovations of `x`, which the call consumes, and one causal FFT
+    convolution with the kernel of `spectrum` (the AR impulse response,
+    possibly followed by more causal filtering) runs every row. `freq`
+    and `path` are the buffers of :func:`_causal_filter`.
     """
-    x = eps.copy()
     h = min(phi.size - 1, x.shape[-1])
     x[..., :h] += _presample_offsets(_offset_weights(phi), init)[..., :h]
-    return _causal_filter(x, spectrum)
+    return _causal_filter(x, spectrum, freq, path)
 
 
 def simulate_ar_path(fit, innovations, init_block):
@@ -383,4 +383,4 @@ def simulate_ar_path(fit, innovations, init_block):
     if h == 0:
         return eps.copy()
     spectrum = _causal_spectrum(_impulse_response(fit.phi, eps.shape[-1]))
-    return _run_sieve(fit.phi, eps, init, spectrum)
+    return _run_sieve(fit.phi, eps.copy(), init, spectrum)

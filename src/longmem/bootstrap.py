@@ -30,7 +30,7 @@ from .estimators import (
     estimate,
 )
 from .exceptions import EstimationFailedError, InvalidParameterError
-from .fracdiff import _causal_spectrum, apply_frac_filter
+from .fracdiff import _causal_spectrum, _fft_length, apply_frac_filter
 from .spectral import bandwidth
 from .streams import as_seed_sequence, generator_at
 
@@ -52,8 +52,12 @@ __all__ = [
 # passes are fixed; it is the estimators' search interval.
 DETERMINISTIC_WINDOW = (SEARCH_LO, SEARCH_HI)
 
-# Values per block of draws that are built, filtered and estimated
-# together; bounds the working memory of a pass at any T and B.
+# Draw values per block of draws that are built, filtered and estimated
+# together. A pass allocates one workspace for a block and every block
+# writes into it, so the working memory of a pass is bounded at any T and
+# B: at most _BLOCK_VALUES innovations (one row when T is larger), and
+# under four times as many values in each FFT buffer (the FFT length is
+# below 4T).
 _BLOCK_VALUES = 2 ** 15
 
 _MODES = ("parametric", "nonparametric")
@@ -166,12 +170,20 @@ def _draw_spectrum(sieve):
     return _causal_spectrum(apply_frac_filter(psi, -sieve.d_f))
 
 
-def _innovations(config, sieve, rng, n):
-    """n rows of standardized innovations from `rng`, in row order."""
-    T = sieve.filtered.size
+def _innovations(config, sieve, rng, out):
+    """Fill the rows of `out` with standardized innovations from `rng`.
+
+    The rows are filled in row order, with the stream values that
+    drawing an array of the shape of `out` would give.
+    """
     if config.innovation_mode == "parametric":
-        return rng.standard_normal((n, T))
-    return sieve.residuals.standardized[rng.integers(0, T, size=(n, T))]
+        rng.standard_normal(out=out)
+        return
+    # The indices lie in [0, T), so "clip" never clips; unlike the default
+    # "raise", it writes into `out` without a temporary copy.
+    T = sieve.filtered.size
+    index = rng.integers(0, T, size=out.shape)
+    np.take(sieve.residuals.standardized, index, out=out, mode="clip")
 
 
 def _starts(sieve, rng, n):
@@ -185,18 +197,21 @@ def _starts(sieve, rng, n):
     return rng.integers(h, sieve.filtered.size + 1, size=n)
 
 
-def _draw_rows(sieve, eps, tau, spectrum):
+def _draw_rows(sieve, eps, tau, spectrum, freq=None, path=None):
     """Bootstrap replicas, one row per row of standardized innovations.
 
-    Row i scales ``eps[i]`` by the residual standard deviation and seeds
-    the AR path with the h filtered values before position ``tau[i]``.
-    One causal convolution with the kernel of `spectrum`
+    Row i scales ``eps[i]`` in place by the residual standard deviation
+    and seeds the AR path with the h filtered values before position
+    ``tau[i]``. One causal convolution with the kernel of `spectrum`
     (:func:`_draw_spectrum`) then runs the AR recursion and the inverse
-    filter over all rows.
+    filter over all rows. `eps` is consumed; `freq` and `path` are the
+    buffers of :func:`fracdiff._causal_filter`, and the replicas are a
+    view of `path`.
     """
     h = sieve.fit.order
     init = sieve.filtered[tau[:, None] + np.arange(-h, 0)]
-    return _run_sieve(sieve.fit.phi, eps * sieve.residuals.scale, init, spectrum)
+    eps *= sieve.residuals.scale
+    return _run_sieve(sieve.fit.phi, eps, init, spectrum, freq, path)
 
 
 def _estimate_draws(y, d_f, config, iteration, spec):
@@ -208,18 +223,32 @@ def _estimate_draws(y, d_f, config, iteration, spec):
     (no call when the sieve order is 0). The values therefore do not
     depend on the block size. A draw whose estimate fails raises
     :class:`EstimationFailedError` naming the draw and the pass.
+
+    One workspace serves every block of the pass. A block holds
+    ``_BLOCK_VALUES // T`` draws (at least one, at most B), and four
+    buffers of that many rows are allocated once: the innovations, their
+    spectra, the draw paths and the DFTs of the centred draws. Every
+    draw-sized step writes into them, the centring into the spent
+    innovations, so no block allocates a draw-sized array of its own.
     """
     sieve = prefilter_sieve(y, d_f)
     spectrum = _draw_spectrum(sieve)
-    rows = max(1, _BLOCK_VALUES // sieve.filtered.size)
+    T = sieve.filtered.size
+    n = _fft_length(T)
+    rows = min(config.B, max(1, _BLOCK_VALUES // T))
+    eps = np.empty((rows, T))
+    freq = np.empty((rows, n // 2 + 1), dtype=complex)
+    path = np.empty((rows, n))
+    dft = np.empty((rows, T // 2 + 1), dtype=complex)
     innovations_rng = generator_at(config.rng_stream, iteration, 0)
     tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
     draws = np.empty(config.B)
     for start in range(0, config.B, rows):
         tau_block = tau[start : start + rows]
-        eps = _innovations(config, sieve, innovations_rng, tau_block.size)
-        ystar = _draw_rows(sieve, eps, tau_block, spectrum)
-        values, ok, _ = _estimate_rows(ystar, spec)
+        m = tau_block.size
+        _innovations(config, sieve, innovations_rng, eps[:m])
+        ystar = _draw_rows(sieve, eps[:m], tau_block, spectrum, freq[:m], path[:m])
+        values, ok, _ = _estimate_rows(ystar, spec, centered=eps[:m], dft=dft[:m])
         if not ok.all():
             raise EstimationFailedError(
                 f"draw {start + int(np.argmin(ok))} of pass {iteration} failed:"

@@ -288,7 +288,7 @@ def _estimate_one(y, spec, family):
     )
 
 
-def _estimate_rows(y, spec):
+def _estimate_rows(y, spec, centered=None, dft=None):
     """Memory estimates of a stack of series, one per row of ``y``.
 
     The one estimate kernel: :func:`estimate` is its one-row case, and the
@@ -296,6 +296,7 @@ def _estimate_rows(y, spec):
     One FFT gives the ordinates of every row; each row's LPR coefficients
     or SPLW solve do not depend on the other rows. A row whose ordinates
     all vanish or are not finite gets ``ok`` False and a NaN estimate.
+    `centered` and `dft` are the buffers of :func:`spectral._ordinates`.
 
     Returns (d_hat, ok, boundary), arrays over the rows; ``boundary`` marks
     the SPLW estimates on an edge of [SEARCH_LO, SEARCH_HI] and is all
@@ -303,7 +304,7 @@ def _estimate_rows(y, spec):
     """
     T = y.shape[-1]
     N = bandwidth(T, spec.bandwidth_exponent, spec.P)
-    ordinates = _ordinates(y, N)
+    ordinates = _ordinates(y, N, centered, dft)
     ok = np.all(np.isfinite(ordinates), axis=-1) & np.any(
         ordinates > _LOG_FLOOR, axis=-1
     )

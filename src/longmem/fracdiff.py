@@ -101,13 +101,18 @@ def _causal_spectrum(weights):
     return np.fft.rfft(weights, _fft_length(weights.size))
 
 
-def _causal_filter(x, spectrum):
+def _causal_filter(x, spectrum, freq=None, path=None):
     """out(t) = sum_{j=0}^{t} k(j) x(t-j), t < T, along the last axis of x.
 
     `spectrum` is :func:`_causal_spectrum` of the weights k(0..T-1). Each
     row is transformed on its own, so a row's output does not depend on
-    the rows stacked with it.
+    the rows stacked with it. With n = :func:`_fft_length` of T, `freq`
+    receives the rows' n/2 + 1 spectral values and `path` their n-point
+    inverse transforms, whose first T values are returned as a view;
+    either buffer is allocated when omitted.
     """
     T = x.shape[-1]
     n = _fft_length(T)
-    return np.fft.irfft(np.fft.rfft(x, n, axis=-1) * spectrum, n, axis=-1)[..., :T]
+    freq = np.fft.rfft(x, n, axis=-1, out=freq)
+    freq *= spectrum
+    return np.fft.irfft(freq, n, axis=-1, out=path)[..., :T]

@@ -174,6 +174,16 @@ class McDesign:
             raise InvalidDesignError("need at least one replication")
         if not self.estimators:
             raise InvalidDesignError("need at least one estimator task")
+        # A repeated value would run as a second cell or task whose rows no
+        # reader of the results could tell from the first.
+        for what, values in (
+            ("T", self.T_values),
+            ("d", self.d_values),
+            ("phi", self.phi_values),
+            ("task", [task.name for task in self.estimators]),
+        ):
+            if len(set(values)) < len(values):
+                raise InvalidDesignError(f"repeated {what} in {list(values)}")
         if self.mode not in _MODES:
             raise InvalidDesignError(f"mode must be one of {_MODES}")
         if self.max_iter < 1:
@@ -604,6 +614,19 @@ _SCALAR_KEYS = {
 }
 
 
+def _integer(key, text):
+    """The integer that `text` spells for design key `key`.
+
+    Only integer text parses: '64.0', '1e2' and '1.5' are rejected, with
+    a message that names the key.
+    """
+    text = str(text).strip()
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameterError(f"{key} must be an integer, got '{text}'") from None
+
+
 def load_design(path, default_seed=None):
     """Parse a key = value config file into an McDesign.
 
@@ -634,9 +657,7 @@ def load_design(path, default_seed=None):
         return tuple(float(tok) for tok in values[key].split(","))
 
     law, dof = _parse_law(values.get("law", "gaussian"))
-    seed = values.get("seed")
-    if seed is None:
-        seed = default_seed if default_seed is not None else 0
+    seed = values.get("seed", default_seed if default_seed is not None else 0)
     alpha_lower, alpha_upper = 0.025, 0.025
     if "hpd_tails" in values:
         parts = values["hpd_tails"].split(",")
@@ -647,18 +668,18 @@ def load_design(path, default_seed=None):
         parse_estimator_token(tok) for tok in values["estimators"].split(",")
     )
     return McDesign(
-        T_values=tuple(int(float(t)) for t in values["T"].split(",")),
+        T_values=tuple(_integer("T", t) for t in values["T"].split(",")),
         d_values=_floats("d"),
         phi_values=_floats("phi"),
-        R=int(values["R"]),
+        R=_integer("R", values["R"]),
         estimators=tasks,
-        B=int(values.get("B", 0)),
+        B=_integer("B", values.get("B", 0)),
         mode=values.get("mode", "parametric"),
         law=law,
         dof=dof,
-        seed=int(seed),
+        seed=_integer("seed", seed),
         bandwidth_exponent=float(values.get("bandwidth_exp", 0.7)),
-        max_iter=int(values.get("max_iter", 10)),
+        max_iter=_integer("max_iter", values.get("max_iter", 10)),
         alpha_lower=alpha_lower,
         alpha_upper=alpha_upper,
     )

@@ -103,9 +103,14 @@ def periodogram(y, N):
     )
 
 
-def _ordinates(y, N):
-    """Periodogram ordinates j = 1..N of each series along the last axis."""
+def _ordinates(y, N, centered=None, dft=None):
+    """Periodogram ordinates j = 1..N of each series along the last axis.
+
+    `centered` receives the mean-removed series (the shape of `y`) and
+    `dft` their T/2 + 1 DFT values; either buffer is allocated when
+    omitted.
+    """
     T = y.shape[-1]
-    x = y - y.mean(axis=-1, keepdims=True)
-    dft = np.fft.rfft(x, axis=-1)[..., 1 : N + 1]
+    x = np.subtract(y, y.mean(axis=-1, keepdims=True), out=centered)
+    dft = np.fft.rfft(x, axis=-1, out=dft)[..., 1 : N + 1]
     return (dft.real ** 2 + dft.imag ** 2) / (2.0 * np.pi * T)

@@ -54,7 +54,7 @@ def stub_estimates(monkeypatch, row_estimate):
     a failed one. Rows are visited in order, so the data comes first and
     then the draws of each pass in draw order.
     """
-    def rows(y, spec):
+    def rows(y, spec, centered=None, dft=None):
         values = [row_estimate(row) for row in y]
         ok = np.array([v is not None for v in values])
         d_hat = np.array([np.nan if v is None else v for v in values])
@@ -133,7 +133,8 @@ class TestDraws:
             else:
                 eps = sieve.residuals.standardized[rng.integers(0, T, size=(cfg.B, T))]
             tau = rng.integers(h, T + 1, size=cfg.B) if h else np.zeros(cfg.B, int)
-            got = bmod._draw_rows(sieve, eps, tau, bmod._draw_spectrum(sieve))
+            # _draw_rows consumes its innovations: hand it a copy.
+            got = bmod._draw_rows(sieve, eps.copy(), tau, bmod._draw_spectrum(sieve))
             for row, e, t in zip(got, eps, tau):
                 e = e * sieve.residuals.scale
                 init = sieve.filtered[t - h : t]
@@ -243,14 +244,20 @@ def series_by_T():
     }
 
 
-def record_draw_rows(monkeypatch):
-    """Collect every block of bootstrap series that a pass builds."""
+def record_draw_rows(monkeypatch, views=None):
+    """Collect every block of bootstrap series that a pass builds.
+
+    The blocks of a pass share one workspace, so each is stored as a copy;
+    `views`, when given, also receives the blocks themselves.
+    """
     seen = []
     real = bmod._draw_rows
 
     def recording(*args):
         out = real(*args)
-        seen.append(out)
+        seen.append(out.copy())
+        if views is not None:
+            views.append(out)
         return out
 
     monkeypatch.setattr(bmod, "_draw_rows", recording)
@@ -315,16 +322,23 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
     def test_block_size_does_not_change_results(self, arfima_series, spec, mode,
                                                 monkeypatch):
+        # B = 150 at T = 500: default blocks of 65, 65 and 20 draws
         y = arfima_series
         cfg = BootstrapConfig(B=150, innovation_mode=mode, rng_stream=8)
-        seen = record_draw_rows(monkeypatch)
+        views = []
+        seen = record_draw_rows(monkeypatch, views)
         default_block = bmod._BLOCK_VALUES
         for build_sieve in (prefilter_sieve, order_zero_sieve):  # h > 0, h = 0
             monkeypatch.setattr(bmod, "prefilter_sieve", build_sieve)
             monkeypatch.setattr(bmod, "_BLOCK_VALUES", default_block)
             seen.clear()
+            views.clear()
             default = bias_correct(y, spec, 0.2, cfg).draws
             default_rows = np.concatenate(seen)
+            # One workspace per pass: every block is built in the first's.
+            assert [len(block) for block in views] == [65, 65, 20]
+            assert all(np.shares_memory(block, views[0]) for block in views[1:])
+            assert np.array_equal(default, est_mod._estimate_rows(default_rows, spec)[0])
             sieve = build_sieve(y, 0.2)
             assert (sieve.fit.order == 0) == (build_sieve is order_zero_sieve)
             assert np.array_equal(default_rows, pass_rows(y, 0.2, cfg, 0, sieve))
@@ -370,6 +384,36 @@ class TestBatchedDraws:
         count = design.R * 2 * len(design.estimators) * design.max_iter * 2
         assert len(passes) == count
         assert passes.isdisjoint(others)
+
+
+class TestInputsUnchanged:
+    """The draw kernels write in place; the public entry points copy first."""
+
+    @pytest.mark.parametrize("h", [0, 3])
+    def test_simulate_ar_path(self, arfima_series, h):
+        fit = ArFit(order=0, phi=[1.0], sigma2=1.0) if h == 0 else burg_fit(arfima_series, h)
+        rng = np.random.default_rng(4)
+        eps, init = rng.standard_normal((5, 200)), rng.standard_normal((5, h))
+        eps_bytes, init_bytes = eps.tobytes(), init.tobytes()
+        out = simulate_ar_path(fit, eps, init)
+        assert (eps.tobytes(), init.tobytes()) == (eps_bytes, init_bytes)
+        assert not np.shares_memory(out, eps)
+
+    @pytest.mark.parametrize("d", [0.0, 0.3, -0.4])
+    def test_apply_frac_filter(self, arfima_series, d):
+        for y in (arfima_series, np.stack([arfima_series, arfima_series[::-1]])):
+            before = y.tobytes()
+            apply_frac_filter(y, d)
+            assert y.tobytes() == before
+
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_bias_corrections(self, arfima_series, mode):
+        y = arfima_series.copy()
+        spec, cfg = EstimatorSpec("splw", 1), BootstrapConfig(B=20, innovation_mode=mode)
+        bias_correct(y, spec, 0.2, cfg)
+        assert y.tobytes() == arfima_series.tobytes()
+        iterate_bias_correct(y, spec, cfg, max_iter=2, fixed=True)
+        assert y.tobytes() == arfima_series.tobytes()
 
 
 class TestStoppingThresholds:

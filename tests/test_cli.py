@@ -238,6 +238,36 @@ class TestMcRun:
             assert proc.returncode == 2
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("T = 64.7", "T must be an integer"),
+            ("T = 1e2", "T must be an integer"),
+            ("T = 64, 100.0", "T must be an integer"),
+            ("R = 2.0", "R must be an integer"),
+            ("R = two", "R must be an integer"),
+            ("B = 16.0", "B must be an integer"),
+            ("seed = 1.5", "seed must be an integer"),
+            ("max_iter = 1e9", "max_iter must be an integer"),
+            ("T = 64, 64", "repeated T"),
+            ("d = 0, 0.0", "repeated d"),
+            ("phi = 0.3, 0.30", "repeated phi"),
+            ("estimators = lpr0-bba1, lpr0, lpr0-bba1", "repeated task"),
+        ],
+    )
+    def test_design_the_run_would_change_exit_2(self, tmp_path, capsys, line,
+                                                 message):
+        values = {"T": "64", "d": "0", "phi": "0.3", "R": "2", "B": "16",
+                  "estimators": "lpr0, lpr0-bba1"}
+        key, _, value = line.partition(" = ")
+        values[key] = value
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out = tmp_path / "o"
+        assert main(["mc-run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_2(self, tmp_path, threads):
         cfg = tmp_path / "cfg.txt"

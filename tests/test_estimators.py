@@ -32,7 +32,7 @@ def use_synthetic_ordinates(monkeypatch, T, N, coeffs):
     a, b, c2, c4 = coeffs
     logI = a + b * (-2.0 * np.log(freqs)) + c2 * freqs ** 2 + c4 * freqs ** 4
 
-    def synthetic(y, n):
+    def synthetic(y, n, centered=None, dft=None):
         assert y.shape[-1] == T and n == N
         return np.tile(np.exp(logI), (len(y), 1))
 

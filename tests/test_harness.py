@@ -105,6 +105,21 @@ class TestDesign:
         with pytest.raises(InvalidDesignError):
             small_design(**bad)
 
+    @pytest.mark.parametrize(
+        "bad, what",
+        [
+            (dict(T_values=(64, 100, 64)), "T"),
+            (dict(d_values=(0.0, 0.2, 0.0)), "d"),
+            (dict(phi_values=(0.3, 0.3)), "phi"),
+            (dict(estimators=(parse_estimator_token("lpr0"),
+                              parse_estimator_token("lpr0"))), "task"),
+        ],
+        ids=["T", "d", "phi", "task"],
+    )
+    def test_repeated_values_rejected(self, bad, what):
+        with pytest.raises(InvalidDesignError, match=f"repeated {what} "):
+            small_design(**bad)
+
     def test_cells_enumerated_lexicographically(self):
         design = small_design(T_values=(64, 128), phi_values=(0.3, 0.6))
         cells = design.cells()
@@ -155,13 +170,15 @@ class TestRunDesign:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_estimators_share_series(self):
-        # same family twice: identical point stats
+        # an HPD task's point is the plain estimate on the same series:
+        # identical point stats
         design = small_design(
             estimators=(parse_estimator_token("lpr0"),
-                        parse_estimator_token("lpr0")),
+                        parse_estimator_token("lpr0-hpd")),
         )
         res = run_design(design)
         assert res[0].stats["bias"] == res[1].stats["bias"]
+        assert res[0].stats["mse"] == res[1].stats["mse"]
 
     def test_failures_excluded_and_counted(self, monkeypatch):
         real = hmod._estimate_rows
@@ -193,8 +210,8 @@ class TestRunDesign:
         real = bmod._estimate_rows
         passes = {"n": 0}
 
-        def failing(ystar, spec):
-            values, ok, boundary = real(ystar, spec)
+        def failing(ystar, spec, **buffers):
+            values, ok, boundary = real(ystar, spec, **buffers)
             passes["n"] += 1
             if passes["n"] == 2:  # one block per pass, one pass per replication
                 ok[3] = False
