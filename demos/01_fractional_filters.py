@@ -11,7 +11,7 @@ import longmem as lm
 
 # Coefficients follow the recursion a_j = a_{j-1} (j-1-d)/j.
 for d in (0.0, 0.5, 1.0, -0.3):
-    print(f"d={d:+.1f}: a_0..a_5 =", np.round(lm.frac_diff_coeffs(d, 6).coeffs, 4))
+    print(f"d={d:+.1f}: a_0..a_5 =", np.round(lm.frac_diff_coeffs(d, 6), 4))
 
 rng = np.random.default_rng(0)
 y = rng.standard_normal(1000)

@@ -8,7 +8,6 @@ and a reproducible Monte Carlo harness.
 """
 
 from .arfima import (
-    AcvfTable,
     ArfimaParams,
     MleResult,
     arfima_acvf,
@@ -20,11 +19,8 @@ from .arsieve import (
     ArFit,
     ResidualSet,
     ar_residuals,
-    burg_fit,
     default_max_order,
     levinson_durbin,
-    select_order_aic,
-    simulate_ar_path,
 )
 from .bootstrap import (
     BootstrapConfig,
@@ -53,7 +49,7 @@ from .exceptions import (
     LongmemError,
     NumericalDegeneracyError,
 )
-from .fracdiff import FracCoeffs, apply_frac_filter, frac_diff_coeffs
+from .fracdiff import apply_frac_filter, frac_diff_coeffs
 from .harness import (
     EstimatorTask,
     McCellResult,
@@ -64,6 +60,6 @@ from .harness import (
     read_results_csv,
     run_design,
 )
-from .spectral import PeriodogramSlice, bandwidth, fourier_frequencies, periodogram
+from .spectral import bandwidth, fourier_frequencies, periodogram
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from .exceptions import (
 
 __all__ = [
     "ArfimaParams",
-    "AcvfTable",
     "MleResult",
     "arfima_acvf",
     "simulate_gaussian",
@@ -80,24 +79,6 @@ def _parse_law(text):
     )
 
 
-@dataclass
-class AcvfTable:
-    """Autocovariances gamma(0..max_lag)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values[0] <= 0:
-            raise InvalidParameterError("gamma(0) must be positive")
-        if np.any(np.abs(self.values) > self.values[0] * (1 + 1e-12)):
-            raise InvalidParameterError("|gamma(k)| cannot exceed gamma(0)")
-
-    @property
-    def max_lag(self):
-        return self.values.size - 1
-
-
 def _fractional_acvf(d, sigma2, max_lag):
     """ACVF of pure fractional noise: stable lag recursion from gamma(0)."""
     g = np.empty(max_lag + 1)
@@ -125,7 +106,7 @@ def arfima_acvf(params, max_lag):
 
     Returns
     -------
-    AcvfTable
+    ndarray
         gamma(0..max_lag).
     """
     max_lag = int(max_lag)
@@ -133,7 +114,7 @@ def arfima_acvf(params, max_lag):
         raise InvalidParameterError("max_lag must be nonnegative")
     m_tail = _ar1_tail_length(params.phi)
     gam = _acvf_rows([params.d], params.phi, max_lag + 1, m_tail)[0]
-    return AcvfTable(values=params.sigma2 * gam)
+    return params.sigma2 * gam
 
 
 def _standardized_deviates(params, T, rng):
@@ -185,7 +166,7 @@ def _simulate_rows(cells, Z):
     No T x T factor is formed; memory is O(G R T).
     """
     T = Z.shape[-1]
-    gams = np.array([arfima_acvf(params, max_lag=T - 1).values for params in cells])
+    gams = np.array([arfima_acvf(params, max_lag=T - 1) for params in cells])
     out = np.sqrt(gams[:, :1, None]) * Z
     live = np.flatnonzero(np.any(gams[:, 1:], axis=1))
     if live.size == 0:

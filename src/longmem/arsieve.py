@@ -14,16 +14,13 @@ from .exceptions import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .fracdiff import _causal_filter, _causal_spectrum
+from .fracdiff import _causal_filter
 
 __all__ = [
     "ArFit",
     "ResidualSet",
     "levinson_durbin",
-    "burg_fit",
-    "select_order_aic",
     "ar_residuals",
-    "simulate_ar_path",
     "default_max_order",
 ]
 
@@ -43,15 +40,6 @@ class ArFit:
             raise InvalidParameterError("phi must have length order+1 with phi[0]=1")
         if not self.sigma2 > 0:
             raise InvalidParameterError("innovation variance must be positive")
-
-    def is_stable(self):
-        """True when all zeros of sum_j phi[j] z^j lie outside the unit circle."""
-        if self.reflection is not None and self.reflection.size == self.order:
-            return bool(np.all(np.abs(self.reflection) < 1.0))
-        if self.order == 0:
-            return True
-        roots = np.roots(self.phi)  # roots of phi[0] u^h + ... + phi[h]
-        return bool(np.all(np.abs(roots) < 1.0))
 
 
 @dataclass
@@ -208,17 +196,6 @@ def _burg_reflections(w, h_max):
     return ks, sig
 
 
-def _burg_input(w, h, name):
-    """The series as floats and the order as an int, checked for a sweep to h."""
-    w = np.asarray(w, dtype=float)
-    h = int(h)
-    if h < 1:
-        raise InvalidParameterError(f"{name} must be >= 1")
-    if w.size <= 2 * h:
-        raise InvalidParameterError(f"need T > 2*{name} observations")
-    return w, h
-
-
 def _burg_arfit(ks, sig):
     """The AR fit of the order len(ks) from a Burg sweep's first reflections."""
     return ArFit(
@@ -229,42 +206,21 @@ def _burg_arfit(ks, sig):
     )
 
 
-def burg_fit(w, h):
-    """Fit an AR(h) model by Burg's forward/backward error recursion.
-
-    Parameters
-    ----------
-    w : array_like
-        Series of length T > 2h.
-    h : int
-        Autoregressive order, h >= 1.
-
-    Returns
-    -------
-    ArFit
-        Stable fit (all reflection coefficients in (-1, 1)).
-    """
-    w, h = _burg_input(w, h, "h")
-    return _burg_arfit(*_burg_reflections(w, h))
-
-
-def select_order_aic(w, h_max):
-    """Select the sieve order by AIC over h = 1..h_max.
-
-    AIC(h) = T*log(sigma_h^2) + 2h, with all variances taken from a
-    single Burg sweep to h_max. Ties break toward the smaller order.
-    """
-    return _aic_burg_fit(w, h_max).order
-
-
 def _aic_burg_fit(w, h_max):
-    """``burg_fit(w, select_order_aic(w, h_max))`` from one Burg sweep.
+    """The sieve's AR fit: AIC order and Burg coefficients from one sweep.
 
-    The reflection at order m does not depend on where the sweep stops, so
-    the first h reflections of the sweep to h_max give the same fit, bit
+    AIC(h) = T*log(sigma_h^2) + 2h over h = 1..h_max, with every variance
+    taken from one Burg sweep to h_max; ties break toward the smaller
+    order. The reflection at order m does not depend on where the sweep
+    stops, so the first h reflections of the sweep give the same fit, bit
     for bit, as a second sweep to the chosen order h.
     """
-    w, h_max = _burg_input(w, h_max, "h_max")
+    w = np.asarray(w, dtype=float)
+    h_max = int(h_max)
+    if h_max < 1:
+        raise InvalidParameterError("h_max must be >= 1")
+    if w.size <= 2 * h_max:
+        raise InvalidParameterError("need T > 2*h_max observations")
     ks, sig = _burg_reflections(w, h_max)
     aic = w.size * np.log(sig) + 2.0 * np.arange(1, h_max + 1)
     h = int(np.argmin(aic)) + 1  # argmin returns the first minimum
@@ -348,39 +304,3 @@ def _run_sieve(phi, x, init, spectrum, freq=None, path=None):
     h = min(phi.size - 1, x.shape[-1])
     x[..., :h] += _presample_offsets(_offset_weights(phi), init)[..., :h]
     return _causal_filter(x, spectrum, freq, path)
-
-
-def simulate_ar_path(fit, innovations, init_block):
-    """Run the AR(h) recursion sum_j phi[j] w(t-j) = eps(t) forward.
-
-    Stacked inputs run as many independent paths at once, one per row
-    along the leading axes. The pre-sample block of a row becomes offsets
-    on its first h innovations, and the path is one causal FFT
-    convolution of the shifted innovations with the first T weights of
-    the AR impulse response (O(T log T) per path).
-
-    Parameters
-    ----------
-    fit : ArFit
-        Stable AR fit.
-    innovations : array_like, shape (..., T)
-        eps(1..T) of each path.
-    init_block : array_like, shape (..., h)
-        Pre-sample values (w(1-h), ..., w(0)) of each path in natural time
-        order; h must equal the fit order.
-
-    Returns
-    -------
-    ndarray of the shape of `innovations`
-    """
-    eps = np.asarray(innovations, dtype=float)
-    init = np.asarray(init_block, dtype=float)
-    h = fit.order
-    if init.shape != eps.shape[:-1] + (h,):
-        raise InvalidParameterError("init block length must equal the fit order")
-    if not fit.is_stable():
-        raise InvalidParameterError("AR fit is not stable")
-    if h == 0:
-        return eps.copy()
-    spectrum = _causal_spectrum(_impulse_response(fit.phi, eps.shape[-1]))
-    return _run_sieve(fit.phi, eps.copy(), init, spectrum)

@@ -7,22 +7,12 @@ filter for ``-d`` afterwards restores the original series exactly (up to
 rounding).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it here, not inside the first filter call
 
 from .exceptions import InvalidParameterError
 
-__all__ = ["FracCoeffs", "frac_diff_coeffs", "apply_frac_filter"]
-
-
-@dataclass
-class FracCoeffs:
-    """Leading coefficients of the binomial expansion of (1-z)**d."""
-
-    d: float
-    coeffs: np.ndarray
+__all__ = ["frac_diff_coeffs", "apply_frac_filter"]
 
 
 def frac_diff_coeffs(d, n):
@@ -41,7 +31,8 @@ def frac_diff_coeffs(d, n):
 
     Returns
     -------
-    FracCoeffs
+    ndarray of length n
+        a_0(d), ..., a_{n-1}(d).
     """
     if not np.isfinite(d):
         raise InvalidParameterError("fractional order d must be finite")
@@ -53,7 +44,7 @@ def frac_diff_coeffs(d, n):
     if n > 1:
         j = np.arange(1, n, dtype=float)
         coeffs[1:] = np.cumprod((j - 1.0 - d) / j)
-    return FracCoeffs(d=float(d), coeffs=coeffs)
+    return coeffs
 
 
 def apply_frac_filter(y, d):
@@ -83,7 +74,7 @@ def apply_frac_filter(y, d):
         raise InvalidParameterError("series contains non-finite values")
     if d == 0:
         return y.copy()
-    return _causal_filter(y, _causal_spectrum(frac_diff_coeffs(d, y.shape[-1]).coeffs))
+    return _causal_filter(y, _causal_spectrum(frac_diff_coeffs(d, y.shape[-1])))
 
 
 # The one causal filter kernel: the fractional filter, the AR sieve path

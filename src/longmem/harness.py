@@ -627,14 +627,26 @@ def _integer(key, text):
         raise InvalidParameterError(f"{key} must be an integer, got '{text}'") from None
 
 
+def _real(key, text):
+    """The float that `text` spells for design key `key`.
+
+    Text that is not a number is rejected with a message that names the key.
+    """
+    text = str(text).strip()
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidParameterError(f"{key} must be a number, got '{text}'") from None
+
+
 def load_design(path, default_seed=None):
     """Parse a key = value config file into an McDesign.
 
     Recognized keys: T, d, phi, R, B, estimators, mode, law, seed,
-    bandwidth_exp, max_iter, hpd_tails. Lists are comma separated;
-    '#' starts a comment.
+    bandwidth_exp, max_iter, hpd_tails, each at most once. Lists are
+    comma separated; '#' starts a comment.
     """
-    values = {}
+    values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -648,13 +660,17 @@ def load_design(path, default_seed=None):
             key = key.strip()
             if key not in _LIST_KEYS | _SCALAR_KEYS:
                 raise InvalidParameterError(f"{path}:{lineno}: unknown key '{key}'")
-            values[key] = val.strip()
+            if key in values:
+                raise InvalidParameterError(
+                    f"{path}:{lineno}: key '{key}' repeated (first on line {lines[key]})"
+                )
+            values[key], lines[key] = val.strip(), lineno
     for key in ("T", "d", "phi", "R", "estimators"):
         if key not in values:
             raise InvalidParameterError(f"config is missing required key '{key}'")
 
     def _floats(key):
-        return tuple(float(tok) for tok in values[key].split(","))
+        return tuple(_real(key, tok) for tok in values[key].split(","))
 
     law, dof = _parse_law(values.get("law", "gaussian"))
     seed = values.get("seed", default_seed if default_seed is not None else 0)
@@ -663,10 +679,11 @@ def load_design(path, default_seed=None):
         parts = values["hpd_tails"].split(",")
         if len(parts) != 2:
             raise InvalidParameterError("hpd_tails needs two comma-separated masses")
-        alpha_lower, alpha_upper = float(parts[0]), float(parts[1])
-    tasks = tuple(
-        parse_estimator_token(tok) for tok in values["estimators"].split(",")
-    )
+        alpha_lower, alpha_upper = (_real("hpd_tails", p) for p in parts)
+    try:
+        tasks = tuple(map(parse_estimator_token, values["estimators"].split(",")))
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"estimators: {exc}") from None
     return McDesign(
         T_values=tuple(_integer("T", t) for t in values["T"].split(",")),
         d_values=_floats("d"),
@@ -678,7 +695,7 @@ def load_design(path, default_seed=None):
         law=law,
         dof=dof,
         seed=_integer("seed", seed),
-        bandwidth_exponent=float(values.get("bandwidth_exp", 0.7)),
+        bandwidth_exponent=_real("bandwidth_exp", values.get("bandwidth_exp", 0.7)),
         max_iter=_integer("max_iter", values.get("max_iter", 10)),
         alpha_lower=alpha_lower,
         alpha_upper=alpha_upper,

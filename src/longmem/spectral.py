@@ -1,37 +1,11 @@
 """Fourier frequencies and the periodogram on the low-frequency band."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it here, not inside the first periodogram
 
 from .exceptions import InvalidDesignError, InvalidParameterError
 
-__all__ = ["PeriodogramSlice", "bandwidth", "periodogram", "fourier_frequencies"]
-
-
-@dataclass
-class PeriodogramSlice:
-    """Periodogram ordinates at the first N nonzero Fourier frequencies."""
-
-    T: int
-    freqs: np.ndarray
-    ordinates: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.ordinates)
-        if len(self.freqs) != n:
-            raise InvalidParameterError("freqs and ordinates must have equal length")
-        if n < 1 or n >= self.T / 2:
-            raise InvalidParameterError("need 1 <= N < T/2")
-        if not np.all(np.isfinite(self.ordinates)) or np.any(self.ordinates < 0):
-            raise InvalidParameterError("ordinates must be finite and nonnegative")
-        if np.any(np.diff(self.freqs) <= 0):
-            raise InvalidParameterError("frequencies must be strictly increasing")
-
-    @property
-    def n_freqs(self):
-        return len(self.ordinates)
+__all__ = ["bandwidth", "periodogram", "fourier_frequencies"]
 
 
 def fourier_frequencies(T, N):
@@ -85,22 +59,24 @@ def periodogram(y, N):
     Parameters
     ----------
     y : array_like
-        Observed series of length T.
+        Observed series of length T, finite.
     N : int
         Number of ordinates, 1 <= N < T/2.
 
     Returns
     -------
-    PeriodogramSlice
+    ndarray of length N
+        I(l_1), ..., I(l_N) at l_j = ``fourier_frequencies(T, N)[j-1]``.
     """
     y = np.asarray(y, dtype=float)
-    T = y.size
+    if y.ndim != 1:
+        raise InvalidParameterError("series must be one-dimensional")
+    if not np.all(np.isfinite(y)):
+        raise InvalidParameterError("series contains non-finite values")
     N = int(N)
-    if not 1 <= N < T / 2:
+    if not 1 <= N < y.size / 2:
         raise InvalidParameterError("need 1 <= N < T/2")
-    return PeriodogramSlice(
-        T=T, freqs=fourier_frequencies(T, N), ordinates=_ordinates(y, N)
-    )
+    return _ordinates(y, N)
 
 
 def _ordinates(y, N, centered=None, dft=None):

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own computational
 paths: the periodogram is a direct DFT sum, the ACVF is a truncated
 MA(infinity) convolution, the HPD window comes from exhaustive
 enumeration, the profiled local Whittle objective is a least-squares
-fit per d, and the ARFIMA ACVF rows, the AR path and the bootstrap
+fit per d, the AIC order refits Burg at every order instead of reading
+one sweep, and the ARFIMA ACVF rows, the AR path and the bootstrap
 draws run their recursions sequentially through ``scipy.signal.lfilter``.
 """
 
@@ -15,7 +16,7 @@ from scipy.special import gamma as _gamma
 
 from longmem import arfima
 from longmem.arfima import _LOG_2PI, _fractional_acvf
-from longmem.arsieve import _durbin_levinson
+from longmem.arsieve import _burg_reflections, _durbin_levinson
 from longmem.fracdiff import apply_frac_filter
 
 
@@ -153,6 +154,16 @@ def ar_path_lfilter(phi, eps, init):
     for m in range(h):
         zi[..., m] = -(phi[m + 1 :] * past[..., : h - m]).sum(axis=-1)
     return lfilter([1.0], phi, eps, axis=-1, zi=zi)[0]
+
+
+def aic_order_by_refits(w, h_max):
+    """The AIC order over h = 1..h_max, with a Burg sweep of its own per order.
+
+    AIC(h) = T*log(sigma_h^2) + 2h, where sigma_h^2 ends the sweep to h;
+    ties break toward the smaller order.
+    """
+    sig = np.array([_burg_reflections(w, h)[1][-1] for h in range(1, h_max + 1)])
+    return int(np.argmin(len(w) * np.log(sig) + 2.0 * np.arange(1, h_max + 1))) + 1
 
 
 def draw_lfilter(phi, eps, init, d_f):

@@ -40,23 +40,23 @@ from _oracles import (
 
 class TestAcvf:
     def test_white_noise(self):
-        got = arfima_acvf(ArfimaParams(d=0.0, phi=0.0), 3).values
+        got = arfima_acvf(ArfimaParams(d=0.0, phi=0.0), 3)
         assert_allclose(got, [1, 0, 0, 0])
 
     def test_pure_ar1(self):
-        got = arfima_acvf(ArfimaParams(d=0.0, phi=0.6), 3).values
+        got = arfima_acvf(ArfimaParams(d=0.0, phi=0.6), 3)
         want = [0.6 ** k / 0.64 for k in range(4)]
         assert_allclose(got, want, rtol=1e-14)
 
     def test_pure_fractional_gamma0(self):
-        got = arfima_acvf(ArfimaParams(d=0.3, phi=0.0), 0).values[0]
+        got = arfima_acvf(ArfimaParams(d=0.3, phi=0.0), 0)[0]
         want = math.gamma(0.4) / math.gamma(0.7) ** 2  # ~1.3164
         assert_allclose(got, want, rtol=1e-12)
         assert_allclose(got, 1.3164, atol=1e-4)
 
     def test_sigma2_scaling(self):
-        a = arfima_acvf(ArfimaParams(d=0.2, phi=0.3, sigma2=1.0), 5).values
-        b = arfima_acvf(ArfimaParams(d=0.2, phi=0.3, sigma2=2.5), 5).values
+        a = arfima_acvf(ArfimaParams(d=0.2, phi=0.3, sigma2=1.0), 5)
+        b = arfima_acvf(ArfimaParams(d=0.2, phi=0.3, sigma2=2.5), 5)
         assert_allclose(b, 2.5 * a, rtol=1e-14)
 
     def test_invalid_d_rejected(self):
@@ -66,15 +66,15 @@ class TestAcvf:
             ArfimaParams(d=-0.5, phi=0.0)
 
     def test_against_ma_oracle_single_cell(self):
-        mine = arfima_acvf(ArfimaParams(d=0.25, phi=0.5), 20).values
+        mine = arfima_acvf(ArfimaParams(d=0.25, phi=0.5), 20)
         brute = ma_truncated_acvf(0.25, 0.5, 1.0, 20)
         assert np.max(np.abs(mine - brute) / np.abs(brute)) <= 1e-6
 
     def test_lag_zero_and_length_one_with_ar_part(self):
         params = ArfimaParams(d=0.2, phi=0.5)
-        got = arfima_acvf(params, 0).values
+        got = arfima_acvf(params, 0)
         assert got.shape == (1,)
-        assert got[0] == arfima_acvf(params, 1).values[0]
+        assert got[0] == arfima_acvf(params, 1)[0]
         y = simulate_gaussian(params, 1, np.random.default_rng(3))
         assert y.shape == (1,) and np.isfinite(y[0])
 
@@ -83,7 +83,7 @@ class TestAcvf:
         for phi in (-0.5, 0.0, 0.7):
             rows = _acvf_rows(ds, phi, 40, _ar1_tail_length(phi, rel=1e-15))
             for i, d in enumerate(ds):
-                want = arfima_acvf(ArfimaParams(d=d, phi=phi), 39).values
+                want = arfima_acvf(ArfimaParams(d=d, phi=phi), 39)
                 assert_allclose(rows[i], want, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("T", [1, 2, 100, 500, 2000])
@@ -163,7 +163,7 @@ class TestSimulation:
 
     def test_sample_acvf_matches_theory(self):
         params = ArfimaParams(d=0.3, phi=0.6)
-        gam = arfima_acvf(params, 5).values
+        gam = arfima_acvf(params, 5)
         reps = []
         for r in range(200):
             y = simulate_gaussian(params, 2000, np.random.default_rng(r))
@@ -175,7 +175,7 @@ class TestSimulation:
     def test_small_T_joint_covariance_exact(self):
         params = ArfimaParams(d=0.3, phi=0.6)
         T = 8
-        sigma = sl.toeplitz(arfima_acvf(params, T - 1).values)
+        sigma = sl.toeplitz(arfima_acvf(params, T - 1))
         draws = np.array(
             [
                 simulate_gaussian(params, T, np.random.default_rng(10_000 + i))
@@ -245,7 +245,7 @@ class TestSimulation:
         T = 200
         for phi in (0.0, 0.6):
             params = ArfimaParams(d=0.3, phi=phi)
-            L = np.linalg.cholesky(sl.toeplitz(arfima_acvf(params, T - 1).values))
+            L = np.linalg.cholesky(sl.toeplitz(arfima_acvf(params, T - 1)))
             Z = np.random.default_rng(8).standard_normal((5, T))
             got = _simulate_rows([params], Z[None])[0]
             assert_allclose(got, Z @ L.T, rtol=0, atol=1e-10)

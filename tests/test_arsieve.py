@@ -7,24 +7,48 @@ from longmem import (
     ArfimaParams,
     InvalidParameterError,
     NumericalDegeneracyError,
+    ResidualSet,
+    SieveFit,
     ar_residuals,
     arfima_acvf,
-    burg_fit,
     default_max_order,
     levinson_durbin,
-    select_order_aic,
-    simulate_ar_path,
 )
 import longmem.arsieve as arsieve
-from longmem.arsieve import _aic_burg_fit, _burg_reflections, _durbin_levinson
+import longmem.bootstrap as bmod
+from longmem.arsieve import (
+    _aic_burg_fit,
+    _burg_arfit,
+    _burg_reflections,
+    _durbin_levinson,
+)
+
+from _oracles import aic_order_by_refits, ar_path_lfilter
 
 
-def ar_path(phi, T, seed, h=None):
+def ar_path(phi, T, seed):
     phi = np.asarray(phi, dtype=float)
-    order = phi.size - 1 if h is None else h
-    fit = ArFit(order=order, phi=phi, sigma2=1.0)
     eps = np.random.default_rng(seed).standard_normal(T)
-    return simulate_ar_path(fit, eps, np.zeros(order))
+    return ar_path_lfilter(phi, eps, np.zeros(phi.size - 1))
+
+
+def burg_fit(w, h):
+    """The Burg fit of fixed order h, from the first h reflections of a sweep."""
+    return _burg_arfit(*_burg_reflections(w, h))
+
+
+def sieve_path(phi, eps, filtered, tau):
+    """One bootstrap draw of a d_f = 0 sieve with unit scale: the AR path alone.
+
+    The path runs sum_j phi[j] w(t-j) = eps(t), seeded by the h values of
+    `filtered` before position `tau`.
+    """
+    phi = np.asarray(phi, dtype=float)
+    fit = ArFit(order=phi.size - 1, phi=phi, sigma2=1.0)
+    sieve = SieveFit(0.0, np.asarray(filtered, dtype=float), fit,
+                     ResidualSet(raw=None, standardized=None, scale=1.0))
+    eps = np.array(eps, dtype=float, ndmin=2)
+    return bmod._draw_rows(sieve, eps, np.array([tau]), bmod._draw_spectrum(sieve))[0]
 
 
 class TestLevinson:
@@ -57,7 +81,7 @@ class TestLevinson:
 
     def test_fits_are_one_row_of_the_batched_sweep(self):
         good = [
-            arfima_acvf(ArfimaParams(d=d, phi=phi), 12).values
+            arfima_acvf(ArfimaParams(d=d, phi=phi), 12)
             for d, phi in ((0.3, 0.6), (0.0, 0.0), (-0.2, -0.8))
         ]
         bad = np.r_[1.0, 1.1, np.zeros(11)]  # not positive definite at order 1
@@ -103,13 +127,13 @@ class TestBurg:
         for seed in range(5):
             w = np.random.default_rng(seed).standard_normal(400)
             fit = burg_fit(w, 12)
-            assert fit.is_stable()
+            assert np.all(np.abs(fit.reflection) < 1.0)
             roots = np.roots(fit.phi)
             assert np.all(np.abs(roots) < 1.0)
 
     def test_sample_size_precondition(self):
         with pytest.raises(InvalidParameterError):
-            burg_fit(np.arange(10.0), 5)
+            _aic_burg_fit(np.arange(10.0), 5)
 
     def test_implied_acvf_positive_definite(self):
         # forward Levinson pass on the fitted AR's own ACVF must succeed
@@ -127,9 +151,9 @@ class TestOrderSelection:
     def test_white_noise_prefers_small_orders(self):
         h_max = default_max_order(2000)
         small = sum(
-            select_order_aic(
+            _aic_burg_fit(
                 np.random.default_rng(100 + r).standard_normal(2000), h_max
-            )
+            ).order
             <= 3
             for r in range(40)
         )
@@ -138,12 +162,12 @@ class TestOrderSelection:
     def test_strong_ar1_selects_at_least_one(self):
         for seed in range(5):
             w = ar_path([1.0, -0.9], 2000, seed=seed)
-            assert select_order_aic(w, 25) >= 1
+            assert _aic_burg_fit(w, 25).order >= 1
 
     def test_h_max_honored(self):
         w = ar_path([1.0, -0.9], 2000, seed=9)
         for h_max in (1, 2, 5):
-            assert select_order_aic(w, h_max) <= h_max
+            assert _aic_burg_fit(w, h_max).order <= h_max
 
     def test_single_sweep_matches_per_order_refits(self):
         w = np.random.default_rng(4).standard_normal(500)
@@ -155,7 +179,7 @@ class TestOrderSelection:
     def test_aic_fit_from_one_sweep_equals_refit(self, monkeypatch, T):
         w = ar_path([1.0, -0.7, 0.3], T, seed=T)
         h_max = default_max_order(T)
-        want = burg_fit(w, select_order_aic(w, h_max))
+        want = burg_fit(w, aic_order_by_refits(w, h_max))
         calls = []
 
         def counting(series, h):
@@ -193,7 +217,7 @@ class TestResiduals:
         rng = np.random.default_rng(6)
         eps = rng.standard_normal(300)
         fit = ArFit(order=1, phi=[1.0, -0.5], sigma2=1.0)
-        w = simulate_ar_path(fit, eps, [0.0])
+        w = ar_path_lfilter(fit.phi, eps, np.zeros(1))
         res = ar_residuals(w, fit)
         assert_allclose(res.raw[1:], eps[1:], atol=1e-12)
 
@@ -205,26 +229,16 @@ class TestResiduals:
 
 
 class TestSimulatePath:
+    """The sieve's AR path, drawn by the bootstrap kernel with d_f = 0."""
+
     def test_zero_in_zero_out(self):
-        fit = ArFit(order=1, phi=[1.0, -0.5], sigma2=1.0)
-        assert_allclose(simulate_ar_path(fit, np.zeros(5), [0.0]), np.zeros(5))
+        path = sieve_path([1.0, -0.5], np.zeros(5), np.zeros(5), tau=1)
+        assert_allclose(path, np.zeros(5))
 
     def test_order_zero_passthrough(self):
-        fit = ArFit(order=0, phi=[1.0], sigma2=1.0)
         eps = np.arange(4.0)
-        assert_allclose(simulate_ar_path(fit, eps, []), eps)
+        assert_allclose(sieve_path([1.0], eps, np.ones(4), tau=0), eps)
 
     def test_unrolled_recursion(self):
-        fit = ArFit(order=1, phi=[1.0, -0.5], sigma2=1.0)
-        path = simulate_ar_path(fit, np.zeros(3), [1.0])
+        path = sieve_path([1.0, -0.5], np.zeros(3), [1.0, 0.0, 0.0], tau=1)
         assert_allclose(path, [0.5, 0.25, 0.125])
-
-    def test_unstable_fit_rejected(self):
-        fit = ArFit(order=1, phi=[1.0, -1.5], sigma2=1.0)
-        with pytest.raises(InvalidParameterError):
-            simulate_ar_path(fit, np.zeros(5), [0.0])
-
-    def test_init_block_length_checked(self):
-        fit = ArFit(order=2, phi=[1.0, -0.5, 0.1], sigma2=1.0)
-        with pytest.raises(InvalidParameterError):
-            simulate_ar_path(fit, np.zeros(5), [0.0])

@@ -27,17 +27,23 @@ import longmem.bootstrap as bmod
 import longmem.estimators as est_mod
 from longmem.arsieve import (
     ArFit,
+    _burg_arfit,
+    _burg_reflections,
+    _impulse_response,
+    _run_sieve,
     ar_residuals,
-    burg_fit,
     default_max_order,
-    select_order_aic,
-    simulate_ar_path,
 )
-from longmem.fracdiff import apply_frac_filter
+from longmem.fracdiff import _causal_spectrum, apply_frac_filter
 from longmem.harness import simulation_stream, task_stream
 from longmem.streams import generator_at, substream
 
-from _oracles import draw_lfilter, hpd_window_exhaustive
+from _oracles import (
+    aic_order_by_refits,
+    ar_path_lfilter,
+    draw_lfilter,
+    hpd_window_exhaustive,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +75,8 @@ class TestSieve:
         for d_f in (0.0, 0.2, 0.45):
             sieve = prefilter_sieve(arfima_series, d_f)
             w_f = apply_frac_filter(arfima_series, d_f)
-            want = burg_fit(w_f, select_order_aic(w_f, default_max_order(w_f.size)))
+            h = aic_order_by_refits(w_f, default_max_order(w_f.size))
+            want = _burg_arfit(*_burg_reflections(w_f, h))
             assert sieve.fit.order == want.order
             assert sieve.fit.sigma2 == want.sigma2
             assert sieve.fit.phi.tobytes() == want.phi.tobytes()
@@ -106,7 +113,11 @@ class TestDraws:
         eps = generator_at(5, 0, 0).standard_normal((cfg.B, T)) * sieve.residuals.scale
         tau = generator_at(5, 0, 1).integers(h, T + 1, size=cfg.B)
         init = sieve.filtered[tau[:, None] + np.arange(-h, 0)]
-        assert np.array_equal(rows, simulate_ar_path(sieve.fit, eps, init))
+        phi = sieve.fit.phi
+        ar_spectrum = _causal_spectrum(_impulse_response(phi, T))
+        assert np.array_equal(rows, _run_sieve(phi, eps.copy(), init, ar_spectrum))
+        want = ar_path_lfilter(phi, eps, init)
+        assert np.abs(rows - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_order_zero_parametric_variance(self):
         y = np.random.default_rng(3).standard_normal(2000)
@@ -125,7 +136,8 @@ class TestDraws:
         cfg = BootstrapConfig(B=40, innovation_mode=mode, rng_stream=6)
         for d_f in (0.0, 0.2, 0.45):
             w_f = apply_frac_filter(y, d_f)
-            fit = ArFit(order=0, phi=[1.0], sigma2=1.0) if h == 0 else burg_fit(w_f, h)
+            fit = (ArFit(order=0, phi=[1.0], sigma2=1.0) if h == 0
+                   else _burg_arfit(*_burg_reflections(w_f, h)))
             sieve = SieveFit(d_f, w_f, fit, ar_residuals(w_f, fit))
             rng = generator_at(6, 0, 0)
             if mode == "parametric":
@@ -138,11 +150,9 @@ class TestDraws:
             for row, e, t in zip(got, eps, tau):
                 e = e * sieve.residuals.scale
                 init = sieve.filtered[t - h : t]
+                # One fused convolution: the AR path, then the inverse filter.
                 want = draw_lfilter(fit.phi, e, init, d_f)
                 assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
-                # One fused convolution: the AR path, then the inverse filter.
-                two_stage = apply_frac_filter(simulate_ar_path(fit, e, init), -d_f)
-                assert np.abs(row - two_stage).max() <= 1e-13 * np.abs(two_stage).max()
 
 
 class TestBiasCorrect:
@@ -388,16 +398,6 @@ class TestBatchedDraws:
 
 class TestInputsUnchanged:
     """The draw kernels write in place; the public entry points copy first."""
-
-    @pytest.mark.parametrize("h", [0, 3])
-    def test_simulate_ar_path(self, arfima_series, h):
-        fit = ArFit(order=0, phi=[1.0], sigma2=1.0) if h == 0 else burg_fit(arfima_series, h)
-        rng = np.random.default_rng(4)
-        eps, init = rng.standard_normal((5, 200)), rng.standard_normal((5, h))
-        eps_bytes, init_bytes = eps.tobytes(), init.tobytes()
-        out = simulate_ar_path(fit, eps, init)
-        assert (eps.tobytes(), init.tobytes()) == (eps_bytes, init_bytes)
-        assert not np.shares_memory(out, eps)
 
     @pytest.mark.parametrize("d", [0.0, 0.3, -0.4])
     def test_apply_frac_filter(self, arfima_series, d):

@@ -16,7 +16,41 @@ from longmem import (
     simulate_gaussian,
 )
 from longmem.cli import main
+from longmem.harness import _LIST_KEYS, _SCALAR_KEYS, load_design
 from longmem.streams import generator_at
+
+# One valid value per design key.
+VALID = {
+    "T": "64", "d": "0", "phi": "0.3", "R": "2", "B": "16",
+    "estimators": "lpr0, lpr0-bba1", "mode": "parametric", "law": "gaussian",
+    "seed": "3", "bandwidth_exp": "0.7", "max_iter": "10",
+    "hpd_tails": "0.025, 0.025",
+}
+
+# A design line the run would change or could not run, and the message
+# that names its key; every key has at least one.
+EXIT_2_CASES = [
+    ("T = 64.7", "T must be an integer"),
+    ("T = 1e2", "T must be an integer"),
+    ("T = 64, 100.0", "T must be an integer"),
+    ("R = 2.0", "R must be an integer"),
+    ("R = two", "R must be an integer"),
+    ("B = 16.0", "B must be an integer"),
+    ("seed = 1.5", "seed must be an integer"),
+    ("max_iter = 1e9", "max_iter must be an integer"),
+    ("T = 64, 64", "repeated T"),
+    ("d = 0, 0.0", "repeated d"),
+    ("phi = 0.3, 0.30", "repeated phi"),
+    ("estimators = lpr0-bba1, lpr0, lpr0-bba1", "repeated task"),
+    # Malformed text for every other key.
+    ("d = 0.3x", "d must be a number, got '0.3x'"),
+    ("phi = 0.3, 0.6x", "phi must be a number, got '0.6x'"),
+    ("estimators = lprx", "estimators: missing correction order in 'lprx'"),
+    ("mode = bogus", "mode must be one of"),
+    ("law = bogus", "law must be"),
+    ("bandwidth_exp = 0.7x", "bandwidth_exp must be a number, got '0.7x'"),
+    ("hpd_tails = 0.025, 0.025x", "hpd_tails must be a number, got '0.025x'"),
+]
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -238,23 +272,7 @@ class TestMcRun:
             assert proc.returncode == 2
             assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("T = 64.7", "T must be an integer"),
-            ("T = 1e2", "T must be an integer"),
-            ("T = 64, 100.0", "T must be an integer"),
-            ("R = 2.0", "R must be an integer"),
-            ("R = two", "R must be an integer"),
-            ("B = 16.0", "B must be an integer"),
-            ("seed = 1.5", "seed must be an integer"),
-            ("max_iter = 1e9", "max_iter must be an integer"),
-            ("T = 64, 64", "repeated T"),
-            ("d = 0, 0.0", "repeated d"),
-            ("phi = 0.3, 0.30", "repeated phi"),
-            ("estimators = lpr0-bba1, lpr0, lpr0-bba1", "repeated task"),
-        ],
-    )
+    @pytest.mark.parametrize("line, message", EXIT_2_CASES)
     def test_design_the_run_would_change_exit_2(self, tmp_path, capsys, line,
                                                  message):
         values = {"T": "64", "d": "0", "phi": "0.3", "R": "2", "B": "16",
@@ -266,6 +284,25 @@ class TestMcRun:
         out = tmp_path / "o"
         assert main(["mc-run", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_key_has_a_malformed_case(self):
+        keys = {line.partition(" = ")[0] for line, _ in EXIT_2_CASES}
+        assert keys == _LIST_KEYS | _SCALAR_KEYS
+        assert set(VALID) == _LIST_KEYS | _SCALAR_KEYS
+
+    @pytest.mark.parametrize("key", sorted(_LIST_KEYS | _SCALAR_KEYS))
+    def test_repeated_key_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.txt"
+        text = "".join(f"{k} = {v}\n" for k, v in VALID.items())
+        cfg.write_text(text)
+        load_design(cfg)  # valid until the key comes back
+        cfg.write_text(text + f"{key} = {VALID[key]}\n")
+        first = list(VALID).index(key) + 1
+        out = tmp_path / "o"
+        assert main(["mc-run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:{len(VALID) + 1}: key '{key}' repeated (first on line {first})" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

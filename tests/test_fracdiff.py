@@ -9,25 +9,25 @@ from _oracles import frac_filter_by_loop
 
 class TestCoefficients:
     def test_zero_power_is_identity(self):
-        assert_allclose(frac_diff_coeffs(0.0, 4).coeffs, [1, 0, 0, 0])
+        assert_allclose(frac_diff_coeffs(0.0, 4), [1, 0, 0, 0])
 
     def test_first_difference(self):
-        assert_allclose(frac_diff_coeffs(1.0, 3).coeffs, [1, -1, 0])
+        assert_allclose(frac_diff_coeffs(1.0, 3), [1, -1, 0])
 
     def test_half_difference_hand_values(self):
         # recursion a_j = a_{j-1}(j-1-d)/j applied by hand
-        assert_allclose(frac_diff_coeffs(0.5, 4).coeffs, [1, -0.5, -0.125, -0.0625])
+        assert_allclose(frac_diff_coeffs(0.5, 4), [1, -0.5, -0.125, -0.0625])
 
     @pytest.mark.parametrize("d", [-0.9, -0.3, 0.2, 0.49, 1.0, 1.4])
     def test_recursion_invariant(self, d):
-        a = frac_diff_coeffs(d, 200).coeffs
+        a = frac_diff_coeffs(d, 200)
         assert a[0] == 1.0
         j = np.arange(1, 200)
         assert_allclose(a[1:], a[:-1] * (j - 1 - d) / j, rtol=1e-15)
 
     @pytest.mark.parametrize("d", [0.1, 0.25, 0.5, 0.75, 0.99])
     def test_negative_decreasing_for_d_in_unit_interval(self, d):
-        a = frac_diff_coeffs(d, 100).coeffs
+        a = frac_diff_coeffs(d, 100)
         assert np.all(a[1:] < 0)
         mags = np.abs(a[1:])
         assert np.all(np.diff(mags) <= 0)

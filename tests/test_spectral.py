@@ -6,6 +6,7 @@ from longmem import (
     InvalidDesignError,
     InvalidParameterError,
     bandwidth,
+    fourier_frequencies,
     periodogram,
 )
 
@@ -46,41 +47,41 @@ class TestBandwidth:
 class TestPeriodogram:
     def test_constant_series_vanishes(self):
         pg = periodogram(np.full(64, 3.7), 10)
-        assert_allclose(pg.ordinates, 0.0, atol=1e-25)
+        assert_allclose(pg, 0.0, atol=1e-25)
 
     def test_fourier_cosine_ordinate(self):
         T = 100
         t = np.arange(1, T + 1)
         lam5 = 2 * np.pi * 5 / T
         pg = periodogram(np.cos(lam5 * t), 40)
-        assert_allclose(pg.ordinates[4], T / (8 * np.pi), rtol=1e-8)
-        others = np.delete(pg.ordinates, 4)
-        assert np.max(others) <= 1e-10 * pg.ordinates[4]
+        assert_allclose(pg[4], T / (8 * np.pi), rtol=1e-8)
+        others = np.delete(pg, 4)
+        assert np.max(others) <= 1e-10 * pg[4]
 
     def test_parseval_odd_T(self):
         T = 101
         y = np.random.default_rng(0).standard_normal(T)
         pg = periodogram(y, (T - 1) // 2)
-        total = np.sum(pg.ordinates) * 4 * np.pi / T
+        total = np.sum(pg) * 4 * np.pi / T
         assert_allclose(total, y.var(), rtol=1e-12)
 
     def test_matches_direct_dft(self):
         y = np.random.default_rng(1).standard_normal(150)
         pg = periodogram(y, 60)
-        assert_allclose(pg.ordinates, direct_periodogram(y, 60), rtol=1e-10)
+        assert_allclose(pg, direct_periodogram(y, 60), rtol=1e-10)
 
     def test_shift_invariance_exact(self):
         # dyadic data keeps y + c - mean(y + c) bit-identical to y - mean(y)
         y = dyadic_series(512, 2)
-        base = periodogram(y, 100).ordinates
+        base = periodogram(y, 100)
         for c in (0.5, -3.25, 1024.0):
-            shifted = periodogram(y + c, 100).ordinates
+            shifted = periodogram(y + c, 100)
             assert np.array_equal(base, shifted)
 
     def test_scale_equivariance(self):
         y = np.random.default_rng(3).standard_normal(300)
-        base = periodogram(y, 100).ordinates
-        scaled = periodogram(7.3 * y, 100).ordinates
+        base = periodogram(y, 100)
+        scaled = periodogram(7.3 * y, 100)
         assert_allclose(scaled, 7.3 ** 2 * base, rtol=1e-12)
 
     def test_band_limits_enforced(self):
@@ -90,7 +91,20 @@ class TestPeriodogram:
         with pytest.raises(InvalidParameterError):
             periodogram(y, 0)
 
-    def test_frequencies(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        y = np.random.default_rng(4).standard_normal(50)
+        y[17] = bad
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            periodogram(y, 10)
+
+    def test_one_series_in_one_ordinate_per_frequency_out(self):
         pg = periodogram(np.random.default_rng(5).standard_normal(64), 10)
-        assert_allclose(pg.freqs, 2 * np.pi * np.arange(1, 11) / 64)
-        assert pg.freqs[-1] < np.pi
+        assert isinstance(pg, np.ndarray) and pg.shape == (10,)
+        with pytest.raises(InvalidParameterError, match="one-dimensional"):
+            periodogram(np.zeros((2, 64)), 10)
+
+    def test_frequencies(self):
+        freqs = fourier_frequencies(64, 10)
+        assert_allclose(freqs, 2 * np.pi * np.arange(1, 11) / 64)
+        assert freqs[-1] < np.pi
