@@ -35,12 +35,12 @@ for res in results:
     print(f"{cell:<16} {res.task.name:<14} {res.stats['bias']:8.4f} "
           f"{res.stats['mse']:8.4f} {res.R_effective:6d}")
 
-out_dir = tempfile.mkdtemp(prefix="longmem_demo_")
-csv_path = lm.emit_tables(results, "csv", os.path.join(out_dir, "results.csv"))
-txt_path = lm.emit_tables(results, "aligned-text", os.path.join(out_dir, "tables.txt"))
-print(f"\nwrote {csv_path}\nwrote {txt_path}\n")
-print(open(txt_path).read())
+with tempfile.TemporaryDirectory(prefix="longmem_demo_") as out_dir:
+    csv_path = lm.emit_tables(results, "csv", os.path.join(out_dir, "results.csv"))
+    txt_path = lm.emit_tables(results, "aligned-text", os.path.join(out_dir, "tables.txt"))
+    print(f"\nwrote {csv_path}\nwrote {txt_path}\n")
+    print(open(txt_path).read())
 
-# The CSV round-trips losslessly.
-rows = lm.read_results_csv(csv_path)
-print(f"re-read {len(rows)} statistic rows; first row: {rows[0]}")
+    # The CSV round-trips losslessly.
+    rows = lm.read_results_csv(csv_path)
+    print(f"re-read {len(rows)} statistic rows; first row: {rows[0]}")

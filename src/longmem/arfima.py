@@ -418,10 +418,12 @@ _GRID_STEP = 0.02
 _BLOCK_VALUES = 2 ** 17
 _CHUNK_STEPS = 16
 # Refinement: central-difference step of the likelihood stencil, cap on
-# the Newton step per coordinate, and cap on the Newton iterations.
+# the Newton step per coordinate, cap on the Newton iterations, and the
+# step length in every coordinate below which the search has converged.
 _STENCIL_STEP = 1e-4
 _MAX_STEP = 0.1
 _MAX_NEWTON = 50
+_REFINE_TOL = 1e-6
 
 
 def _mle_grids():
@@ -484,7 +486,7 @@ def _newton_step(x, grad, hess, lo, hi):
     return step
 
 
-def _refine_one(d0, phi0, ll0, tol):
+def _refine_one(d0, phi0, ll0):
     """Maximize the profile log-likelihood from a grid point by projected Newton.
 
     A generator: it yields every point x it needs and receives back the
@@ -496,7 +498,7 @@ def _refine_one(d0, phi0, ll0, tol):
     halved until the log-likelihood at the trial stencil does not fall; a
     lower log-likelihood is never accepted, and an accepted trial's
     stencil supplies the next step. The search stops once the step,
-    clipped to the box, is shorter than `tol` in every coordinate.
+    clipped to the box, is shorter than ``_REFINE_TOL`` in every coordinate.
     """
     lo = np.array([_D_BOUNDS[0], _PHI_BOUNDS[0]])
     hi = np.array([_D_BOUNDS[1], _PHI_BOUNDS[1]])
@@ -510,7 +512,7 @@ def _refine_one(d0, phi0, ll0, tol):
         step = _newton_step(x, grad, hess, lo, hi)
         while True:
             x_new = np.clip(x + step, lo, hi)
-            if np.abs(x_new - x).max() < tol:
+            if np.abs(x_new - x).max() < _REFINE_TOL:
                 converged = True
                 break
             trial = yield x_new
@@ -570,7 +572,7 @@ def _series_columns(ys):
     return Y
 
 
-def mle_fit(y, refine_tol=1e-6):
+def mle_fit(y):
     """Exact Gaussian MLE of (d, phi, sigma2) for an ARFIMA(1,d,0) model.
 
     The likelihood is evaluated through the Durbin-Levinson
@@ -584,17 +586,15 @@ def mle_fit(y, refine_tol=1e-6):
     stencil (step 1e-4) whose centre gives the log-likelihood and whose
     differences give the gradient and Hessian, a step-halving line search
     never accepts a lower log-likelihood, bounds that the gradient pushes
-    against held fixed, and the search stops once the step is below
-    `refine_tol`. Every cross-covariance of y(0) with the noise carries an
-    AR(1) tail sized to its own phi. This is the one-series case of
-    :func:`mle_fit_many`.
+    against held fixed, and the search stops once the step is below 1e-6
+    in every coordinate. Every cross-covariance of y(0) with the noise
+    carries an AR(1) tail sized to its own phi. This is the one-series
+    case of :func:`mle_fit_many`.
 
     Parameters
     ----------
     y : array_like
         Zero-mean, finite, one-dimensional series, length >= 20.
-    refine_tol : float
-        Parameter tolerance of the local refinement.
 
     Returns
     -------
@@ -602,7 +602,7 @@ def mle_fit(y, refine_tol=1e-6):
         ``diagnostics`` holds the grid point (``grid_d``, ``grid_phi``,
         ``grid_loglik``), the refinement's likelihood evaluations
         (``evals``, nine per stencil) and convergence flag (``converged``:
-        the step fell below `refine_tol`), and whether the
+        the step fell below 1e-6), and whether the
         estimate lies on an edge of the search box (``boundary``).
 
     Raises
@@ -615,10 +615,10 @@ def mle_fit(y, refine_tol=1e-6):
         A refinement that neither converges nor reaches the grid's
         log-likelihood.
     """
-    return mle_fit_many([y], refine_tol)[0]
+    return mle_fit_many([y])[0]
 
 
-def mle_fit_many(ys, refine_tol=1e-6):
+def mle_fit_many(ys):
     """Fit many same-length series; each likelihood sweep serves them all.
 
     The grid stage is one call of the batched kernel on all the series:
@@ -629,17 +629,15 @@ def mle_fit_many(ys, refine_tol=1e-6):
     in blocks of about 2**17 (d, phi, lag) values), and a series leaves
     once its search stops. A fit does not depend on the series fitted
     with it, except for ``grid_loglik``, whose rounding follows how many
-    series share the grid's matmuls. Validates like :func:`mle_fit`; an
+    series share the grid's matmuls. The refinement stops as in
+    :func:`mle_fit`, once the step is below 1e-6. Validates like :func:`mle_fit`; an
     empty sequence or series of unequal lengths also raise
     :class:`InvalidParameterError`.
     """
     Y = _series_columns(ys)
     R = Y.shape[1]
     d0, phi0, ll0 = _grid_search_many(Y)
-    searches = [
-        _refine_one(float(d0[r]), float(phi0[r]), float(ll0[r]), refine_tol)
-        for r in range(R)
-    ]
+    searches = [_refine_one(float(d0[r]), float(phi0[r]), float(ll0[r])) for r in range(R)]
     pending = {r: next(search) for r, search in enumerate(searches)}
     series = np.ascontiguousarray(Y.T)[:, :, None]
     steps = _STENCIL_STEP * np.arange(-1, 2)

@@ -14,7 +14,6 @@ from .exceptions import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .fracdiff import _causal_filter
 
 __all__ = [
     "ArFit",
@@ -291,16 +290,3 @@ def _impulse_response(phi, T):
         m *= 2
     return psi[h:]
 
-
-def _run_sieve(phi, x, init, spectrum, freq=None, path=None):
-    """AR paths from innovations and pre-sample blocks, filtered by `spectrum`.
-
-    The pre-sample blocks enter as offsets added in place to the first h
-    innovations of `x`, which the call consumes, and one causal FFT
-    convolution with the kernel of `spectrum` (the AR impulse response,
-    possibly followed by more causal filtering) runs every row. `freq`
-    and `path` are the buffers of :func:`_causal_filter`.
-    """
-    h = min(phi.size - 1, x.shape[-1])
-    x[..., :h] += _presample_offsets(_offset_weights(phi), init)[..., :h]
-    return _causal_filter(x, spectrum, freq, path)

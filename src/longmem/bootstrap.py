@@ -17,7 +17,8 @@ import numpy as np
 from .arsieve import (
     _aic_burg_fit,
     _impulse_response,
-    _run_sieve,
+    _offset_weights,
+    _presample_offsets,
     ar_residuals,
     default_max_order,
 )
@@ -30,7 +31,7 @@ from .estimators import (
     estimate,
 )
 from .exceptions import EstimationFailedError, InvalidParameterError
-from .fracdiff import _causal_spectrum, _fft_length, apply_frac_filter
+from .fracdiff import _causal_filter, _causal_spectrum, _fft_length, apply_frac_filter
 from .spectral import bandwidth
 from .streams import as_seed_sequence, generator_at
 
@@ -202,7 +203,8 @@ def _draw_rows(sieve, eps, tau, spectrum, freq=None, path=None):
 
     Row i scales ``eps[i]`` in place by the residual standard deviation
     and seeds the AR path with the h filtered values before position
-    ``tau[i]``. One causal convolution with the kernel of `spectrum`
+    ``tau[i]``: the block enters as offsets added to the row's first h
+    innovations. One causal convolution with the kernel of `spectrum`
     (:func:`_draw_spectrum`) then runs the AR recursion and the inverse
     filter over all rows. `eps` is consumed; `freq` and `path` are the
     buffers of :func:`fracdiff._causal_filter`, and the replicas are a
@@ -211,7 +213,8 @@ def _draw_rows(sieve, eps, tau, spectrum, freq=None, path=None):
     h = sieve.fit.order
     init = sieve.filtered[tau[:, None] + np.arange(-h, 0)]
     eps *= sieve.residuals.scale
-    return _run_sieve(sieve.fit.phi, eps, init, spectrum, freq, path)
+    eps[:, :h] += _presample_offsets(_offset_weights(sieve.fit.phi), init)
+    return _causal_filter(eps, spectrum, freq, path)
 
 
 def _estimate_draws(y, d_f, config, iteration, spec):
@@ -258,21 +261,14 @@ def _estimate_draws(y, d_f, config, iteration, spec):
     return draws
 
 
-def bias_correct(
-    y,
-    spec,
-    d_f,
-    config,
-    alpha_lower=0.025,
-    alpha_upper=0.025,
-):
+def bias_correct(y, spec, d_f, config):
     """One-shot bootstrap bias correction of a memory estimator.
 
     Estimates the bias as (mean of the B bootstrap estimates) - d_f and
     subtracts it from the point estimate on the data. Also returns the
-    HPD interval built from the mean-corrected draws. The data and every
-    draw are estimated by the same batched kernel as :func:`estimate`.
-    The tail masses and d_f are checked before any estimate is made.
+    95% HPD interval built from the mean-corrected draws. The data and
+    every draw are estimated by the same batched kernel as
+    :func:`estimate`. d_f is checked before any estimate is made.
 
     Parameters
     ----------
@@ -282,8 +278,6 @@ def bias_correct(
     d_f : float
         Pre-filtering value (normally the estimate itself).
     config : BootstrapConfig
-    alpha_lower, alpha_upper : float
-        Tail masses of the HPD interval, each in [0, 1), summing below 1.
 
     Returns
     -------
@@ -291,10 +285,13 @@ def bias_correct(
     """
     if not np.isfinite(d_f):
         raise InvalidParameterError("pre-filter value must be finite")
-    _check_tails(alpha_lower, alpha_upper)
     y = np.asarray(y, dtype=float)
     d_hat = estimate(y, spec).d_hat
-    draws = _estimate_draws(y, d_f, config, 0, spec)
+    return _outcome(_estimate_draws(y, d_f, config, 0, spec), d_f, d_hat)
+
+
+def _outcome(draws, d_f, d_hat):
+    """Outcome of a pass pre-filtered by d_f, for the estimate d_hat."""
     bias_hat = float(draws.mean() - d_f)
     return BootstrapOutcome(
         draws=draws,
@@ -302,7 +299,7 @@ def bias_correct(
         d_hat=d_hat,
         bias_hat=bias_hat,
         d_tilde=d_hat - bias_hat,
-        hpd=hpd_interval(draws, d_hat, alpha_lower, alpha_upper),
+        hpd=hpd_interval(draws, d_hat),
     )
 
 
@@ -364,15 +361,7 @@ def stopping_thresholds(k, N, B, upsilon, P):
     return tau1, tau2
 
 
-def iterate_bias_correct(
-    y,
-    spec,
-    config,
-    max_iter=10,
-    fixed=False,
-    alpha_lower=0.025,
-    alpha_upper=0.025,
-):
+def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     """Iterative bootstrap bias correction with stochastic stopping rules.
 
     Starting from the point estimate, each iteration pre-filters with the
@@ -386,10 +375,10 @@ def iterate_bias_correct(
     the iteration: exactly ``max_iter`` passes run (BBA(K) is
     ``max_iter=K``; the one-shot correction is ``max_iter=1``). The
     first pass, pre-filtered by the point estimate, is also recorded as
-    a :class:`BootstrapOutcome` with the HPD interval. The data and
-    every draw are estimated by the same batched kernel as
-    :func:`estimate`. ``max_iter`` and the tail masses are checked
-    before any estimate is made.
+    a :class:`BootstrapOutcome` with the 95% HPD interval, as
+    :func:`bias_correct` would build it. The data and every draw are
+    estimated by the same batched kernel as :func:`estimate`.
+    ``max_iter`` is checked before any estimate is made.
 
     Parameters
     ----------
@@ -400,9 +389,6 @@ def iterate_bias_correct(
         Hard cap on iterations (reported as stop reason 'max-iter').
     fixed : bool
         Run exactly `max_iter` passes, without early stops.
-    alpha_lower, alpha_upper : float
-        Tail masses of the first pass's HPD interval, each in [0, 1),
-        summing below 1.
 
     Returns
     -------
@@ -410,7 +396,6 @@ def iterate_bias_correct(
     """
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
-    _check_tails(alpha_lower, alpha_upper)
 
     y = np.asarray(y, dtype=float)
     n_band = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
@@ -423,18 +408,10 @@ def iterate_bias_correct(
     for k in range(max_iter):
         tau1, tau2 = stopping_thresholds(k, n_band, config.B, upsilon, spec.P)
         draws = _estimate_draws(y, d_cur, config, k, spec)
+        if k == 0:
+            trace.outcomes.append(_outcome(draws, d0, d0))
         bias_k = float(draws.mean() - d_cur)
         d_next = d_cur - bias_k
-        if k == 0:
-            outcome = BootstrapOutcome(
-                draws=draws,
-                d_f=float(d0),
-                d_hat=d0,
-                bias_hat=bias_k,
-                d_tilde=d_next,
-                hpd=hpd_interval(draws, d0, alpha_lower, alpha_upper),
-            )
-            trace.outcomes.append(outcome)
         crit1 = abs(d_next - d_cur)
         crit2 = abs(d0 - d_cur - bias_k)
         record = IterationRecord(
@@ -465,19 +442,14 @@ def iterate_bias_correct(
     return trace
 
 
-def _check_tails(alpha_lower, alpha_upper):
-    """Reject HPD tail masses that are negative or sum to 1 or more."""
-    if min(alpha_lower, alpha_upper) < 0.0 or not alpha_lower + alpha_upper < 1.0:
-        raise InvalidParameterError("tail masses must lie in [0, 1) and sum below 1")
-
-
-def hpd_interval(draws, d_hat, alpha_lower=0.025, alpha_upper=0.025):
-    """Highest-density bootstrap interval, recentered at the estimate.
+def hpd_interval(draws, d_hat):
+    """95% highest-density bootstrap interval, recentered at the estimate.
 
     Mean-corrects the draws, sorts them, scans all windows of
-    m = ceil((1 - a_L - a_U) B) consecutive order statistics for the
-    narrowest one, and maps its endpoints (q_L, q_U) to the interval
-    (d_hat - q_U, d_hat - q_L).
+    m = ceil(0.95 B) consecutive order statistics for the narrowest one,
+    and maps its endpoints (q_L, q_U) to the interval
+    (d_hat - q_U, d_hat - q_L). Only the mass 0.95 of the window sets
+    the interval, not how the 5% outside it splits between the tails.
 
     Parameters
     ----------
@@ -485,8 +457,6 @@ def hpd_interval(draws, d_hat, alpha_lower=0.025, alpha_upper=0.025):
         Bootstrap estimates, length >= 10.
     d_hat : float
         Point estimate at which the interval is centered.
-    alpha_lower, alpha_upper : float
-        Tail masses, each in [0, 1), with alpha_lower + alpha_upper < 1.
 
     Returns
     -------
@@ -496,8 +466,7 @@ def hpd_interval(draws, d_hat, alpha_lower=0.025, alpha_upper=0.025):
     B = draws.size
     if B < _MIN_DRAWS:
         raise InvalidParameterError(f"need at least {_MIN_DRAWS} draws")
-    _check_tails(alpha_lower, alpha_upper)
-    m = int(math.ceil((1.0 - alpha_lower - alpha_upper) * B))
+    m = -(-95 * B // 100)  # ceil(0.95 B) in integers
     centered = np.sort(draws - draws.mean())
     widths = centered[m - 1 :] - centered[: B - m + 1]
     i = int(np.argmin(widths))  # first narrowest window

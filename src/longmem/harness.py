@@ -25,13 +25,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .arfima import ArfimaParams, _parse_law, _simulate_rows, _standardized_deviates
-from .bootstrap import (
-    _BLOCK_VALUES,
-    _MODES,
-    BootstrapConfig,
-    _check_tails,
-    iterate_bias_correct,
-)
+from .bootstrap import _BLOCK_VALUES, _MODES, BootstrapConfig, iterate_bias_correct
 from .estimators import _DEGENERATE, EstimatorSpec, _estimate_rows, asymptotic_sd
 from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
 from .spectral import bandwidth
@@ -77,7 +71,7 @@ class EstimatorTask:
 
     correction 'none' is the plain estimator, 'bba' applies the bootstrap
     bias adjustment K times, 'ssr' iterates under the stochastic stopping
-    rules. ``hpd`` additionally records the bootstrap HPD interval.
+    rules. ``hpd`` additionally records the 95% bootstrap HPD interval.
     """
 
     family: str
@@ -160,8 +154,6 @@ class McDesign:
     seed: int = 0
     bandwidth_exponent: float = 0.7
     max_iter: int = 10
-    alpha_lower: float = 0.025
-    alpha_upper: float = 0.025
 
     def __post_init__(self):
         object.__setattr__(self, "T_values", tuple(int(t) for t in self.T_values))
@@ -188,10 +180,6 @@ class McDesign:
             raise InvalidDesignError(f"mode must be one of {_MODES}")
         if self.max_iter < 1:
             raise InvalidDesignError("max_iter must be at least 1")
-        try:
-            _check_tails(self.alpha_lower, self.alpha_upper)
-        except InvalidParameterError as exc:
-            raise InvalidDesignError(f"hpd_tails: {exc}") from exc
         if self.seed is None:
             # SeedSequence(None) draws fresh OS entropy in every job.
             raise InvalidDesignError("seed must be given; None is not reproducible")
@@ -275,8 +263,6 @@ def _run_task(y, task, design, stream):
         config,
         max_iter=design.max_iter if ssr else max(task.K, 1),
         fixed=not ssr,
-        alpha_lower=design.alpha_lower,
-        alpha_upper=design.alpha_upper,
     )
     return {
         "point": trace.d_initial if task.correction == "none" else trace.final,
@@ -496,7 +482,7 @@ def _result_rows(results):
             ]
 
 
-def emit_tables(results, fmt="csv", path=None):
+def emit_tables(results, fmt, path):
     """Write aggregated results as CSV or as aligned text tables.
 
     CSV columns are exactly T,d,phi,estimator,P,correction,K,statistic,
@@ -519,8 +505,6 @@ def emit_tables(results, fmt="csv", path=None):
         raise InvalidParameterError("no results to emit")
     if fmt not in ("csv", "aligned-text"):
         raise InvalidParameterError("format must be 'csv' or 'aligned-text'")
-    if path is None:
-        raise InvalidParameterError("a destination path is required")
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -610,7 +594,6 @@ _SCALAR_KEYS = {
     "seed",
     "bandwidth_exp",
     "max_iter",
-    "hpd_tails",
 }
 
 
@@ -643,7 +626,7 @@ def load_design(path, default_seed=None):
     """Parse a key = value config file into an McDesign.
 
     Recognized keys: T, d, phi, R, B, estimators, mode, law, seed,
-    bandwidth_exp, max_iter, hpd_tails, each at most once. Lists are
+    bandwidth_exp, max_iter, each at most once. Lists are
     comma separated; '#' starts a comment.
     """
     values, lines = {}, {}
@@ -674,12 +657,6 @@ def load_design(path, default_seed=None):
 
     law, dof = _parse_law(values.get("law", "gaussian"))
     seed = values.get("seed", default_seed if default_seed is not None else 0)
-    alpha_lower, alpha_upper = 0.025, 0.025
-    if "hpd_tails" in values:
-        parts = values["hpd_tails"].split(",")
-        if len(parts) != 2:
-            raise InvalidParameterError("hpd_tails needs two comma-separated masses")
-        alpha_lower, alpha_upper = (_real("hpd_tails", p) for p in parts)
     try:
         tasks = tuple(map(parse_estimator_token, values["estimators"].split(",")))
     except InvalidParameterError as exc:
@@ -697,6 +674,4 @@ def load_design(path, default_seed=None):
         seed=_integer("seed", seed),
         bandwidth_exponent=_real("bandwidth_exp", values.get("bandwidth_exp", 0.7)),
         max_iter=_integer("max_iter", values.get("max_iter", 10)),
-        alpha_lower=alpha_lower,
-        alpha_upper=alpha_upper,
     )

@@ -30,11 +30,12 @@ from longmem.arsieve import (
     _burg_arfit,
     _burg_reflections,
     _impulse_response,
-    _run_sieve,
+    _offset_weights,
+    _presample_offsets,
     ar_residuals,
     default_max_order,
 )
-from longmem.fracdiff import _causal_spectrum, apply_frac_filter
+from longmem.fracdiff import _causal_filter, _causal_spectrum, apply_frac_filter
 from longmem.harness import simulation_stream, task_stream
 from longmem.streams import generator_at, substream
 
@@ -115,7 +116,9 @@ class TestDraws:
         init = sieve.filtered[tau[:, None] + np.arange(-h, 0)]
         phi = sieve.fit.phi
         ar_spectrum = _causal_spectrum(_impulse_response(phi, T))
-        assert np.array_equal(rows, _run_sieve(phi, eps.copy(), init, ar_spectrum))
+        x = eps.copy()
+        x[:, :h] += _presample_offsets(_offset_weights(phi), init)
+        assert np.array_equal(rows, _causal_filter(x, ar_spectrum))
         want = ar_path_lfilter(phi, eps, init)
         assert np.abs(rows - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -571,8 +574,7 @@ class TestHpd:
 
     def test_uniform_grid_window(self):
         draws = np.arange(1.0, 101.0)
-        lo, hi = hpd_interval(draws, d_hat=0.0, alpha_lower=0.025,
-                              alpha_upper=0.025)
+        lo, hi = hpd_interval(draws, d_hat=0.0)
         # six candidate windows, all equal width; the first is chosen:
         # centered values run -49.5..49.5, window [-49.5, 44.5]
         assert_allclose((lo, hi), (-44.5, 49.5))
@@ -584,15 +586,25 @@ class TestHpd:
             draws = rng.standard_normal(B) * rng.uniform(0.5, 2.0)
             if rng.uniform() < 0.3:  # occasional ties
                 draws = np.round(draws, 1)
-            a_lo, a_up = rng.uniform(0.01, 0.2, size=2)
-            got = hpd_interval(draws, 0.37, a_lo, a_up)
-            want = hpd_window_exhaustive(draws, 0.37, a_lo, a_up)
+            got = hpd_interval(draws, 0.37)
+            want = hpd_window_exhaustive(draws, 0.37, 0.025, 0.025)
             assert got == want
+
+    def test_window_size_is_exact_ceiling(self):
+        # On evenly spaced draws every window of m order statistics has
+        # width m - 1, so the interval's width reads m exactly. 0.95 B is
+        # at least 0.05 from an integer unless B is a multiple of 20, so
+        # only there could a float form of ceil(0.95 B) land on the wrong
+        # side; every B up to 2000 and every multiple of 20 to 100000 is
+        # checked.
+        for B in [*range(10, 2001), *range(2020, 100001, 20)]:
+            lo, hi = hpd_interval(np.arange(float(B)), 0.0)
+            assert hi - lo == -(-95 * B // 100) - 1, B
 
     def test_mass_guarantee(self):
         rng = np.random.default_rng(23)
         draws = rng.standard_normal(500)
-        lo, hi = hpd_interval(draws, 0.0, 0.025, 0.025)
+        lo, hi = hpd_interval(draws, 0.0)
         centered = draws - draws.mean()
         inside = np.sum((centered >= -hi) & (centered <= -lo))
         assert inside >= math.ceil(0.95 * 500)
@@ -600,38 +612,6 @@ class TestHpd:
     def test_too_few_draws_rejected(self):
         with pytest.raises(InvalidParameterError):
             hpd_interval(np.arange(5.0), 0.0)
-
-    def test_oversized_window_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            hpd_interval(np.arange(20.0), 0.0, alpha_lower=-0.3, alpha_upper=0.0)
-
-    def test_tail_masses_validated(self):
-        with pytest.raises(InvalidParameterError):
-            hpd_interval(np.arange(20.0), 0.0, alpha_lower=0.6, alpha_upper=0.5)
-
-    @pytest.mark.parametrize("tails", [(-0.3, 0.4), (0.4, -0.3), (np.nan, 0.1)])
-    def test_each_tail_mass_validated(self, tails):
-        # a negative mass is rejected even when the pair sums into [0, 1)
-        with pytest.raises(InvalidParameterError):
-            hpd_interval(np.arange(20.0), 0.0, *tails)
-
-    @pytest.mark.parametrize("tails", [(0.7, 0.5), (-0.3, 0.4)])
-    @pytest.mark.parametrize("iterate", [False, True])
-    def test_tails_rejected_before_any_estimate(self, arfima_series, monkeypatch,
-                                                tails, iterate):
-        def forbidden(*args):
-            raise AssertionError("estimate made")
-
-        for module in (bmod, est_mod):
-            monkeypatch.setattr(module, "_estimate_rows", forbidden)
-        spec = EstimatorSpec("lpr", 0)
-        cfg = BootstrapConfig(B=12, rng_stream=4)
-        with pytest.raises(InvalidParameterError, match="tail masses"):
-            if iterate:
-                iterate_bias_correct(arfima_series, spec, cfg, alpha_lower=tails[0],
-                                     alpha_upper=tails[1])
-            else:
-                bias_correct(arfima_series, spec, 0.1, cfg, *tails)
 
     @pytest.mark.parametrize("B", [2, 5, 9])
     @pytest.mark.parametrize("iterate", [False, True])

@@ -91,15 +91,13 @@ class TestDesign:
             dict(estimators=(parse_estimator_token("lpr7"),)),
             dict(d_values=(0.2, 0.5)),
             dict(max_iter=0),
-            dict(alpha_lower=0.6, alpha_upper=0.5),
-            dict(alpha_lower=-0.2, alpha_upper=0.1),
             dict(B=5, estimators=(parse_estimator_token("lpr0-bba1"),)),
             dict(B=9, estimators=(parse_estimator_token("splw1-ssr"),)),
             dict(seed=-1),
             dict(seed=None),
         ],
         ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d", "max_iter",
-             "tails_sum", "tail_negative", "bba_B", "ssr_B", "seed", "seed_none"],
+             "bba_B", "ssr_B", "seed", "seed_none"],
     )
     def test_infeasible_design_rejected(self, bad):
         with pytest.raises(InvalidDesignError):
@@ -443,7 +441,6 @@ class TestConfig:
             seed = 99
             bandwidth_exp = 0.72
             max_iter = 6
-            hpd_tails = 0.05, 0.05
             """
         )
         design = load_design(str(cfg))
@@ -455,7 +452,6 @@ class TestConfig:
         assert design.seed == 99
         assert design.bandwidth_exponent == 0.72
         assert design.max_iter == 6
-        assert design.alpha_lower == 0.05 and design.alpha_upper == 0.05
         assert [t.name for t in design.estimators] == [
             "LPR(0)", "SPLW(1)-BBA(2)", "LPR(1)+HPD",
         ]
