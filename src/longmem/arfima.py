@@ -39,13 +39,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class ArfimaParams:
-    """Parameters of a stationary, invertible ARFIMA(1,d,0) process."""
+    """Parameters of a stationary, invertible ARFIMA(1,d,0) process.
+
+    ``law`` is the innovation law token: 'gaussian', 'student-t' (5
+    degrees of freedom) or 'student-t:DOF'. ``dof`` holds its degrees of
+    freedom, inf for the Gaussian law.
+    """
 
     d: float
     phi: float
     sigma2: float = 1.0
     law: str = "gaussian"
-    dof: float = 5.0
+    dof: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if not -0.5 < self.d < 0.5:
@@ -54,28 +59,27 @@ class ArfimaParams:
             raise InvalidParameterError("|phi| must be below 1")
         if not self.sigma2 > 0.0:
             raise InvalidParameterError("sigma2 must be positive")
-        if self.law not in ("gaussian", "student-t"):
-            raise InvalidParameterError("law must be 'gaussian' or 'student-t'")
-        if self.law == "student-t" and not 2.0 < self.dof < math.inf:
-            raise InvalidParameterError("student-t dof must be finite and exceed 2")
+        object.__setattr__(self, "dof", _parse_law(self.law))
 
 
 def _parse_law(text):
-    """Split a law token into (law, dof).
+    """Degrees of freedom of a law token: inf for 'gaussian'.
 
     The tokens are 'gaussian', 'student-t' (5 degrees of freedom) and
-    'student-t:DOF'; anything else raises InvalidParameterError.
+    'student-t:DOF' with DOF in (2, inf); anything else raises
+    InvalidParameterError.
     """
-    law, colon, dof = text.partition(":")
-    if law == "gaussian" and not colon:
-        return "gaussian", 5.0
-    if law == "student-t":
-        try:
-            return "student-t", float(dof) if colon else 5.0
-        except ValueError:
-            pass
+    name, colon, dof = str(text).partition(":")
+    if name == "gaussian" and not colon:
+        return math.inf
+    try:
+        value = float(dof) if colon else 5.0
+    except ValueError:
+        value = math.nan
+    if name == "student-t" and 2.0 < value < math.inf:
+        return value
     raise InvalidParameterError(
-        "law must be 'gaussian', 'student-t' or 'student-t:DOF'"
+        "law must be 'gaussian', 'student-t' or 'student-t:DOF' with DOF in (2, inf)"
     )
 
 
@@ -118,7 +122,7 @@ def arfima_acvf(params, max_lag):
 
 
 def _standardized_deviates(params, T, rng):
-    if params.law == "student-t":
+    if params.dof < math.inf:
         scale = math.sqrt((params.dof - 2.0) / params.dof)
         return rng.standard_t(params.dof, size=T) * scale
     return rng.standard_normal(T)

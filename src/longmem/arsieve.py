@@ -239,11 +239,8 @@ def ar_residuals(w, fit):
     h = fit.order
     if h >= T:
         raise InvalidParameterError("fit order must be below the sample size")
-    if h == 0:
-        raw = w.copy()
-    else:
-        wext = np.concatenate([w[T - h :], w])
-        raw = np.convolve(wext, fit.phi, mode="valid")
+    wext = np.concatenate([w[T - h :], w])
+    raw = np.convolve(wext, fit.phi, mode="valid")
     mean = raw.mean()
     scale = math.sqrt(np.mean((raw - mean) ** 2))
     if scale == 0.0:

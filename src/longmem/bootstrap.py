@@ -46,12 +46,7 @@ __all__ = [
     "stopping_thresholds",
     "iterate_bias_correct",
     "hpd_interval",
-    "DETERMINISTIC_WINDOW",
 ]
-
-# Updates leaving this window are discarded and iteration stops, unless the
-# passes are fixed; it is the estimators' search interval.
-DETERMINISTIC_WINDOW = (SEARCH_LO, SEARCH_HI)
 
 # Draw values per block of draws that are built, filtered and estimated
 # together. A pass allocates one workspace for a block and every block
@@ -63,7 +58,8 @@ _BLOCK_VALUES = 2 ** 15
 
 _MODES = ("parametric", "nonparametric")
 
-# Fewest draws of an HPD interval, which every correction pass builds.
+# Fewest draws of an HPD interval, which the first pass of every
+# correction builds.
 _MIN_DRAWS = 10
 
 _NORMAL = NormalDist()
@@ -79,8 +75,9 @@ class BootstrapConfig:
     SeedSequence (or int seed). Pass k of a correction draws from two
     child streams: (k, 0) fills the B rows of innovations in draw order
     and (k, 1) gives the B starts of the seeding blocks. Draws are
-    reproducible and do not depend on how the pass is blocked. Every
-    pass builds an HPD interval, so B must be at least 10.
+    reproducible and do not depend on how the pass is blocked. The first
+    pass of every correction builds an HPD interval, so B must be at
+    least 10.
     """
 
     B: int
@@ -369,15 +366,15 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     it. Iteration continues only while BOTH |change| > tau1 and
     |accumulated correction - current bias| > tau2; when either rule
     binds, the newly corrected value is returned. An update falling
-    outside ``DETERMINISTIC_WINDOW`` is discarded and the previous value
-    returned instead. In the fixed-pass mode every record carries its
-    thresholds and criteria, but neither the rules nor the window stop
-    the iteration: exactly ``max_iter`` passes run (BBA(K) is
-    ``max_iter=K``; the one-shot correction is ``max_iter=1``). The
-    first pass, pre-filtered by the point estimate, is also recorded as
-    a :class:`BootstrapOutcome` with the 95% HPD interval, as
-    :func:`bias_correct` would build it. The data and every draw are
-    estimated by the same batched kernel as :func:`estimate`.
+    outside the estimators' search interval [SEARCH_LO, SEARCH_HI) is
+    discarded and the previous value returned instead. In the fixed-pass
+    mode every record carries its thresholds and criteria, but neither
+    the rules nor the window stop the iteration: exactly ``max_iter``
+    passes run (BBA(K) is ``max_iter=K``; the one-shot correction is
+    ``max_iter=1``). The first pass, pre-filtered by the point estimate,
+    is also recorded as a :class:`BootstrapOutcome` with the 95% HPD
+    interval, as :func:`bias_correct` would build it. The data and every
+    draw are estimated by the same batched kernel as :func:`estimate`.
     ``max_iter`` is checked before any estimate is made.
 
     Parameters
@@ -404,7 +401,6 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
 
     trace = IterationTrace(d_initial=d0)
     d_cur = d0
-    lo, hi = DETERMINISTIC_WINDOW
     for k in range(max_iter):
         tau1, tau2 = stopping_thresholds(k, n_band, config.B, upsilon, spec.P)
         draws = _estimate_draws(y, d_cur, config, k, spec)
@@ -425,7 +421,7 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
             crit2=crit2,
         )
         trace.records.append(record)
-        if not fixed and not lo <= d_next < hi:
+        if not fixed and not SEARCH_LO <= d_next < SEARCH_HI:
             record.stop_reason = "deterministic"
             trace.final = d_cur
             trace.stop_reason = "deterministic"

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from .arfima import ArfimaParams, _parse_law, _simulate_rows, _standardized_deviates
+from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
 from .bootstrap import BootstrapConfig, iterate_bias_correct
 from .estimators import EstimatorSpec, estimate
 from .exceptions import (
@@ -19,21 +19,12 @@ from .exceptions import (
 from .harness import emit_tables, load_design, run_design
 from .streams import generator_at
 
-_SEED_ENV = "LONGMEM_SEED"
-
 _USAGE_ERRORS = (InvalidParameterError, InvalidDesignError, OSError, ValueError)
 _NUMERIC_ERRORS = (
     NumericalDegeneracyError,
     DegenerateInputError,
     EstimationFailedError,
 )
-
-
-def _default_seed(value):
-    if value is not None:
-        return int(value)
-    env = os.environ.get(_SEED_ENV)
-    return int(env) if env else 0
 
 
 def _worker_count(text):
@@ -56,14 +47,12 @@ def _read_series(path):
 
 
 def _cmd_simulate(args):
-    law, dof = _parse_law(args.law)
-    params = ArfimaParams(d=args.d, phi=args.phi, sigma2=1.0, law=law, dof=dof)
-    seed = _default_seed(args.seed)
+    params = ArfimaParams(d=args.d, phi=args.phi, sigma2=1.0, law=args.law)
     if args.T < 1 or args.n < 1:
         raise InvalidParameterError("--T and --n must be at least 1")
     Z = np.array(
         [
-            _standardized_deviates(params, args.T, generator_at(seed, i))
+            _standardized_deviates(params, args.T, generator_at(args.seed, i))
             for i in range(args.n)
         ]
     )
@@ -83,8 +72,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_bias_correct(args):
-    seed = _default_seed(args.seed)
-    config = BootstrapConfig(B=args.B, innovation_mode=args.mode, rng_stream=seed)
+    config = BootstrapConfig(B=args.B, innovation_mode=args.mode, rng_stream=args.seed)
     y = _read_series(args.infile)
     spec = EstimatorSpec(args.family, args.P, args.bandwidth_exp)
     trace = iterate_bias_correct(
@@ -112,7 +100,7 @@ def _cmd_bias_correct(args):
 
 
 def _cmd_mc_run(args):
-    design = load_design(args.config, default_seed=os.environ.get(_SEED_ENV) or None)
+    design = load_design(args.config)
     os.makedirs(args.out_dir, exist_ok=True)
     results = run_design(design, threads=args.threads)
     csv_path = os.path.join(args.out_dir, "results.csv")
@@ -136,7 +124,7 @@ def build_parser():
     sim.add_argument("--phi", type=float, required=True)
     sim.add_argument("--T", type=int, required=True, help="series length")
     sim.add_argument("--n", type=int, default=1, help="number of series (columns)")
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument(
         "--law", default="gaussian", help="gaussian, student-t or student-t:DOF"
     )
@@ -160,7 +148,7 @@ def build_parser():
     )
     bc.add_argument("--iterate", action="store_true")
     bc.add_argument("--max-iter", type=int, default=10)
-    bc.add_argument("--seed", type=int, default=None)
+    bc.add_argument("--seed", type=int, default=0)
     bc.add_argument("--bandwidth-exp", type=float, default=0.7)
     bc.set_defaults(func=_cmd_bias_correct)
 

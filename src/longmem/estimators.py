@@ -30,8 +30,8 @@ __all__ = [
     "SEARCH_HI",
 ]
 
-# Search region for the Whittle objective; the bootstrap's deterministic
-# stopping window (``bootstrap.DETERMINISTIC_WINDOW``) is the same interval.
+# Search region for the Whittle objective; it is also the bootstrap's
+# deterministic stopping window (see ``bootstrap.iterate_bias_correct``).
 SEARCH_LO = -1.0
 SEARCH_HI = 1.5
 

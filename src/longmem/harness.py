@@ -18,7 +18,7 @@ process pool serves every job of the design.
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import groupby, product
 from statistics import NormalDist
 
@@ -50,19 +50,20 @@ _Z975 = NormalDist().inv_cdf(0.975)
 # this size, so one Durbin-Levinson sweep simulates them all.
 _JOB_VALUES = 2 ** 17
 
-CSV_HEADER = [
-    "T",
-    "d",
-    "phi",
-    "estimator",
-    "P",
-    "correction",
-    "K",
-    "statistic",
-    "value",
-    "R_effective",
-    "seed",
-]
+# The results.csv columns in file order, each with the type it reads back as.
+_COLUMNS = {
+    "T": int,
+    "d": float,
+    "phi": float,
+    "estimator": str,
+    "P": int,
+    "correction": str,
+    "K": int,
+    "statistic": str,
+    "value": float,
+    "R_effective": int,
+    "seed": int,
+}
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,11 @@ def parse_estimator_token(token):
 
 @dataclass(frozen=True)
 class McDesign:
-    """Monte Carlo configuration grid."""
+    """Monte Carlo configuration grid.
+
+    ``law`` is the innovation law token of :class:`ArfimaParams`. Every
+    default here is the default of a design file that omits the key.
+    """
 
     T_values: tuple
     d_values: tuple
@@ -150,7 +155,6 @@ class McDesign:
     B: int = 0
     mode: str = "parametric"
     law: str = "gaussian"
-    dof: float = 5.0
     seed: int = 0
     bandwidth_exponent: float = 0.7
     max_iter: int = 10
@@ -198,7 +202,7 @@ class McDesign:
                 raise InvalidDesignError(f"task {task.name}: {exc}") from exc
         for d, phi in product(self.d_values, self.phi_values):
             try:
-                ArfimaParams(d=d, phi=phi, law=self.law, dof=self.dof)
+                ArfimaParams(d=d, phi=phi, law=self.law)
             except InvalidParameterError as exc:
                 raise InvalidDesignError(f"cell d={d}, phi={phi}: {exc}") from exc
 
@@ -303,7 +307,7 @@ def _block_worker(args):
     n = stop - start
     root = as_seed_sequence(design.seed)
     params = [
-        ArfimaParams(d=d_true, phi=phi, sigma2=1.0, law=design.law, dof=design.dof)
+        ArfimaParams(d=d_true, phi=phi, sigma2=1.0, law=design.law)
         for _, (_, d_true, phi) in cells
     ]
     Z = np.empty((len(cells), n, T))
@@ -508,7 +512,7 @@ def emit_tables(results, fmt, path):
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
+            writer.writerow(_COLUMNS)
             writer.writerows(_result_rows(results))
         return path
     with open(path, "w") as fh:
@@ -557,77 +561,87 @@ def read_results_csv(path):
     Returns a list of dicts with the same types as the in-memory rows
     (ints for T/P/K/R_effective/seed, floats for d/phi/value).
     """
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER:
+        if reader.fieldnames != list(_COLUMNS):
             raise InvalidParameterError("unrecognized results header")
-        for rec in reader:
-            rows.append(
-                {
-                    "T": int(rec["T"]),
-                    "d": float(rec["d"]),
-                    "phi": float(rec["phi"]),
-                    "estimator": rec["estimator"],
-                    "P": int(rec["P"]),
-                    "correction": rec["correction"],
-                    "K": int(rec["K"]),
-                    "statistic": rec["statistic"],
-                    "value": float(rec["value"]),
-                    "R_effective": int(rec["R_effective"]),
-                    "seed": int(rec["seed"]),
-                }
-            )
-    return rows
+        return [
+            {name: read(rec[name]) for name, read in _COLUMNS.items()}
+            for rec in reader
+        ]
 
 
 # ---------------------------------------------------------------------------
 # Config-file front end (used by the command line)
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"T", "d", "phi", "estimators"}
-_SCALAR_KEYS = {
-    "R",
-    "B",
-    "mode",
-    "law",
-    "seed",
-    "bandwidth_exp",
-    "max_iter",
+def _number(kind, noun):
+    """Parser of the `kind` value that the text of a design key spells.
+
+    Only text that `kind` reads parses, so '64.0', '1e2' and '1.5' are
+    not integers; the message of a rejection names the key.
+    """
+
+    def parse(key, text):
+        try:
+            return kind(text)
+        except ValueError:
+            raise InvalidParameterError(f"{key} must be {noun}, got '{text.strip()}'") from None
+
+    return parse
+
+
+_integer = _number(int, "an integer")
+_real = _number(float, "a number")
+
+
+def _listed(parse):
+    """Parser of a comma separated list whose items `parse` reads."""
+    return lambda key, text: tuple(parse(key, item) for item in text.split(","))
+
+
+def _text(key, text):
+    return text
+
+
+def _law(key, text):
+    _parse_law(text)
+    return text
+
+
+def _tasks(key, text):
+    try:
+        return tuple(map(parse_estimator_token, text.split(",")))
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{key}: {exc}") from None
+
+
+# Each design key: the McDesign field it sets and the parser of its text.
+_KEYS = {
+    "T": ("T_values", _listed(_integer)),
+    "d": ("d_values", _listed(_real)),
+    "phi": ("phi_values", _listed(_real)),
+    "R": ("R", _integer),
+    "estimators": ("estimators", _tasks),
+    "B": ("B", _integer),
+    "mode": ("mode", _text),
+    "law": ("law", _law),
+    "seed": ("seed", _integer),
+    "bandwidth_exp": ("bandwidth_exponent", _real),
+    "max_iter": ("max_iter", _integer),
 }
 
-
-def _integer(key, text):
-    """The integer that `text` spells for design key `key`.
-
-    Only integer text parses: '64.0', '1e2' and '1.5' are rejected, with
-    a message that names the key.
-    """
-    text = str(text).strip()
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidParameterError(f"{key} must be an integer, got '{text}'") from None
+# McDesign fields without a default: their keys must be in every file.
+_REQUIRED = {f.name for f in fields(McDesign) if f.default is MISSING}
 
 
-def _real(key, text):
-    """The float that `text` spells for design key `key`.
-
-    Text that is not a number is rejected with a message that names the key.
-    """
-    text = str(text).strip()
-    try:
-        return float(text)
-    except ValueError:
-        raise InvalidParameterError(f"{key} must be a number, got '{text}'") from None
-
-
-def load_design(path, default_seed=None):
+def load_design(path):
     """Parse a key = value config file into an McDesign.
 
     Recognized keys: T, d, phi, R, B, estimators, mode, law, seed,
-    bandwidth_exp, max_iter, each at most once. Lists are
-    comma separated; '#' starts a comment.
+    bandwidth_exp, max_iter, each at most once. Lists are comma
+    separated; '#' starts a comment. A key the file omits takes the
+    McDesign default.
     """
     values, lines = {}, {}
     with open(path) as fh:
@@ -641,37 +655,17 @@ def load_design(path, default_seed=None):
                 )
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _LIST_KEYS | _SCALAR_KEYS:
+            if key not in _KEYS:
                 raise InvalidParameterError(f"{path}:{lineno}: unknown key '{key}'")
             if key in values:
                 raise InvalidParameterError(
                     f"{path}:{lineno}: key '{key}' repeated (first on line {lines[key]})"
                 )
             values[key], lines[key] = val.strip(), lineno
-    for key in ("T", "d", "phi", "R", "estimators"):
-        if key not in values:
+    given = {}
+    for key, (name, parse) in _KEYS.items():
+        if key in values:
+            given[name] = parse(key, values[key])
+        elif name in _REQUIRED:
             raise InvalidParameterError(f"config is missing required key '{key}'")
-
-    def _floats(key):
-        return tuple(_real(key, tok) for tok in values[key].split(","))
-
-    law, dof = _parse_law(values.get("law", "gaussian"))
-    seed = values.get("seed", default_seed if default_seed is not None else 0)
-    try:
-        tasks = tuple(map(parse_estimator_token, values["estimators"].split(",")))
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"estimators: {exc}") from None
-    return McDesign(
-        T_values=tuple(_integer("T", t) for t in values["T"].split(",")),
-        d_values=_floats("d"),
-        phi_values=_floats("phi"),
-        R=_integer("R", values["R"]),
-        estimators=tasks,
-        B=_integer("B", values.get("B", 0)),
-        mode=values.get("mode", "parametric"),
-        law=law,
-        dof=dof,
-        seed=_integer("seed", seed),
-        bandwidth_exponent=_real("bandwidth_exp", values.get("bandwidth_exp", 0.7)),
-        max_iter=_integer("max_iter", values.get("max_iter", 10)),
-    )
+    return McDesign(**given)

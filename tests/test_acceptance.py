@@ -31,11 +31,11 @@ def record(criterion, ok, detail):
 
 
 def run_cells(seed, tokens, d_values, phi, T, R, B=0, law="gaussian",
-              dof=5.0, mode="parametric"):
+              mode="parametric"):
     design = lm.McDesign(
         T_values=(T,), d_values=tuple(d_values), phi_values=(phi,),
         R=R, estimators=tuple(lm.parse_estimator_token(t) for t in tokens),
-        B=B, mode=mode, law=law, dof=dof, seed=seed,
+        B=B, mode=mode, law=law, seed=seed,
     )
     return design, lm.run_design(design, threads=THREADS)
 
@@ -188,7 +188,7 @@ def test_criterion_09_mc_run_determinism(tmp_path):
 def test_criterion_10_student_t_directional_property():
     _, res = run_cells(
         20260110, ["lpr0", "lpr0-bba1", "splw0", "splw0-bba1"],
-        [0.2], 0.6, T=500, R=200, B=300, law="student-t", dof=5.0,
+        [0.2], 0.6, T=500, R=200, B=300, law="student-t",
         mode="nonparametric",
     )
     raw_lpr = stat_by_task(res, "LPR(0)", "bias")[0]

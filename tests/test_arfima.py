@@ -189,7 +189,7 @@ class TestSimulation:
         assert np.max(np.abs(s - sigma) / se) <= 4.0
 
     def test_student_t_mode_heavy_tailed(self):
-        params = ArfimaParams(d=0.0, phi=0.0, law="student-t", dof=5)
+        params = ArfimaParams(d=0.0, phi=0.0, law="student-t")
         y = simulate_gaussian(params, 200000, np.random.default_rng(5))
         assert abs(y.var() - 1.0) <= 0.05
         assert kurtosis(y) > 1.0  # excess kurtosis; normal would be ~0
@@ -199,7 +199,7 @@ class TestSimulation:
     @pytest.mark.parametrize("T", [1, 2, 3, 64, 500])
     @pytest.mark.parametrize("rows", [1, 7, 40])
     def test_block_rows_equal_one_row_draws(self, rows, T, phi, law):
-        params = ArfimaParams(d=0.3, phi=phi, law=law, dof=5.0)
+        params = ArfimaParams(d=0.3, phi=phi, law=law)
         Z = np.array(
             [_standardized_deviates(params, T, generator_at(3, i)) for i in range(rows)]
         )
@@ -214,7 +214,7 @@ class TestSimulation:
     def test_multi_cell_rows_equal_one_row_draws(self, T, law):
         # Mixed d and phi, with a white-noise cell among swept cells.
         pairs = ((0.3, 0.6), (0.0, 0.0), (-0.2, 0.0), (0.45, -0.9), (0.0, 0.5))
-        cells = [ArfimaParams(d=d, phi=phi, law=law, dof=5.0) for d, phi in pairs]
+        cells = [ArfimaParams(d=d, phi=phi, law=law) for d, phi in pairs]
         rows = 3
         Z = np.array([
             [_standardized_deviates(p, T, generator_at(4, g, r)) for r in range(rows)]
@@ -250,9 +250,25 @@ class TestSimulation:
             got = _simulate_rows([params], Z[None])[0]
             assert_allclose(got, Z @ L.T, rtol=0, atol=1e-10)
 
-    def test_student_t_dof_validated(self):
+    @pytest.mark.parametrize(
+        "law, dof", [("gaussian", math.inf), ("student-t", 5.0), ("student-t:7", 7.0)]
+    )
+    def test_law_token_sets_dof(self, law, dof):
+        assert ArfimaParams(d=0.1, phi=0.0, law=law).dof == dof
+
+    @pytest.mark.parametrize("law", ["cauchy", "student-t7", "gaussian:3"])
+    def test_bad_law_token_rejected(self, law):
         with pytest.raises(InvalidParameterError):
-            ArfimaParams(d=0.1, phi=0.0, law="student-t", dof=2.0)
+            ArfimaParams(d=0.1, phi=0.0, law=law)
+
+    def test_student_t_dof_validated(self):
+        for law in ("student-t:2", "student-t:inf", "student-t:nan"):
+            with pytest.raises(InvalidParameterError):
+                ArfimaParams(d=0.1, phi=0.0, law=law)
+
+    def test_dof_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            ArfimaParams(d=0.1, phi=0.0, law="student-t", dof=7.0)
 
 
 class TestMle:

@@ -1,6 +1,6 @@
 import os
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from longmem import (
     run_design,
     simulate_gaussian,
 )
-from longmem.harness import load_design, simulation_stream, task_stream
+from longmem.harness import _KEYS, load_design, simulation_stream, task_stream
 from longmem.streams import generator_at
 
 
@@ -448,7 +448,7 @@ class TestConfig:
         assert design.d_values == (0.0, 0.2)
         assert design.R == 5 and design.B == 33
         assert design.mode == "nonparametric"
-        assert design.law == "student-t" and design.dof == 7.0
+        assert design.law == "student-t:7"
         assert design.seed == 99
         assert design.bandwidth_exponent == 0.72
         assert design.max_iter == 6
@@ -475,7 +475,23 @@ class TestConfig:
         cfg = tmp_path / "design.txt"
         cfg.write_text("T = 64\nd = 0\nphi = 0.3\nR = 2\nestimators = lpr0\n")
         assert load_design(str(cfg)).seed == 0
-        assert load_design(str(cfg), default_seed=42).seed == 42
+
+    def test_keys_set_every_field_once(self):
+        names = [name for name, _ in _KEYS.values()]
+        assert sorted(names) == sorted(f.name for f in fields(McDesign))
+
+    def test_omitted_keys_take_design_defaults(self, tmp_path):
+        cfg = tmp_path / "design.txt"
+        cfg.write_text(
+            "T = 64, 100\nd = 0, 0.2\nphi = 0.3\nR = 2\nestimators = lpr0, splw1\n"
+        )
+        assert load_design(str(cfg)) == McDesign(
+            T_values=(64, 100),
+            d_values=(0.0, 0.2),
+            phi_values=(0.3,),
+            R=2,
+            estimators=(parse_estimator_token("lpr0"), parse_estimator_token("splw1")),
+        )
 
 
 class TestStreams:
