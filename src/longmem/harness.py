@@ -12,7 +12,11 @@ of up to 16 replications. One batched Durbin-Levinson sweep simulates
 every series of the job, each plain task estimates all of its rows in
 one batched call, and bootstrap tasks run per (cell, replication), each
 on its own task stream. The layout depends on the design alone, and one
-process pool serves every job of the design.
+process pool serves every job of the design. A job returns one columnar
+record per (cell, task): the point estimates, NaN where a row failed,
+the failure reason of each failed row, and the HPD bounds or the
+deterministic stops of the tasks that have them; a cell's statistics
+reduce its records joined in job order.
 """
 
 import csv
@@ -21,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby, product
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -247,47 +252,59 @@ def task_stream(seed, cell_index, r, task_index):
     return substream(seed, cell_index, r, 1 + task_index)
 
 
+class _Record(NamedTuple):
+    """The rows of one task in one cell, in replication order.
+
+    ``point`` is NaN where a row failed; ``reasons`` holds each failed
+    row's reason. ``hpd`` and ``detstop`` are None but in HPD and SSR tasks.
+    """
+
+    point: np.ndarray
+    reasons: list
+    hpd: np.ndarray = None
+    detstop: np.ndarray = None
+
+
+def _joined(records):
+    """One record of the rows of `records`, in their order."""
+    point, reasons, *kept = zip(*records)
+    kept = [None if column[0] is None else np.concatenate(column) for column in kept]
+    return _Record(np.concatenate(point), sum(reasons, []), *kept)
+
+
 def _run_task(y, task, design, stream):
-    """Point estimate, intervals and stop flag of one bootstrap task on y.
+    """Point estimate, HPD interval and deterministic stop of one bootstrap task on y.
 
     Every task is one run of :func:`iterate_bias_correct`: SSR under the
     stochastic stopping rules, BBA(K) as K fixed passes, and an HPD task
     without correction as one fixed pass whose point is the plain
-    estimate.
+    estimate. The interval is None for a task without HPD.
     """
     spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
-    N = bandwidth(y.size, design.bandwidth_exponent, task.P)
-    config = BootstrapConfig(
-        B=design.B, innovation_mode=design.mode, rng_stream=stream
-    )
+    config = BootstrapConfig(B=design.B, innovation_mode=design.mode, rng_stream=stream)
     ssr = task.correction == "ssr"
-    trace = iterate_bias_correct(
-        y,
-        spec,
-        config,
-        max_iter=design.max_iter if ssr else max(task.K, 1),
-        fixed=not ssr,
+    max_iter = design.max_iter if ssr else max(task.K, 1)
+    trace = iterate_bias_correct(y, spec, config, max_iter=max_iter, fixed=not ssr)
+    return (
+        trace.d_initial if task.correction == "none" else trace.final,
+        trace.outcomes[0].hpd if task.hpd else None,
+        trace.stop_reason == "deterministic",
     )
-    return {
-        "point": trace.d_initial if task.correction == "none" else trace.final,
-        "asym_half": _Z975 * asymptotic_sd(spec, N),
-        "hpd": trace.outcomes[0].hpd if task.hpd else None,
-        "detstop": trace.stop_reason == "deterministic",
-    }
 
 
-def _plain_task(Y, task, design):
-    """Per-row results of a task without bootstrap on the series block Y."""
-    spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
-    N = bandwidth(Y.shape[-1], design.bandwidth_exponent, task.P)
-    half = _Z975 * asymptotic_sd(spec, N)
-    values, ok, _ = _estimate_rows(Y, spec)
-    return [
-        {"point": float(d), "asym_half": half, "hpd": None, "detstop": False}
-        if good
-        else {"failed": _DEGENERATE}
-        for d, good in zip(values, ok)
-    ]
+def _bootstrap_record(Y, task, design, streams):
+    """Record of a bootstrap task on the rows of Y, row i on ``streams[i]``."""
+    rows, reasons = [], []
+    for y, stream in zip(Y, streams):
+        try:
+            rows.append(_run_task(y, task, design, stream))
+        except LongmemError as exc:
+            rows.append((np.nan, (np.nan, np.nan), False))
+            reasons.append(str(exc))
+    point, hpd, detstop = zip(*rows)
+    hpd = np.array(hpd) if task.hpd else None
+    detstop = np.array(detstop) if task.correction == "ssr" else None
+    return _Record(np.array(point), reasons, hpd, detstop)
 
 
 def _block_worker(args):
@@ -298,9 +315,9 @@ def _block_worker(args):
     job's series. A plain task estimates all of the job's rows in one
     batched call; a bootstrap task runs per (cell, replication).
 
-    Returns a (cell index, columns, wall time) triple per cell: one list
-    of per-replication results per task, and the cell's equal share of
-    the simulation and plain tasks plus the time of its bootstrap tasks.
+    Returns a (cell index, records, wall time) triple per cell: one
+    :class:`_Record` per task, and the cell's equal share of the
+    simulation and plain tasks plus the time of its bootstrap tasks.
     """
     design, T, cells, start, stop = args
     began = time.perf_counter()
@@ -316,29 +333,26 @@ def _block_worker(args):
             rng = np.random.default_rng(simulation_stream(root, cell_index, r))
             Z[g, i] = _standardized_deviates(params[g], T, rng)
     Y = _simulate_rows(params, Z)
-    columns = [[] for _ in cells]
+    records = [[] for _ in cells]
     own = [0.0] * len(cells)
     for ti, task in enumerate(design.estimators):
         if not task.needs_bootstrap:
-            rows = _plain_task(Y.reshape(-1, T), task, design)
-            for g, column in enumerate(columns):
-                column.append(rows[g * n : (g + 1) * n])
+            spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
+            values, ok, _ = _estimate_rows(Y.reshape(-1, T), spec)
+            point = np.where(ok, values, np.nan).reshape(len(cells), n)
+            for cell_records, row in zip(records, point):
+                failed = int(np.isnan(row).sum())
+                cell_records.append(_Record(row, [_DEGENERATE] * failed))
             continue
         for g, (cell_index, _) in enumerate(cells):
             began_task = time.perf_counter()
-            column = []
-            for r, y in zip(range(start, stop), Y[g]):
-                stream = task_stream(root, cell_index, r, ti)
-                try:
-                    column.append(_run_task(y, task, design, stream))
-                except LongmemError as exc:
-                    column.append({"failed": str(exc)})
-            columns[g].append(column)
+            streams = [task_stream(root, cell_index, r, ti) for r in range(start, stop)]
+            records[g].append(_bootstrap_record(Y[g], task, design, streams))
             own[g] += time.perf_counter() - began_task
     shared = (time.perf_counter() - began - sum(own)) / len(cells)
     return [
-        (cell_index, cell_columns, shared + seconds)
-        for (cell_index, _), cell_columns, seconds in zip(cells, columns, own)
+        (cell_index, cell_records, shared + seconds)
+        for (cell_index, _), cell_records, seconds in zip(cells, records, own)
     ]
 
 
@@ -369,51 +383,33 @@ def _jobs(design):
     return jobs
 
 
-def _aggregate_cell(design, cell, columns, wall_time):
+def _aggregate_cell(design, cell, task, rec, half, wall_time):
+    """Aggregates of one task in one cell; `half` is its asymptotic 95% half-width."""
     T, d_true, phi = cell
-    out = []
-    for task, rows in zip(design.estimators, columns):
-        ok = [row for row in rows if "failed" not in row]
-        n_failed = len(rows) - len(ok)
-        stats = {}
-        if ok:
-            pts = np.array([row["point"] for row in ok])
-            err = pts - d_true
-            stats["bias"] = float(err.mean())
-            stats["mse"] = float(np.mean(err ** 2))
-            halves = np.array([row["asym_half"] for row in ok])
-            lo = pts - halves
-            hi = pts + halves
-            stats["asym_coverage"] = float(np.mean((lo <= d_true) & (d_true <= hi)))
-            stats["asym_length"] = float(np.mean(2.0 * halves))
-            if task.hpd:
-                los = np.array([row["hpd"][0] for row in ok])
-                his = np.array([row["hpd"][1] for row in ok])
-                stats["hpd_coverage"] = float(
-                    np.mean((los <= d_true) & (d_true <= his))
-                )
-                stats["hpd_length"] = float(np.mean(his - los))
-            if task.correction == "ssr":
-                keep = np.array([not row["detstop"] for row in ok])
-                stats["n_detstop"] = float(len(ok) - int(keep.sum()))
-                if keep.any():
-                    sub = err[keep]
-                    stats["bias_xdet"] = float(sub.mean())
-                    stats["mse_xdet"] = float(np.mean(sub ** 2))
-        stats["n_failed"] = float(n_failed)
-        out.append(
-            McCellResult(
-                T=T,
-                d=d_true,
-                phi=phi,
-                task=task,
-                stats=stats,
-                R_effective=len(ok),
-                seed=design.seed,
-                wall_time=wall_time,
-            )
-        )
-    return out
+    ok = ~np.isnan(rec.point)
+    pts = rec.point[ok]
+    stats = {}
+    if pts.size:
+        err = pts - d_true
+        stats["bias"] = float(err.mean())
+        stats["mse"] = float(np.mean(err ** 2))
+        lo = pts - half
+        hi = pts + half
+        stats["asym_coverage"] = float(np.mean((lo <= d_true) & (d_true <= hi)))
+        stats["asym_length"] = 2.0 * half
+        if task.hpd:
+            los, his = rec.hpd[ok].T
+            stats["hpd_coverage"] = float(np.mean((los <= d_true) & (d_true <= his)))
+            stats["hpd_length"] = float(np.mean(his - los))
+        if task.correction == "ssr":
+            keep = ~rec.detstop[ok]
+            stats["n_detstop"] = float(pts.size - int(keep.sum()))
+            if keep.any():
+                sub = err[keep]
+                stats["bias_xdet"] = float(sub.mean())
+                stats["mse_xdet"] = float(np.mean(sub ** 2))
+    stats["n_failed"] = float(len(rec.reasons))
+    return McCellResult(T, d_true, phi, task, stats, int(pts.size), design.seed, wall_time)
 
 
 def run_design(design, threads=1):
@@ -437,19 +433,22 @@ def run_design(design, threads=1):
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(_block_worker, jobs))
-    columns = {i: [[] for _ in design.estimators] for i, _ in design.cells()}
-    wall = dict.fromkeys(columns, 0.0)
+    parts = {i: [] for i, _ in design.cells()}
+    wall = dict.fromkeys(parts, 0.0)
     for job_cells in done:
-        for cell_index, job_columns, seconds in job_cells:
-            for column, rows in zip(columns[cell_index], job_columns):
-                column.extend(rows)
+        for cell_index, records, seconds in job_cells:
+            parts[cell_index].append(records)
             wall[cell_index] += seconds
-    results = []
-    for cell_index, cell in design.cells():
-        results.extend(
-            _aggregate_cell(design, cell, columns[cell_index], wall[cell_index])
-        )
-    return results
+    halves = {}
+    for T, task in product(design.T_values, design.estimators):
+        spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
+        N = bandwidth(T, design.bandwidth_exponent, task.P)
+        halves[T, task] = _Z975 * asymptotic_sd(spec, N)
+    return [
+        _aggregate_cell(design, cell, task, _joined(column), halves[cell[0], task], wall[i])
+        for i, cell in design.cells()
+        for task, column in zip(design.estimators, zip(*parts[i]))
+    ]
 
 
 _STAT_ORDER = [

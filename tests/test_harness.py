@@ -224,16 +224,17 @@ class TestRunDesign:
         for r in (0, 2):
             rng = np.random.default_rng(simulation_stream(13, 0, r))
             y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 64, rng)
-            out = hmod._run_task(y, bba.task, design, task_stream(13, 0, r, 1))
-            points.append(out["point"])
+            point, _, _ = hmod._run_task(y, bba.task, design, task_stream(13, 0, r, 1))
+            points.append(point)
         assert bba.stats["bias"] == float(np.mean(np.array(points) - 0.2))
         # One job holds the three replications; the failing task keeps its reason.
         [job] = hmod._jobs(design)
         assert job[3:] == (0, 3)
         passes["n"] = 0
-        [(_, (_, bba_rows), _)] = hmod._block_worker(job)
+        [(_, (_, bba_rec), _)] = hmod._block_worker(job)
         reason = f"draw 3 of pass 0 failed: {hmod._DEGENERATE}"
-        assert [row.get("failed") for row in bba_rows] == [None, reason, None]
+        assert np.isnan(bba_rec.point).tolist() == [False, True, False]
+        assert bba_rec.reasons == [reason]
 
     def test_ssr_task_estimates_data_once(self, monkeypatch):
         design = small_design(
@@ -250,10 +251,11 @@ class TestRunDesign:
 
         monkeypatch.setattr(bmod, "estimate", counting)
         task = design.estimators[0]
-        out = hmod._run_task(y, task, design, task_stream(11, 0, 0, 0))
+        hmod._run_task(y, task, design, task_stream(11, 0, 0, 0))
         assert on_data["n"] == 1
         base = real(y, EstimatorSpec("splw", 1))
-        assert out["asym_half"] == hmod._Z975 * base.asymptotic_sd
+        for res in run_design(design):
+            assert res.stats["asym_length"] == 2 * hmod._Z975 * base.asymptotic_sd
 
     def test_hpd_task_estimates_data_once(self, monkeypatch):
         design = small_design(
@@ -270,11 +272,10 @@ class TestRunDesign:
 
         monkeypatch.setattr(bmod, "estimate", counting)
         task = design.estimators[0]
-        out = hmod._run_task(y, task, design, task_stream(11, 0, 0, 0))
+        point, (lo, hi), _ = hmod._run_task(y, task, design, task_stream(11, 0, 0, 0))
         assert on_data["n"] == 1
-        assert out["point"] == real(y, EstimatorSpec("lpr", 1)).d_hat
-        lo, hi = out["hpd"]
-        assert lo < out["point"] < hi
+        assert point == real(y, EstimatorSpec("lpr", 1)).d_hat
+        assert lo < point < hi
 
     @pytest.mark.parametrize(
         "token", ["lpr1-hpd", "splw1-bba2", "lpr2-ssr-hpd", "splw0-bba1-hpd"]
@@ -298,7 +299,7 @@ class TestRunDesign:
                 trace = iterate_bias_correct(y, spec, cfg)
             hpd = trace.outcomes[0].hpd if task.hpd else None
             want = (trace.final, hpd, trace.stop_reason == "deterministic")
-        assert (out["point"], out["hpd"], out["detstop"]) == want
+        assert out == want
 
     def test_plain_blocks_independent_of_layout_and_workers(self, monkeypatch):
         # R = 7 spans three blocks of 3 rows at T = 64; the default block
