@@ -173,16 +173,17 @@ class McDesign:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.R < 1:
             raise InvalidDesignError("need at least one replication")
-        if not self.estimators:
-            raise InvalidDesignError("need at least one estimator task")
-        # A repeated value would run as a second cell or task whose rows no
-        # reader of the results could tell from the first.
+        # A design without cells or tasks would run nothing; a repeated value
+        # would run as a second cell or task whose rows no reader of the
+        # results could tell from the first.
         for what, values in (
             ("T", self.T_values),
             ("d", self.d_values),
             ("phi", self.phi_values),
             ("task", [task.name for task in self.estimators]),
         ):
+            if not values:
+                raise InvalidDesignError(f"need at least one {what}")
             if len(set(values)) < len(values):
                 raise InvalidDesignError(f"repeated {what} in {list(values)}")
         if self.mode not in _MODES:

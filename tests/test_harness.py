@@ -95,9 +95,12 @@ class TestDesign:
             dict(B=9, estimators=(parse_estimator_token("splw1-ssr"),)),
             dict(seed=-1),
             dict(seed=None),
+            dict(T_values=()),
+            dict(d_values=()),
+            dict(phi_values=()),
         ],
         ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d", "max_iter",
-             "bba_B", "ssr_B", "seed", "seed_none"],
+             "bba_B", "ssr_B", "seed", "seed_none", "no_T", "no_d", "no_phi"],
     )
     def test_infeasible_design_rejected(self, bad):
         with pytest.raises(InvalidDesignError):
