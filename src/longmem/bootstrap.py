@@ -145,12 +145,16 @@ class IterationTrace:
 def prefilter_sieve(y, d_f):
     """Filter the data by d_f and fit the autoregressive sieve once.
 
-    The sieve order is chosen by AIC below the cap floor((log T)^2)
-    (and T/4), and the parameters come from Burg's algorithm; one Burg
-    sweep to the cap serves both.
+    The sample mean is removed before the fractional filter, so the
+    correction does not depend on the level of the series: the truncated
+    filter would turn a level c into the deterministic term
+    c * (a_0 + ... + a_t), which the sieve would fit and the seeding
+    blocks would copy into the draws. The sieve order is chosen by AIC
+    below the cap floor((log T)^2) (and T/4), and the parameters come
+    from Burg's algorithm; one Burg sweep to the cap serves both.
     """
     y = np.asarray(y, dtype=float)
-    w_f = apply_frac_filter(y, d_f)
+    w_f = apply_frac_filter(y - y.mean(), d_f)
     fit = _aic_burg_fit(w_f, default_max_order(y.size))
     res = ar_residuals(w_f, fit)
     return SieveFit(d_f=float(d_f), filtered=w_f, fit=fit, residuals=res)

@@ -75,7 +75,7 @@ class TestSieve:
     def test_fit_equals_aic_order_refit(self, arfima_series):
         for d_f in (0.0, 0.2, 0.45):
             sieve = prefilter_sieve(arfima_series, d_f)
-            w_f = apply_frac_filter(arfima_series, d_f)
+            w_f = apply_frac_filter(arfima_series - arfima_series.mean(), d_f)
             h = aic_order_by_refits(w_f, default_max_order(w_f.size))
             want = _burg_arfit(*_burg_reflections(w_f, h))
             assert sieve.fit.order == want.order
@@ -102,13 +102,13 @@ class TestSieve:
 
 class TestDraws:
     def test_zero_prefilter_reduces_to_raw_sieve(self):
-        # with d_f = 0 the filter steps are identities: every draw of the
-        # pass equals the sieve path itself
+        # with d_f = 0 the filter steps are identities: the sieve sees the
+        # demeaned data, and every draw of the pass equals the sieve path
         y = simulate_gaussian(ArfimaParams(d=0.0, phi=0.5), 400,
                               np.random.default_rng(21))
         cfg = BootstrapConfig(B=10, rng_stream=5)
         sieve = prefilter_sieve(y, 0.0)
-        assert np.array_equal(sieve.filtered, y)
+        assert np.array_equal(sieve.filtered, y - y.mean())
         rows = pass_rows(y, 0.0, cfg, 0, sieve)
         T, h = y.size, sieve.fit.order
         eps = generator_at(5, 0, 0).standard_normal((cfg.B, T)) * sieve.residuals.scale
@@ -417,6 +417,39 @@ class TestInputsUnchanged:
         assert y.tobytes() == arfima_series.tobytes()
         iterate_bias_correct(y, spec, cfg, max_iter=2, fixed=True)
         assert y.tobytes() == arfima_series.tobytes()
+
+
+class TestLevelAndScale:
+    """The pre-filter removes the sample mean, so the level of y does not matter."""
+
+    @staticmethod
+    def numbers(y, mode):
+        """Every number of the one-shot, free and fixed corrections of y."""
+        spec = EstimatorSpec("lpr", 1)
+        cfg = BootstrapConfig(B=40, innovation_mode=mode, rng_stream=3)
+        one = bias_correct(y, spec, estimate(y, spec).d_hat, cfg)
+        values = [one.d_hat, one.bias_hat, one.d_tilde, *one.hpd, *one.draws]
+        reasons = []
+        for trace in (iterate_bias_correct(y, spec, cfg),
+                      iterate_bias_correct(y, spec, cfg, max_iter=2, fixed=True)):
+            reasons.append((trace.stop_reason, len(trace.records)))
+            values.append(trace.final)
+            for rec in trace.records:
+                values += [rec.bias_hat, rec.d_next, rec.crit1, rec.crit2]
+        return np.array(values), reasons
+
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    @pytest.mark.parametrize(
+        "shift, scale", [(1.0, 1), (10.0, 1), (1e3, 1), (-1e6, 1), (0, 1e-3), (0, 1e3)]
+    )
+    def test_same_correction(self, arfima_series, mode, shift, scale):
+        # y + c rounds each value by up to |c| 2**-53, about 1.1e-16 |c|, and
+        # the bound lets the correction amplify that a thousandfold. Scaling
+        # rounds each value relative to itself, so it takes the c = 0 bound.
+        want, reasons = self.numbers(arfima_series, mode)
+        got, got_reasons = self.numbers(arfima_series * scale + shift, mode)
+        assert got_reasons == reasons
+        assert np.abs(got - want).max() <= 1e-13 * (1 + abs(shift))
 
 
 class TestStoppingThresholds:

@@ -233,6 +233,39 @@ class TestBiasCorrect:
                 "--P", "0", "--B", "40", "--seed", "9")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    @pytest.mark.parametrize("form", [[], ["--iterate"]])
+    @pytest.mark.parametrize(
+        "shift, scale", [(1.0, 1), (10.0, 1), (1e3, 1), (-1e6, 1), (0, 1e-3), (0, 1e3)]
+    )
+    def test_level_and_scale_do_not_matter(self, series_file, tmp_path, capsys,
+                                           form, shift, scale):
+        y = np.loadtxt(series_file)
+        moved = tmp_path / "moved.csv"
+        np.savetxt(moved, y * scale + shift, fmt="%.17g")
+        outputs = []
+        for path in (series_file, moved):
+            assert main(["bias-correct", "--in", str(path), "--family", "splw",
+                         "--P", "1", "--B", "40", "--mode", "nonparametric",
+                         "--seed", "3", *form]) == 0
+            outputs.append(capsys.readouterr().out)
+        if shift == 0:
+            # Scaling rounds each value relative to itself; the printed
+            # output does not change by a byte.
+            assert outputs[0] == outputs[1]
+            return
+        # y + c rounds each value by up to |c| 2**-53; a printed number may
+        # move by a thousand times that plus one unit of its last digit.
+        want, got = (out.split() for out in outputs)
+        assert len(got) == len(want)
+        for a, b in zip(want, got):
+            try:
+                u, v = float(a), float(b)
+            except ValueError:
+                assert a == b
+                continue
+            digits = len(a.split("e")[0].lstrip("-").replace(".", "").lstrip("0"))
+            assert abs(u - v) <= 1e-13 * (1 + abs(shift)) + abs(u) * 10.0 ** (1 - digits)
+
 
 class TestMcRun:
     def test_writes_results_and_tables(self, tmp_path):
