@@ -39,7 +39,8 @@ with tempfile.TemporaryDirectory(prefix="longmem_demo_") as out_dir:
     csv_path = lm.emit_tables(results, "csv", os.path.join(out_dir, "results.csv"))
     txt_path = lm.emit_tables(results, "aligned-text", os.path.join(out_dir, "tables.txt"))
     print(f"\nwrote {csv_path}\nwrote {txt_path}\n")
-    print(open(txt_path).read())
+    with open(txt_path) as fh:
+        print(fh.read())
 
     # The CSV round-trips losslessly.
     rows = lm.read_results_csv(csv_path)

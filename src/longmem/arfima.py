@@ -263,8 +263,6 @@ def _acvf_rows(d_values, phi, T, m_tail):
     """
     n = max(T, 2)  # the seed of gamma_y(0) reads g(1)
     rows = np.array([_fractional_acvf(d, 1.0, n + m_tail) for d in d_values])
-    if phi == 0.0:
-        return rows[:, :T].copy()
     g, gamma0 = _cross_rows(rows[:, :n], phi, _ar1_sum(rows[:, n:], phi)[:, None])
     out = g.copy()
     out[:, :1] = gamma0

@@ -82,8 +82,6 @@ class EstimateResult:
 
 def asymptotic_sd(spec, N):
     """Asymptotic standard deviation omega * psi_P / sqrt(N)."""
-    if spec.P > 3:
-        raise InvalidParameterError("no variance inflation factor beyond P = 3")
     return math.sqrt(_OMEGA2[spec.family] * _PSI2[spec.P] / N)
 
 
@@ -151,13 +149,11 @@ def _whittle_design(T, N, P):
 
     Returns (g, poly, pinv_poly). g is the slope of s(d), shared by every
     series of this shape; the offsets are the fixed projection
-    c = -poly @ (pinv_poly @ logI) of the log-ordinates. poly and
-    pinv_poly are None for P = 0 (c = 0).
+    c = -poly @ (pinv_poly @ logI) of the log-ordinates. For P = 0, poly
+    has no columns and pinv_poly no rows, so g = 2 log l and c = 0.
     """
     freqs = fourier_frequencies(T, N)
     two_loglam = 2.0 * np.log(freqs)
-    if P == 0:
-        return _frozen(two_loglam), None, None
     X = np.column_stack(
         [np.ones_like(freqs)] + [freqs ** (2 * p) for p in range(1, P + 1)]
     )
@@ -175,8 +171,6 @@ def _whittle_design(T, N, P):
 # each row the same result however many rows are stacked with it.
 def _whittle_offsets(logI, poly, pinv_poly):
     """Profiled offsets c of each row of log-ordinates."""
-    if poly is None:
-        return np.zeros_like(logI)
     theta = np.vecdot(logI[..., None, :], pinv_poly)
     return -np.vecdot(theta[..., None, :], poly)
 

@@ -20,7 +20,6 @@ reduce its records joined in job order.
 """
 
 import csv
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby, product
@@ -221,13 +220,7 @@ class McDesign:
 
 @dataclass
 class McCellResult:
-    """Aggregates of one (cell, estimator task) pair.
-
-    ``wall_time`` is the cell's time in seconds, the same for each of its
-    tasks: summed over the jobs that hold the cell, its equal share of a
-    job's simulation and plain-task estimates plus the time of its own
-    bootstrap tasks.
-    """
+    """Aggregates of one (cell, estimator task) pair."""
 
     T: int
     d: float
@@ -236,7 +229,6 @@ class McCellResult:
     stats: dict
     R_effective: int
     seed: int
-    wall_time: float = 0.0
 
 
 def simulation_stream(seed, cell_index, r):
@@ -316,12 +308,10 @@ def _block_worker(args):
     job's series. A plain task estimates all of the job's rows in one
     batched call; a bootstrap task runs per (cell, replication).
 
-    Returns a (cell index, records, wall time) triple per cell: one
-    :class:`_Record` per task, and the cell's equal share of the
-    simulation and plain tasks plus the time of its bootstrap tasks.
+    Returns one list per cell, in the job's cell order, holding one
+    :class:`_Record` per task in design order.
     """
     design, T, cells, start, stop = args
-    began = time.perf_counter()
     n = stop - start
     root = as_seed_sequence(design.seed)
     params = [
@@ -335,7 +325,6 @@ def _block_worker(args):
             Z[g, i] = _standardized_deviates(params[g], T, rng)
     Y = _simulate_rows(params, Z)
     records = [[] for _ in cells]
-    own = [0.0] * len(cells)
     for ti, task in enumerate(design.estimators):
         if not task.needs_bootstrap:
             spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
@@ -346,15 +335,9 @@ def _block_worker(args):
                 cell_records.append(_Record(row, [_DEGENERATE] * failed))
             continue
         for g, (cell_index, _) in enumerate(cells):
-            began_task = time.perf_counter()
             streams = [task_stream(root, cell_index, r, ti) for r in range(start, stop)]
             records[g].append(_bootstrap_record(Y[g], task, design, streams))
-            own[g] += time.perf_counter() - began_task
-    shared = (time.perf_counter() - began - sum(own)) / len(cells)
-    return [
-        (cell_index, cell_records, shared + seconds)
-        for (cell_index, _), cell_records, seconds in zip(cells, records, own)
-    ]
+    return records
 
 
 def _jobs(design):
@@ -384,7 +367,7 @@ def _jobs(design):
     return jobs
 
 
-def _aggregate_cell(design, cell, task, rec, half, wall_time):
+def _aggregate_cell(design, cell, task, rec, half):
     """Aggregates of one task in one cell; `half` is its asymptotic 95% half-width."""
     T, d_true, phi = cell
     ok = ~np.isnan(rec.point)
@@ -410,7 +393,7 @@ def _aggregate_cell(design, cell, task, rec, half, wall_time):
                 stats["bias_xdet"] = float(sub.mean())
                 stats["mse_xdet"] = float(np.mean(sub ** 2))
     stats["n_failed"] = float(len(rec.reasons))
-    return McCellResult(T, d_true, phi, task, stats, int(pts.size), design.seed, wall_time)
+    return McCellResult(T, d_true, phi, task, stats, int(pts.size), design.seed)
 
 
 def run_design(design, threads=1):
@@ -435,18 +418,16 @@ def run_design(design, threads=1):
         with ProcessPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(_block_worker, jobs))
     parts = {i: [] for i, _ in design.cells()}
-    wall = dict.fromkeys(parts, 0.0)
-    for job_cells in done:
-        for cell_index, records, seconds in job_cells:
+    for (_, _, cells, _, _), job_records in zip(jobs, done):
+        for (cell_index, _), records in zip(cells, job_records):
             parts[cell_index].append(records)
-            wall[cell_index] += seconds
     halves = {}
     for T, task in product(design.T_values, design.estimators):
         spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
         N = bandwidth(T, design.bandwidth_exponent, task.P)
         halves[T, task] = _Z975 * asymptotic_sd(spec, N)
     return [
-        _aggregate_cell(design, cell, task, _joined(column), halves[cell[0], task], wall[i])
+        _aggregate_cell(design, cell, task, _joined(column), halves[cell[0], task])
         for i, cell in design.cells()
         for task, column in zip(design.estimators, zip(*parts[i]))
     ]

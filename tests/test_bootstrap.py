@@ -234,6 +234,10 @@ class TestBiasCorrect:
             bias_correct(arfima_series, EstimatorSpec("lpr", 0), np.nan,
                          BootstrapConfig(B=12, rng_stream=4))
 
+    def test_unknown_innovation_mode_rejected(self):
+        with pytest.raises(InvalidParameterError, match="innovation mode"):
+            BootstrapConfig(B=20, innovation_mode="bogus")
+
     def test_bba1_bias_reduction_anchor(self):
         # LPR(0)-BBA(1) mean near 0.1558 (T=500, d=0, phi=0.6)
         spec = EstimatorSpec("lpr", 0)
@@ -499,6 +503,10 @@ class TestStoppingThresholds:
         want = norm.ppf(0.55) * u * math.sqrt(2 / 77)
         assert_allclose(tau1, want, rtol=1e-12)
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(InvalidParameterError, match="iteration index"):
+            stopping_thresholds(-1, 77, 1000, 1.0, P=0)
+
 
 class TestIterate:
     def test_immediate_stop_returns_corrected_value(self, arfima_series,
@@ -562,6 +570,17 @@ class TestIterate:
         assert trace.stop_reason == "max-iter"
         assert trace.final == trace.records[-1].d_next
         assert [rec.tau1 for rec in trace.records] == [math.inf] * 3
+
+    def test_zero_max_iter_rejected_before_any_estimate(self, arfima_series,
+                                                        monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("estimate made")
+
+        for module in (bmod, est_mod):
+            monkeypatch.setattr(module, "_estimate_rows", forbidden)
+        with pytest.raises(InvalidParameterError, match="max_iter must be >= 1"):
+            iterate_bias_correct(arfima_series, EstimatorSpec("lpr", 0),
+                                 BootstrapConfig(B=20, rng_stream=4), max_iter=0)
 
     def test_max_iter_cap_reported(self, arfima_series):
         spec = EstimatorSpec("lpr", 1)

@@ -228,6 +228,20 @@ class TestBiasCorrect:
                      "--B", B, *form]) == 2
         assert "at least B = 10" in capsys.readouterr().err
 
+    def test_zero_max_iter_exit_2_before_any_estimate(self, series_file, monkeypatch,
+                                                      capsys):
+        def forbidden(*args):
+            raise AssertionError("estimate called")
+
+        for module, name in ((cmod, "estimate"), (bmod, "estimate"),
+                             (bmod, "_estimate_rows")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert main(["bias-correct", "--in", str(series_file), "--family", "lpr",
+                     "--B", "20", "--iterate", "--max-iter", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "max_iter must be >= 1" in err
+
     def test_deterministic_given_seed(self, series_file):
         args = ("bias-correct", "--in", str(series_file), "--family", "lpr",
                 "--P", "0", "--B", "40", "--seed", "9")

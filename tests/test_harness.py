@@ -1,5 +1,4 @@
 import os
-import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,6 +11,7 @@ from longmem import (
     ArfimaParams,
     BootstrapConfig,
     EstimatorSpec,
+    EstimatorTask,
     InvalidDesignError,
     InvalidParameterError,
     McDesign,
@@ -75,6 +75,12 @@ class TestTokens:
         with pytest.raises(InvalidParameterError):
             parse_estimator_token(token)
 
+    @pytest.mark.parametrize("kw", [dict(correction="x"), dict(correction="bba", K=0)],
+                             ids=["correction", "bba_K"])
+    def test_bad_tasks_rejected(self, kw):
+        with pytest.raises(InvalidParameterError):
+            EstimatorTask("lpr", 0, **kw)
+
 
 class TestDesign:
     def test_bootstrap_tasks_need_B(self):
@@ -98,9 +104,11 @@ class TestDesign:
             dict(T_values=()),
             dict(d_values=()),
             dict(phi_values=()),
+            dict(R=0),
         ],
         ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d", "max_iter",
-             "bba_B", "ssr_B", "seed", "seed_none", "no_T", "no_d", "no_phi"],
+             "bba_B", "ssr_B", "seed", "seed_none", "no_T", "no_d", "no_phi",
+             "R"],
     )
     def test_infeasible_design_rejected(self, bad):
         with pytest.raises(InvalidDesignError):
@@ -234,7 +242,7 @@ class TestRunDesign:
         [job] = hmod._jobs(design)
         assert job[3:] == (0, 3)
         passes["n"] = 0
-        [(_, (_, bba_rec), _)] = hmod._block_worker(job)
+        [[_, bba_rec]] = hmod._block_worker(job)
         reason = f"draw 3 of pass 0 failed: {hmod._DEGENERATE}"
         assert np.isnan(bba_rec.point).tolist() == [False, True, False]
         assert bba_rec.reasons == [reason]
@@ -344,27 +352,6 @@ class TestRunDesign:
         ]
         assert_layout_free(monkeypatch, design, default)
 
-    def test_cell_wall_time_is_its_share_of_the_job(self, monkeypatch):
-        real = hmod._simulate_rows
-
-        def slow(cells, Z):
-            time.sleep(0.2)
-            return real(cells, Z)
-
-        monkeypatch.setattr(hmod, "_simulate_rows", slow)
-        design = McDesign(
-            T_values=(64,), d_values=(0.0, 0.2), phi_values=(0.3,), R=2,
-            estimators=(parse_estimator_token("lpr0"),
-                        parse_estimator_token("splw0")), seed=3,
-        )
-        results = run_design(design)
-        # One job simulates both cells, so each is charged half of it; the
-        # tasks of a cell share its time.
-        assert results[0].wall_time == results[1].wall_time
-        assert results[2].wall_time == results[3].wall_time
-        for res in results:
-            assert 0.1 <= res.wall_time < 0.18
-
     def test_mse_at_least_bias_squared(self):
         for res in run_design(small_design()):
             assert res.stats["mse"] >= res.stats["bias"] ** 2 - 1e-15
@@ -405,6 +392,12 @@ class TestEmission:
                 assert rows[i]["seed"] == r.seed
                 i += 1
         assert i == len(rows)
+
+    def test_foreign_header_rejected(self, tmp_path):
+        path = tmp_path / "foreign.csv"
+        path.write_text("T,d,phi,estimator,value\n64,0.0,0.3,LPR,0.1\n")
+        with pytest.raises(InvalidParameterError, match="unrecognized results header"):
+            read_results_csv(str(path))
 
     def test_empty_results_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -462,7 +455,7 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.txt"
-        for extra in ("foo = 1", "law = bogus"):
+        for extra in ("foo = 1", "law = bogus", "seed 3"):
             cfg.write_text(
                 f"T = 100\nd = 0\nphi = 0.3\nR = 2\nestimators = lpr0\n{extra}\n"
             )
