@@ -7,6 +7,16 @@ rules and HPD intervals, exact ARFIMA(1,d,0) simulation and likelihood,
 and a reproducible Monte Carlo harness.
 """
 
+import os
+
+# Set before numpy loads. longmem's BLAS calls (dot products of a few
+# thousand values, SVDs of N x (P + 2) designs) are too small for OpenBLAS
+# to split across threads, yet its worker threads spin on the other cores
+# for about 0.1 s after numpy loads, taking them from a bootstrap pass's
+# draw threads. A value already set wins, and once numpy is loaded the
+# setting has no effect.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arfima import (
     ArfimaParams,
     MleResult,

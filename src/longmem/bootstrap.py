@@ -9,6 +9,9 @@ with stochastic stopping rules deciding when to quit.
 """
 
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -49,11 +52,11 @@ __all__ = [
 ]
 
 # Draw values per block of draws that are built, filtered and estimated
-# together. A pass allocates one workspace for a block and every block
-# writes into it, so the working memory of a pass is bounded at any T and
-# B: at most _BLOCK_VALUES innovations (one row when T is larger), and
-# under four times as many values in each FFT buffer (the FFT length is
-# below 4T).
+# together. Each thread of a pass allocates one workspace for a block and
+# every block it runs writes into it, so the working memory of a pass is
+# bounded at any T and B: per thread, at most _BLOCK_VALUES innovations
+# (one row when T is larger), and under four times as many values in each
+# FFT buffer (the FFT length is below 4T).
 _BLOCK_VALUES = 2 ** 15
 
 _MODES = ("parametric", "nonparametric")
@@ -75,7 +78,8 @@ class BootstrapConfig:
     SeedSequence (or int seed). Pass k of a correction draws from two
     child streams: (k, 0) fills the B rows of innovations in draw order
     and (k, 1) gives the B starts of the seeding blocks. Draws are
-    reproducible and do not depend on how the pass is blocked. The first
+    reproducible and depend neither on how the pass is blocked nor on how
+    many threads run it. The first
     pass of every correction builds an HPD interval, so B must be at
     least 10.
     """
@@ -173,19 +177,18 @@ def _draw_spectrum(sieve):
 
 
 def _innovations(config, sieve, rng, out):
-    """Fill the rows of `out` with standardized innovations from `rng`.
+    """Draw the standardized innovations of the rows of `out` from `rng`.
 
-    The rows are filled in row order, with the stream values that
-    drawing an array of the shape of `out` would give.
+    The rows take, in row order, the stream values that drawing an array
+    of the shape of `out` would give. The parametric mode fills `out` and
+    returns None. The nonparametric mode returns the indices of the
+    standardized residuals that fill the rows; looking them up needs no
+    stream, so it need not hold the pass's lock.
     """
     if config.innovation_mode == "parametric":
         rng.standard_normal(out=out)
-        return
-    # The indices lie in [0, T), so "clip" never clips; unlike the default
-    # "raise", it writes into `out` without a temporary copy.
-    T = sieve.filtered.size
-    index = rng.integers(0, T, size=out.shape)
-    np.take(sieve.residuals.standardized, index, out=out, mode="clip")
+        return None
+    return rng.integers(0, sieve.filtered.size, size=out.shape)
 
 
 def _starts(sieve, rng, n):
@@ -218,47 +221,116 @@ def _draw_rows(sieve, eps, tau, spectrum, freq=None, path=None):
     return _causal_filter(eps, spectrum, freq, path)
 
 
+def _pass_cpus():
+    """CPUs that the threads of one pass may use.
+
+    These are the CPUs this process may run on, or one inside a
+    multiprocessing child, whose pool already fills the cores.
+    """
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _estimate_draws(y, d_f, config, iteration, spec):
-    """Run the B draws and estimates of one pass in blocks.
+    """Run the B draws and estimates of one pass in blocks, on a few threads.
 
     The B draws of this iteration come from two pass streams: stream
     (iteration, 0) fills their innovations row by row in draw order, and
     stream (iteration, 1) gives their B seeding-block starts in one call
-    (no call when the sieve order is 0). The values therefore do not
-    depend on the block size. A draw whose estimate fails raises
-    :class:`EstimationFailedError` naming the draw and the pass.
+    (no call when the sieve order is 0). A block holds
+    ``_BLOCK_VALUES // T`` draws (at least one, at most B). Blocks are
+    handed out in draw order under one lock, and a thread draws its
+    block's innovations while it holds that lock, so the values depend
+    neither on the block size nor on the thread count: each row's
+    arithmetic is its own. The pass runs on
+    ``min(blocks, _pass_cpus())`` threads, this one included; the helper
+    threads are joined before the pass returns or raises, and an
+    exception raised in one reaches the caller. Once a draw's estimate
+    fails, no further block is handed out, and
+    :class:`EstimationFailedError` names the pass and its first failed
+    draw in draw order.
 
-    One workspace serves every block of the pass. A block holds
-    ``_BLOCK_VALUES // T`` draws (at least one, at most B), and four
-    buffers of that many rows are allocated once: the innovations, their
+    Each thread allocates one workspace, which serves every block it
+    runs: four buffers of the block's rows for the innovations, their
     spectra, the draw paths and the DFTs of the centred draws. Every
     draw-sized step writes into them, the centring into the spent
-    innovations, so no block allocates a draw-sized array of its own.
+    innovations, so no block allocates a draw-sized array of its own, and
+    the working memory of a pass is one workspace per thread.
     """
     sieve = prefilter_sieve(y, d_f)
     spectrum = _draw_spectrum(sieve)
     T = sieve.filtered.size
     n = _fft_length(T)
     rows = min(config.B, max(1, _BLOCK_VALUES // T))
-    eps = np.empty((rows, T))
-    freq = np.empty((rows, n // 2 + 1), dtype=complex)
-    path = np.empty((rows, n))
-    dft = np.empty((rows, T // 2 + 1), dtype=complex)
+    threads = min(-(-config.B // rows), _pass_cpus())
     innovations_rng = generator_at(config.rng_stream, iteration, 0)
     tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
     draws = np.empty(config.B)
-    for start in range(0, config.B, rows):
-        tau_block = tau[start : start + rows]
-        m = tau_block.size
-        _innovations(config, sieve, innovations_rng, eps[:m])
-        ystar = _draw_rows(sieve, eps[:m], tau_block, spectrum, freq[:m], path[:m])
-        values, ok, _ = _estimate_rows(ystar, spec, centered=eps[:m], dft=dft[:m])
-        if not ok.all():
-            raise EstimationFailedError(
-                f"draw {start + int(np.argmin(ok))} of pass {iteration} failed:"
-                f" {_DEGENERATE}"
-            )
-        draws[start : start + rows] = values
+    starts = iter(range(0, config.B, rows))
+    lock = threading.Lock()
+    stop = threading.Event()
+    failed = []  # the first failed draw of each failed block
+    errors = []  # exceptions raised in helper threads
+
+    def run_blocks():
+        eps = np.empty((rows, T))
+        freq = np.empty((rows, n // 2 + 1), dtype=complex)
+        path = np.empty((rows, n))
+        dft = np.empty((rows, T // 2 + 1), dtype=complex)
+        try:
+            while True:
+                with lock:
+                    start = None if stop.is_set() else next(starts, None)
+                    if start is None:
+                        return
+                    m = min(rows, config.B - start)
+                    index = _innovations(config, sieve, innovations_rng, eps[:m])
+                if index is not None:
+                    # The indices lie in [0, T), so "clip" never clips; unlike
+                    # the default "raise", it writes into `eps` without a
+                    # temporary copy.
+                    np.take(sieve.residuals.standardized, index, out=eps[:m],
+                            mode="clip")
+                ystar = _draw_rows(sieve, eps[:m], tau[start : start + m],
+                                   spectrum, freq[:m], path[:m])
+                values, ok, _ = _estimate_rows(ystar, spec, centered=eps[:m],
+                                               dft=dft[:m])
+                draws[start : start + m] = values
+                if not ok.all():
+                    failed.append(start + int(np.argmin(ok)))
+                    return
+        finally:
+            # A thread leaves when no block is left, after a failed draw or
+            # on an exception; in the last two cases the others stop too.
+            stop.set()
+
+    def helper():
+        try:
+            run_blocks()
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(threads - 1):
+            thread = threading.Thread(target=helper)
+            thread.start()
+            helpers.append(thread)
+        run_blocks()
+    finally:
+        stop.set()  # also when a helper thread could not be started
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    if failed:
+        raise EstimationFailedError(
+            f"draw {min(failed)} of pass {iteration} failed: {_DEGENERATE}"
+        )
     return draws
 
 

@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -52,6 +58,11 @@ def arfima_series():
     return simulate_gaussian(
         ArfimaParams(d=0.2, phi=0.3), 500, np.random.default_rng(9)
     )
+
+
+def force_threads(monkeypatch, n):
+    """Let every bootstrap pass run on up to n threads."""
+    monkeypatch.setattr(bmod, "_pass_cpus", lambda: n)
 
 
 def stub_estimates(monkeypatch, row_estimate):
@@ -194,8 +205,11 @@ class TestBiasCorrect:
     @pytest.mark.parametrize("iterate", [False, True])
     def test_failed_draw_fails_the_pass(self, arfima_series, monkeypatch, iterate):
         # Draw 5 of pass k fails (k = 1 when iterating, else the only pass);
-        # blocks of four draws put it in the second block of its pass.
+        # blocks of four draws put it in the second block of its pass. The
+        # stub counts calls, so the pass runs on one thread; TestThreadedPass
+        # covers a failure at two threads.
         B, k = 12, int(iterate)
+        force_threads(monkeypatch, 1)
         monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
         seen = {"n": -1}  # call 0 is the point estimate on the data
 
@@ -264,9 +278,12 @@ def series_by_T():
 def record_draw_rows(monkeypatch, views=None):
     """Collect every block of bootstrap series that a pass builds.
 
-    The blocks of a pass share one workspace, so each is stored as a copy;
-    `views`, when given, also receives the blocks themselves.
+    The blocks are collected in call order, so every pass runs on one
+    thread and its blocks come in draw order. They share that thread's
+    workspace, so each is stored as a copy; `views`, when given, also
+    receives the blocks themselves.
     """
+    force_threads(monkeypatch, 1)
     seen = []
     real = bmod._draw_rows
 
@@ -352,7 +369,7 @@ class TestBatchedDraws:
             views.clear()
             default = bias_correct(y, spec, 0.2, cfg).draws
             default_rows = np.concatenate(seen)
-            # One workspace per pass: every block is built in the first's.
+            # One workspace per thread: every block is built in the first's.
             assert [len(block) for block in views] == [65, 65, 20]
             assert all(np.shares_memory(block, views[0]) for block in views[1:])
             assert np.array_equal(default, est_mod._estimate_rows(default_rows, spec)[0])
@@ -401,6 +418,182 @@ class TestBatchedDraws:
         count = design.R * 2 * len(design.estimators) * design.max_iter * 2
         assert len(passes) == count
         assert passes.isdisjoint(others)
+
+
+def trace_values(trace):
+    """Every number of an iterative correction, for exact comparison."""
+    first = trace.outcomes[0]
+    return (
+        [vars(rec) for rec in trace.records], trace.final, trace.stop_reason,
+        first.draws.tobytes(), first.bias_hat, first.hpd,
+    )
+
+
+def record_threads(monkeypatch, wait=None):
+    """Record the thread that builds each block; `wait(ident)` runs first."""
+    idents = []
+    real = bmod._draw_rows
+
+    def recording(*args):
+        idents.append(threading.get_ident())
+        if wait is not None:
+            wait(idents[-1])
+        return real(*args)
+
+    monkeypatch.setattr(bmod, "_draw_rows", recording)
+    return idents
+
+
+class TestThreadedPass:
+    @pytest.mark.parametrize(
+        "spec", [EstimatorSpec("lpr", 1), EstimatorSpec("splw", 2)]
+    )
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_threads_do_not_change_values(self, arfima_series, spec, mode,
+                                          monkeypatch):
+        # Blocks of four draws and B = 18: five blocks, the last of two.
+        # Three threads outnumber the cores of a small machine, and a short
+        # switch interval interleaves them often.
+        y = arfima_series
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * y.size)
+        cfg = BootstrapConfig(B=18, innovation_mode=mode, rng_stream=31)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for build_sieve in (prefilter_sieve, order_zero_sieve):  # h > 0, h = 0
+                monkeypatch.setattr(bmod, "prefilter_sieve", build_sieve)
+                results = []
+                for threads in (1, 2, 3):
+                    force_threads(monkeypatch, threads)
+                    one = bias_correct(y, spec, 0.2, cfg)
+                    trace = iterate_bias_correct(y, spec, cfg, max_iter=3)
+                    results.append((one.draws.tobytes(), one.hpd, one.bias_hat,
+                                    trace_values(trace)))
+                assert results[1] == results[0]
+                assert results[2] == results[0]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0][0] == est_mod._estimate_rows(
+            pass_rows(y, 0.2, cfg, 0, order_zero_sieve(y, 0.2)), spec
+        )[0].tobytes()
+
+    def test_two_threads_run_blocks_at_once(self, arfima_series, monkeypatch):
+        # Each of the first two blocks waits for the other, so the pass
+        # finishes only when two threads build blocks at the same time.
+        force_threads(monkeypatch, 2)
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
+        barrier = threading.Barrier(2, timeout=30)
+        idents = record_threads(
+            monkeypatch, lambda ident: len(idents) <= 2 and barrier.wait()
+        )
+        before = threading.active_count()
+        spec, cfg = EstimatorSpec("lpr", 0), BootstrapConfig(B=16, rng_stream=3)
+        bias_correct(arfima_series, spec, 0.1, cfg)
+        assert len(idents) == 4
+        assert len(set(idents)) == 2 and threading.get_ident() in idents
+        assert threading.active_count() == before
+
+    def test_single_block_runs_on_one_thread(self, arfima_series, monkeypatch):
+        # T = 500 and B = 40: one block of 40 draws.
+        force_threads(monkeypatch, 3)
+        before = threading.active_count()
+        counts = []
+        idents = record_threads(
+            monkeypatch, lambda ident: counts.append(threading.active_count())
+        )
+        bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.1,
+                     BootstrapConfig(B=40, rng_stream=3))
+        assert idents == [threading.get_ident()]
+        assert counts == [before]
+
+    @pytest.mark.parametrize("iterate", [False, True])
+    def test_failure_names_first_failed_draw(self, arfima_series, monkeypatch,
+                                             iterate):
+        # Draws 5 and 9 of pass k fail, in the second and third blocks of
+        # four. The stub knows them by their values, since at two threads
+        # the blocks are estimated in no fixed order. Draw 5 waits until
+        # draw 9 has failed, so the later draw's failure comes first.
+        B, k = 12, int(iterate)
+        force_threads(monkeypatch, 2)
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
+        cfg = BootstrapConfig(B=B, rng_stream=4)
+        # Every other estimate is 0.25, a mean without rounding, so every
+        # pass is pre-filtered by 0.25.
+        rows = pass_rows(arfima_series, 0.25, cfg, k)
+        draw5, draw9 = rows[5].tobytes(), rows[9].tobytes()
+        draw9_failed = threading.Event()
+
+        def stub(s):
+            if s.tobytes() == draw9:
+                draw9_failed.set()
+                return None
+            if s.tobytes() == draw5:
+                assert draw9_failed.wait(timeout=30)
+                time.sleep(0.05)  # the block of draw 9 records its failure
+                return None
+            return 0.25
+
+        stub_estimates(monkeypatch, stub)
+        spec = EstimatorSpec("lpr", 0)
+        with pytest.raises(EstimationFailedError) as err:
+            if iterate:
+                iterate_bias_correct(arfima_series, spec, cfg, max_iter=3, fixed=True)
+            else:
+                bias_correct(arfima_series, spec, 0.25, cfg)
+        assert str(err.value) == f"draw 5 of pass {k} failed: {est_mod._DEGENERATE}"
+        assert draw9_failed.is_set()
+
+    def test_failure_stops_the_hand_out(self, arfima_series, monkeypatch):
+        # 100 blocks of two draws, and draw 3 fails: a pass that went on
+        # handing out blocks would build all 100.
+        force_threads(monkeypatch, 2)
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 2 * arfima_series.size)
+        cfg = BootstrapConfig(B=200, rng_stream=4)
+        draw3 = pass_rows(arfima_series, 0.25, cfg, 0)[3].tobytes()
+        stub_estimates(monkeypatch, lambda s: None if s.tobytes() == draw3 else 0.25)
+        idents = record_threads(monkeypatch)
+        with pytest.raises(EstimationFailedError, match="draw 3 of pass 0"):
+            bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.25, cfg)
+        assert len(idents) < 50
+
+    @pytest.mark.parametrize("raiser", ["helper", "caller"])
+    def test_exception_reaches_caller_after_join(self, arfima_series,
+                                                 monkeypatch, raiser):
+        force_threads(monkeypatch, 2)
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
+        barrier = threading.Barrier(2, timeout=30)
+        main = threading.get_ident()
+
+        def wait(ident):
+            if len(idents) <= 2:
+                barrier.wait()
+                if (ident == main) == (raiser == "caller"):
+                    raise RuntimeError(f"raised in the {raiser}")
+
+        idents = record_threads(monkeypatch, wait)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"raised in the {raiser}"):
+            bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.1,
+                         BootstrapConfig(B=16, rng_stream=3))
+        assert threading.active_count() == before
+
+    def test_pool_worker_uses_one_thread(self):
+        assert bmod._pass_cpus() == len(os.sched_getaffinity(0))
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(bmod._pass_cpus).result(timeout=60) == 1
+
+    @pytest.mark.parametrize("preset", [None, "4"])
+    def test_import_pins_openblas(self, preset):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        src = os.path.dirname(os.path.dirname(bmod.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import os, longmem; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == f"{preset or 1}\n"
 
 
 class TestInputsUnchanged:
