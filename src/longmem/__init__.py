@@ -9,13 +9,21 @@ and a reproducible Monte Carlo harness.
 
 import os
 
-# Set before numpy loads. longmem's BLAS calls (dot products of a few
-# thousand values, SVDs of N x (P + 2) designs) are too small for OpenBLAS
-# to split across threads, yet its worker threads spin on the other cores
-# for about 0.1 s after numpy loads, taking them from a bootstrap pass's
-# draw threads. A value already set wins, and once numpy is loaded the
-# setting has no effect.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it. longmem's
+# BLAS calls (dot products of a few thousand values, SVDs of N x (P + 2)
+# designs) are too small for OpenBLAS to split across threads, yet its
+# worker threads spin on the other cores for about 0.1 s after numpy loads,
+# taking them from a bootstrap pass's draw threads. So unless the variable
+# is set, numpy loads with it at 1, and it is removed again at once so that
+# subprocesses do not inherit it. Where numpy loaded before longmem, this
+# changes nothing.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    del numpy
 
 from .arfima import (
     ArfimaParams,

@@ -9,7 +9,6 @@ with stochastic stopping rules deciding when to quit.
 """
 
 import math
-import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
@@ -54,10 +53,14 @@ __all__ = [
 # Draw values per block of draws that are built, filtered and estimated
 # together. Each thread of a pass allocates one workspace for a block and
 # every block it runs writes into it, so the working memory of a pass is
-# bounded at any T and B: per thread, at most _BLOCK_VALUES innovations
-# (one row when T is larger), and under four times as many values in each
-# FFT buffer (the FFT length is below 4T).
+# bounded at any T, B and CPU count: per thread, at most _BLOCK_VALUES
+# innovations (one row when T is larger), and under four times as many
+# values in each FFT buffer (the FFT length is below 4T).
 _BLOCK_VALUES = 2 ** 15
+
+# Threads that one bootstrap pass runs on at most, each with its own
+# workspace. Two is the count whose speed and peak RSS were measured.
+_PASS_THREADS = 2
 
 _MODES = ("parametric", "nonparametric")
 
@@ -177,18 +180,19 @@ def _draw_spectrum(sieve):
 
 
 def _innovations(config, sieve, rng, out):
-    """Draw the standardized innovations of the rows of `out` from `rng`.
+    """Fill the rows of `out` with standardized innovations from `rng`.
 
-    The rows take, in row order, the stream values that drawing an array
-    of the shape of `out` would give. The parametric mode fills `out` and
-    returns None. The nonparametric mode returns the indices of the
-    standardized residuals that fill the rows; looking them up needs no
-    stream, so it need not hold the pass's lock.
+    The rows are filled in row order, with the stream values that
+    drawing an array of the shape of `out` would give.
     """
     if config.innovation_mode == "parametric":
         rng.standard_normal(out=out)
-        return None
-    return rng.integers(0, sieve.filtered.size, size=out.shape)
+        return
+    # The indices lie in [0, T), so "clip" never clips; unlike the default
+    # "raise", it writes into `out` without a temporary copy.
+    T = sieve.filtered.size
+    index = rng.integers(0, T, size=out.shape)
+    np.take(sieve.residuals.standardized, index, out=out, mode="clip")
 
 
 def _starts(sieve, rng, n):
@@ -221,18 +225,14 @@ def _draw_rows(sieve, eps, tau, spectrum, freq=None, path=None):
     return _causal_filter(eps, spectrum, freq, path)
 
 
-def _pass_cpus():
-    """CPUs that the threads of one pass may use.
-
-    These are the CPUs this process may run on, or one inside a
-    multiprocessing child, whose pool already fills the cores.
-    """
-    if multiprocessing.parent_process() is not None:
-        return 1
+def _pass_threads():
+    """Threads that one pass may run on: at most _PASS_THREADS, and no
+    more than the CPUs this process may run on."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(_PASS_THREADS, cpus)
 
 
 def _estimate_draws(y, d_f, config, iteration, spec):
@@ -247,7 +247,7 @@ def _estimate_draws(y, d_f, config, iteration, spec):
     block's innovations while it holds that lock, so the values depend
     neither on the block size nor on the thread count: each row's
     arithmetic is its own. The pass runs on
-    ``min(blocks, _pass_cpus())`` threads, this one included; the helper
+    ``min(blocks, _pass_threads())`` threads, this one included; the helper
     threads are joined before the pass returns or raises, and an
     exception raised in one reaches the caller. Once a draw's estimate
     fails, no further block is handed out, and
@@ -266,7 +266,7 @@ def _estimate_draws(y, d_f, config, iteration, spec):
     T = sieve.filtered.size
     n = _fft_length(T)
     rows = min(config.B, max(1, _BLOCK_VALUES // T))
-    threads = min(-(-config.B // rows), _pass_cpus())
+    threads = min(-(-config.B // rows), _pass_threads())
     innovations_rng = generator_at(config.rng_stream, iteration, 0)
     tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
     draws = np.empty(config.B)
@@ -288,13 +288,7 @@ def _estimate_draws(y, d_f, config, iteration, spec):
                     if start is None:
                         return
                     m = min(rows, config.B - start)
-                    index = _innovations(config, sieve, innovations_rng, eps[:m])
-                if index is not None:
-                    # The indices lie in [0, T), so "clip" never clips; unlike
-                    # the default "raise", it writes into `eps` without a
-                    # temporary copy.
-                    np.take(sieve.residuals.standardized, index, out=eps[:m],
-                            mode="clip")
+                    _innovations(config, sieve, innovations_rng, eps[:m])
                 ystar = _draw_rows(sieve, eps[:m], tau[start : start + m],
                                    spectrum, freq[:m], path[:m])
                 values, ok, _ = _estimate_rows(ystar, spec, centered=eps[:m],

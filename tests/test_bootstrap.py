@@ -4,7 +4,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -62,7 +61,7 @@ def arfima_series():
 
 def force_threads(monkeypatch, n):
     """Let every bootstrap pass run on up to n threads."""
-    monkeypatch.setattr(bmod, "_pass_cpus", lambda: n)
+    monkeypatch.setattr(bmod, "_pass_threads", lambda: n)
 
 
 def stub_estimates(monkeypatch, row_estimate):
@@ -577,24 +576,40 @@ class TestThreadedPass:
                          BootstrapConfig(B=16, rng_stream=3))
         assert threading.active_count() == before
 
-    def test_pool_worker_uses_one_thread(self):
-        if hasattr(os, "sched_getaffinity"):
-            assert bmod._pass_cpus() == len(os.sched_getaffinity(0))
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(bmod._pass_cpus).result(timeout=60) == 1
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (16, 2)])
+    def test_thread_count_is_capped(self, monkeypatch, cpus, threads):
+        # A pass uses one workspace per thread, so many CPUs must not
+        # multiply its working memory.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert bmod._pass_threads() == threads
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task to count threads")
     @pytest.mark.parametrize("preset", [None, "4"])
     def test_import_pins_openblas(self, preset):
+        # Unset, numpy loads with OpenBLAS at one thread, so it starts no
+        # worker thread, and the variable is gone again, so subprocesses
+        # do not inherit it. A preset value is left alone.
         env = dict(os.environ)
         env.pop("OPENBLAS_NUM_THREADS", None)
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
         src = os.path.dirname(os.path.dirname(bmod.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import os, longmem; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        code = (
+            "import os; before = len(os.listdir('/proc/self/task'))\n"
+            "import longmem, numpy\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'),"
+            " len(os.listdir('/proc/self/task')) - before, 'numpy' in vars(longmem))"
+        )
         done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                               capture_output=True, text=True, check=True)
-        assert done.stdout == f"{preset or 1}\n"
+        variable, started, has_numpy = done.stdout.split()
+        assert variable == str(preset)
+        assert has_numpy == "False"
+        if preset is None:
+            assert started == "0"
 
 
 class TestInputsUnchanged:
