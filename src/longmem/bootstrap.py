@@ -51,9 +51,11 @@ __all__ = [
 ]
 
 # Draw values per block of draws that are built, filtered and estimated
-# together. Each thread of a pass allocates one workspace for a block and
-# every block it runs writes into it, so the working memory of a pass is
-# bounded at any T, B and CPU count: per thread, at most _BLOCK_VALUES
+# together. A pass splits its B draws into the fewest blocks of at most
+# _BLOCK_VALUES // T draws (one draw when T is larger) and gives them
+# even sizes. Each thread of a pass allocates one workspace for a block
+# and every block it runs writes into it, so the working memory of a pass
+# is bounded at any T, B and CPU count: per thread, at most _BLOCK_VALUES
 # innovations (one row when T is larger), and under four times as many
 # values in each FFT buffer (the FFT length is below 4T).
 _BLOCK_VALUES = 2 ** 15
@@ -183,7 +185,9 @@ def _innovations(config, sieve, rng, out):
     """Fill the rows of `out` with standardized innovations from `rng`.
 
     The rows are filled in row order, with the stream values that
-    drawing an array of the shape of `out` would give.
+    drawing an array of the shape of `out` would give. Only the
+    nonparametric mode reads `sieve` (its residuals), so parametric
+    innovations can be drawn before the sieve is fitted.
     """
     if config.innovation_mode == "parametric":
         rng.standard_normal(out=out)
@@ -241,18 +245,30 @@ def _estimate_draws(y, d_f, config, iteration, spec):
     The B draws of this iteration come from two pass streams: stream
     (iteration, 0) fills their innovations row by row in draw order, and
     stream (iteration, 1) gives their B seeding-block starts in one call
-    (no call when the sieve order is 0). A block holds
-    ``_BLOCK_VALUES // T`` draws (at least one, at most B). Blocks are
-    handed out in draw order under one lock, and a thread draws its
-    block's innovations while it holds that lock, so the values depend
-    neither on the block size nor on the thread count: each row's
-    arithmetic is its own. The pass runs on
-    ``min(blocks, _pass_threads())`` threads, this one included; the helper
-    threads are joined before the pass returns or raises, and an
-    exception raised in one reaches the caller. Once a draw's estimate
-    fails, no further block is handed out, and
-    :class:`EstimationFailedError` names the pass and its first failed
-    draw in draw order.
+    (no call when the sieve order is 0). The draws are split into the
+    fewest blocks of at most ``_BLOCK_VALUES // T`` draws (at least one),
+    and the blocks are made even: none is larger than ceil(B / blocks).
+    Blocks are handed out in draw order under one lock, and a thread
+    draws its block's innovations while it holds that lock, so the values
+    depend neither on the block size nor on the thread count: each row's
+    arithmetic is its own.
+
+    The pass runs on ``min(blocks, _pass_threads())`` threads, this one
+    included. The helper threads start before the sieve is fitted, since
+    the block layout depends only on T and B. This thread then fits the
+    sieve, builds the draw spectrum and draws the starts, and publishes
+    all three at once before it runs blocks itself. Meanwhile a helper
+    may already take a block and draw its parametric innovations (numpy
+    fills them without the GIL, so the draw overlaps the fit); a
+    nonparametric block resamples the residuals, so it waits for the fit,
+    and every block waits for it before its draws are built. When a
+    helper cannot be started, the pass runs on the threads it has. The
+    helpers are joined before the pass returns or raises, and an
+    exception raised in one reaches the caller; a fit that raises stops
+    the hand-out and wakes the helpers, which leave without building a
+    draw. Once a draw's estimate fails, no further block is handed out,
+    and :class:`EstimationFailedError` names the pass and its first
+    failed draw in draw order.
 
     Each thread allocates one workspace, which serves every block it
     runs: four buffers of the block's rows for the innovations, their
@@ -261,20 +277,26 @@ def _estimate_draws(y, d_f, config, iteration, spec):
     innovations, so no block allocates a draw-sized array of its own, and
     the working memory of a pass is one workspace per thread.
     """
-    sieve = prefilter_sieve(y, d_f)
-    spectrum = _draw_spectrum(sieve)
-    T = sieve.filtered.size
+    T = y.size
     n = _fft_length(T)
-    rows = min(config.B, max(1, _BLOCK_VALUES // T))
-    threads = min(-(-config.B // rows), _pass_threads())
+    blocks = -(-config.B // max(1, _BLOCK_VALUES // T))
+    rows = -(-config.B // blocks)
+    threads = min(blocks, _pass_threads())
+    parametric = config.innovation_mode == "parametric"
     innovations_rng = generator_at(config.rng_stream, iteration, 0)
-    tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
+    sieve = spectrum = tau = None  # published by the fit below
     draws = np.empty(config.B)
     starts = iter(range(0, config.B, rows))
     lock = threading.Lock()
     stop = threading.Event()
+    fitted = threading.Event()
     failed = []  # the first failed draw of each failed block
     errors = []  # exceptions raised in helper threads
+
+    def fit_published():
+        """Wait for the fit; False when it raised."""
+        fitted.wait()
+        return tau is not None
 
     def run_blocks():
         eps = np.empty((rows, T))
@@ -282,6 +304,8 @@ def _estimate_draws(y, d_f, config, iteration, spec):
         path = np.empty((rows, n))
         dft = np.empty((rows, T // 2 + 1), dtype=complex)
         try:
+            if not (parametric or fit_published()):
+                return
             while True:
                 with lock:
                     start = None if stop.is_set() else next(starts, None)
@@ -289,6 +313,8 @@ def _estimate_draws(y, d_f, config, iteration, spec):
                         return
                     m = min(rows, config.B - start)
                     _innovations(config, sieve, innovations_rng, eps[:m])
+                if not fit_published():
+                    return
                 ystar = _draw_rows(sieve, eps[:m], tau[start : start + m],
                                    spectrum, freq[:m], path[:m])
                 values, ok, _ = _estimate_rows(ystar, spec, centered=eps[:m],
@@ -312,11 +338,19 @@ def _estimate_draws(y, d_f, config, iteration, spec):
     try:
         for _ in range(threads - 1):
             thread = threading.Thread(target=helper)
-            thread.start()
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: run on those started
+                break
             helpers.append(thread)
+        sieve = prefilter_sieve(y, d_f)
+        spectrum = _draw_spectrum(sieve)
+        tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
+        fitted.set()
         run_blocks()
     finally:
-        stop.set()  # also when a helper thread could not be started
+        stop.set()  # also when the fit or a block raised
+        fitted.set()  # wakes the helpers waiting for a fit that raised
         for thread in helpers:
             thread.join()
     if errors:

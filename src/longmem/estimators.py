@@ -181,11 +181,14 @@ def _newton_solve(base, g, lo, hi):
     R is convex in d: R'(d) is the weighted mean of g minus its plain mean,
     with weights proportional to I_j e^{s_j(d)}, and R''(d) is the weighted
     variance of g. The weights are scale free, so the minimizer does not
-    move under uniform rescalings of the ordinates. When R' keeps one sign
-    on the interval, the edge it points to is returned as is; otherwise
-    Newton steps on R' = 0 run inside the shrinking sign bracket, and a
-    step that would leave the bracket is replaced by bisection. Each row
-    keeps its own bracket and stops on its own once a step falls below
+    move under uniform rescalings of the ordinates. R' is non-decreasing,
+    so one evaluation at the midpoint names the only edge that can hold
+    the minimum: `lo` when R'(mid) >= 0, else `hi`. One more evaluation
+    tests that edge, and a row whose R' points out of the interval there
+    returns the edge as is. Otherwise Newton steps on R' = 0 run inside
+    the shrinking sign bracket, the first from the midpoint's (R', R''),
+    and a step that would leave the bracket is replaced by bisection. Each
+    row keeps its own bracket and stops on its own once a step falls below
     1e-13, so a row's result does not depend on the other rows.
 
     Returns (d, boundary), one entry per row.
@@ -201,22 +204,25 @@ def _newton_solve(base, g, lo, hi):
         return m1 - gbar, np.vecdot(w, (g - m1[:, None]) ** 2) / wsum
 
     n = base.shape[0]
-    at_lo = slope(base, np.full(n, lo))[0] >= 0.0
-    at_hi = slope(base, np.full(n, hi))[0] <= 0.0
-    edge = at_lo | at_hi
-    d = np.where(at_lo, lo, hi)
+    mid = 0.5 * (lo + hi)
+    r1, r2 = slope(base, np.full(n, mid))
+    toward_lo = r1 >= 0.0
+    d = np.where(toward_lo, lo, hi)
+    r_edge = slope(base, d)[0]
+    edge = np.where(toward_lo, r_edge >= 0.0, r_edge <= 0.0)
     rows = np.flatnonzero(~edge)
-    base = base[rows]
+    base, r1, r2 = base[rows], r1[rows], r2[rows]
     a = np.full(rows.size, lo)
     b = np.full(rows.size, hi)
-    x = 0.5 * (a + b)
+    x = np.full(rows.size, mid)
     # R'' >= 0; where it is 0 or NaN the Newton step is not finite and
     # fails the bracket test below, so bisection takes over.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
+        for step in range(100):
             if rows.size == 0:
                 break
-            r1, r2 = slope(base, x)
+            if step:
+                r1, r2 = slope(base, x)
             below = r1 < 0.0
             np.copyto(a, x, where=below)
             np.copyto(b, x, where=~below)

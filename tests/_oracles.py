@@ -7,6 +7,9 @@ enumeration, the profiled local Whittle objective is a least-squares
 fit per d, the AIC order refits Burg at every order instead of reading
 one sweep, and the ARFIMA ACVF rows, the AR path and the bootstrap
 draws run their recursions sequentially through ``scipy.signal.lfilter``.
+The SPLW solve tests both edges of the search interval before its Newton
+steps start, where the library tests only the edge that R' at the
+midpoint points to.
 """
 
 import numpy as np
@@ -53,6 +56,54 @@ def whittle_objective(d, y, N, P):
     expo = s + logI
     shift = expo.max()
     return shift + np.log(np.mean(np.exp(expo - shift))) - np.mean(s)
+
+
+def newton_solve_two_edges(base, g, lo, hi):
+    """SPLW minimizer over [lo, hi] of every row of base = c + logI.
+
+    Both edges are tested first: a row whose R' is >= 0 at `lo` returns
+    `lo`, else one whose R' is <= 0 at `hi` returns `hi`. The other rows
+    take safeguarded Newton steps on R' = 0 from the midpoint inside
+    their own sign bracket, with the row-wise arithmetic of
+    ``estimators._newton_solve``, so the two must agree bit for bit.
+
+    Returns (d, boundary), one entry per row.
+    """
+    gbar = np.mean(g)
+
+    def slope(base_rows, x):
+        expo = base_rows + x[:, None] * g
+        expo -= np.maximum.reduce(expo, axis=-1, keepdims=True)
+        w = np.exp(expo)
+        wsum = np.add.reduce(w, axis=-1)
+        m1 = np.vecdot(w, g) / wsum
+        return m1 - gbar, np.vecdot(w, (g - m1[:, None]) ** 2) / wsum
+
+    n = base.shape[0]
+    at_lo = slope(base, np.full(n, lo))[0] >= 0.0
+    at_hi = slope(base, np.full(n, hi))[0] <= 0.0
+    edge = at_lo | at_hi
+    d = np.where(at_lo, lo, hi)
+    for i in np.flatnonzero(~edge):
+        row = base[i : i + 1]
+        a, b = lo, hi
+        x = 0.5 * (a + b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(100):
+                r1, r2 = (v[0] for v in slope(row, np.array([x])))
+                if r1 < 0.0:
+                    a = x
+                else:
+                    b = x
+                x_new = x - r1 / r2
+                if not a <= x_new <= b:
+                    x_new = 0.5 * (a + b)
+                done = abs(x_new - x) < 1e-13
+                x = x_new
+                if done:
+                    break
+        d[i] = x
+    return d, edge
 
 
 def frac_filter_by_loop(y, d):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -355,7 +356,8 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
     def test_block_size_does_not_change_results(self, arfima_series, spec, mode,
                                                 monkeypatch):
-        # B = 150 at T = 500: default blocks of 65, 65 and 20 draws
+        # B = 150 at T = 500: at most 65 draws per block, so three blocks,
+        # made even at 50 draws each
         y = arfima_series
         cfg = BootstrapConfig(B=150, innovation_mode=mode, rng_stream=8)
         views = []
@@ -369,7 +371,7 @@ class TestBatchedDraws:
             default = bias_correct(y, spec, 0.2, cfg).draws
             default_rows = np.concatenate(seen)
             # One workspace per thread: every block is built in the first's.
-            assert [len(block) for block in views] == [65, 65, 20]
+            assert [len(block) for block in views] == [50, 50, 50]
             assert all(np.shares_memory(block, views[0]) for block in views[1:])
             assert np.array_equal(default, est_mod._estimate_rows(default_rows, spec)[0])
             sieve = build_sieve(y, 0.2)
@@ -382,6 +384,25 @@ class TestBatchedDraws:
                 assert len(seen) == blocks
                 assert np.array_equal(np.concatenate(seen), default_rows)
                 assert np.array_equal(draws, default)
+
+    @pytest.mark.parametrize("B, T, blocks", [
+        (200, 500, [50] * 4),
+        (201, 500, [51, 51, 51, 48]),
+        (150, 500, [50] * 3),
+        (400, 2000, [16] * 25),
+        (40, 500, [40]),
+    ])
+    def test_blocks_are_even(self, series_by_T, monkeypatch, B, T, blocks):
+        # At most _BLOCK_VALUES // T draws per block (65 at T = 500, 16 at
+        # T = 2000), in the fewest blocks, all of them but the last of
+        # ceil(B / blocks) draws.
+        y = series_by_T[T]
+        cfg = BootstrapConfig(B=B, rng_stream=B)
+        views = []
+        seen = record_draw_rows(monkeypatch, views)
+        bias_correct(y, EstimatorSpec("lpr", 0), 0.2, cfg)
+        assert [len(block) for block in views] == blocks
+        assert np.array_equal(np.concatenate(seen), pass_rows(y, 0.2, cfg, 0))
 
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
     def test_first_attempt_uses_two_streams_per_pass(self, arfima_series, mode,
@@ -574,6 +595,113 @@ class TestThreadedPass:
         with pytest.raises(RuntimeError, match=f"raised in the {raiser}"):
             bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.1,
                          BootstrapConfig(B=16, rng_stream=3))
+        assert threading.active_count() == before
+
+    def test_parametric_innovations_are_drawn_during_the_fit(self, arfima_series,
+                                                            monkeypatch):
+        # The fit waits until a helper thread has filled a block of
+        # innovations, so the pass finishes only when the helper draws
+        # while the sieve is being fitted.
+        force_threads(monkeypatch, 2)
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
+        main = threading.get_ident()
+        filled = threading.Event()
+        real_innovations, real_fit = bmod._innovations, bmod.prefilter_sieve
+
+        def innovations(*args):
+            real_innovations(*args)
+            if threading.get_ident() != main:
+                filled.set()
+
+        def fit(*args):
+            assert filled.wait(timeout=30)
+            return real_fit(*args)
+
+        monkeypatch.setattr(bmod, "_innovations", innovations)
+        monkeypatch.setattr(bmod, "prefilter_sieve", fit)
+        spec, cfg = EstimatorSpec("lpr", 0), BootstrapConfig(B=16, rng_stream=3)
+        draws = bias_correct(arfima_series, spec, 0.1, cfg).draws
+        assert np.array_equal(draws, est_mod._estimate_rows(
+            pass_rows(arfima_series, 0.1, cfg, 0), spec)[0])
+
+    def test_nonparametric_innovations_wait_for_the_fit(self, arfima_series,
+                                                        monkeypatch):
+        # The residuals they resample come from the fit, so no block draws
+        # before it returns, however long it takes.
+        force_threads(monkeypatch, 2)
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
+        returned = threading.Event()
+        calls = []
+        real_innovations, real_fit = bmod._innovations, bmod.prefilter_sieve
+
+        def innovations(*args):
+            calls.append(returned.is_set())
+            real_innovations(*args)
+
+        def fit(*args):
+            time.sleep(0.05)
+            sieve = real_fit(*args)
+            returned.set()
+            return sieve
+
+        monkeypatch.setattr(bmod, "_innovations", innovations)
+        monkeypatch.setattr(bmod, "prefilter_sieve", fit)
+        cfg = BootstrapConfig(B=16, innovation_mode="nonparametric", rng_stream=3)
+        bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.1, cfg)
+        assert calls == [True] * 4
+
+    def test_failed_fit_reaches_caller_without_a_draw(self, arfima_series,
+                                                      monkeypatch):
+        # The fit raises once the helper has drawn a block of innovations
+        # and waits for the fit: the helper is woken, builds no draw and
+        # is joined before the error reaches the caller.
+        force_threads(monkeypatch, 2)
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
+        filled = threading.Event()
+        real_innovations = bmod._innovations
+
+        def innovations(*args):
+            real_innovations(*args)
+            filled.set()
+
+        def fit(*args):
+            assert filled.wait(timeout=30)
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setattr(bmod, "_innovations", innovations)
+        monkeypatch.setattr(bmod, "prefilter_sieve", fit)
+        idents = record_threads(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="fit failed"):
+            bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.1,
+                         BootstrapConfig(B=16, rng_stream=3))
+        assert idents == []
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_pass_runs_when_no_helper_starts(self, arfima_series, monkeypatch,
+                                             mode):
+        # A thread that cannot be started (RuntimeError from start) leaves
+        # the pass to the calling thread.
+        class NoStart(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        no_threads = types.ModuleType("threading")
+        no_threads.__dict__.update(vars(threading))
+        no_threads.Thread = NoStart
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
+        spec = EstimatorSpec("splw", 1)
+        cfg = BootstrapConfig(B=18, innovation_mode=mode, rng_stream=5)
+        force_threads(monkeypatch, 1)
+        want = bias_correct(arfima_series, spec, 0.2, cfg).draws
+        force_threads(monkeypatch, 2)
+        monkeypatch.setattr(bmod, "threading", no_threads)
+        idents = record_threads(monkeypatch)
+        before = threading.active_count()
+        draws = bias_correct(arfima_series, spec, 0.2, cfg).draws
+        assert draws.tobytes() == want.tobytes()
+        assert set(idents) == {threading.get_ident()} and len(idents) == 5
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (16, 2)])

@@ -18,9 +18,9 @@ from longmem import (
 )
 from longmem.estimators import _estimate_rows
 from longmem.fracdiff import apply_frac_filter
-from longmem.spectral import fourier_frequencies
+from longmem.spectral import bandwidth, fourier_frequencies
 
-from _oracles import whittle_objective
+from _oracles import newton_solve_two_edges, whittle_objective
 
 
 def use_synthetic_ordinates(monkeypatch, T, N, coeffs):
@@ -131,6 +131,31 @@ class TestSplwSolver:
         res = splw_estimate(np.zeros(500), EstimatorSpec("splw", P))
         assert res.d_hat == edge
         assert res.diagnostics["boundary"]
+
+
+    @pytest.mark.parametrize("T, P", [(100, 0), (500, 1), (500, 2), (2000, 3), (128, 0)])
+    def test_one_edge_test_equals_two_edge_solve(self, T, P):
+        # Rows of log-ordinates -d0 * g + noise put the minimizer near d0:
+        # inside the search interval, past either edge, on a flat (zero)
+        # row, and on a NaN row. Testing only the edge that R'(mid) points
+        # to must give the two-edge solve's d and boundary bit for bit.
+        N = bandwidth(T, 0.7, P)
+        g, poly, pinv_poly = est_mod._whittle_design(T, N, P)
+        rng = np.random.default_rng(T + P)
+        d0 = np.concatenate([rng.uniform(-0.9, 1.4, 40), rng.uniform(-4.0, -1.1, 20),
+                             rng.uniform(1.6, 4.0, 20), [0.0, 0.0]])
+        logI = -d0[:, None] * g + rng.uniform(0.0, 2.0, (d0.size, 1)) * \
+            rng.standard_normal((d0.size, N))
+        logI[-2] = 0.0
+        base = est_mod._whittle_offsets(logI, poly, pinv_poly) + logI
+        base[-1] = np.nan
+        lo, hi = est_mod.SEARCH_LO, est_mod.SEARCH_HI
+        d, boundary = est_mod._newton_solve(base, g, lo, hi)
+        want_d, want_boundary = newton_solve_two_edges(base, g, lo, hi)
+        assert d.tobytes() == want_d.tobytes()
+        assert np.array_equal(boundary, want_boundary)
+        assert (d[boundary] == lo).any() and (d[boundary] == hi).any()
+        assert not boundary[-2] and (~boundary[:40]).sum() >= 30
 
 
 class TestSplw:
