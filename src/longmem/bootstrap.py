@@ -9,6 +9,7 @@ with stochastic stopping rules deciding when to quit.
 """
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -28,13 +29,14 @@ from .estimators import (
     _DEGENERATE,
     SEARCH_HI,
     SEARCH_LO,
-    _estimate_rows,
+    _estimate_ordinates,
+    _usable,
     asymptotic_sd,
     estimate,
 )
 from .exceptions import EstimationFailedError, InvalidParameterError
 from .fracdiff import _causal_filter, _causal_spectrum, _fft_length, apply_frac_filter
-from .spectral import bandwidth
+from .spectral import _ordinates, bandwidth
 from .streams import as_seed_sequence, generator_at
 
 __all__ = [
@@ -50,18 +52,20 @@ __all__ = [
     "hpd_interval",
 ]
 
-# Draw values per block of draws that are built, filtered and estimated
-# together. A pass splits its B draws into the fewest blocks of at most
+# Draw values per block of draws that are built and filtered together. A
+# pass splits its B draws into the fewest blocks of at most
 # _BLOCK_VALUES // T draws (one draw when T is larger) and gives them
 # even sizes. Each thread of a pass allocates one workspace for a block
 # and every block it runs writes into it, so the working memory of a pass
 # is bounded at any T, B and CPU count: per thread, at most _BLOCK_VALUES
 # innovations (one row when T is larger), and under four times as many
-# values in each FFT buffer (the FFT length is below 4T).
+# values in each FFT buffer (the FFT length is below 4T). A thread also
+# estimates its draws in calls of at most _BLOCK_VALUES ordinates.
 _BLOCK_VALUES = 2 ** 15
 
-# Threads that one bootstrap pass runs on at most, each with its own
-# workspace. Two is the count whose speed and peak RSS were measured.
+# Threads that one bootstrap pass, or the bootstrap tasks of one Monte
+# Carlo job, run on at most, each with its own workspace. Two is the
+# count whose speed and peak RSS were measured.
 _PASS_THREADS = 2
 
 _MODES = ("parametric", "nonparametric")
@@ -71,6 +75,12 @@ _MODES = ("parametric", "nonparametric")
 _MIN_DRAWS = 10
 
 _NORMAL = NormalDist()
+
+
+def _check_integer(value, name, error=InvalidParameterError):
+    """Refuse a count that is not an integer, such as 20.0, with `error`."""
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -94,6 +104,7 @@ class BootstrapConfig:
     rng_stream: object = 0
 
     def __post_init__(self):
+        _check_integer(self.B, "B")
         if self.B < _MIN_DRAWS:
             raise InvalidParameterError(
                 f"need at least B = {_MIN_DRAWS} bootstrap draws"
@@ -230,13 +241,61 @@ def _draw_rows(sieve, eps, tau, spectrum, freq=None, path=None):
 
 
 def _pass_threads():
-    """Threads that one pass may run on: at most _PASS_THREADS, and no
-    more than the CPUs this process may run on."""
+    """Threads that one pass, or one job's bootstrap tasks, may run on: at
+    most _PASS_THREADS, and no more than the CPUs this process may run on."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(_PASS_THREADS, cpus)
+
+
+# `member` is set on a thread while it runs its share of a group of
+# threads started by _on_threads, so that a group it starts runs on it
+# alone.
+_GROUP = threading.local()
+
+
+def _on_threads(threads, work, lead=None):
+    """Run `work` on `threads` threads, this one included, and join them.
+
+    The helper threads run `work`; this thread runs `lead` (by default
+    `work`) once they are started. A helper that cannot be started
+    leaves the work to the threads that did start. On a thread that runs
+    its share of a group, a group runs on that thread alone, so nested
+    groups never multiply the threads. Every helper is joined before
+    this returns or raises: an exception raised in this thread
+    propagates, and otherwise the first one raised in a helper is raised
+    again here. `work` and `lead` must make the others leave early when
+    they fail, as no thread is interrupted.
+    """
+    nested = getattr(_GROUP, "member", False)
+    errors = []
+
+    def helper():
+        _GROUP.member = True
+        try:
+            work()
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(0 if nested else threads - 1):
+            thread = threading.Thread(target=helper)
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: run on those started
+                break
+            helpers.append(thread)
+        _GROUP.member = nested or bool(helpers)
+        (lead or work)()
+    finally:
+        _GROUP.member = nested
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _estimate_draws(y, d_f, config, iteration, spec):
@@ -254,107 +313,111 @@ def _estimate_draws(y, d_f, config, iteration, spec):
     arithmetic is its own.
 
     The pass runs on ``min(blocks, _pass_threads())`` threads, this one
-    included. The helper threads start before the sieve is fitted, since
-    the block layout depends only on T and B. This thread then fits the
-    sieve, builds the draw spectrum and draws the starts, and publishes
-    all three at once before it runs blocks itself. Meanwhile a helper
-    may already take a block and draw its parametric innovations (numpy
-    fills them without the GIL, so the draw overlaps the fit); a
-    nonparametric block resamples the residuals, so it waits for the fit,
-    and every block waits for it before its draws are built. When a
-    helper cannot be started, the pass runs on the threads it has. The
-    helpers are joined before the pass returns or raises, and an
-    exception raised in one reaches the caller; a fit that raises stops
-    the hand-out and wakes the helpers, which leave without building a
-    draw. Once a draw's estimate fails, no further block is handed out,
-    and :class:`EstimationFailedError` names the pass and its first
-    failed draw in draw order.
+    included (:func:`_on_threads`; one, when this thread runs a share of
+    a group such as a Monte Carlo job's bootstrap tasks). The helper
+    thread starts before the sieve is fitted, since the block layout
+    depends only on T and B. This thread then fits the sieve, builds the
+    draw spectrum and draws the starts, and publishes all three at once
+    before it runs blocks itself. Meanwhile a helper may already take a
+    block and draw its parametric innovations (numpy fills them without
+    the GIL, so the draw overlaps the fit); a nonparametric block
+    resamples the residuals, so it waits for the fit, and every block
+    waits for it before its draws are built. A fit that raises stops the
+    hand-out and wakes the helpers, which leave without building a draw.
+
+    A block builds its draws, takes their N periodogram ordinates and
+    checks them (:func:`estimators._usable`). Once a draw fails the
+    check, no further block is handed out, and
+    :class:`EstimationFailedError` names the pass and its first failed
+    draw in draw order. When the hand-out ends, each thread estimates the
+    draws of all its blocks in calls of at most ``_BLOCK_VALUES``
+    ordinates (:func:`estimators._estimate_ordinates`), so the many small
+    numpy calls of a solve are made once per such call, not per block.
 
     Each thread allocates one workspace, which serves every block it
     runs: four buffers of the block's rows for the innovations, their
     spectra, the draw paths and the DFTs of the centred draws. Every
     draw-sized step writes into them, the centring into the spent
     innovations, so no block allocates a draw-sized array of its own, and
-    the working memory of a pass is one workspace per thread.
+    the working memory of a pass is one workspace per thread and the B
+    rows of ordinates.
     """
     T = y.size
     n = _fft_length(T)
+    N = bandwidth(T, spec.bandwidth_exponent, spec.P)
     blocks = -(-config.B // max(1, _BLOCK_VALUES // T))
     rows = -(-config.B // blocks)
-    threads = min(blocks, _pass_threads())
+    solve_rows = max(1, _BLOCK_VALUES // N)
     parametric = config.innovation_mode == "parametric"
     innovations_rng = generator_at(config.rng_stream, iteration, 0)
-    sieve = spectrum = tau = None  # published by the fit below
+    sieve = spectrum = tau = None  # published by the fit in lead()
     draws = np.empty(config.B)
+    ordinates = np.empty((config.B, N))
     starts = iter(range(0, config.B, rows))
     lock = threading.Lock()
     stop = threading.Event()
     fitted = threading.Event()
     failed = []  # the first failed draw of each failed block
-    errors = []  # exceptions raised in helper threads
 
     def fit_published():
         """Wait for the fit; False when it raised."""
         fitted.wait()
         return tau is not None
 
-    def run_blocks():
+    def build_blocks():
+        """Build and check blocks while any are handed out; their draw indices."""
         eps = np.empty((rows, T))
         freq = np.empty((rows, n // 2 + 1), dtype=complex)
         path = np.empty((rows, n))
         dft = np.empty((rows, T // 2 + 1), dtype=complex)
+        mine = []
         try:
             if not (parametric or fit_published()):
-                return
+                return mine
             while True:
                 with lock:
                     start = None if stop.is_set() else next(starts, None)
                     if start is None:
-                        return
+                        return mine
                     m = min(rows, config.B - start)
                     _innovations(config, sieve, innovations_rng, eps[:m])
                 if not fit_published():
-                    return
+                    return mine
                 ystar = _draw_rows(sieve, eps[:m], tau[start : start + m],
                                    spectrum, freq[:m], path[:m])
-                values, ok, _ = _estimate_rows(ystar, spec, centered=eps[:m],
-                                               dft=dft[:m])
-                draws[start : start + m] = values
+                block = ordinates[start : start + m]
+                block[...] = _ordinates(ystar, N, eps[:m], dft[:m])
+                ok = _usable(block)
                 if not ok.all():
                     failed.append(start + int(np.argmin(ok)))
-                    return
+                    return mine
+                mine.extend(range(start, start + m))
         finally:
             # A thread leaves when no block is left, after a failed draw or
             # on an exception; in the last two cases the others stop too.
             stop.set()
 
-    def helper():
-        try:
-            run_blocks()
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
+    def run_blocks():
+        mine = np.array(build_blocks(), dtype=np.intp)
+        if failed:  # the pass raises; its estimates are not needed
+            return
+        for first in range(0, mine.size, solve_rows):
+            part = mine[first : first + solve_rows]
+            draws[part] = _estimate_ordinates(ordinates[part], T, spec)[0]
 
-    helpers = []
-    try:
-        for _ in range(threads - 1):
-            thread = threading.Thread(target=helper)
-            try:
-                thread.start()
-            except RuntimeError:  # no thread to be had: run on those started
-                break
-            helpers.append(thread)
-        sieve = prefilter_sieve(y, d_f)
-        spectrum = _draw_spectrum(sieve)
-        tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
-        fitted.set()
-        run_blocks()
-    finally:
-        stop.set()  # also when the fit or a block raised
-        fitted.set()  # wakes the helpers waiting for a fit that raised
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
+    def lead():
+        nonlocal sieve, spectrum, tau
+        try:
+            sieve = prefilter_sieve(y, d_f)
+            spectrum = _draw_spectrum(sieve)
+            tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
+            fitted.set()
+            run_blocks()
+        finally:
+            stop.set()  # also when the fit or a block raised
+            fitted.set()  # wakes the helpers waiting for a fit that raised
+
+    _on_threads(min(blocks, _pass_threads()), run_blocks, lead)
     if failed:
         raise EstimationFailedError(
             f"draw {min(failed)} of pass {iteration} failed: {_DEGENERATE}"
@@ -479,7 +542,7 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     is also recorded as a :class:`BootstrapOutcome` with the 95% HPD
     interval, as :func:`bias_correct` would build it. The data and every
     draw are estimated by the same batched kernel as :func:`estimate`.
-    ``max_iter`` is checked before any estimate is made.
+    ``max_iter`` (an integer) is checked before any estimate is made.
 
     Parameters
     ----------
@@ -495,6 +558,7 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     -------
     IterationTrace
     """
+    _check_integer(max_iter, "max_iter")
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
 

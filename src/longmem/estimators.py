@@ -194,14 +194,21 @@ def _newton_solve(base, g, lo, hi):
     Returns (d, boundary), one entry per row.
     """
     gbar = np.mean(g)
+    # Every evaluation writes its row-by-N arrays into these two buffers,
+    # the first rows of each when fewer rows are left.
+    expo_buf = np.empty_like(base)
+    dev_buf = np.empty_like(base)
 
     def slope(base_rows, x):
-        expo = base_rows + x[:, None] * g
+        expo = np.multiply(x[:, None], g, out=expo_buf[: x.size])
+        expo += base_rows
         expo -= np.maximum.reduce(expo, axis=-1, keepdims=True)
-        w = np.exp(expo)
+        w = np.exp(expo, out=expo)
         wsum = np.add.reduce(w, axis=-1)
         m1 = np.vecdot(w, g) / wsum
-        return m1 - gbar, np.vecdot(w, (g - m1[:, None]) ** 2) / wsum
+        dev = np.subtract(g, m1[:, None], out=dev_buf[: x.size])
+        dev *= dev
+        return m1 - gbar, np.vecdot(w, dev) / wsum
 
     n = base.shape[0]
     mid = 0.5 * (lo + hi)
@@ -288,33 +295,48 @@ def _estimate_one(y, spec, family):
     )
 
 
-def _estimate_rows(y, spec, centered=None, dft=None):
+def _usable(ordinates):
+    """Rows of ordinates that have an estimate: all finite, not all vanishing."""
+    return np.all(np.isfinite(ordinates), axis=-1) & np.any(
+        ordinates > _LOG_FLOOR, axis=-1
+    )
+
+
+def _estimate_ordinates(ordinates, T, spec):
+    """Memory estimates of length-T series from their rows of usable ordinates.
+
+    The first N ordinates of each series (:func:`spectral._ordinates`),
+    every row passing :func:`_usable`; each row's LPR coefficient or SPLW
+    solve does not depend on the other rows. Returns (d_hat, boundary),
+    arrays over the rows; ``boundary`` marks the SPLW estimates on an
+    edge of [SEARCH_LO, SEARCH_HI] and is all False for LPR.
+    """
+    N = ordinates.shape[-1]
+    logI = np.log(np.maximum(ordinates, _LOG_FLOOR))
+    if spec.family == "lpr":
+        return np.vecdot(logI, _lpr_weights(T, N, spec.P)), np.zeros(len(logI), bool)
+    g, poly, pinv_poly = _whittle_design(T, N, spec.P)
+    base = _whittle_offsets(logI, poly, pinv_poly) + logI
+    return _newton_solve(base, g, SEARCH_LO, SEARCH_HI)
+
+
+def _estimate_rows(y, spec):
     """Memory estimates of a stack of series, one per row of ``y``.
 
     The one estimate kernel: :func:`estimate` is its one-row case, and the
-    bootstrap draws and the harness's plain tasks run it on their blocks.
-    One FFT gives the ordinates of every row; each row's LPR coefficients
-    or SPLW solve do not depend on the other rows. A row whose ordinates
-    all vanish or are not finite gets ``ok`` False and a NaN estimate.
-    `centered` and `dft` are the buffers of :func:`spectral._ordinates`.
+    harness's plain tasks run it on their blocks; a bootstrap pass runs
+    its steps itself, the ordinates and their check per block of draws
+    and :func:`_estimate_ordinates` on each thread's rows. One FFT gives
+    the ordinates of every row. A row whose ordinates all vanish or are
+    not finite gets ``ok`` False and a NaN estimate.
 
-    Returns (d_hat, ok, boundary), arrays over the rows; ``boundary`` marks
-    the SPLW estimates on an edge of [SEARCH_LO, SEARCH_HI] and is all
-    False for LPR.
+    Returns (d_hat, ok, boundary), arrays over the rows; ``boundary`` as
+    in :func:`_estimate_ordinates`, False where ``ok`` is.
     """
     T = y.shape[-1]
-    N = bandwidth(T, spec.bandwidth_exponent, spec.P)
-    ordinates = _ordinates(y, N, centered, dft)
-    ok = np.all(np.isfinite(ordinates), axis=-1) & np.any(
-        ordinates > _LOG_FLOOR, axis=-1
-    )
-    logI = np.log(np.maximum(ordinates[ok], _LOG_FLOOR))
+    ordinates = _ordinates(y, bandwidth(T, spec.bandwidth_exponent, spec.P))
+    ok = _usable(ordinates)
     d_hat = np.full(y.shape[0], np.nan)
     boundary = np.zeros(y.shape[0], dtype=bool)
-    if spec.family == "lpr":
-        d_hat[ok] = np.vecdot(logI, _lpr_weights(T, N, spec.P))
-    else:
-        g, poly, pinv_poly = _whittle_design(T, N, spec.P)
-        base = _whittle_offsets(logI, poly, pinv_poly) + logI
-        d_hat[ok], boundary[ok] = _newton_solve(base, g, SEARCH_LO, SEARCH_HI)
+    d_hat[ok], boundary[ok] = _estimate_ordinates(ordinates[ok], T, spec)
     return d_hat, ok, boundary

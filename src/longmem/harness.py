@@ -11,8 +11,12 @@ share T (see :func:`_jobs`); a design with a bootstrap task takes blocks
 of up to 16 replications. One batched Durbin-Levinson sweep simulates
 every series of the job, each plain task estimates all of its rows in
 one batched call, and bootstrap tasks run per (cell, replication), each
-on its own task stream. The layout depends on the design alone, and one
-process pool serves every job of the design. A job returns one columnar
+on its own task stream. These units of a job run on up to two threads
+(no more than the process's CPUs), handed out in order, and a unit's
+passes run on its thread alone; a job of one unit leaves its passes
+two threads. Results do not depend on which thread runs a unit. The
+layout depends on the design alone, and one process pool serves every
+job of the design. A job returns one columnar
 record per (cell, task): the point estimates, NaN where a row failed,
 the failure reason of each failed row, and the HPD bounds or the
 deterministic stops of the tasks that have them; a cell's statistics
@@ -20,6 +24,7 @@ reduce its records joined in job order.
 """
 
 import csv
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby, product
@@ -29,7 +34,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .arfima import ArfimaParams, _parse_law, _simulate_rows, _standardized_deviates
-from .bootstrap import _BLOCK_VALUES, _MODES, BootstrapConfig, iterate_bias_correct
+from .bootstrap import (
+    _BLOCK_VALUES,
+    _MODES,
+    BootstrapConfig,
+    _check_integer,
+    _on_threads,
+    _pass_threads,
+    iterate_bias_correct,
+)
 from .estimators import _DEGENERATE, EstimatorSpec, _estimate_rows, asymptotic_sd
 from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
 from .spectral import bandwidth
@@ -148,7 +161,9 @@ class McDesign:
     """Monte Carlo configuration grid.
 
     ``law`` is the innovation law token of :class:`ArfimaParams`. Every
-    default here is the default of a design file that omits the key.
+    default here is the default of a design file that omits the key. The
+    counts (each T, R, B and max_iter) must be integers: 64.7 and 2.0
+    are refused, not truncated.
     """
 
     T_values: tuple
@@ -164,6 +179,10 @@ class McDesign:
     max_iter: int = 10
 
     def __post_init__(self):
+        for t in self.T_values:
+            _check_integer(t, "T", InvalidDesignError)
+        for name in ("R", "B", "max_iter"):
+            _check_integer(getattr(self, name), name, InvalidDesignError)
         object.__setattr__(self, "T_values", tuple(int(t) for t in self.T_values))
         object.__setattr__(self, "d_values", tuple(float(d) for d in self.d_values))
         object.__setattr__(
@@ -285,19 +304,51 @@ def _run_task(y, task, design, stream):
     )
 
 
-def _bootstrap_record(Y, task, design, streams):
-    """Record of a bootstrap task on the rows of Y, row i on ``streams[i]``."""
-    rows, reasons = [], []
-    for y, stream in zip(Y, streams):
-        try:
-            rows.append(_run_task(y, task, design, stream))
-        except LongmemError as exc:
-            rows.append((np.nan, (np.nan, np.nan), False))
-            reasons.append(str(exc))
+def _bootstrap_record(task, rows):
+    """Record of a bootstrap task from its rows' :func:`_run_units` results."""
+    reasons = [str(row) for row in rows if isinstance(row, LongmemError)]
+    failed = (np.nan, (np.nan, np.nan), False)
+    rows = [failed if isinstance(row, LongmemError) else row for row in rows]
     point, hpd, detstop = zip(*rows)
     hpd = np.array(hpd) if task.hpd else None
     detstop = np.array(detstop) if task.correction == "ssr" else None
     return _Record(np.array(point), reasons, hpd, detstop)
+
+
+def _run_units(units):
+    """:func:`_run_task` of each of `units` (argument tuples), in order.
+
+    The units are handed out in order to ``min(units, _pass_threads())``
+    threads, this one included. A pass started on one of several unit
+    threads runs on that thread alone (see :func:`bootstrap._on_threads`);
+    a lone unit keeps this thread's pass threads. A unit that raises a
+    LongmemError gets the exception as its result, which fails its row
+    alone; any other exception stops the hand-out and reaches the caller
+    once every thread has been joined.
+    """
+    results = [None] * len(units)
+    todo = iter(range(len(units)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    j = None if stop.is_set() else next(todo, None)
+                if j is None:
+                    return
+                try:
+                    results[j] = _run_task(*units[j])
+                except LongmemError as exc:
+                    results[j] = exc
+        finally:
+            # A thread leaves when no unit is left or on an exception, which
+            # stops the others too.
+            stop.set()
+
+    _on_threads(min(len(units), _pass_threads()), work)
+    return results
 
 
 def _block_worker(args):
@@ -306,7 +357,9 @@ def _block_worker(args):
     Every (cell, replication) draws its deviates from its own simulation
     stream, and one batched Durbin-Levinson sweep turns them into the
     job's series. A plain task estimates all of the job's rows in one
-    batched call; a bootstrap task runs per (cell, replication).
+    batched call. A bootstrap task runs per (cell, replication): these
+    units of every bootstrap task run on a few threads
+    (:func:`_run_units`), each unit's passes on its thread alone.
 
     Returns one list per cell, in the job's cell order, holding one
     :class:`_Record` per task in design order.
@@ -324,8 +377,16 @@ def _block_worker(args):
             rng = np.random.default_rng(simulation_stream(root, cell_index, r))
             Z[g, i] = _standardized_deviates(params[g], T, rng)
     Y = _simulate_rows(params, Z)
+    units = [
+        (Y[g, i], task, design, task_stream(root, cell_index, start + i, ti))
+        for ti, task in enumerate(design.estimators)
+        if task.needs_bootstrap
+        for g, (cell_index, _) in enumerate(cells)
+        for i in range(n)
+    ]
+    done = iter(_run_units(units))  # in the order of the loop below
     records = [[] for _ in cells]
-    for ti, task in enumerate(design.estimators):
+    for task in design.estimators:
         if not task.needs_bootstrap:
             spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
             values, ok, _ = _estimate_rows(Y.reshape(-1, T), spec)
@@ -334,9 +395,8 @@ def _block_worker(args):
                 failed = int(np.isnan(row).sum())
                 cell_records.append(_Record(row, [_DEGENERATE] * failed))
             continue
-        for g, (cell_index, _) in enumerate(cells):
-            streams = [task_stream(root, cell_index, r, ti) for r in range(start, stop)]
-            records[g].append(_bootstrap_record(Y[g], task, design, streams))
+        for cell_records in records:
+            cell_records.append(_bootstrap_record(task, [next(done) for _ in range(n)]))
     return records
 
 

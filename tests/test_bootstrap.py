@@ -69,17 +69,34 @@ def stub_estimates(monkeypatch, row_estimate):
     """Route every estimate, on the data and on the draws, through a stub.
 
     ``row_estimate(series)`` gives the estimate of one series, or None for
-    a failed one. Rows are visited in order, so the data comes first and
-    then the draws of each pass in draw order.
+    a failed one. The stub's ordinates carry it: a failed series gets NaN
+    ordinates, which fail the check, and any other series ordinates of 1
+    led by its estimate, which the stub solve reads back. Rows are
+    visited in order, so the data comes first and then the draws of each
+    pass in draw order.
     """
-    def rows(y, spec, centered=None, dft=None):
-        values = [row_estimate(row) for row in y]
-        ok = np.array([v is not None for v in values])
-        d_hat = np.array([np.nan if v is None else v for v in values])
-        return d_hat, ok, np.zeros(len(y), dtype=bool)
+    def ordinates(y, N, centered=None, dft=None):
+        out = np.ones((len(y), N))
+        for row, series in zip(out, y):
+            value = row_estimate(series)
+            row[0] = np.nan if value is None else value
+        return out
+
+    def solve(ordinates, T, spec):
+        return ordinates[:, 0].copy(), np.zeros(len(ordinates), dtype=bool)
 
     for module in (bmod, est_mod):
-        monkeypatch.setattr(module, "_estimate_rows", rows)
+        monkeypatch.setattr(module, "_ordinates", ordinates)
+        monkeypatch.setattr(module, "_estimate_ordinates", solve)
+
+
+def forbid_estimates(monkeypatch):
+    """Fail the test as soon as any series is estimated."""
+    def forbidden(*args):
+        raise AssertionError("estimate made")
+
+    for module in (bmod, est_mod):
+        monkeypatch.setattr(module, "_ordinates", forbidden)
 
 
 class TestSieve:
@@ -225,7 +242,7 @@ class TestBiasCorrect:
             else:
                 bias_correct(arfima_series, spec, 0.1, cfg)
         assert str(err.value) == f"draw 5 of pass {k} failed: {est_mod._DEGENERATE}"
-        assert seen["n"] == k * B + 8  # no block after the failed one is estimated
+        assert seen["n"] == k * B + 8  # no block after the failed one is checked
 
     def test_two_consecutive_failures_abort(self, arfima_series, monkeypatch):
         calls = {"n": 0}
@@ -247,6 +264,10 @@ class TestBiasCorrect:
         with pytest.raises(InvalidParameterError):
             bias_correct(arfima_series, EstimatorSpec("lpr", 0), np.nan,
                          BootstrapConfig(B=12, rng_stream=4))
+
+    def test_non_integer_B_rejected(self):
+        with pytest.raises(InvalidParameterError, match="B must be an integer"):
+            BootstrapConfig(B=20.0)
 
     def test_unknown_innovation_mode_rejected(self):
         with pytest.raises(InvalidParameterError, match="innovation mode"):
@@ -404,6 +425,34 @@ class TestBatchedDraws:
         assert [len(block) for block in views] == blocks
         assert np.array_equal(np.concatenate(seen), pass_rows(y, 0.2, cfg, 0))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draws_are_solved_per_thread_in_bounded_calls(self, series_by_T,
+                                                          monkeypatch, threads):
+        # B = 400 at T = 2000: 25 blocks of 16 draws and N = 204 ordinates,
+        # so a call solves at most 2**15 // 204 = 160 draws.
+        y = series_by_T[2000]
+        spec, cfg = EstimatorSpec("splw", 1), BootstrapConfig(B=400, rng_stream=2)
+        force_threads(monkeypatch, 1)
+        want = bias_correct(y, spec, 0.2, cfg).draws
+        force_threads(monkeypatch, threads)
+        calls = []
+        real = bmod._estimate_ordinates
+
+        def recording(ordinates, T, spec):
+            calls.append((threading.get_ident(), ordinates.shape))
+            return real(ordinates, T, spec)
+
+        monkeypatch.setattr(bmod, "_estimate_ordinates", recording)
+        draws = bias_correct(y, spec, 0.2, cfg).draws
+        assert draws.tobytes() == want.tobytes()
+        assert all(shape[0] * shape[1] <= bmod._BLOCK_VALUES for _, shape in calls)
+        assert sum(shape[0] for _, shape in calls) == cfg.B
+        if threads == 1:
+            assert [shape for _, shape in calls] == [(160, 204), (160, 204), (80, 204)]
+        for ident in {ident for ident, _ in calls}:
+            rows = [shape[0] for i, shape in calls if i == ident]
+            assert all(r == 160 for r in rows[:-1])  # every call full but the last
+
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
     def test_first_attempt_uses_two_streams_per_pass(self, arfima_series, mode,
                                                      monkeypatch):
@@ -531,7 +580,7 @@ class TestThreadedPass:
                                              iterate):
         # Draws 5 and 9 of pass k fail, in the second and third blocks of
         # four. The stub knows them by their values, since at two threads
-        # the blocks are estimated in no fixed order. Draw 5 waits until
+        # the blocks are checked in no fixed order. Draw 5 waits until
         # draw 9 has failed, so the later draw's failure comes first.
         B, k = 12, int(iterate)
         force_threads(monkeypatch, 2)
@@ -910,14 +959,17 @@ class TestIterate:
 
     def test_zero_max_iter_rejected_before_any_estimate(self, arfima_series,
                                                         monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("estimate made")
-
-        for module in (bmod, est_mod):
-            monkeypatch.setattr(module, "_estimate_rows", forbidden)
+        forbid_estimates(monkeypatch)
         with pytest.raises(InvalidParameterError, match="max_iter must be >= 1"):
             iterate_bias_correct(arfima_series, EstimatorSpec("lpr", 0),
                                  BootstrapConfig(B=20, rng_stream=4), max_iter=0)
+
+    def test_non_integer_max_iter_rejected_before_any_estimate(self, arfima_series,
+                                                               monkeypatch):
+        forbid_estimates(monkeypatch)
+        with pytest.raises(InvalidParameterError, match="max_iter must be an integer"):
+            iterate_bias_correct(arfima_series, EstimatorSpec("lpr", 0),
+                                 BootstrapConfig(B=20, rng_stream=4), max_iter=2.0)
 
     def test_max_iter_cap_reported(self, arfima_series):
         spec = EstimatorSpec("lpr", 1)
@@ -1008,11 +1060,7 @@ class TestHpd:
                                                         monkeypatch, B, iterate):
         # Every pass builds an HPD interval, which needs ten draws; the
         # config itself refuses fewer, so neither entry point starts.
-        def forbidden(*args):
-            raise AssertionError("estimate made")
-
-        for module in (bmod, est_mod):
-            monkeypatch.setattr(module, "_estimate_rows", forbidden)
+        forbid_estimates(monkeypatch)
         spec = EstimatorSpec("lpr", 0)
         with pytest.raises(InvalidParameterError, match="at least B = 10"):
             cfg = BootstrapConfig(B=B, rng_stream=4)

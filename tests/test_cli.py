@@ -222,7 +222,7 @@ class TestBiasCorrect:
             raise AssertionError("estimate called")
 
         for module, name in ((cmod, "estimate"), (bmod, "estimate"),
-                             (bmod, "_estimate_rows")):
+                             (bmod, "_ordinates")):
             monkeypatch.setattr(module, name, forbidden)
         assert main(["bias-correct", "--in", str(series_file), "--family", "lpr",
                      "--B", B, *form]) == 2
@@ -234,7 +234,7 @@ class TestBiasCorrect:
             raise AssertionError("estimate called")
 
         for module, name in ((cmod, "estimate"), (bmod, "estimate"),
-                             (bmod, "_estimate_rows")):
+                             (bmod, "_ordinates")):
             monkeypatch.setattr(module, name, forbidden)
         assert main(["bias-correct", "--in", str(series_file), "--family", "lpr",
                      "--B", "20", "--iterate", "--max-iter", "0"]) == 2

@@ -1,4 +1,8 @@
 import os
+import sys
+import threading
+import time
+import types
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,6 +14,7 @@ import longmem.harness as hmod
 from longmem import (
     ArfimaParams,
     BootstrapConfig,
+    EstimationFailedError,
     EstimatorSpec,
     EstimatorTask,
     InvalidDesignError,
@@ -115,6 +120,21 @@ class TestDesign:
             small_design(**bad)
 
     @pytest.mark.parametrize(
+        "bad, name",
+        [(dict(R=2.0), "R"), (dict(B=20.0), "B"), (dict(max_iter=2.0), "max_iter"),
+         (dict(T_values=(64.7,)), "T"), (dict(T_values=(64, 100.0)), "T")],
+        ids=["R", "B", "max_iter", "T", "T_float"],
+    )
+    def test_non_integer_counts_rejected(self, bad, name):
+        # A float count is refused, not truncated or left to fail mid-run.
+        with pytest.raises(InvalidDesignError, match=f"^{name} must be an integer"):
+            small_design(**bad)
+
+    def test_numpy_integer_counts_accepted(self):
+        design = small_design(T_values=(np.int64(64),), R=np.int64(3), B=np.int32(20))
+        assert design.T_values == (64,) and type(design.T_values[0]) is int
+
+    @pytest.mark.parametrize(
         "bad, what",
         [
             (dict(T_values=(64, 100, 64)), "T"),
@@ -216,17 +236,20 @@ class TestRunDesign:
             B=12, seed=13,
         )
         clean = run_design(design)
-        real = bmod._estimate_rows
+        real = bmod._ordinates
         passes = {"n": 0}
 
-        def failing(ystar, spec, **buffers):
-            values, ok, boundary = real(ystar, spec, **buffers)
+        def failing(ystar, N, *buffers):
+            ordinates = real(ystar, N, *buffers)
             passes["n"] += 1
             if passes["n"] == 2:  # one block per pass, one pass per replication
-                ok[3] = False
-            return values, ok, boundary
+                ordinates[3] = np.nan
+            return ordinates
 
-        monkeypatch.setattr(bmod, "_estimate_rows", failing)
+        # The wrapper counts calls, so the job's three bootstrap units run
+        # in order on one thread; TestUnitThreads covers more threads.
+        monkeypatch.setattr(hmod, "_pass_threads", lambda: 1)
+        monkeypatch.setattr(bmod, "_ordinates", failing)
         plain, bba = run_design(design)
         assert passes["n"] == design.R
         assert (plain.stats, plain.R_effective) == (clean[0].stats, 3)
@@ -367,6 +390,137 @@ class TestRunDesign:
 
         want = norm.ppf(0.975)
         assert abs(hmod._Z975 - want) <= 1e-15 * want
+
+
+def force_threads(monkeypatch, n):
+    """Let a job's bootstrap units, and every pass, run on up to n threads."""
+    for module in (hmod, bmod):
+        monkeypatch.setattr(module, "_pass_threads", lambda: n)
+
+
+def count_thread_starts(monkeypatch):
+    """Count the threads that the bootstrap module starts."""
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    counted = types.ModuleType("threading")
+    counted.__dict__.update(vars(threading))
+    counted.Thread = Counted
+    monkeypatch.setattr(bmod, "threading", counted)
+    return starts
+
+
+class TestUnitThreads:
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_threads_do_not_change_results(self, tmp_path, monkeypatch, mode):
+        # 18 units (2 cells x 3 replications x 3 bootstrap tasks); three
+        # threads outnumber the cores of a small machine, and a short
+        # switch interval interleaves them often.
+        design = small_design(
+            estimators=(parse_estimator_token("lpr0"),
+                        parse_estimator_token("lpr1-hpd"),
+                        parse_estimator_token("splw1-bba2"),
+                        parse_estimator_token("splw0-ssr-hpd")),
+            mode=mode,
+        )
+        files = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2, 3):
+                force_threads(monkeypatch, threads)
+                path = tmp_path / f"{threads}.csv"
+                emit_tables(run_design(design), "csv", str(path))
+                files.append(path.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert files[1] == files[0]
+        assert files[2] == files[0]
+
+    def test_pass_on_a_unit_thread_starts_no_thread(self, monkeypatch):
+        # Two units whose passes have four blocks each (B = 200 at T = 500):
+        # the one thread started is the second unit thread.
+        design = McDesign(
+            T_values=(500,), d_values=(0.2,), phi_values=(0.3,), R=1,
+            estimators=(parse_estimator_token("lpr0-hpd"),
+                        parse_estimator_token("splw1-bba2")),
+            B=200, seed=3,
+        )
+        [job] = hmod._jobs(design)
+        force_threads(monkeypatch, 1)
+        want = hmod._block_worker(job)
+        force_threads(monkeypatch, 2)
+        starts = count_thread_starts(monkeypatch)
+        before = threading.active_count()
+        got = hmod._block_worker(job)
+        assert len(starts) == 1
+        assert threading.active_count() == before
+        assert [[rec.point.tobytes() for rec in cell] for cell in got] == [
+            [rec.point.tobytes() for rec in cell] for cell in want
+        ]
+
+    def test_one_unit_job_keeps_two_pass_threads(self, monkeypatch):
+        # The first two blocks of the pass wait for each other, so the job
+        # finishes only when two threads build blocks at once.
+        force_threads(monkeypatch, 2)
+        design = McDesign(
+            T_values=(500,), d_values=(0.2,), phi_values=(0.3,), R=1,
+            estimators=(parse_estimator_token("lpr0"),
+                        parse_estimator_token("splw1-hpd")),
+            B=200, seed=3,
+        )
+        barrier = threading.Barrier(2, timeout=30)
+        idents = []
+        real = bmod._draw_rows
+
+        def recording(*args):
+            idents.append(threading.get_ident())
+            if len(idents) <= 2:
+                barrier.wait()
+            return real(*args)
+
+        monkeypatch.setattr(bmod, "_draw_rows", recording)
+        [job] = hmod._jobs(design)
+        hmod._block_worker(job)
+        assert len(idents) == 4 and len(set(idents)) == 2
+
+    @pytest.mark.parametrize("error", [RuntimeError, EstimationFailedError])
+    def test_exception_in_one_unit(self, monkeypatch, error):
+        # Unit 1 of 32 (replication 1 of the first of two cells) raises. A
+        # LongmemError fails its row alone; any other exception stops the
+        # hand-out and reaches the caller once every thread is joined.
+        force_threads(monkeypatch, 2)
+        design = small_design(
+            estimators=(parse_estimator_token("lpr0-hpd"),), R=16, B=12,
+        )
+        [job] = hmod._jobs(design)
+        failing = task_stream(design.seed, 0, 1, 0).spawn_key
+        calls = []
+
+        def run_task(y, task, design, stream):
+            calls.append(stream)
+            if stream.spawn_key == failing:
+                raise error("unit failed")
+            time.sleep(0.001)
+            return 0.1, (0.0, 0.2), False
+
+        monkeypatch.setattr(hmod, "_run_task", run_task)
+        before = threading.active_count()
+        if error is RuntimeError:
+            with pytest.raises(RuntimeError, match="unit failed"):
+                hmod._block_worker(job)
+            assert len(calls) < 32
+        else:
+            [[first], [second]] = hmod._block_worker(job)
+            assert len(calls) == 32
+            assert np.isnan(first.point).tolist() == [r == 1 for r in range(16)]
+            assert (first.reasons, second.reasons) == (["unit failed"], [])
+            assert not np.isnan(second.point).any()
+        assert threading.active_count() == before
 
 
 class TestEmission:
