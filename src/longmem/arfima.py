@@ -23,6 +23,7 @@ from .exceptions import (
     EstimationFailedError,
     InvalidParameterError,
     NumericalDegeneracyError,
+    _check_integer,
 )
 
 __all__ = [
@@ -144,13 +145,14 @@ def simulate_gaussian(params, T, rng):
     ----------
     params : ArfimaParams
     T : int
-        Series length (>= 1).
+        Series length (an integer >= 1).
     rng : numpy.random.Generator
 
     Returns
     -------
     ndarray of length T
     """
+    _check_integer(T, "T")
     T = int(T)
     if T < 1:
         raise InvalidParameterError("T must be >= 1")

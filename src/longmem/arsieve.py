@@ -166,33 +166,56 @@ def levinson_durbin(acvf):
 
 
 def _burg_reflections(w, h_max):
-    """One Burg sweep: reflection coefficients and error variances to h_max."""
+    """One Burg sweep along the last axis of w: reflections and error variances to h_max.
+
+    Every row of a stack is swept on its own. Its dot products are
+    row-wise (np.vecdot), which give a row the bits that np.dot gives it
+    alone, so a row's values do not depend on the rows swept with it. A
+    row fails at the first order whose reflection is not inside (-1, 1),
+    which is NaN when the order's denominator vanishes (its numerator
+    vanishes with it); its values from that order on mean nothing, and
+    :func:`_burg_failure` reads the failure back. One series (1-D w)
+    raises the NumericalDegeneracyError instead.
+    """
     w = np.asarray(w, dtype=float)
-    T = w.size
-    f = w.copy()
-    b = w.copy()
-    ks = np.empty(h_max)
-    sig = np.empty(h_max)
-    e = np.dot(w, w) / T
-    for m in range(1, h_max + 1):
-        fm = f[m:]
-        bm = b[m - 1 : T - 1]
-        den = np.dot(fm, fm) + np.dot(bm, bm)
-        if den <= 0.0:
-            raise NumericalDegeneracyError(f"degenerate input at Burg order {m}")
-        k = -2.0 * np.dot(fm, bm) / den
-        if abs(k) >= 1.0:
-            raise NumericalDegeneracyError(
-                f"Burg reflection coefficient hit the unit boundary at order {m}"
-            )
-        f_new = fm + k * bm
-        b_new = bm + k * fm
-        f[m:] = f_new
-        b[m:] = b_new
-        e = e * (1.0 - k * k)
-        ks[m - 1] = k
-        sig[m - 1] = e
-    return ks, sig
+    W = w.reshape(-1, w.shape[-1])
+    T = W.shape[1]
+    f = W.copy()
+    b = W  # the backward errors from position m - 1 on, at order m - 1
+    ks = np.empty((W.shape[0], h_max))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for m in range(1, h_max + 1):
+            fm = f[:, m:]
+            bm = b[:, : T - m]
+            k = -2.0 * np.vecdot(fm, bm) / (np.vecdot(fm, fm) + np.vecdot(bm, bm))
+            ks[:, m - 1] = k
+            # f <- f + k b and b <- b + k f, from the old f and b.
+            kb = k[:, None]
+            b = kb * fm
+            b += bm
+            fm += kb * bm
+        # sigma_m^2 = sigma_{m-1}^2 (1 - k_m^2) from sigma_0^2 = w.w / T,
+        # multiplied in the order of that recursion.
+        sig = np.cumprod(np.column_stack((np.vecdot(W, W) / T, 1.0 - ks * ks)), axis=-1)
+    if w.ndim == 1:
+        failure = _burg_failure(ks[0])
+        if failure is not None:
+            raise failure
+        return ks[0], sig[0, 1:]
+    return ks, sig[:, 1:]
+
+
+def _burg_failure(ks):
+    """The NumericalDegeneracyError of one row of Burg reflections, or None."""
+    bad = np.flatnonzero(~(np.abs(ks) < 1.0))
+    if bad.size == 0:
+        return None
+    m = int(bad[0]) + 1
+    if np.isnan(ks[m - 1]):
+        return NumericalDegeneracyError(f"degenerate input at Burg order {m}")
+    return NumericalDegeneracyError(
+        f"Burg reflection coefficient hit the unit boundary at order {m}"
+    )
 
 
 def _burg_arfit(ks, sig):
@@ -206,24 +229,36 @@ def _burg_arfit(ks, sig):
 
 
 def _aic_burg_fit(w, h_max):
-    """The sieve's AR fit: AIC order and Burg coefficients from one sweep.
+    """The sieve's AR fit of each row of w: AIC order and Burg coefficients.
 
     AIC(h) = T*log(sigma_h^2) + 2h over h = 1..h_max, with every variance
-    taken from one Burg sweep to h_max; ties break toward the smaller
-    order. The reflection at order m does not depend on where the sweep
-    stops, so the first h reflections of the sweep give the same fit, bit
-    for bit, as a second sweep to the chosen order h.
+    taken from one Burg sweep of all rows to h_max; ties break toward the
+    smaller order. The reflection at order m does not depend on where the
+    sweep stops, so the first h reflections of the sweep give the same
+    fit, bit for bit, as a second sweep to the chosen order h. A stack of
+    rows gives a list with the ArFit or the NumericalDegeneracyError of
+    each row; one series (1-D w) gives its ArFit or raises.
     """
     w = np.asarray(w, dtype=float)
     h_max = int(h_max)
     if h_max < 1:
         raise InvalidParameterError("h_max must be >= 1")
-    if w.size <= 2 * h_max:
+    T = w.shape[-1]
+    if T <= 2 * h_max:
         raise InvalidParameterError("need T > 2*h_max observations")
-    ks, sig = _burg_reflections(w, h_max)
-    aic = w.size * np.log(sig) + 2.0 * np.arange(1, h_max + 1)
-    h = int(np.argmin(aic)) + 1  # argmin returns the first minimum
-    return _burg_arfit(ks[:h].copy(), sig)
+    ks, sig = _burg_reflections(w.reshape(-1, T), h_max)
+    with np.errstate(invalid="ignore", divide="ignore"):  # rows that failed
+        aic = T * np.log(sig) + 2.0 * np.arange(1, h_max + 1)
+    orders = np.argmin(aic, axis=-1) + 1  # argmin returns the first minimum
+    fits = [
+        _burg_failure(row_ks) or _burg_arfit(row_ks[:h].copy(), row_sig)
+        for row_ks, row_sig, h in zip(ks, sig, orders)
+    ]
+    if w.ndim > 1:
+        return fits
+    if isinstance(fits[0], NumericalDegeneracyError):
+        raise fits[0]
+    return fits[0]
 
 
 def ar_residuals(w, fit):

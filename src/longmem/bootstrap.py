@@ -9,7 +9,6 @@ with stochastic stopping rules deciding when to quit.
 """
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -34,8 +33,13 @@ from .estimators import (
     asymptotic_sd,
     estimate,
 )
-from .exceptions import EstimationFailedError, InvalidParameterError
-from .fracdiff import _causal_filter, _causal_spectrum, _fft_length, apply_frac_filter
+from .exceptions import (
+    EstimationFailedError,
+    InvalidParameterError,
+    LongmemError,
+    _check_integer,
+)
+from .fracdiff import _causal_filter, _causal_spectrum, _fft_length, _frac_filter_rows
 from .spectral import _ordinates, bandwidth
 from .streams import as_seed_sequence, generator_at
 
@@ -55,17 +59,19 @@ __all__ = [
 # Draw values per block of draws that are built and filtered together. A
 # pass splits its B draws into the fewest blocks of at most
 # _BLOCK_VALUES // T draws (one draw when T is larger) and gives them
-# even sizes. Each thread of a pass allocates one workspace for a block
-# and every block it runs writes into it, so the working memory of a pass
-# is bounded at any T, B and CPU count: per thread, at most _BLOCK_VALUES
-# innovations (one row when T is larger), and under four times as many
-# values in each FFT buffer (the FFT length is below 4T). A thread also
-# estimates its draws in calls of at most _BLOCK_VALUES ordinates.
+# even sizes. Each thread of a round allocates one workspace for a block
+# and every block it builds writes into it, so the working memory of a
+# round is bounded at any T, B, unit count and CPU count: per thread, at
+# most _BLOCK_VALUES innovations (one row when T is larger), under four
+# times as many values in each FFT buffer (the FFT length is below 4T),
+# and at most _BLOCK_VALUES gathered ordinates, which the thread
+# estimates in one call, in place of its freed workspace, before it
+# builds more.
 _BLOCK_VALUES = 2 ** 15
 
-# Threads that one bootstrap pass, or the bootstrap tasks of one Monte
-# Carlo job, run on at most, each with its own workspace. Two is the
-# count whose speed and peak RSS were measured.
+# Threads that one round of bootstrap passes runs on at most, each with
+# its own workspace. Two is the count whose speed and peak RSS were
+# measured.
 _PASS_THREADS = 2
 
 _MODES = ("parametric", "nonparametric")
@@ -75,12 +81,6 @@ _MODES = ("parametric", "nonparametric")
 _MIN_DRAWS = 10
 
 _NORMAL = NormalDist()
-
-
-def _check_integer(value, name, error=InvalidParameterError):
-    """Refuse a count that is not an integer, such as 20.0, with `error`."""
-    if not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -171,13 +171,38 @@ def prefilter_sieve(y, d_f):
     c * (a_0 + ... + a_t), which the sieve would fit and the seeding
     blocks would copy into the draws. The sieve order is chosen by AIC
     below the cap floor((log T)^2) (and T/4), and the parameters come
-    from Burg's algorithm; one Burg sweep to the cap serves both.
+    from Burg's algorithm; one Burg sweep to the cap serves both. This is
+    the one-series case of the fit that a round of passes makes
+    (:func:`_prefilter_rows`).
     """
     y = np.asarray(y, dtype=float)
-    w_f = apply_frac_filter(y - y.mean(), d_f)
-    fit = _aic_burg_fit(w_f, default_max_order(y.size))
-    res = ar_residuals(w_f, fit)
-    return SieveFit(d_f=float(d_f), filtered=w_f, fit=fit, residuals=res)
+    [sieve] = _prefilter_rows(y[None], [d_f])
+    if isinstance(sieve, LongmemError):
+        raise sieve
+    return sieve
+
+
+def _prefilter_rows(Y, d_fs):
+    """The :func:`prefilter_sieve` of each row of Y, pre-filtered by its d_f.
+
+    The rows are de-meaned and filtered, each by its own d_f, in one FFT
+    convolution, and one Burg sweep over all the filtered rows
+    (:func:`arsieve._aic_burg_fit`) fits every sieve; a row's fit does not
+    depend on the rows fitted with it. Returns one SieveFit per row, or
+    the LongmemError of a row whose fit or residuals failed.
+    """
+    if Y.shape[-1] < 1 or not np.all(np.isfinite(Y)):
+        raise InvalidParameterError("series must be non-empty and finite")
+    W = _frac_filter_rows(Y - Y.mean(axis=-1, keepdims=True), d_fs)
+    sieves = []
+    for d_f, w_f, fit in zip(d_fs, W, _aic_burg_fit(W, default_max_order(W.shape[-1]))):
+        if not isinstance(fit, LongmemError):
+            try:
+                fit = SieveFit(float(d_f), w_f, fit, ar_residuals(w_f, fit))
+            except LongmemError as exc:
+                fit = exc
+        sieves.append(fit)
+    return sieves
 
 
 def _draw_spectrum(sieve):
@@ -186,10 +211,21 @@ def _draw_spectrum(sieve):
     Its kernel is the inverse fractional filter (the sieve's d_f) applied
     to the first T weights of the AR impulse response, so a draw is one
     causal convolution of the innovations (shifted by the pre-sample
-    offsets). Built once per pass and shared by every block of draws.
+    offsets). Built once per pass and shared by every block of draws;
+    this is the one-sieve case of :func:`_draw_spectra`.
     """
-    psi = _impulse_response(sieve.fit.phi, sieve.filtered.size)
-    return _causal_spectrum(apply_frac_filter(psi, -sieve.d_f))
+    return _draw_spectra([sieve])[0]
+
+
+def _draw_spectra(sieves):
+    """The :func:`_draw_spectrum` of each of `sieves`, of one T, one row each.
+
+    The impulse responses are built one by one, and one FFT convolution
+    applies every sieve's inverse fractional filter.
+    """
+    T = sieves[0].filtered.size
+    psi = np.array([_impulse_response(sieve.fit.phi, T) for sieve in sieves])
+    return _causal_spectrum(_frac_filter_rows(psi, [-sieve.d_f for sieve in sieves]))
 
 
 def _innovations(config, sieve, rng, out):
@@ -197,8 +233,7 @@ def _innovations(config, sieve, rng, out):
 
     The rows are filled in row order, with the stream values that
     drawing an array of the shape of `out` would give. Only the
-    nonparametric mode reads `sieve` (its residuals), so parametric
-    innovations can be drawn before the sieve is fitted.
+    nonparametric mode reads `sieve` (its residuals).
     """
     if config.innovation_mode == "parametric":
         rng.standard_normal(out=out)
@@ -241,8 +276,8 @@ def _draw_rows(sieve, eps, tau, spectrum, freq=None, path=None):
 
 
 def _pass_threads():
-    """Threads that one pass, or one job's bootstrap tasks, may run on: at
-    most _PASS_THREADS, and no more than the CPUs this process may run on."""
+    """Threads that one round of passes may run on: at most _PASS_THREADS,
+    and no more than the CPUs this process may run on."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -250,30 +285,18 @@ def _pass_threads():
     return min(_PASS_THREADS, cpus)
 
 
-# `member` is set on a thread while it runs its share of a group of
-# threads started by _on_threads, so that a group it starts runs on it
-# alone.
-_GROUP = threading.local()
-
-
-def _on_threads(threads, work, lead=None):
+def _on_threads(threads, work):
     """Run `work` on `threads` threads, this one included, and join them.
 
-    The helper threads run `work`; this thread runs `lead` (by default
-    `work`) once they are started. A helper that cannot be started
-    leaves the work to the threads that did start. On a thread that runs
-    its share of a group, a group runs on that thread alone, so nested
-    groups never multiply the threads. Every helper is joined before
-    this returns or raises: an exception raised in this thread
-    propagates, and otherwise the first one raised in a helper is raised
-    again here. `work` and `lead` must make the others leave early when
-    they fail, as no thread is interrupted.
+    A helper thread that cannot be started leaves the work to the threads
+    that did start. Every helper is joined before this returns or raises:
+    an exception raised in this thread propagates, and otherwise the first
+    one raised in a helper is raised again here. `work` must make the
+    others leave early when it fails, as no thread is interrupted.
     """
-    nested = getattr(_GROUP, "member", False)
     errors = []
 
     def helper():
-        _GROUP.member = True
         try:
             work()
         except BaseException as exc:  # raised again in the calling thread
@@ -281,148 +304,227 @@ def _on_threads(threads, work, lead=None):
 
     helpers = []
     try:
-        for _ in range(0 if nested else threads - 1):
+        for _ in range(threads - 1):
             thread = threading.Thread(target=helper)
             try:
                 thread.start()
             except RuntimeError:  # no thread to be had: run on those started
                 break
             helpers.append(thread)
-        _GROUP.member = nested or bool(helpers)
-        (lead or work)()
+        work()
     finally:
-        _GROUP.member = nested
         for thread in helpers:
             thread.join()
     if errors:
         raise errors[0]
 
 
-def _estimate_draws(y, d_f, config, iteration, spec):
-    """Run the B draws and estimates of one pass in blocks, on a few threads.
+@dataclass
+class _Unit:
+    """One bias correction, run pass by pass in the lockstep rounds of :func:`_run_rounds`.
 
-    The B draws of this iteration come from two pass streams: stream
-    (iteration, 0) fills their innovations row by row in draw order, and
-    stream (iteration, 1) gives their B seeding-block starts in one call
-    (no call when the sieve order is 0). The draws are split into the
-    fewest blocks of at most ``_BLOCK_VALUES // T`` draws (at least one),
-    and the blocks are made even: none is larger than ceil(B / blocks).
-    Blocks are handed out in draw order under one lock, and a thread
-    draws its block's innovations while it holds that lock, so the values
-    depend neither on the block size nor on the thread count: each row's
-    arithmetic is its own.
+    `search` is a generator: it yields the pre-filter value of each pass
+    it needs, receives that pass's B draw estimates, and returns the
+    unit's result.
+    """
 
-    The pass runs on ``min(blocks, _pass_threads())`` threads, this one
-    included (:func:`_on_threads`; one, when this thread runs a share of
-    a group such as a Monte Carlo job's bootstrap tasks). The helper
-    thread starts before the sieve is fitted, since the block layout
-    depends only on T and B. This thread then fits the sieve, builds the
-    draw spectrum and draws the starts, and publishes all three at once
-    before it runs blocks itself. Meanwhile a helper may already take a
-    block and draw its parametric innovations (numpy fills them without
-    the GIL, so the draw overlaps the fit); a nonparametric block
-    resamples the residuals, so it waits for the fit, and every block
-    waits for it before its draws are built. A fit that raises stops the
-    hand-out and wakes the helpers, which leave without building a draw.
+    y: np.ndarray
+    spec: object
+    config: BootstrapConfig
+    search: object
+
+
+def _run_rounds(units):
+    """Run the searches of `units`, all of one T, in lockstep rounds.
+
+    Round k runs the k-th passes of every unit still searching as one
+    batched pass (:func:`_estimate_draws`), and a unit leaves once its
+    search returns. Returns the result of each unit in order, or the
+    LongmemError that its search or one of its passes raised, which fails
+    that unit alone. Any other exception reaches the caller, after every
+    thread of its round has been joined. :func:`bias_correct`,
+    :func:`iterate_bias_correct` and a Monte Carlo job's bootstrap tasks
+    all run here, the first two as one unit.
+    """
+    results = [None] * len(units)
+    prefilters = {}
+
+    def advance(j, draws):
+        try:
+            prefilters[j] = units[j].search.send(draws)
+        except StopIteration as stop:
+            results[j] = stop.value
+        except LongmemError as exc:
+            results[j] = exc
+
+    for j in range(len(units)):
+        advance(j, None)
+    k = 0
+    while prefilters:
+        live = list(prefilters)
+        passes = [(units[j], prefilters.pop(j)) for j in live]
+        for j, draws in zip(live, _estimate_draws(passes, k)):
+            if isinstance(draws, LongmemError):
+                results[j] = draws
+            else:
+                advance(j, draws)
+        k += 1
+    return results
+
+
+def _run_alone(unit):
+    """The result of one unit, run by :func:`_run_rounds`; its error is raised."""
+    [result] = _run_rounds([unit])
+    if isinstance(result, LongmemError):
+        raise result
+    return result
+
+
+def _estimate_draws(passes, k):
+    """Run pass k of each unit of `passes`, (unit, d_f) pairs of one T, as one round.
+
+    A unit's B draws come from two of its pass streams: stream (k, 0)
+    fills their innovations row by row in draw order, and stream (k, 1)
+    gives their B seeding-block starts in one call (no call when the
+    sieve order is 0). This thread fits every unit's sieve
+    (:func:`_prefilter_rows`, one Burg sweep), builds every draw spectrum
+    (:func:`_draw_spectra`) and draws the starts. A unit's draws are split
+    into the fewest blocks of at most ``_BLOCK_VALUES // T`` draws (at
+    least one), made even: none is larger than ceil(B / blocks).
+
+    The blocks run on ``min(blocks, _pass_threads())`` threads, this one
+    included (:func:`_on_threads`). They are handed out under one lock,
+    unit-major in groups of as many units as threads, the blocks of a
+    group in block order, so that the threads mostly draw different
+    units. A unit's blocks go out in draw order, and a thread takes the
+    unit's own lock before it leaves the hand-out and draws the block's
+    innovations under it, so the values depend neither on the block size,
+    nor on the thread count, nor on the other units: each row's arithmetic
+    is its own.
 
     A block builds its draws, takes their N periodogram ordinates and
-    checks them (:func:`estimators._usable`). Once a draw fails the
-    check, no further block is handed out, and
-    :class:`EstimationFailedError` names the pass and its first failed
-    draw in draw order. When the hand-out ends, each thread estimates the
-    draws of all its blocks in calls of at most ``_BLOCK_VALUES``
-    ordinates (:func:`estimators._estimate_ordinates`), so the many small
-    numpy calls of a solve are made once per such call, not per block.
+    checks them (:func:`estimators._usable`). A thread gathers the
+    ordinates of its blocks of one estimator spec until the next block
+    would take them past ``_BLOCK_VALUES``, then estimates them in one
+    call (:func:`estimators._estimate_ordinates`), so the many small numpy
+    calls of a solve are made per such call, not per block or per unit.
+    Once a draw of a unit fails the check, no further block of that unit
+    is handed out, and the unit gets an :class:`EstimationFailedError`
+    naming the pass and its first failed draw in draw order.
 
-    Each thread allocates one workspace, which serves every block it
-    runs: four buffers of the block's rows for the innovations, their
-    spectra, the draw paths and the DFTs of the centred draws. Every
-    draw-sized step writes into them, the centring into the spent
-    innovations, so no block allocates a draw-sized array of its own, and
-    the working memory of a pass is one workspace per thread and the B
-    rows of ordinates.
+    While it gathers, a thread has one workspace, into which every
+    draw-sized step of its blocks writes: the innovations (then the
+    centred draws), their spectra (then the DFTs of the centred draws)
+    and the draw paths. It frees the workspace before each solve, so a
+    thread holds one workspace or one solve at a time, besides the
+    gathered ordinates.
+
+    Returns one entry per pass: its B draw estimates, or the LongmemError
+    that failed it.
     """
-    T = y.size
+    T = passes[0][0].y.size
     n = _fft_length(T)
-    N = bandwidth(T, spec.bandwidth_exponent, spec.P)
-    blocks = -(-config.B // max(1, _BLOCK_VALUES // T))
-    rows = -(-config.B // blocks)
-    solve_rows = max(1, _BLOCK_VALUES // N)
-    parametric = config.innovation_mode == "parametric"
-    innovations_rng = generator_at(config.rng_stream, iteration, 0)
-    sieve = spectrum = tau = None  # published by the fit in lead()
-    draws = np.empty(config.B)
-    ordinates = np.empty((config.B, N))
-    starts = iter(range(0, config.B, rows))
-    lock = threading.Lock()
+    per_block = max(1, _BLOCK_VALUES // T)
+    rngs = [generator_at(unit.config.rng_stream, k, 0) for unit, _ in passes]
+    sieves = _prefilter_rows(np.array([unit.y for unit, _ in passes]),
+                             [d_f for _, d_f in passes])
+    results = list(sieves)
+    live = [i for i, sieve in enumerate(sieves) if not isinstance(sieve, LongmemError)]
+    spectra = {}
+    if live:
+        spectra = dict(zip(live, _draw_spectra([sieves[i] for i in live])))
+    taus, blocks, bands = {}, [], {}
+    rows = 1
+    for i in live:
+        unit, sieve = passes[i][0], sieves[i]
+        B, spec = unit.config.B, unit.spec
+        taus[i] = _starts(sieve, generator_at(unit.config.rng_stream, k, 1), B)
+        size = -(-B // -(-B // per_block))
+        rows = max(rows, size)
+        blocks += [(i, j, start, min(size, B - start))
+                   for j, start in enumerate(range(0, B, size))]
+        if spec not in bands:
+            bands[spec] = bandwidth(T, spec.bandwidth_exponent, spec.P)
+        results[i] = np.empty(B)
+    threads = min(len(blocks), _pass_threads())
+    # Groups of `threads` units, each group's blocks in block order.
+    order = sorted(blocks, key=lambda block: (block[0] // threads, block[1], block[0]))
+    taken = 0  # blocks of `order` handed out
+    lock = threading.Lock()  # over the hand-out and the failures
+    drawing = [threading.Lock() for _ in passes]  # over a unit's streams
     stop = threading.Event()
-    fitted = threading.Event()
-    failed = []  # the first failed draw of each failed block
+    failed = {}  # unit -> the first failed draw of each failed block
 
-    def fit_published():
-        """Wait for the fit; False when it raised."""
-        fitted.wait()
-        return tau is not None
+    def gather():
+        """Build blocks into a new workspace while their ordinates fit one solve.
 
-    def build_blocks():
-        """Build and check blocks while any are handed out; their draw indices."""
+        Returns the estimator spec, the ordinates and the (unit, first draw,
+        rows) of each block gathered; the workspace is freed on return, so
+        the solve that follows can reuse its memory.
+        """
+        nonlocal taken
         eps = np.empty((rows, T))
         freq = np.empty((rows, n // 2 + 1), dtype=complex)
         path = np.empty((rows, n))
-        dft = np.empty((rows, T // 2 + 1), dtype=complex)
-        mine = []
-        try:
-            if not (parametric or fit_published()):
-                return mine
-            while True:
+        dft = freq[:, : T // 2 + 1]  # freq is spent once a block's draws are built
+        spec, gathered, owners, fill = None, np.empty((0, 0)), [], 0
+        while True:
+            with lock:
+                while taken < len(order) and order[taken][0] in failed:
+                    taken += 1
+                if stop.is_set() or taken == len(order):
+                    return spec, gathered[:fill], owners
+                i, _, start, m = order[taken]
+                unit = passes[i][0]
+                if owners and (unit.spec != spec or fill + m > len(gathered)):
+                    return spec, gathered[:fill], owners
+                taken += 1
+                drawing[i].acquire()  # taken in hand-out order
+            try:
+                _innovations(unit.config, sieves[i], rngs[i], eps[:m])
+            finally:
+                drawing[i].release()
+            ystar = _draw_rows(sieves[i], eps[:m], taus[i][start : start + m],
+                               spectra[i], freq[:m], path[:m])
+            N = bands[unit.spec]
+            ordinates = _ordinates(ystar, N, eps[:m], dft[:m])
+            ok = _usable(ordinates)
+            if not ok.all():
                 with lock:
-                    start = None if stop.is_set() else next(starts, None)
-                    if start is None:
-                        return mine
-                    m = min(rows, config.B - start)
-                    _innovations(config, sieve, innovations_rng, eps[:m])
-                if not fit_published():
-                    return mine
-                ystar = _draw_rows(sieve, eps[:m], tau[start : start + m],
-                                   spectrum, freq[:m], path[:m])
-                block = ordinates[start : start + m]
-                block[...] = _ordinates(ystar, N, eps[:m], dft[:m])
-                ok = _usable(block)
-                if not ok.all():
-                    failed.append(start + int(np.argmin(ok)))
-                    return mine
-                mine.extend(range(start, start + m))
-        finally:
-            # A thread leaves when no block is left, after a failed draw or
-            # on an exception; in the last two cases the others stop too.
-            stop.set()
+                    failed.setdefault(i, []).append(start + int(np.argmin(ok)))
+                continue
+            if not owners:
+                spec, fill = unit.spec, 0
+                gathered = np.empty((max(1, _BLOCK_VALUES // N), N))
+            gathered[fill : fill + m] = ordinates
+            owners.append((i, start, m))
+            fill += m
 
-    def run_blocks():
-        mine = np.array(build_blocks(), dtype=np.intp)
-        if failed:  # the pass raises; its estimates are not needed
-            return
-        for first in range(0, mine.size, solve_rows):
-            part = mine[first : first + solve_rows]
-            draws[part] = _estimate_ordinates(ordinates[part], T, spec)[0]
+    def solve(spec, ordinates, owners):
+        """Estimate what gather() returned; False when it gathered nothing."""
+        if not owners:
+            return False
+        d_hat = _estimate_ordinates(ordinates, T, spec)[0]
+        at = 0
+        for i, start, m in owners:
+            results[i][start : start + m] = d_hat[at : at + m]
+            at += m
+        return True
 
-    def lead():
-        nonlocal sieve, spectrum, tau
+    def work():
         try:
-            sieve = prefilter_sieve(y, d_f)
-            spectrum = _draw_spectrum(sieve)
-            tau = _starts(sieve, generator_at(config.rng_stream, iteration, 1), config.B)
-            fitted.set()
-            run_blocks()
-        finally:
-            stop.set()  # also when the fit or a block raised
-            fitted.set()  # wakes the helpers waiting for a fit that raised
+            while solve(*gather()):  # no buffer outlives its solve
+                pass
+        except BaseException:
+            stop.set()  # the others leave at their next block
+            raise
 
-    _on_threads(min(blocks, _pass_threads()), run_blocks, lead)
-    if failed:
-        raise EstimationFailedError(
-            f"draw {min(failed)} of pass {iteration} failed: {_DEGENERATE}"
+    _on_threads(threads, work)
+    for i, draws in failed.items():
+        results[i] = EstimationFailedError(
+            f"draw {min(draws)} of pass {k} failed: {_DEGENERATE}"
         )
-    return draws
+    return results
 
 
 def bias_correct(y, spec, d_f, config):
@@ -432,7 +534,8 @@ def bias_correct(y, spec, d_f, config):
     subtracts it from the point estimate on the data. Also returns the
     95% HPD interval built from the mean-corrected draws. The data and
     every draw are estimated by the same batched kernel as
-    :func:`estimate`. d_f is checked before any estimate is made.
+    :func:`estimate`. d_f is checked before any estimate is made. The
+    pass runs as a round of one unit (:func:`_run_rounds`).
 
     Parameters
     ----------
@@ -451,7 +554,12 @@ def bias_correct(y, spec, d_f, config):
         raise InvalidParameterError("pre-filter value must be finite")
     y = np.asarray(y, dtype=float)
     d_hat = estimate(y, spec).d_hat
-    return _outcome(_estimate_draws(y, d_f, config, 0, spec), d_f, d_hat)
+    return _outcome(_run_alone(_Unit(y, spec, config, _one_pass(d_f))), d_f, d_hat)
+
+
+def _one_pass(d_f):
+    """The search of one pass pre-filtered by d_f; it returns the draws."""
+    return (yield d_f)
 
 
 def _outcome(draws, d_f, d_hat):
@@ -543,6 +651,9 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     interval, as :func:`bias_correct` would build it. The data and every
     draw are estimated by the same batched kernel as :func:`estimate`.
     ``max_iter`` (an integer) is checked before any estimate is made.
+    The correction runs as a unit of one in lockstep rounds
+    (:func:`_run_rounds`), as each bootstrap task of a Monte Carlo job
+    does among the job's other tasks, with the same values.
 
     Parameters
     ----------
@@ -561,8 +672,16 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     _check_integer(max_iter, "max_iter")
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
-
     y = np.asarray(y, dtype=float)
+    return _run_alone(_Unit(y, spec, config, _corrections(y, spec, config, max_iter, fixed)))
+
+
+def _corrections(y, spec, config, max_iter, fixed):
+    """The search of :func:`iterate_bias_correct`, a generator.
+
+    It estimates the data, then yields the pre-filter value of each pass
+    and receives the pass's draws; it returns the IterationTrace.
+    """
     n_band = bandwidth(y.size, spec.bandwidth_exponent, spec.P)
     upsilon = asymptotic_sd(spec, n_band) * math.sqrt(n_band)
     d0 = estimate(y, spec).d_hat
@@ -571,7 +690,7 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     d_cur = d0
     for k in range(max_iter):
         tau1, tau2 = stopping_thresholds(k, n_band, config.B, upsilon, spec.P)
-        draws = _estimate_draws(y, d_cur, config, k, spec)
+        draws = yield d_cur
         if k == 0:
             trace.outcomes.append(_outcome(draws, d0, d0))
         bias_k = float(draws.mean() - d_cur)

@@ -16,6 +16,7 @@ from .exceptions import (
     DegenerateInputError,
     InvalidParameterError,
     NumericalDegeneracyError,
+    _check_integer,
 )
 from .spectral import _ordinates, bandwidth, fourier_frequencies
 
@@ -60,6 +61,7 @@ class EstimatorSpec:
         if fam not in ("lpr", "splw"):
             raise InvalidParameterError("family must be 'lpr' or 'splw'")
         object.__setattr__(self, "family", fam)
+        _check_integer(self.P, "P")
         if self.P not in (0, 1, 2, 3):
             raise InvalidParameterError("P must be one of 0, 1, 2, 3")
         if not 0.0 < self.bandwidth_exponent < 1.0:
@@ -218,7 +220,8 @@ def _newton_solve(base, g, lo, hi):
     r_edge = slope(base, d)[0]
     edge = np.where(toward_lo, r_edge >= 0.0, r_edge <= 0.0)
     rows = np.flatnonzero(~edge)
-    base, r1, r2 = base[rows], r1[rows], r2[rows]
+    if rows.size < n:
+        base, r1, r2 = base[rows], r1[rows], r2[rows]
     a = np.full(rows.size, lo)
     b = np.full(rows.size, hi)
     x = np.full(rows.size, mid)
@@ -307,16 +310,19 @@ def _estimate_ordinates(ordinates, T, spec):
 
     The first N ordinates of each series (:func:`spectral._ordinates`),
     every row passing :func:`_usable`; each row's LPR coefficient or SPLW
-    solve does not depend on the other rows. Returns (d_hat, boundary),
-    arrays over the rows; ``boundary`` marks the SPLW estimates on an
-    edge of [SEARCH_LO, SEARCH_HI] and is all False for LPR.
+    solve does not depend on the other rows. The rows are overwritten by
+    the steps of the solve, so a call needs no copy of them. Returns
+    (d_hat, boundary), arrays over the rows; ``boundary`` marks the SPLW
+    estimates on an edge of [SEARCH_LO, SEARCH_HI] and is all False for
+    LPR.
     """
     N = ordinates.shape[-1]
-    logI = np.log(np.maximum(ordinates, _LOG_FLOOR))
+    logI = np.log(np.maximum(ordinates, _LOG_FLOOR, out=ordinates), out=ordinates)
     if spec.family == "lpr":
         return np.vecdot(logI, _lpr_weights(T, N, spec.P)), np.zeros(len(logI), bool)
     g, poly, pinv_poly = _whittle_design(T, N, spec.P)
-    base = _whittle_offsets(logI, poly, pinv_poly) + logI
+    base = logI
+    base += _whittle_offsets(logI, poly, pinv_poly)
     return _newton_solve(base, g, SEARCH_LO, SEARCH_HI)
 
 

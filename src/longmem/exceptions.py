@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of counts."""
+
+import numbers
 
 
 class LongmemError(Exception):
@@ -28,3 +30,12 @@ class NumericalDegeneracyError(LongmemError, ArithmeticError):
 
 class EstimationFailedError(LongmemError, RuntimeError):
     """An estimator or optimizer failed to produce a usable value."""
+
+
+def _check_integer(value, name, error=InvalidParameterError):
+    """Refuse a count that is not an integer, such as 20.0, with `error`.
+
+    Numpy integers pass; 64.7 and 2.0 are refused, not truncated.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")

@@ -10,7 +10,7 @@ rounding).
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it here, not inside the first filter call
 
-from .exceptions import InvalidParameterError
+from .exceptions import InvalidParameterError, _check_integer
 
 __all__ = ["frac_diff_coeffs", "apply_frac_filter"]
 
@@ -27,23 +27,29 @@ def frac_diff_coeffs(d, n):
     d : float
         Memory parameter of the operator (1-z)**d.
     n : int
-        Number of coefficients to return (n >= 1).
+        Number of coefficients to return (an integer >= 1).
 
     Returns
     -------
     ndarray of length n
         a_0(d), ..., a_{n-1}(d).
     """
+    _check_integer(n, "n")
     if not np.isfinite(d):
         raise InvalidParameterError("fractional order d must be finite")
     n = int(n)
     if n < 1:
         raise InvalidParameterError("need at least one coefficient")
-    coeffs = np.empty(n)
-    coeffs[0] = 1.0
+    return _coeff_rows(np.array([d], dtype=float), n)[0]
+
+
+def _coeff_rows(ds, n):
+    """:func:`frac_diff_coeffs` of each order in the array ds, one row each."""
+    coeffs = np.empty((ds.size, n))
+    coeffs[:, 0] = 1.0
     if n > 1:
         j = np.arange(1, n, dtype=float)
-        coeffs[1:] = np.cumprod((j - 1.0 - d) / j)
+        coeffs[:, 1:] = np.cumprod((j - 1.0 - ds[:, None]) / j, axis=-1)
     return coeffs
 
 
@@ -77,6 +83,19 @@ def apply_frac_filter(y, d):
     return _causal_filter(y, _causal_spectrum(frac_diff_coeffs(d, y.shape[-1])))
 
 
+def _frac_filter_rows(x, ds):
+    """:func:`apply_frac_filter` of each row of the finite stack x by its order in ds.
+
+    One FFT convolution filters every row, each by its own coefficients,
+    and a row of order 0 is returned unchanged, so every row equals its
+    apply_frac_filter bit for bit.
+    """
+    ds = np.asarray(ds, dtype=float)
+    out = _causal_filter(x, _causal_spectrum(_coeff_rows(ds, x.shape[-1])))
+    out[ds == 0] = x[ds == 0]
+    return out
+
+
 # The one causal filter kernel: the fractional filter, the AR sieve path
 # and the bootstrap draw filter all run as one FFT convolution of rows of
 # length T with the first T weights of a causal impulse response.
@@ -88,8 +107,9 @@ def _fft_length(T):
 
 
 def _causal_spectrum(weights):
-    """Spectrum of the T impulse-response weights, for :func:`_causal_filter`."""
-    return np.fft.rfft(weights, _fft_length(weights.size))
+    """Spectrum of the T impulse-response weights along the last axis, for
+    :func:`_causal_filter`."""
+    return np.fft.rfft(weights, _fft_length(weights.shape[-1]), axis=-1)
 
 
 def _causal_filter(x, spectrum, freq=None, path=None):

@@ -11,12 +11,12 @@ share T (see :func:`_jobs`); a design with a bootstrap task takes blocks
 of up to 16 replications. One batched Durbin-Levinson sweep simulates
 every series of the job, each plain task estimates all of its rows in
 one batched call, and bootstrap tasks run per (cell, replication), each
-on its own task stream. These units of a job run on up to two threads
-(no more than the process's CPUs), handed out in order, and a unit's
-passes run on its thread alone; a job of one unit leaves its passes
-two threads. Results do not depend on which thread runs a unit. The
-layout depends on the design alone, and one process pool serves every
-job of the design. A job returns one columnar
+on its own task stream. These units of a job run in lockstep rounds:
+round k runs the k-th passes of every unit still correcting as one
+batched pass, whose blocks of draws run on up to two threads (no more
+than the process's CPUs). A unit's values do not depend on the units or
+threads it runs with. The layout depends on the design alone, and one
+process pool serves every job of the design. A job returns one columnar
 record per (cell, task): the point estimates, NaN where a row failed,
 the failure reason of each failed row, and the HPD bounds or the
 deterministic stops of the tasks that have them; a cell's statistics
@@ -24,7 +24,6 @@ reduce its records joined in job order.
 """
 
 import csv
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby, product
@@ -38,13 +37,12 @@ from .bootstrap import (
     _BLOCK_VALUES,
     _MODES,
     BootstrapConfig,
-    _check_integer,
-    _on_threads,
-    _pass_threads,
-    iterate_bias_correct,
+    _corrections,
+    _run_rounds,
+    _Unit,
 )
 from .estimators import _DEGENERATE, EstimatorSpec, _estimate_rows, asymptotic_sd
-from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError
+from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError, _check_integer
 from .spectral import bandwidth
 from .streams import as_seed_sequence, substream
 
@@ -284,28 +282,33 @@ def _joined(records):
     return _Record(np.concatenate(point), sum(reasons, []), *kept)
 
 
-def _run_task(y, task, design, stream):
-    """Point estimate, HPD interval and deterministic stop of one bootstrap task on y.
+def _task_unit(y, task, design, stream):
+    """The round unit of one bootstrap task on y (see :func:`bootstrap._run_rounds`).
 
-    Every task is one run of :func:`iterate_bias_correct`: SSR under the
-    stochastic stopping rules, BBA(K) as K fixed passes, and an HPD task
-    without correction as one fixed pass whose point is the plain
-    estimate. The interval is None for a task without HPD.
+    Every task is the search of :func:`iterate_bias_correct`: SSR under
+    the stochastic stopping rules, BBA(K) as K fixed passes, and an HPD
+    task without correction as one fixed pass whose point is the plain
+    estimate. The unit's result is (point estimate, HPD interval,
+    deterministic stop); the interval is None for a task without HPD.
     """
     spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
     config = BootstrapConfig(B=design.B, innovation_mode=design.mode, rng_stream=stream)
     ssr = task.correction == "ssr"
     max_iter = design.max_iter if ssr else max(task.K, 1)
-    trace = iterate_bias_correct(y, spec, config, max_iter=max_iter, fixed=not ssr)
-    return (
-        trace.d_initial if task.correction == "none" else trace.final,
-        trace.outcomes[0].hpd if task.hpd else None,
-        trace.stop_reason == "deterministic",
-    )
+
+    def search():
+        trace = yield from _corrections(y, spec, config, max_iter, not ssr)
+        return (
+            trace.d_initial if task.correction == "none" else trace.final,
+            trace.outcomes[0].hpd if task.hpd else None,
+            trace.stop_reason == "deterministic",
+        )
+
+    return _Unit(y, spec, config, search())
 
 
 def _bootstrap_record(task, rows):
-    """Record of a bootstrap task from its rows' :func:`_run_units` results."""
+    """Record of a bootstrap task from its units' results, in replication order."""
     reasons = [str(row) for row in rows if isinstance(row, LongmemError)]
     failed = (np.nan, (np.nan, np.nan), False)
     rows = [failed if isinstance(row, LongmemError) else row for row in rows]
@@ -315,42 +318,6 @@ def _bootstrap_record(task, rows):
     return _Record(np.array(point), reasons, hpd, detstop)
 
 
-def _run_units(units):
-    """:func:`_run_task` of each of `units` (argument tuples), in order.
-
-    The units are handed out in order to ``min(units, _pass_threads())``
-    threads, this one included. A pass started on one of several unit
-    threads runs on that thread alone (see :func:`bootstrap._on_threads`);
-    a lone unit keeps this thread's pass threads. A unit that raises a
-    LongmemError gets the exception as its result, which fails its row
-    alone; any other exception stops the hand-out and reaches the caller
-    once every thread has been joined.
-    """
-    results = [None] * len(units)
-    todo = iter(range(len(units)))
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def work():
-        try:
-            while True:
-                with lock:
-                    j = None if stop.is_set() else next(todo, None)
-                if j is None:
-                    return
-                try:
-                    results[j] = _run_task(*units[j])
-                except LongmemError as exc:
-                    results[j] = exc
-        finally:
-            # A thread leaves when no unit is left or on an exception, which
-            # stops the others too.
-            stop.set()
-
-    _on_threads(min(len(units), _pass_threads()), work)
-    return results
-
-
 def _block_worker(args):
     """Simulate replications start..stop-1 of a group of cells and run every task.
 
@@ -358,8 +325,9 @@ def _block_worker(args):
     stream, and one batched Durbin-Levinson sweep turns them into the
     job's series. A plain task estimates all of the job's rows in one
     batched call. A bootstrap task runs per (cell, replication): these
-    units of every bootstrap task run on a few threads
-    (:func:`_run_units`), each unit's passes on its thread alone.
+    units of every bootstrap task run together in lockstep rounds
+    (:func:`bootstrap._run_rounds`), whose round k runs the k-th passes
+    of every unit still searching as one batched pass.
 
     Returns one list per cell, in the job's cell order, holding one
     :class:`_Record` per task in design order.
@@ -378,13 +346,13 @@ def _block_worker(args):
             Z[g, i] = _standardized_deviates(params[g], T, rng)
     Y = _simulate_rows(params, Z)
     units = [
-        (Y[g, i], task, design, task_stream(root, cell_index, start + i, ti))
+        _task_unit(Y[g, i], task, design, task_stream(root, cell_index, start + i, ti))
         for ti, task in enumerate(design.estimators)
         if task.needs_bootstrap
         for g, (cell_index, _) in enumerate(cells)
         for i in range(n)
     ]
-    done = iter(_run_units(units))  # in the order of the loop below
+    done = iter(_run_rounds(units))  # in the order of the loop below
     records = [[] for _ in cells]
     for task in design.estimators:
         if not task.needs_bootstrap:

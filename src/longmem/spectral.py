@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it here, not inside the first periodogram
 
-from .exceptions import InvalidDesignError, InvalidParameterError
+from .exceptions import InvalidDesignError, InvalidParameterError, _check_integer
 
 __all__ = ["bandwidth", "periodogram", "fourier_frequencies"]
 
@@ -23,16 +23,18 @@ def bandwidth(T, exponent, P=0):
     Parameters
     ----------
     T : int
-        Sample size (>= 8).
+        Sample size (an integer >= 8).
     exponent : float
         Bandwidth exponent in (0, 1); 0.7 is the working default.
     P : int, optional
-        Number of even-power correction terms in the estimator.
+        Number of even-power correction terms in the estimator (an integer).
 
     Returns
     -------
     int
     """
+    _check_integer(T, "T")
+    _check_integer(P, "P")
     T = int(T)
     if T < 8:
         raise InvalidDesignError("sample size too small (need T >= 8)")
@@ -61,13 +63,14 @@ def periodogram(y, N):
     y : array_like
         Observed series of length T, finite.
     N : int
-        Number of ordinates, 1 <= N < T/2.
+        Number of ordinates, an integer with 1 <= N < T/2.
 
     Returns
     -------
     ndarray of length N
         I(l_1), ..., I(l_N) at l_j = ``fourier_frequencies(T, N)[j-1]``.
     """
+    _check_integer(N, "N")
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise InvalidParameterError("series must be one-dimensional")

@@ -149,6 +149,17 @@ class TestAcvf:
 
 
 class TestSimulation:
+    def test_non_integer_length_rejected_before_any_draw(self):
+        # 100.7 is refused, not truncated to 100, and no deviate is drawn.
+        params = ArfimaParams(d=0.3, phi=0.6)
+        rng = np.random.default_rng(42)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match="T must be an integer"):
+            simulate_gaussian(params, 100.7, rng)
+        assert rng.bit_generator.state == state
+        a = simulate_gaussian(params, np.int64(100), np.random.default_rng(42))
+        assert a.tobytes() == simulate_gaussian(params, 100, np.random.default_rng(42)).tobytes()
+
     def test_same_seed_same_series(self):
         params = ArfimaParams(d=0.3, phi=0.6)
         a = simulate_gaussian(params, 200, np.random.default_rng(42))

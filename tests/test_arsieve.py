@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -145,6 +147,54 @@ class TestBurg:
         acvf = [fit.sigma2 * np.dot(imp[: imp.size - l], imp[l:]) for l in range(12)]
         fits = levinson_durbin(acvf)
         assert all(np.all(np.abs(f.reflection) < 1) for f in fits)
+
+
+def same_fit(a, b):
+    return (a.order, a.sigma2, a.phi.tobytes(), a.reflection.tobytes()) == (
+        b.order, b.sigma2, b.phi.tobytes(), b.reflection.tobytes())
+
+
+class TestBurgRows:
+    """A stack of rows is swept at once; each row's values are its own."""
+
+    @staticmethod
+    def rows(T=300):
+        return np.array([ar_path([1.0, -0.7, 0.3], T, seed=1),
+                         np.random.default_rng(2).standard_normal(T) * 1e3,
+                         ar_path([1.0, 0.9], T, seed=3),
+                         ar_path([1.0, -0.2, 0.0, 0.0, 0.4], T, seed=4)])
+
+    def test_rows_equal_each_series_alone(self):
+        W = self.rows()
+        h = default_max_order(W.shape[1])
+        ks, sig = _burg_reflections(W, h)
+        fits = _aic_burg_fit(W, h)
+        for w, row_ks, row_sig, fit in zip(W, ks, sig, fits):
+            alone_ks, alone_sig = _burg_reflections(w, h)
+            assert row_ks.tobytes() == alone_ks.tobytes()
+            assert row_sig.tobytes() == alone_sig.tobytes()
+            assert same_fit(fit, _aic_burg_fit(w, h))
+        # The order of the rows does not matter either.
+        assert all(same_fit(a, b) for a, b in zip(fits[::-1], _aic_burg_fit(W[::-1], h)))
+
+    def test_failed_row_fails_alone(self):
+        # An alternating row's order-1 reflection is exactly 1, and a zero
+        # row's denominator vanishes; the other rows are fitted as alone.
+        W = self.rows(40)
+        W[1] = (-1.0) ** np.arange(40)
+        W[2] = 0.0
+        h = default_max_order(40)
+        fits = _aic_burg_fit(W, h)
+        for row, fit in zip(W, fits):
+            if isinstance(fit, ArFit):
+                assert same_fit(fit, _aic_burg_fit(row, h))
+            else:
+                with pytest.raises(NumericalDegeneracyError, match=re.escape(str(fit))):
+                    _aic_burg_fit(row, h)
+        assert [type(fit).__name__ for fit in fits] == [
+            "ArFit", "NumericalDegeneracyError", "NumericalDegeneracyError", "ArFit"]
+        assert str(fits[1]) == "Burg reflection coefficient hit the unit boundary at order 1"
+        assert str(fits[2]) == "degenerate input at Burg order 1"
 
 
 class TestOrderSelection:

@@ -18,6 +18,7 @@ from longmem import (
     EstimatorSpec,
     InvalidParameterError,
     McDesign,
+    NumericalDegeneracyError,
     SieveFit,
     bias_correct,
     estimate,
@@ -340,6 +341,18 @@ def order_zero_sieve(y, d_f):
     return SieveFit(float(d_f), w_f, fit, ar_residuals(w_f, fit))
 
 
+PREFILTER_ROWS = bmod._prefilter_rows
+
+
+def fit_sieves_with(monkeypatch, build_sieve):
+    """Fit the sieve of every pass by build_sieve(y, d_f), the default for prefilter_sieve."""
+    if build_sieve is prefilter_sieve:
+        monkeypatch.setattr(bmod, "_prefilter_rows", PREFILTER_ROWS)
+    else:
+        monkeypatch.setattr(bmod, "_prefilter_rows", lambda Y, d_fs: [
+            build_sieve(y, d_f) for y, d_f in zip(Y, d_fs)])
+
+
 def log_generator_at(monkeypatch):
     """Record the index path of every generator the bootstrap builds."""
     calls = []
@@ -385,7 +398,7 @@ class TestBatchedDraws:
         seen = record_draw_rows(monkeypatch, views)
         default_block = bmod._BLOCK_VALUES
         for build_sieve in (prefilter_sieve, order_zero_sieve):  # h > 0, h = 0
-            monkeypatch.setattr(bmod, "prefilter_sieve", build_sieve)
+            fit_sieves_with(monkeypatch, build_sieve)
             monkeypatch.setattr(bmod, "_BLOCK_VALUES", default_block)
             seen.clear()
             views.clear()
@@ -530,7 +543,7 @@ class TestThreadedPass:
         sys.setswitchinterval(1e-5)
         try:
             for build_sieve in (prefilter_sieve, order_zero_sieve):  # h > 0, h = 0
-                monkeypatch.setattr(bmod, "prefilter_sieve", build_sieve)
+                fit_sieves_with(monkeypatch, build_sieve)
                 results = []
                 for threads in (1, 2, 3):
                     force_threads(monkeypatch, threads)
@@ -646,33 +659,6 @@ class TestThreadedPass:
                          BootstrapConfig(B=16, rng_stream=3))
         assert threading.active_count() == before
 
-    def test_parametric_innovations_are_drawn_during_the_fit(self, arfima_series,
-                                                            monkeypatch):
-        # The fit waits until a helper thread has filled a block of
-        # innovations, so the pass finishes only when the helper draws
-        # while the sieve is being fitted.
-        force_threads(monkeypatch, 2)
-        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
-        main = threading.get_ident()
-        filled = threading.Event()
-        real_innovations, real_fit = bmod._innovations, bmod.prefilter_sieve
-
-        def innovations(*args):
-            real_innovations(*args)
-            if threading.get_ident() != main:
-                filled.set()
-
-        def fit(*args):
-            assert filled.wait(timeout=30)
-            return real_fit(*args)
-
-        monkeypatch.setattr(bmod, "_innovations", innovations)
-        monkeypatch.setattr(bmod, "prefilter_sieve", fit)
-        spec, cfg = EstimatorSpec("lpr", 0), BootstrapConfig(B=16, rng_stream=3)
-        draws = bias_correct(arfima_series, spec, 0.1, cfg).draws
-        assert np.array_equal(draws, est_mod._estimate_rows(
-            pass_rows(arfima_series, 0.1, cfg, 0), spec)[0])
-
     def test_nonparametric_innovations_wait_for_the_fit(self, arfima_series,
                                                         monkeypatch):
         # The residuals they resample come from the fit, so no block draws
@@ -681,7 +667,7 @@ class TestThreadedPass:
         monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
         returned = threading.Event()
         calls = []
-        real_innovations, real_fit = bmod._innovations, bmod.prefilter_sieve
+        real_innovations, real_fit = bmod._innovations, bmod._prefilter_rows
 
         def innovations(*args):
             calls.append(returned.is_set())
@@ -694,37 +680,35 @@ class TestThreadedPass:
             return sieve
 
         monkeypatch.setattr(bmod, "_innovations", innovations)
-        monkeypatch.setattr(bmod, "prefilter_sieve", fit)
+        monkeypatch.setattr(bmod, "_prefilter_rows", fit)
         cfg = BootstrapConfig(B=16, innovation_mode="nonparametric", rng_stream=3)
         bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.1, cfg)
         assert calls == [True] * 4
 
     def test_failed_fit_reaches_caller_without_a_draw(self, arfima_series,
                                                       monkeypatch):
-        # The fit raises once the helper has drawn a block of innovations
-        # and waits for the fit: the helper is woken, builds no draw and
-        # is joined before the error reaches the caller.
+        # The sieves are fitted before any thread starts or any innovation
+        # is drawn, so an error of the fit reaches the caller at once.
         force_threads(monkeypatch, 2)
         monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
-        filled = threading.Event()
+        calls = []
         real_innovations = bmod._innovations
 
         def innovations(*args):
+            calls.append(args)
             real_innovations(*args)
-            filled.set()
 
         def fit(*args):
-            assert filled.wait(timeout=30)
             raise RuntimeError("fit failed")
 
         monkeypatch.setattr(bmod, "_innovations", innovations)
-        monkeypatch.setattr(bmod, "prefilter_sieve", fit)
+        monkeypatch.setattr(bmod, "_prefilter_rows", fit)
         idents = record_threads(monkeypatch)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="fit failed"):
             bias_correct(arfima_series, EstimatorSpec("lpr", 0), 0.1,
                          BootstrapConfig(B=16, rng_stream=3))
-        assert idents == []
+        assert idents == [] and calls == []
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
@@ -787,6 +771,87 @@ class TestThreadedPass:
         assert has_numpy == "False"
         if preset is None:
             assert started == "0"
+
+
+SEEDS = (41, 42, 43)
+
+
+def one_pass_units(series, d_fs, seeds=SEEDS, mode="parametric"):
+    """Units of one pass of 130 draws (two blocks at T = 500) each."""
+    spec = EstimatorSpec("splw", 1)
+    return [bmod._Unit(y, spec, BootstrapConfig(B=130, innovation_mode=mode, rng_stream=seed),
+                       bmod._one_pass(d_f))
+            for y, d_f, seed in zip(series, d_fs, seeds)]
+
+
+class TestRounds:
+    """Units run together in a round fail alone and give their values alone."""
+
+    @staticmethod
+    def series():
+        return [simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 500, np.random.default_rng(s))
+                for s in (1, 2, 3)]
+
+    @staticmethod
+    def assert_as_alone(got, series, d_fs, mode="parametric"):
+        """Units 0 and 2 of a round give the draws that they give alone."""
+        for j in (0, 2):
+            [unit] = one_pass_units([series[j]], [d_fs[j]], [SEEDS[j]], mode)
+            assert got[j].tobytes() == bmod._run_alone(unit).tobytes()
+
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_boundary_fit_fails_its_unit_alone(self, monkeypatch, mode):
+        # The middle unit's filtered series alternates, so its Burg
+        # reflection at order 1 is exactly 1.
+        force_threads(monkeypatch, 2)
+        series, d_fs = self.series(), (0.2, 0.0, 0.3)
+        series[1] = (-1.0) ** np.arange(500)
+        got = bmod._run_rounds(one_pass_units(series, d_fs, mode=mode))
+        assert isinstance(got[1], NumericalDegeneracyError)
+        assert str(got[1]) == "Burg reflection coefficient hit the unit boundary at order 1"
+        self.assert_as_alone(got, series, d_fs, mode)
+
+    def test_failed_draw_fails_its_unit_alone(self, monkeypatch):
+        # Draw 68, in the second block (draws 65..129) of the middle unit,
+        # is not finite. The other units' blocks are all built.
+        force_threads(monkeypatch, 2)
+        series, d_fs = self.series(), (0.2, 0.25, 0.3)
+        units = one_pass_units(series, d_fs)
+        real = bmod._innovations
+        calls = []
+
+        def innovations(config, sieve, rng, out):
+            real(config, sieve, rng, out)
+            calls.append(config)
+            if config is units[1].config and calls.count(config) == 2:
+                out[3] = np.nan
+
+        monkeypatch.setattr(bmod, "_innovations", innovations)
+        got = bmod._run_rounds(units)
+        assert str(got[1]) == f"draw 68 of pass 0 failed: {est_mod._DEGENERATE}"
+        assert len(calls) == 6
+        monkeypatch.setattr(bmod, "_innovations", real)
+        self.assert_as_alone(got, series, d_fs)
+
+    def test_exception_in_a_block_reaches_caller_after_join(self, monkeypatch):
+        # Building any block of the middle unit raises: the hand-out stops,
+        # and the exception reaches the caller once every thread is joined.
+        force_threads(monkeypatch, 2)
+        real = bmod._draw_rows
+        built = []
+
+        def draw_rows(sieve, *args):
+            built.append(sieve.d_f)
+            if sieve.d_f == 0.25:
+                raise RuntimeError("block failed")
+            return real(sieve, *args)
+
+        monkeypatch.setattr(bmod, "_draw_rows", draw_rows)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            bmod._run_rounds(one_pass_units(self.series(), (0.2, 0.25, 0.3)))
+        assert len(built) < 6
+        assert threading.active_count() == before
 
 
 class TestInputsUnchanged:

@@ -48,6 +48,12 @@ class TestSpec:
         with pytest.raises(InvalidParameterError):
             EstimatorSpec("lpr", 4)
 
+    def test_non_integer_order_rejected(self):
+        # 1.0 equals 1 but is refused, as every count is; numpy integers pass.
+        with pytest.raises(InvalidParameterError, match="P must be an integer"):
+            EstimatorSpec("lpr", 1.0)
+        assert EstimatorSpec("lpr", np.int64(1)).P == 1
+
     def test_exponent_validated(self):
         with pytest.raises(InvalidParameterError):
             EstimatorSpec("lpr", 0, bandwidth_exponent=1.2)

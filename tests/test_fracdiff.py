@@ -42,6 +42,14 @@ class TestCoefficients:
         with pytest.raises(InvalidParameterError):
             frac_diff_coeffs(0.3, 0)
 
+    def test_non_integer_length_rejected(self):
+        # 5.5 is refused, not truncated to 5; numpy integers are counts too.
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            frac_diff_coeffs(0.3, 5.5)
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            frac_diff_coeffs(0.3, 5.0)
+        assert frac_diff_coeffs(0.3, np.int64(5)).tobytes() == frac_diff_coeffs(0.3, 5).tobytes()
+
 
 class TestFilter:
     def test_d_zero_is_identity(self):

@@ -48,6 +48,11 @@ def small_design(**kw):
     return McDesign(**base)
 
 
+def run_task(y, task, design, stream):
+    """One bootstrap task on y, run alone: (point, HPD interval, deterministic stop)."""
+    return bmod._run_alone(hmod._task_unit(y, task, design, stream))
+
+
 def assert_layout_free(monkeypatch, design, want):
     """Stats equal `want` with one cell per job and all of a T's cells per job."""
     per_T = len(design.d_values) * len(design.phi_values)
@@ -246,9 +251,10 @@ class TestRunDesign:
                 ordinates[3] = np.nan
             return ordinates
 
-        # The wrapper counts calls, so the job's three bootstrap units run
-        # in order on one thread; TestUnitThreads covers more threads.
-        monkeypatch.setattr(hmod, "_pass_threads", lambda: 1)
+        # The wrapper counts calls, so the job's round of three bootstrap
+        # units runs in order on one thread; TestUnitThreads covers more
+        # threads.
+        monkeypatch.setattr(bmod, "_pass_threads", lambda: 1)
         monkeypatch.setattr(bmod, "_ordinates", failing)
         plain, bba = run_design(design)
         assert passes["n"] == design.R
@@ -258,7 +264,7 @@ class TestRunDesign:
         for r in (0, 2):
             rng = np.random.default_rng(simulation_stream(13, 0, r))
             y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 64, rng)
-            point, _, _ = hmod._run_task(y, bba.task, design, task_stream(13, 0, r, 1))
+            point, _, _ = run_task(y, bba.task, design, task_stream(13, 0, r, 1))
             points.append(point)
         assert bba.stats["bias"] == float(np.mean(np.array(points) - 0.2))
         # One job holds the three replications; the failing task keeps its reason.
@@ -285,7 +291,7 @@ class TestRunDesign:
 
         monkeypatch.setattr(bmod, "estimate", counting)
         task = design.estimators[0]
-        hmod._run_task(y, task, design, task_stream(11, 0, 0, 0))
+        run_task(y, task, design, task_stream(11, 0, 0, 0))
         assert on_data["n"] == 1
         base = real(y, EstimatorSpec("splw", 1))
         for res in run_design(design):
@@ -306,7 +312,7 @@ class TestRunDesign:
 
         monkeypatch.setattr(bmod, "estimate", counting)
         task = design.estimators[0]
-        point, (lo, hi), _ = hmod._run_task(y, task, design, task_stream(11, 0, 0, 0))
+        point, (lo, hi), _ = run_task(y, task, design, task_stream(11, 0, 0, 0))
         assert on_data["n"] == 1
         assert point == real(y, EstimatorSpec("lpr", 1)).d_hat
         assert lo < point < hi
@@ -320,7 +326,7 @@ class TestRunDesign:
         y = simulate_gaussian(ArfimaParams(d=0.2, phi=0.3), 64,
                               np.random.default_rng(5))
         stream = task_stream(11, 0, 0, 0)
-        out = hmod._run_task(y, task, design, stream)
+        out = run_task(y, task, design, stream)
         spec = EstimatorSpec(task.family, task.P)
         cfg = BootstrapConfig(B=12, rng_stream=stream)
         if task.correction == "none":
@@ -393,9 +399,8 @@ class TestRunDesign:
 
 
 def force_threads(monkeypatch, n):
-    """Let a job's bootstrap units, and every pass, run on up to n threads."""
-    for module in (hmod, bmod):
-        monkeypatch.setattr(module, "_pass_threads", lambda: n)
+    """Let every round of bootstrap passes run on up to n threads."""
+    monkeypatch.setattr(bmod, "_pass_threads", lambda: n)
 
 
 def count_thread_starts(monkeypatch):
@@ -441,9 +446,10 @@ class TestUnitThreads:
         assert files[1] == files[0]
         assert files[2] == files[0]
 
-    def test_pass_on_a_unit_thread_starts_no_thread(self, monkeypatch):
+    def test_each_round_starts_one_thread(self, monkeypatch):
         # Two units whose passes have four blocks each (B = 200 at T = 500):
-        # the one thread started is the second unit thread.
+        # round 0 runs the passes of both, round 1 the second pass of the
+        # BBA(2) unit, and each round starts one helper thread.
         design = McDesign(
             T_values=(500,), d_values=(0.2,), phi_values=(0.3,), R=1,
             estimators=(parse_estimator_token("lpr0-hpd"),
@@ -457,7 +463,7 @@ class TestUnitThreads:
         starts = count_thread_starts(monkeypatch)
         before = threading.active_count()
         got = hmod._block_worker(job)
-        assert len(starts) == 1
+        assert len(starts) == 2
         assert threading.active_count() == before
         assert [[rec.point.tobytes() for rec in cell] for cell in got] == [
             [rec.point.tobytes() for rec in cell] for cell in want
@@ -490,25 +496,27 @@ class TestUnitThreads:
 
     @pytest.mark.parametrize("error", [RuntimeError, EstimationFailedError])
     def test_exception_in_one_unit(self, monkeypatch, error):
-        # Unit 1 of 32 (replication 1 of the first of two cells) raises. A
-        # LongmemError fails its row alone; any other exception stops the
-        # hand-out and reaches the caller once every thread is joined.
+        # Unit 1 of 32 (replication 1 of the first of two cells) raises as
+        # its correction estimates the data. A LongmemError fails its row
+        # alone; any other exception reaches the caller at once, before any
+        # round has started a thread.
         force_threads(monkeypatch, 2)
         design = small_design(
             estimators=(parse_estimator_token("lpr0-hpd"),), R=16, B=12,
         )
         [job] = hmod._jobs(design)
-        failing = task_stream(design.seed, 0, 1, 0).spawn_key
+        failing = simulate_gaussian(ArfimaParams(d=0.0, phi=0.3), 64, np.random.default_rng(
+            simulation_stream(design.seed, 0, 1)))
         calls = []
+        real = bmod.estimate
 
-        def run_task(y, task, design, stream):
-            calls.append(stream)
-            if stream.spawn_key == failing:
+        def estimate_data(y, spec):
+            calls.append(y)
+            if np.array_equal(y, failing):
                 raise error("unit failed")
-            time.sleep(0.001)
-            return 0.1, (0.0, 0.2), False
+            return real(y, spec)
 
-        monkeypatch.setattr(hmod, "_run_task", run_task)
+        monkeypatch.setattr(bmod, "estimate", estimate_data)
         before = threading.active_count()
         if error is RuntimeError:
             with pytest.raises(RuntimeError, match="unit failed"):
@@ -521,6 +529,55 @@ class TestUnitThreads:
             assert (first.reasons, second.reasons) == (["unit failed"], [])
             assert not np.isnan(second.point).any()
         assert threading.active_count() == before
+
+
+class TestRounds:
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_job_records_equal_units_alone(self, monkeypatch, mode):
+        # One job of 2 cells x 4 replications runs its HPD, BBA(2) and SSR
+        # units in lockstep rounds; SSR units that stop after different
+        # numbers of passes leave the rounds at different times. Each record
+        # holds, byte for byte, what iterate_bias_correct gives its unit alone.
+        force_threads(monkeypatch, 2)
+        design = McDesign(
+            T_values=(200,), d_values=(0.0, 0.3), phi_values=(0.5,), R=4,
+            estimators=tuple(map(parse_estimator_token, (
+                "lpr0", "lpr1-hpd", "splw1-bba2", "lpr0-ssr", "splw2-ssr-hpd"))),
+            B=20, mode=mode, max_iter=4, seed=8,
+        )
+        [job] = hmod._jobs(design)
+        records = hmod._block_worker(job)
+        passes = set()
+        for (cell, (T, d, phi)), cell_records in zip(design.cells(), records):
+            series = [
+                simulate_gaussian(ArfimaParams(d=d, phi=phi), T, np.random.default_rng(
+                    simulation_stream(design.seed, cell, r)))
+                for r in range(design.R)
+            ]
+            for ti, (task, rec) in enumerate(zip(design.estimators, cell_records)):
+                if not task.needs_bootstrap:
+                    continue
+                ssr = task.correction == "ssr"
+                want = []
+                for r, y in enumerate(series):
+                    cfg = BootstrapConfig(B=design.B, innovation_mode=mode,
+                                          rng_stream=task_stream(design.seed, cell, r, ti))
+                    trace = iterate_bias_correct(
+                        y, EstimatorSpec(task.family, task.P), cfg,
+                        max_iter=design.max_iter if ssr else max(task.K, 1), fixed=not ssr)
+                    want.append((trace.d_initial if task.correction == "none" else trace.final,
+                                 trace.outcomes[0].hpd, trace.stop_reason == "deterministic"))
+                    if ssr:
+                        passes.add(len(trace.records))
+                point, hpd, detstop = map(np.array, zip(*want))
+                assert rec.point.tobytes() == point.tobytes()
+                assert rec.reasons == []
+                assert (rec.hpd is None) == (not task.hpd)
+                if task.hpd:
+                    assert rec.hpd.tobytes() == hpd.tobytes()
+                if ssr:
+                    assert rec.detstop.tobytes() == detstop.tobytes()
+        assert len(passes) > 1
 
 
 class TestEmission:

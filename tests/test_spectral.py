@@ -43,8 +43,21 @@ class TestBandwidth:
         with pytest.raises(InvalidParameterError):
             bandwidth(100, 0.0)
 
+    @pytest.mark.parametrize("T, P, name", [(64.7, 0, "T"), (64.0, 0, "T"), (64, 1.0, "P")])
+    def test_non_integer_counts_rejected(self, T, P, name):
+        # 64.7 is refused, not truncated to 64; numpy integers are counts too.
+        with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+            bandwidth(T, 0.7, P)
+        assert bandwidth(np.int64(64), 0.7, np.int32(1)) == bandwidth(64, 0.7, 1)
+
 
 class TestPeriodogram:
+    def test_non_integer_count_rejected(self):
+        y = dyadic_series(64, 1)
+        with pytest.raises(InvalidParameterError, match="N must be an integer"):
+            periodogram(y, 5.7)
+        assert periodogram(y, np.int64(5)).tobytes() == periodogram(y, 5).tobytes()
+
     def test_constant_series_vanishes(self):
         pg = periodogram(np.full(64, 3.7), 10)
         assert_allclose(pg, 0.0, atol=1e-25)
