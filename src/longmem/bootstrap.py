@@ -74,6 +74,10 @@ _BLOCK_VALUES = 2 ** 15
 # measured.
 _PASS_THREADS = 2
 
+# Linux's record of the calling thread; its field 39 is the CPU the
+# thread last ran on.
+_THREAD_STAT = "/proc/thread-self/stat"
+
 _MODES = ("parametric", "nonparametric")
 
 # Fewest draws of an HPD interval, which the first pass of every
@@ -275,18 +279,59 @@ def _draw_rows(sieve, eps, tau, spectrum, freq=None, path=None):
     return _causal_filter(eps, spectrum, freq, path)
 
 
-def _pass_threads():
-    """Threads that one round of passes may run on: at most _PASS_THREADS,
-    and no more than the CPUs this process may run on."""
+def _allowed_cpus():
+    """The CPUs this thread may run on, or None where the platform cannot tell."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return os.sched_getaffinity(0)
     except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(_PASS_THREADS, cpus)
+        return None
 
 
-def _on_threads(threads, work):
+def _pass_threads(cpus):
+    """Threads that one round of passes may run on: at most _PASS_THREADS,
+    and no more than `cpus`, the CPUs this thread may run on
+    (:func:`_allowed_cpus`; None counts every CPU)."""
+    return min(_PASS_THREADS, len(cpus) if cpus is not None else os.cpu_count() or 1)
+
+
+def _home_cpu(cpus):
+    """The CPU this thread runs on, if a round can keep its helpers off it.
+
+    That takes another CPU in `cpus`, an affinity call on this platform
+    and a readable _THREAD_STAT; otherwise None.
+    """
+    if cpus is None or len(cpus) < 2 or not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open(_THREAD_STAT) as stat:
+            home = int(stat.read().rpartition(")")[2].split()[36])  # field 39
+    except (OSError, ValueError, IndexError):
+        return None
+    return home if home in cpus else None
+
+
+def _place(cpus):
+    """Limit this thread to `cpus`; where that is refused, it stays as it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _on_threads(threads, work, cpus):
     """Run `work` on `threads` threads, this one included, and join them.
+
+    `cpus` are the CPUs this thread may run on (:func:`_allowed_cpus`).
+    When they are two or more, the threads run on different CPUs: this
+    thread stays on the CPU it runs on (:func:`_home_cpu`) once its
+    helpers have started, and each helper first limits itself to the
+    other CPUs of `cpus`. Left to the kernel, both threads mostly shared
+    one CPU of a two-CPU machine while the other stood idle, and a cold
+    `bias-correct` spent as much CPU time as wall time. This thread gets
+    `cpus` back before this returns or raises. A thread that cannot be
+    placed (no affinity call, no stat file, an OSError) runs where the
+    kernel puts it; placement moves only where the work runs, never its
+    values.
 
     A helper thread that cannot be started leaves the work to the threads
     that did start. Every helper is joined before this returns or raises:
@@ -295,9 +340,12 @@ def _on_threads(threads, work):
     others leave early when it fails, as no thread is interrupted.
     """
     errors = []
+    home = _home_cpu(cpus) if threads > 1 else None
 
     def helper():
         try:
+            if home is not None:
+                _place(cpus - {home})
             work()
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
@@ -311,8 +359,12 @@ def _on_threads(threads, work):
             except RuntimeError:  # no thread to be had: run on those started
                 break
             helpers.append(thread)
+        if helpers and home is not None:
+            _place({home})
         work()
     finally:
+        if helpers and home is not None:
+            _place(cpus)
         for thread in helpers:
             thread.join()
     if errors:
@@ -392,8 +444,10 @@ def _estimate_draws(passes, k):
     into the fewest blocks of at most ``_BLOCK_VALUES // T`` draws (at
     least one), made even: none is larger than ceil(B / blocks).
 
-    The blocks run on ``min(blocks, _pass_threads())`` threads, this one
-    included (:func:`_on_threads`). They are handed out under one lock,
+    The blocks run on ``min(blocks, _pass_threads(cpus))`` threads, this
+    one included, each on its own CPU where it can (:func:`_on_threads`);
+    `cpus`, the CPUs this thread may run on, are read once per round, so
+    the count and the placement agree. They are handed out under one lock,
     unit-major in groups of as many units as threads, the blocks of a
     group in block order, so that the threads mostly draw different
     units. A unit's blocks go out in draw order, and a thread takes the
@@ -446,7 +500,8 @@ def _estimate_draws(passes, k):
         if spec not in bands:
             bands[spec] = bandwidth(T, spec.bandwidth_exponent, spec.P)
         results[i] = np.empty(B)
-    threads = min(len(blocks), _pass_threads())
+    cpus = _allowed_cpus()
+    threads = min(len(blocks), _pass_threads(cpus))
     # Groups of `threads` units, each group's blocks in block order.
     order = sorted(blocks, key=lambda block: (block[0] // threads, block[1], block[0]))
     taken = 0  # blocks of `order` handed out
@@ -519,7 +574,7 @@ def _estimate_draws(passes, k):
             stop.set()  # the others leave at their next block
             raise
 
-    _on_threads(threads, work)
+    _on_threads(threads, work, cpus)
     for i, draws in failed.items():
         results[i] = EstimationFailedError(
             f"draw {min(draws)} of pass {k} failed: {_DEGENERATE}"

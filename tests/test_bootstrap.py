@@ -63,7 +63,7 @@ def arfima_series():
 
 def force_threads(monkeypatch, n):
     """Let every bootstrap pass run on up to n threads."""
-    monkeypatch.setattr(bmod, "_pass_threads", lambda: n)
+    monkeypatch.setattr(bmod, "_pass_threads", lambda cpus: n)
 
 
 def stub_estimates(monkeypatch, row_estimate):
@@ -731,19 +731,32 @@ class TestThreadedPass:
         force_threads(monkeypatch, 2)
         monkeypatch.setattr(bmod, "threading", no_threads)
         idents = record_threads(monkeypatch)
-        before = threading.active_count()
+        before, cpus = threading.active_count(), bmod._allowed_cpus()
         draws = bias_correct(arfima_series, spec, 0.2, cfg).draws
         assert draws.tobytes() == want.tobytes()
         assert set(idents) == {threading.get_ident()} and len(idents) == 5
         assert threading.active_count() == before
+        assert bmod._allowed_cpus() == cpus
 
     @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (16, 2)])
-    def test_thread_count_is_capped(self, monkeypatch, cpus, threads):
+    def test_thread_count_is_capped(self, arfima_series, monkeypatch, cpus,
+                                    threads):
         # A pass uses one workspace per thread, so many CPUs must not
-        # multiply its working memory.
+        # multiply its working memory. A mask naming CPUs that the machine
+        # may lack does not fail a round or change its values.
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
+        args = (arfima_series, EstimatorSpec("splw", 1), 0.2,
+                BootstrapConfig(B=16, rng_stream=5))
+        want = bias_correct(*args).draws
+        real = bmod._allowed_cpus()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        assert bmod._pass_threads() == threads
+        try:
+            assert bmod._pass_threads(bmod._allowed_cpus()) == threads
+            assert bias_correct(*args).draws.tobytes() == want.tobytes()
+        finally:
+            if real is not None:  # the round gave this thread the fake mask back
+                os.sched_setaffinity(0, real)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs /proc/self/task to count threads")
@@ -771,6 +784,95 @@ class TestThreadedPass:
         assert has_numpy == "False"
         if preset is None:
             assert started == "0"
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two allowed CPUs and sched_setaffinity",
+)
+
+
+class TestPlacement:
+    """A round keeps its two threads on different CPUs, and placement that
+    cannot be made leaves the round as it was."""
+
+    # spec, d_f and config of a bc-single-shaped pass
+    PASS = (EstimatorSpec("splw", 1), 0.2,
+            BootstrapConfig(B=16, innovation_mode="nonparametric", rng_stream=5))
+
+    def placed_pass(self, series, monkeypatch, seen, raiser=None):
+        """The draws of a two-thread SPLW(1) nonparametric pass of four
+        blocks, in which both threads build a block at once.
+
+        Appends to `seen` the thread and its allowed CPUs at each block it
+        builds. `raiser` ("caller" or "helper") raises a RuntimeError in
+        that thread's first block.
+        """
+        force_threads(monkeypatch, 2)
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * series.size)
+        barrier = threading.Barrier(2, timeout=30)
+        main = threading.get_ident()
+
+        def wait(ident):
+            seen.append((ident, bmod._allowed_cpus()))
+            if len(idents) <= 2:
+                barrier.wait()
+                if raiser is not None and (ident == main) == (raiser == "caller"):
+                    raise RuntimeError(f"raised in the {raiser}")
+
+        idents = record_threads(monkeypatch, wait)
+        return bias_correct(series, *self.PASS).draws
+
+    @staticmethod
+    def by_thread(seen):
+        """The CPUs of `seen` of this thread, and those of the helper."""
+        main = threading.get_ident()
+        caller = [cpus for ident, cpus in seen if ident == main]
+        helper = [cpus for ident, cpus in seen if ident != main]
+        assert caller and helper
+        return caller, helper
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("raiser", [None, "caller", "helper"],
+                             ids=["returns", "caller raises", "helper raises"])
+    def test_threads_run_on_different_cpus(self, arfima_series, monkeypatch,
+                                           raiser):
+        # This thread runs only on its home CPU and the helper never does;
+        # this thread gets its affinity back, whether the round returns or
+        # raises.
+        before, seen = os.sched_getaffinity(0), []
+        if raiser is None:
+            self.placed_pass(arfima_series, monkeypatch, seen)
+        else:
+            with pytest.raises(RuntimeError, match=f"raised in the {raiser}"):
+                self.placed_pass(arfima_series, monkeypatch, seen, raiser)
+        assert os.sched_getaffinity(0) == before
+        caller, helper = self.by_thread(seen)
+        [home] = caller[0]
+        assert caller == [{home}] * len(caller)
+        assert helper == [before - {home}] * len(helper)
+
+    @pytest.mark.parametrize("broken", ["no setaffinity", "setaffinity raises",
+                                        "no stat file"])
+    def test_unplaced_round_gives_the_same_draws(self, arfima_series, monkeypatch,
+                                                 tmp_path, broken):
+        monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
+        want = bias_correct(arfima_series, *self.PASS).draws  # placed if it can be
+        before, seen = bmod._allowed_cpus(), []
+        if broken == "no setaffinity":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        elif broken == "setaffinity raises":
+            def refuse(pid, cpus):
+                raise OSError(22, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        else:
+            monkeypatch.setattr(bmod, "_THREAD_STAT", str(tmp_path / "missing"))
+        draws = self.placed_pass(arfima_series, monkeypatch, seen)
+        assert draws.tobytes() == want.tobytes()
+        caller, helper = self.by_thread(seen)
+        assert caller + helper == [before] * len(seen)
+        assert bmod._allowed_cpus() == before
 
 
 SEEDS = (41, 42, 43)

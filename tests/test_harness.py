@@ -254,7 +254,7 @@ class TestRunDesign:
         # The wrapper counts calls, so the job's round of three bootstrap
         # units runs in order on one thread; TestUnitThreads covers more
         # threads.
-        monkeypatch.setattr(bmod, "_pass_threads", lambda: 1)
+        monkeypatch.setattr(bmod, "_pass_threads", lambda cpus: 1)
         monkeypatch.setattr(bmod, "_ordinates", failing)
         plain, bba = run_design(design)
         assert passes["n"] == design.R
@@ -400,7 +400,7 @@ class TestRunDesign:
 
 def force_threads(monkeypatch, n):
     """Let every round of bootstrap passes run on up to n threads."""
-    monkeypatch.setattr(bmod, "_pass_threads", lambda: n)
+    monkeypatch.setattr(bmod, "_pass_threads", lambda cpus: n)
 
 
 def count_thread_starts(monkeypatch):
