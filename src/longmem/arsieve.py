@@ -1,5 +1,8 @@
 """Autoregressive approximation: Levinson-Durbin, Burg, AIC, residuals.
 
+The Durbin-Levinson, Burg and AIC kernels take a stack of rows and give
+each row values of its own; one series is a stack of one row.
+
 Sign convention throughout: an AR(h) fit is stored as ``phi`` with
 phi[0] = 1, so the innovation is eps(t) = sum_{j=0}^{h} phi[j] w(t-j).
 """
@@ -165,20 +168,17 @@ def levinson_durbin(acvf):
     return fits
 
 
-def _burg_reflections(w, h_max):
-    """One Burg sweep along the last axis of w: reflections and error variances to h_max.
+def _burg_reflections(W, h_max):
+    """One Burg sweep of every row of W: reflections and error variances to h_max.
 
-    Every row of a stack is swept on its own. Its dot products are
-    row-wise (np.vecdot), which give a row the bits that np.dot gives it
-    alone, so a row's values do not depend on the rows swept with it. A
-    row fails at the first order whose reflection is not inside (-1, 1),
-    which is NaN when the order's denominator vanishes (its numerator
-    vanishes with it); its values from that order on mean nothing, and
-    :func:`_burg_failure` reads the failure back. One series (1-D w)
-    raises the NumericalDegeneracyError instead.
+    Every row is swept on its own. Its dot products are row-wise
+    (np.vecdot), which give a row the bits that np.dot gives it alone, so
+    a row's values do not depend on the rows swept with it. A row fails
+    at the first order whose reflection is not inside (-1, 1), which is
+    NaN when the order's denominator vanishes (its numerator vanishes
+    with it); its values from that order on mean nothing, and
+    :func:`_burg_failure` reads the failure back.
     """
-    w = np.asarray(w, dtype=float)
-    W = w.reshape(-1, w.shape[-1])
     T = W.shape[1]
     f = W.copy()
     b = W  # the backward errors from position m - 1 on, at order m - 1
@@ -197,11 +197,6 @@ def _burg_reflections(w, h_max):
         # sigma_m^2 = sigma_{m-1}^2 (1 - k_m^2) from sigma_0^2 = w.w / T,
         # multiplied in the order of that recursion.
         sig = np.cumprod(np.column_stack((np.vecdot(W, W) / T, 1.0 - ks * ks)), axis=-1)
-    if w.ndim == 1:
-        failure = _burg_failure(ks[0])
-        if failure is not None:
-            raise failure
-        return ks[0], sig[0, 1:]
     return ks, sig[:, 1:]
 
 
@@ -228,37 +223,27 @@ def _burg_arfit(ks, sig):
     )
 
 
-def _aic_burg_fit(w, h_max):
-    """The sieve's AR fit of each row of w: AIC order and Burg coefficients.
+def _aic_burg_fit(W, h_max):
+    """The sieve's AR fit of each row of W: AIC order and Burg coefficients.
 
     AIC(h) = T*log(sigma_h^2) + 2h over h = 1..h_max, with every variance
     taken from one Burg sweep of all rows to h_max; ties break toward the
     smaller order. The reflection at order m does not depend on where the
     sweep stops, so the first h reflections of the sweep give the same
-    fit, bit for bit, as a second sweep to the chosen order h. A stack of
-    rows gives a list with the ArFit or the NumericalDegeneracyError of
-    each row; one series (1-D w) gives its ArFit or raises.
+    fit, bit for bit, as a second sweep to the chosen order h. Returns a
+    list with the ArFit or the NumericalDegeneracyError of each row.
     """
-    w = np.asarray(w, dtype=float)
-    h_max = int(h_max)
-    if h_max < 1:
-        raise InvalidParameterError("h_max must be >= 1")
-    T = w.shape[-1]
+    T = W.shape[1]
     if T <= 2 * h_max:
         raise InvalidParameterError("need T > 2*h_max observations")
-    ks, sig = _burg_reflections(w.reshape(-1, T), h_max)
+    ks, sig = _burg_reflections(W, h_max)
     with np.errstate(invalid="ignore", divide="ignore"):  # rows that failed
         aic = T * np.log(sig) + 2.0 * np.arange(1, h_max + 1)
     orders = np.argmin(aic, axis=-1) + 1  # argmin returns the first minimum
-    fits = [
+    return [
         _burg_failure(row_ks) or _burg_arfit(row_ks[:h].copy(), row_sig)
         for row_ks, row_sig, h in zip(ks, sig, orders)
     ]
-    if w.ndim > 1:
-        return fits
-    if isinstance(fits[0], NumericalDegeneracyError):
-        raise fits[0]
-    return fits[0]
 
 
 def ar_residuals(w, fit):

@@ -5,7 +5,10 @@ value d_f, fits a long autoregression to the filtered series, resamples
 paths from that sieve, and integrates each path back with the inverse
 filter. Averaging the estimator over the draws yields a bootstrap bias
 estimate; iterating the correction with fresh pre-filters sharpens it,
-with stochastic stopping rules deciding when to quit.
+with stochastic stopping rules deciding when to quit. Every pass runs in
+a round whose steps take stacks of rows: the pre-filter and sieve fit
+of every unit at once, then every draw spectrum at once. The public
+entry points check their inputs; the rounds do not check them again.
 """
 
 import math
@@ -94,7 +97,8 @@ class BootstrapConfig:
     innovation_mode 'parametric' draws Gaussian innovations scaled by the
     residual standard deviation; 'nonparametric' resamples the
     standardized residuals with replacement. ``rng_stream`` is a
-    SeedSequence (or int seed). Pass k of a correction draws from two
+    SeedSequence (or int seed); None, which would draw fresh OS entropy,
+    is refused. Pass k of a correction draws from two
     child streams: (k, 0) fills the B rows of innovations in draw order
     and (k, 1) gives the B starts of the seeding blocks. Draws are
     reproducible and depend neither on how the pass is blocked nor on how
@@ -115,6 +119,8 @@ class BootstrapConfig:
             )
         if self.innovation_mode not in _MODES:
             raise InvalidParameterError(f"innovation mode must be one of {_MODES}")
+        if self.rng_stream is None:
+            raise InvalidParameterError("rng_stream must be given; None is not reproducible")
         self.rng_stream = as_seed_sequence(self.rng_stream)
 
 
@@ -177,9 +183,15 @@ def prefilter_sieve(y, d_f):
     below the cap floor((log T)^2) (and T/4), and the parameters come
     from Burg's algorithm; one Burg sweep to the cap serves both. This is
     the one-series case of the fit that a round of passes makes
-    (:func:`_prefilter_rows`).
+    (:func:`_prefilter_rows`), and the place that checks its inputs: y
+    must be one non-empty, finite series and d_f finite, or
+    InvalidParameterError is raised before any filter runs.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.size < 1 or not np.all(np.isfinite(y)):
+        raise InvalidParameterError("series must be one-dimensional, non-empty and finite")
+    if not np.isfinite(d_f):
+        raise InvalidParameterError("pre-filter value must be finite")
     [sieve] = _prefilter_rows(y[None], [d_f])
     if isinstance(sieve, LongmemError):
         raise sieve
@@ -193,10 +205,11 @@ def _prefilter_rows(Y, d_fs):
     convolution, and one Burg sweep over all the filtered rows
     (:func:`arsieve._aic_burg_fit`) fits every sieve; a row's fit does not
     depend on the rows fitted with it. Returns one SieveFit per row, or
-    the LongmemError of a row whose fit or residuals failed.
+    the LongmemError of a row whose fit or residuals failed. The rows are
+    not checked: a round gets only data that :func:`estimators.estimate`
+    or the simulation has checked, and :func:`prefilter_sieve` checks its
+    own.
     """
-    if Y.shape[-1] < 1 or not np.all(np.isfinite(Y)):
-        raise InvalidParameterError("series must be non-empty and finite")
     W = _frac_filter_rows(Y - Y.mean(axis=-1, keepdims=True), d_fs)
     sieves = []
     for d_f, w_f, fit in zip(d_fs, W, _aic_burg_fit(W, default_max_order(W.shape[-1]))):
@@ -209,23 +222,16 @@ def _prefilter_rows(Y, d_fs):
     return sieves
 
 
-def _draw_spectrum(sieve):
-    """Spectrum of the draw filter: the sieve's AR recursion, then (1-z)**-d_f.
-
-    Its kernel is the inverse fractional filter (the sieve's d_f) applied
-    to the first T weights of the AR impulse response, so a draw is one
-    causal convolution of the innovations (shifted by the pre-sample
-    offsets). Built once per pass and shared by every block of draws;
-    this is the one-sieve case of :func:`_draw_spectra`.
-    """
-    return _draw_spectra([sieve])[0]
-
-
 def _draw_spectra(sieves):
-    """The :func:`_draw_spectrum` of each of `sieves`, of one T, one row each.
+    """Spectra of the draw filters of `sieves`, all of one T, one row each.
 
-    The impulse responses are built one by one, and one FFT convolution
-    applies every sieve's inverse fractional filter.
+    A sieve's draw filter is its AR recursion, then (1-z)**-d_f. Its
+    kernel is the inverse fractional filter (the sieve's d_f) applied to
+    the first T weights of the AR impulse response, so a draw is one
+    causal convolution of the innovations (shifted by the pre-sample
+    offsets). The impulse responses are built one by one, and one FFT
+    convolution applies every sieve's inverse fractional filter. A row is
+    built once per pass and shared by every block of its draws.
     """
     T = sieves[0].filtered.size
     psi = np.array([_impulse_response(sieve.fit.phi, T) for sieve in sieves])
@@ -267,10 +273,10 @@ def _draw_rows(sieve, eps, tau, spectrum, freq=None, path=None):
     and seeds the AR path with the h filtered values before position
     ``tau[i]``: the block enters as offsets added to the row's first h
     innovations. One causal convolution with the kernel of `spectrum`
-    (:func:`_draw_spectrum`) then runs the AR recursion and the inverse
-    filter over all rows. `eps` is consumed; `freq` and `path` are the
-    buffers of :func:`fracdiff._causal_filter`, and the replicas are a
-    view of `path`.
+    (the sieve's row of :func:`_draw_spectra`) then runs the AR recursion
+    and the inverse filter over all rows. `eps` is consumed; `freq` and
+    `path` are the buffers of :func:`fracdiff._causal_filter`, and the
+    replicas are a view of `path`.
     """
     h = sieve.fit.order
     init = sieve.filtered[tau[:, None] + np.arange(-h, 0)]
@@ -792,7 +798,7 @@ def hpd_interval(draws, d_hat):
     Parameters
     ----------
     draws : array_like
-        Bootstrap estimates, length >= 10.
+        Bootstrap estimates, length >= 10, all finite.
     d_hat : float
         Point estimate at which the interval is centered.
 
@@ -804,6 +810,8 @@ def hpd_interval(draws, d_hat):
     B = draws.size
     if B < _MIN_DRAWS:
         raise InvalidParameterError(f"need at least {_MIN_DRAWS} draws")
+    if not np.all(np.isfinite(draws)):
+        raise InvalidParameterError("draws must be finite")
     m = -(-95 * B // 100)  # ceil(0.95 B) in integers
     centered = np.sort(draws - draws.mean())
     widths = centered[m - 1 :] - centered[: B - m + 1]

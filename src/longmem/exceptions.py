@@ -35,7 +35,8 @@ class EstimationFailedError(LongmemError, RuntimeError):
 def _check_integer(value, name, error=InvalidParameterError):
     """Refuse a count that is not an integer, such as 20.0, with `error`.
 
-    Numpy integers pass; 64.7 and 2.0 are refused, not truncated.
+    Numpy integers pass; 64.7 and 2.0 are refused, not truncated, and so
+    is a bool, which Python counts as an integer.
     """
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")

@@ -4,7 +4,8 @@ The operator ``(1-z)**d`` has the binomial expansion ``sum_j a_j(d) z**j``.
 Only the first T coefficients ever act on a sample of length T, and the
 truncated filter is lower triangular with a unit diagonal, so applying the
 filter for ``-d`` afterwards restores the original series exactly (up to
-rounding).
+rounding). One kernel filters a stack of rows, by one order or each row
+by its own; :func:`apply_frac_filter` is its checked form.
 """
 
 import numpy as np
@@ -40,16 +41,16 @@ def frac_diff_coeffs(d, n):
     n = int(n)
     if n < 1:
         raise InvalidParameterError("need at least one coefficient")
-    return _coeff_rows(np.array([d], dtype=float), n)[0]
+    return _coeff_rows(np.array(d, dtype=float), n)
 
 
 def _coeff_rows(ds, n):
-    """:func:`frac_diff_coeffs` of each order in the array ds, one row each."""
-    coeffs = np.empty((ds.size, n))
-    coeffs[:, 0] = 1.0
+    """:func:`frac_diff_coeffs` of each order in the array ds, along a new last axis."""
+    coeffs = np.empty(ds.shape + (n,))
+    coeffs[..., 0] = 1.0
     if n > 1:
         j = np.arange(1, n, dtype=float)
-        coeffs[:, 1:] = np.cumprod((j - 1.0 - ds[:, None]) / j, axis=-1)
+        coeffs[..., 1:] = np.cumprod((j - 1.0 - ds[..., None]) / j, axis=-1)
     return coeffs
 
 
@@ -60,7 +61,8 @@ def apply_frac_filter(y, d):
     only observed past values enter. Passing ``-d`` applies the inverse
     filter. The convolution runs by FFT, in O(T log T) per series (the
     fast fractional difference of Jensen & Nielsen, 2014); d = 0 returns
-    the input unchanged.
+    the input's values unchanged. This is the checked form of the one
+    fractional filter kernel, :func:`_frac_filter_rows`.
 
     Parameters
     ----------
@@ -78,17 +80,18 @@ def apply_frac_filter(y, d):
         raise InvalidParameterError("series must be non-empty along the last axis")
     if not np.all(np.isfinite(y)):
         raise InvalidParameterError("series contains non-finite values")
-    if d == 0:
-        return y.copy()
-    return _causal_filter(y, _causal_spectrum(frac_diff_coeffs(d, y.shape[-1])))
+    if not np.isfinite(d):
+        raise InvalidParameterError("fractional order d must be finite")
+    return _frac_filter_rows(y, d)
 
 
 def _frac_filter_rows(x, ds):
-    """:func:`apply_frac_filter` of each row of the finite stack x by its order in ds.
+    """The fractional filter of the finite stack x: every row by one order,
+    or each row by its own order in ds.
 
-    One FFT convolution filters every row, each by its own coefficients,
-    and a row of order 0 is returned unchanged, so every row equals its
-    apply_frac_filter bit for bit.
+    One FFT convolution filters every row, and a row of order 0 is
+    returned unchanged. A row's values do not depend on the rows filtered
+    with it, so every row equals the filter of that row alone, bit for bit.
     """
     ds = np.asarray(ds, dtype=float)
     out = _causal_filter(x, _causal_spectrum(_coeff_rows(ds, x.shape[-1])))

@@ -5,7 +5,8 @@ paths: the periodogram is a direct DFT sum, the ACVF is a truncated
 MA(infinity) convolution, the HPD window comes from exhaustive
 enumeration, the profiled local Whittle objective is a least-squares
 fit per d, the AIC order refits Burg at every order instead of reading
-one sweep, and the ARFIMA ACVF rows, the AR path and the bootstrap
+one sweep (a fixed-order fit sweeps one series to its own order), and
+the ARFIMA ACVF rows, the AR path and the bootstrap
 draws run their recursions sequentially through ``scipy.signal.lfilter``.
 The SPLW solve tests both edges of the search interval before its Newton
 steps start, where the library tests only the edge that R' at the
@@ -19,7 +20,7 @@ from scipy.special import gamma as _gamma
 
 from longmem import arfima
 from longmem.arfima import _LOG_2PI, _fractional_acvf
-from longmem.arsieve import _burg_reflections, _durbin_levinson
+from longmem.arsieve import _burg_arfit, _burg_failure, _burg_reflections, _durbin_levinson
 from longmem.fracdiff import apply_frac_filter
 
 
@@ -207,13 +208,26 @@ def ar_path_lfilter(phi, eps, init):
     return lfilter([1.0], phi, eps, axis=-1, zi=zi)[0]
 
 
+def burg_fit(w, h):
+    """The Burg AR(h) fit of one series, from a sweep of its own to order h.
+
+    The series is swept as a stack of one row; a failed sweep raises its
+    NumericalDegeneracyError.
+    """
+    ks, sig = _burg_reflections(w[None], h)
+    failure = _burg_failure(ks[0])
+    if failure is not None:
+        raise failure
+    return _burg_arfit(ks[0], sig[0])
+
+
 def aic_order_by_refits(w, h_max):
     """The AIC order over h = 1..h_max, with a Burg sweep of its own per order.
 
     AIC(h) = T*log(sigma_h^2) + 2h, where sigma_h^2 ends the sweep to h;
     ties break toward the smaller order.
     """
-    sig = np.array([_burg_reflections(w, h)[1][-1] for h in range(1, h_max + 1)])
+    sig = np.array([burg_fit(w, h).sigma2 for h in range(1, h_max + 1)])
     return int(np.argmin(len(w) * np.log(sig) + 2.0 * np.arange(1, h_max + 1))) + 1
 
 

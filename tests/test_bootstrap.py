@@ -34,8 +34,6 @@ import longmem.bootstrap as bmod
 import longmem.estimators as est_mod
 from longmem.arsieve import (
     ArFit,
-    _burg_arfit,
-    _burg_reflections,
     _impulse_response,
     _offset_weights,
     _presample_offsets,
@@ -49,6 +47,7 @@ from longmem.streams import generator_at, substream
 from _oracles import (
     aic_order_by_refits,
     ar_path_lfilter,
+    burg_fit,
     draw_lfilter,
     hpd_window_exhaustive,
 )
@@ -106,11 +105,29 @@ class TestSieve:
             sieve = prefilter_sieve(arfima_series, d_f)
             w_f = apply_frac_filter(arfima_series - arfima_series.mean(), d_f)
             h = aic_order_by_refits(w_f, default_max_order(w_f.size))
-            want = _burg_arfit(*_burg_reflections(w_f, h))
+            want = burg_fit(w_f, h)
             assert sieve.fit.order == want.order
             assert sieve.fit.sigma2 == want.sigma2
             assert sieve.fit.phi.tobytes() == want.phi.tobytes()
             assert sieve.fit.reflection.tobytes() == want.reflection.tobytes()
+
+    @pytest.mark.parametrize("series, d_f", [
+        (lambda y: np.stack([y, y]), 0.2),
+        (lambda y: y[:0], 0.2),
+        (lambda y: np.where(np.arange(y.size) == 7, np.nan, y), 0.2),
+        (lambda y: np.where(np.arange(y.size) == 7, np.inf, y), 0.2),
+        (lambda y: y, np.nan),
+        (lambda y: y, np.inf),
+        (lambda y: y, -np.inf),
+    ], ids=["2-D", "empty", "nan in y", "inf in y", "nan d_f", "inf d_f", "-inf d_f"])
+    def test_bad_input_rejected_before_any_filter(self, arfima_series, monkeypatch,
+                                                  series, d_f):
+        def forbidden(*args):
+            raise AssertionError("filter ran")
+
+        monkeypatch.setattr(bmod, "_frac_filter_rows", forbidden)
+        with pytest.raises(InvalidParameterError):
+            prefilter_sieve(series(arfima_series), d_f)
 
     def test_one_burg_sweep_per_pass(self, arfima_series, monkeypatch):
         real = arsieve_mod._burg_reflections
@@ -169,7 +186,7 @@ class TestDraws:
         for d_f in (0.0, 0.2, 0.45):
             w_f = apply_frac_filter(y, d_f)
             fit = (ArFit(order=0, phi=[1.0], sigma2=1.0) if h == 0
-                   else _burg_arfit(*_burg_reflections(w_f, h)))
+                   else burg_fit(w_f, h))
             sieve = SieveFit(d_f, w_f, fit, ar_residuals(w_f, fit))
             rng = generator_at(6, 0, 0)
             if mode == "parametric":
@@ -178,7 +195,7 @@ class TestDraws:
                 eps = sieve.residuals.standardized[rng.integers(0, T, size=(cfg.B, T))]
             tau = rng.integers(h, T + 1, size=cfg.B) if h else np.zeros(cfg.B, int)
             # _draw_rows consumes its innovations: hand it a copy.
-            got = bmod._draw_rows(sieve, eps.copy(), tau, bmod._draw_spectrum(sieve))
+            got = bmod._draw_rows(sieve, eps.copy(), tau, bmod._draw_spectra([sieve])[0])
             for row, e, t in zip(got, eps, tau):
                 e = e * sieve.residuals.scale
                 init = sieve.filtered[t - h : t]
@@ -267,8 +284,14 @@ class TestBiasCorrect:
                          BootstrapConfig(B=12, rng_stream=4))
 
     def test_non_integer_B_rejected(self):
-        with pytest.raises(InvalidParameterError, match="B must be an integer"):
-            BootstrapConfig(B=20.0)
+        for B in (20.0, True):
+            with pytest.raises(InvalidParameterError, match="B must be an integer"):
+                BootstrapConfig(B=B)
+
+    def test_unseeded_stream_rejected(self):
+        # SeedSequence(None) would draw fresh OS entropy: no two runs agree.
+        with pytest.raises(InvalidParameterError, match="rng_stream must be given"):
+            BootstrapConfig(B=20, rng_stream=None)
 
     def test_unknown_innovation_mode_rejected(self):
         with pytest.raises(InvalidParameterError, match="innovation mode"):
@@ -332,7 +355,7 @@ def pass_rows(y, d_f, cfg, k, sieve=None):
     tau = np.zeros(cfg.B, dtype=int)
     if h:
         tau = generator_at(cfg.rng_stream, k, 1).integers(h, T + 1, size=cfg.B)
-    return bmod._draw_rows(sieve, eps, tau, bmod._draw_spectrum(sieve))
+    return bmod._draw_rows(sieve, eps, tau, bmod._draw_spectra([sieve])[0])
 
 
 def order_zero_sieve(y, d_f):
@@ -1134,9 +1157,10 @@ class TestIterate:
     def test_non_integer_max_iter_rejected_before_any_estimate(self, arfima_series,
                                                                monkeypatch):
         forbid_estimates(monkeypatch)
-        with pytest.raises(InvalidParameterError, match="max_iter must be an integer"):
-            iterate_bias_correct(arfima_series, EstimatorSpec("lpr", 0),
-                                 BootstrapConfig(B=20, rng_stream=4), max_iter=2.0)
+        for max_iter in (2.0, True):
+            with pytest.raises(InvalidParameterError, match="max_iter must be an integer"):
+                iterate_bias_correct(arfima_series, EstimatorSpec("lpr", 0),
+                                     BootstrapConfig(B=20, rng_stream=4), max_iter=max_iter)
 
     def test_max_iter_cap_reported(self, arfima_series):
         spec = EstimatorSpec("lpr", 1)
@@ -1220,6 +1244,13 @@ class TestHpd:
     def test_too_few_draws_rejected(self):
         with pytest.raises(InvalidParameterError):
             hpd_interval(np.arange(5.0), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draws_rejected(self, bad):
+        draws = np.arange(20.0)
+        draws[7] = bad
+        with pytest.raises(InvalidParameterError, match="draws must be finite"):
+            hpd_interval(draws, 0.0)
 
     @pytest.mark.parametrize("B", [2, 5, 9])
     @pytest.mark.parametrize("iterate", [False, True])

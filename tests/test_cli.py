@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestSimulate:
         other = tmp_path / "again.csv"
         run_cli("simulate", "--d", "0.2", "--phi", "0.3", "--T", "300",
                 "--seed", "5", "--out", str(other))
-        assert open(series_file).read() == open(other).read()
+        assert Path(series_file).read_text() == other.read_text()
 
     def test_environment_seed_ignored(self, tmp_path):
         # The output depends on the command line alone, so a seed in the
@@ -294,7 +295,7 @@ class TestMcRun:
         assert proc.returncode == 0
         assert (out / "results.csv").exists()
         assert (out / "tables.txt").exists()
-        header = open(out / "results.csv").readline().strip()
+        header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "T,d,phi,estimator,P,correction,K,statistic,value,R_effective,seed"
 
     def test_bad_config_exit_2(self, tmp_path):

@@ -49,9 +49,11 @@ class TestSpec:
             EstimatorSpec("lpr", 4)
 
     def test_non_integer_order_rejected(self):
-        # 1.0 equals 1 but is refused, as every count is; numpy integers pass.
-        with pytest.raises(InvalidParameterError, match="P must be an integer"):
-            EstimatorSpec("lpr", 1.0)
+        # 1.0 and True equal 1 but are refused, as every count is; numpy
+        # integers pass.
+        for P in (1.0, True):
+            with pytest.raises(InvalidParameterError, match="P must be an integer"):
+                EstimatorSpec("lpr", P)
         assert EstimatorSpec("lpr", np.int64(1)).P == 1
 
     def test_exponent_validated(self):

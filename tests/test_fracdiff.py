@@ -43,11 +43,11 @@ class TestCoefficients:
             frac_diff_coeffs(0.3, 0)
 
     def test_non_integer_length_rejected(self):
-        # 5.5 is refused, not truncated to 5; numpy integers are counts too.
-        with pytest.raises(InvalidParameterError, match="n must be an integer"):
-            frac_diff_coeffs(0.3, 5.5)
-        with pytest.raises(InvalidParameterError, match="n must be an integer"):
-            frac_diff_coeffs(0.3, 5.0)
+        # 5.5 is refused, not truncated to 5, and True is not one
+        # coefficient; numpy integers are counts too.
+        for n in (5.5, 5.0, True):
+            with pytest.raises(InvalidParameterError, match="n must be an integer"):
+                frac_diff_coeffs(0.3, n)
         assert frac_diff_coeffs(0.3, np.int64(5)).tobytes() == frac_diff_coeffs(0.3, 5).tobytes()
 
 

@@ -4,6 +4,7 @@ import threading
 import time
 import types
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,7 +202,7 @@ class TestRunDesign:
         res2 = run_design(design, threads=2)
         p1 = emit_tables(res1, "csv", str(tmp_path / "a.csv"))
         p2 = emit_tables(res2, "csv", str(tmp_path / "b.csv"))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_estimators_share_series(self):
         # an HPD task's point is the plain estimate on the same series:
@@ -584,7 +585,7 @@ class TestEmission:
     def test_csv_layout(self, tmp_path):
         res = run_design(small_design())
         path = emit_tables(res, "csv", str(tmp_path / "out.csv"))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "T,d,phi,estimator,P,correction,K,statistic,value,R_effective,seed"
         first = lines[1].split(",")
         assert first[0] == "64" and first[3] == "LPR" and first[7] == "bias"
@@ -622,7 +623,7 @@ class TestEmission:
     def test_aligned_text_contains_blocks(self, tmp_path):
         res = run_design(small_design())
         path = emit_tables(res, "aligned-text", str(tmp_path / "t.txt"))
-        text = open(path).read()
+        text = Path(path).read_text()
         assert "BIAS  (T = 64)" in text
         assert "LPR(0)" in text and "SPLW(0)-SSR" in text
 
