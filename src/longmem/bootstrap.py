@@ -184,12 +184,17 @@ def prefilter_sieve(y, d_f):
     from Burg's algorithm; one Burg sweep to the cap serves both. This is
     the one-series case of the fit that a round of passes makes
     (:func:`_prefilter_rows`), and the place that checks its inputs: y
-    must be one non-empty, finite series and d_f finite, or
-    InvalidParameterError is raised before any filter runs.
+    must be one finite series of at least 3 observations, the fewest
+    that fit one lag, and d_f finite, or InvalidParameterError is raised
+    before any filter runs.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 1 or not np.all(np.isfinite(y)):
-        raise InvalidParameterError("series must be one-dimensional, non-empty and finite")
+    if y.ndim != 1 or not np.all(np.isfinite(y)):
+        raise InvalidParameterError("series must be one-dimensional and finite")
+    if y.size < 3:
+        raise InvalidParameterError(
+            f"the sieve needs a series of at least 3 observations, got {y.size}"
+        )
     if not np.isfinite(d_f):
         raise InvalidParameterError("pre-filter value must be finite")
     [sieve] = _prefilter_rows(y[None], [d_f])

@@ -16,7 +16,10 @@ round k runs the k-th passes of every unit still correcting as one
 batched pass, whose blocks of draws run on up to two threads (no more
 than the process's CPUs). A unit's values do not depend on the units or
 threads it runs with. The layout depends on the design alone, and one
-process pool serves every job of the design. A job returns one columnar
+process pool of no more workers than jobs serves every job of the
+design; each worker runs on its own share of the CPUs (see
+:func:`_pool`), so two workers on a two-CPU machine run their rounds on
+one thread each and a lone worker keeps both. A job returns one columnar
 record per (cell, task): the point estimates, NaN where a row failed,
 the failure reason of each failed row, and the HPD bounds or the
 deterministic stops of the tasks that have them; a cell's statistics
@@ -24,6 +27,8 @@ reduce its records joined in job order.
 """
 
 import csv
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby, product
@@ -37,7 +42,9 @@ from .bootstrap import (
     _BLOCK_VALUES,
     _MODES,
     BootstrapConfig,
+    _allowed_cpus,
     _corrections,
+    _place,
     _run_rounds,
     _Unit,
 )
@@ -424,6 +431,50 @@ def _aggregate_cell(design, cell, task, rec, half):
     return McCellResult(T, d_true, phi, task, stats, int(pts.size), design.seed)
 
 
+def _worker_shares(cpus, workers):
+    """The CPUs of each of `workers` pool workers, dealt out of `cpus`.
+
+    With no more workers than CPUs, worker i takes every workers-th CPU
+    from the i-th in sorted order, so the shares are disjoint and cover
+    `cpus`; with more, worker i takes CPU i modulo their count alone.
+    """
+    cpus = sorted(cpus)
+    if workers <= len(cpus):
+        return [set(cpus[i::workers]) for i in range(workers)]
+    return [{cpus[i % len(cpus)]} for i in range(workers)]
+
+
+def _take_share(shares, taken):
+    """Pool initializer: limit this worker to the first share not yet taken.
+
+    `taken` counts the shares that workers have taken.
+    """
+    with taken.get_lock():
+        share = shares[taken.value]
+        taken.value += 1
+    _place(share)
+
+
+def _pool(workers):
+    """A pool of `workers` processes, each on its own share of this thread's CPUs.
+
+    Left to the kernel, two workers often shared one CPU of a two-CPU
+    machine for a whole run while the other stood idle. Each worker takes
+    one share of :func:`_worker_shares` as it starts, and its rounds of
+    passes then run on no more threads than its share has CPUs. With one
+    CPU or no affinity call, the workers run where the kernel puts them,
+    as does a worker whose call is refused. This process keeps its own
+    CPUs, and placement never changes a value.
+    """
+    cpus = _allowed_cpus()
+    if cpus is None or len(cpus) < 2 or not hasattr(os, "sched_setaffinity"):
+        return ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_take_share,
+        initargs=(_worker_shares(cpus, workers), multiprocessing.Value("i", 0)),
+    )
+
+
 def run_design(design, threads=1):
     """Run every cell of a design and aggregate per estimator task.
 
@@ -432,7 +483,9 @@ def run_design(design, threads=1):
     design : McDesign
     threads : int
         Worker processes; results are identical for any value. One pool
-        serves the whole design; 1 runs every job in this process.
+        of min(threads, jobs) workers serves the whole design, each
+        worker on its own share of this process's CPUs (:func:`_pool`);
+        1 runs every job in this process.
 
     Returns
     -------
@@ -443,7 +496,7 @@ def run_design(design, threads=1):
     if threads <= 1:
         done = list(map(_block_worker, jobs))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with _pool(min(threads, len(jobs))) as pool:
             done = list(pool.map(_block_worker, jobs))
     parts = {i: [] for i, _ in design.cells()}
     for (_, _, cells, _, _), job_records in zip(jobs, done):

@@ -129,6 +129,20 @@ class TestSieve:
         with pytest.raises(InvalidParameterError):
             prefilter_sieve(series(arfima_series), d_f)
 
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_too_short_rejected_before_any_filter(self, arfima_series, monkeypatch, T):
+        def forbidden(*args):
+            raise AssertionError("filter ran")
+
+        monkeypatch.setattr(bmod, "_frac_filter_rows", forbidden)
+        with pytest.raises(InvalidParameterError, match=f"at least 3 observations, got {T}$"):
+            prefilter_sieve(arfima_series[:T], 0.2)
+
+    def test_three_observations_fit_one_lag(self, arfima_series):
+        sieve = prefilter_sieve(arfima_series[:3], 0.2)
+        assert sieve.fit.order == 1
+        assert sieve.filtered.size == 3
+
     def test_one_burg_sweep_per_pass(self, arfima_series, monkeypatch):
         real = arsieve_mod._burg_reflections
         sweeps = []

@@ -1,8 +1,10 @@
+import multiprocessing
 import os
 import sys
 import threading
 import time
 import types
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -579,6 +581,133 @@ class TestRounds:
                 if ssr:
                     assert rec.detstop.tobytes() == detstop.tobytes()
         assert len(passes) > 1
+
+
+# What a pool worker under test reads: the barrier its jobs wait at and the
+# file it logs its CPUs to. Forked workers inherit both.
+POOL_PROBE = {}
+REAL_BLOCK_WORKER = hmod._block_worker
+
+
+def probing_block_worker(job):
+    """The pool's job function in tests: wait until every job of the run has
+    started, so each holds its own worker, then log the worker's CPUs."""
+    POOL_PROBE["barrier"].wait(timeout=60)
+    with open(POOL_PROBE["log"], "a") as log:
+        log.write(" ".join(map(str, sorted(os.sched_getaffinity(0)))) + "\n")
+    return REAL_BLOCK_WORKER(job)
+
+
+def plain_jobs_design(monkeypatch, jobs):
+    """A plain design of `jobs` cells at T = 64, one cell per job."""
+    monkeypatch.setattr(hmod, "_JOB_VALUES", 1)
+    design = small_design(d_values=tuple(0.1 * i for i in range(jobs)),
+                          estimators=(parse_estimator_token("lpr0"),
+                                      parse_estimator_token("splw0")))
+    assert len(hmod._jobs(design)) == jobs
+    return design
+
+
+def worker_cpus(monkeypatch, tmp_path, design, threads):
+    """Run `design` at `threads`, every job in a worker of its own, and give
+    each job's worker CPUs along with the run's statistics."""
+    if multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("the probe reaches pool workers through fork")
+    log = tmp_path / "cpus.txt"
+    monkeypatch.setitem(POOL_PROBE, "log", str(log))
+    monkeypatch.setitem(POOL_PROBE, "barrier",
+                        multiprocessing.Barrier(len(hmod._jobs(design))))
+    monkeypatch.setattr(hmod, "_block_worker", probing_block_worker)
+    stats = [res.stats for res in run_design(design, threads)]
+    cpus = [set(map(int, line.split())) for line in log.read_text().splitlines()]
+    return cpus, stats
+
+
+@pytest.fixture
+def two_cpu_mask():
+    """Limit this process to two of its CPUs for the test; give them all back after."""
+    before = bmod._allowed_cpus()
+    mask = set(sorted(before)[:2])
+    os.sched_setaffinity(0, mask)
+    try:
+        yield mask
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+needs_two_cpus = pytest.mark.skipif(len(bmod._allowed_cpus() or ()) < 2,
+                                    reason="needs two CPUs that this process may run on")
+
+
+class TestPoolPlacement:
+    """Each pool worker runs on its own share of the CPUs; values never change."""
+
+    def test_shares(self):
+        assert hmod._worker_shares({5, 1, 3}, 1) == [{1, 3, 5}]
+        assert hmod._worker_shares({0, 1, 2, 3, 4}, 2) == [{0, 2, 4}, {1, 3}]
+        assert hmod._worker_shares({0, 1, 2}, 3) == [{0}, {1}, {2}]
+        assert hmod._worker_shares({2, 7}, 5) == [{2}, {7}, {2}, {7}, {2}]
+
+    @needs_two_cpus
+    def test_workers_take_disjoint_shares(self, monkeypatch, tmp_path):
+        before = bmod._allowed_cpus()
+        design = plain_jobs_design(monkeypatch, 2)
+        want = [res.stats for res in run_design(design, 1)]
+        cpus, stats = worker_cpus(monkeypatch, tmp_path, design, 2)
+        assert stats == want
+        assert sorted(map(sorted, cpus)) == sorted(map(sorted, hmod._worker_shares(before, 2)))
+        assert not cpus[0] & cpus[1] and cpus[0] | cpus[1] == before
+        assert bmod._allowed_cpus() == before
+
+    @needs_two_cpus
+    def test_more_workers_than_cpus_share_them_in_turn(self, monkeypatch, tmp_path,
+                                                       two_cpu_mask):
+        design = plain_jobs_design(monkeypatch, 4)
+        want = [res.stats for res in run_design(design, 1)]
+        cpus, stats = worker_cpus(monkeypatch, tmp_path, design, 4)
+        assert stats == want
+        assert sorted(map(sorted, cpus)) == [[cpu] for cpu in sorted(two_cpu_mask) for _ in "ab"]
+        assert bmod._allowed_cpus() == two_cpu_mask
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("broken", ["one cpu", "no setaffinity", "setaffinity raises"])
+    def test_unplaced_workers_give_the_same_results(self, monkeypatch, tmp_path, broken):
+        before = bmod._allowed_cpus()
+        design = plain_jobs_design(monkeypatch, 2)
+        want = [res.stats for res in run_design(design, 1)]
+        if broken == "one cpu":
+            os.sched_setaffinity(0, {min(before)})
+        elif broken == "no setaffinity":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            def refuse(pid, cpus):
+                raise OSError(22, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        try:
+            cpus, stats = worker_cpus(monkeypatch, tmp_path, design, 2)
+            unplaced = bmod._allowed_cpus()
+        finally:
+            if broken == "one cpu":
+                os.sched_setaffinity(0, before)
+        assert stats == want
+        assert cpus == [unplaced] * 2
+        assert unplaced == ({min(before)} if broken == "one cpu" else before)
+
+    @pytest.mark.parametrize("jobs, threads, workers", [(1, 2, 1), (1, 8, 1), (2, 8, 2), (4, 3, 3)])
+    def test_no_more_workers_than_jobs(self, monkeypatch, jobs, threads, workers):
+        sizes = []
+
+        class Recorded(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        design = plain_jobs_design(monkeypatch, jobs)
+        want = [res.stats for res in run_design(design, 1)]
+        monkeypatch.setattr(hmod, "ProcessPoolExecutor", Recorded)
+        assert [res.stats for res in run_design(design, threads)] == want
+        assert sizes == [workers]
 
 
 class TestEmission:
