@@ -17,13 +17,14 @@ batched pass, whose blocks of draws run on up to two threads (no more
 than the process's CPUs). A unit's values do not depend on the units or
 threads it runs with. The layout depends on the design alone, and one
 process pool of no more workers than jobs serves every job of the
-design; each worker runs on its own share of the CPUs (see
-:func:`_pool`), so two workers on a two-CPU machine run their rounds on
-one thread each and a lone worker keeps both. A job returns one columnar
-record per (cell, task): the point estimates, NaN where a row failed,
-the failure reason of each failed row, and the HPD bounds or the
-deterministic stops of the tasks that have them; a cell's statistics
-reduce its records joined in job order.
+design; with no more workers than CPUs, each worker runs on its own
+share of them (see :func:`_run_pool`), so two workers on a two-CPU
+machine run their rounds on one thread each, while a one-job design
+runs in this process and a lone last job gets both CPUs. A job returns
+one columnar record per (cell, task): the point estimates, NaN where a
+row failed, the failure reason of each failed row, and the HPD bounds
+or the deterministic stops of the tasks that have them; a cell's
+statistics reduce its records joined in job order.
 """
 
 import csv
@@ -434,14 +435,11 @@ def _aggregate_cell(design, cell, task, rec, half):
 def _worker_shares(cpus, workers):
     """The CPUs of each of `workers` pool workers, dealt out of `cpus`.
 
-    With no more workers than CPUs, worker i takes every workers-th CPU
-    from the i-th in sorted order, so the shares are disjoint and cover
-    `cpus`; with more, worker i takes CPU i modulo their count alone.
+    Worker i takes every workers-th CPU from the i-th in sorted order, so
+    the shares are disjoint and, with no more workers than CPUs, cover
+    `cpus`.
     """
-    cpus = sorted(cpus)
-    if workers <= len(cpus):
-        return [set(cpus[i::workers]) for i in range(workers)]
-    return [{cpus[i % len(cpus)]} for i in range(workers)]
+    return [set(sorted(cpus)[i::workers]) for i in range(workers)]
 
 
 def _take_share(shares, taken):
@@ -455,24 +453,41 @@ def _take_share(shares, taken):
     _place(share)
 
 
-def _pool(workers):
-    """A pool of `workers` processes, each on its own share of this thread's CPUs.
+def _placed_job(job, cpus):
+    """Run `job` in a pool worker, moved first to `cpus` unless that is None."""
+    if cpus is not None:
+        _place(cpus)
+    return _block_worker(job)
+
+
+def _run_pool(jobs, workers):
+    """Run `jobs` on a pool of `workers` processes; their results in job order.
 
     Left to the kernel, two workers often shared one CPU of a two-CPU
-    machine for a whole run while the other stood idle. Each worker takes
-    one share of :func:`_worker_shares` as it starts, and its rounds of
-    passes then run on no more threads than its share has CPUs. With one
-    CPU or no affinity call, the workers run where the kernel puts them,
-    as does a worker whose call is refused. This process keeps its own
-    CPUs, and placement never changes a value.
+    machine for a whole run while the other stood idle. With no more
+    workers than this thread's CPUs, each worker takes one share of
+    :func:`_worker_shares` as it starts, and its rounds of passes then
+    run on no more threads than its share has CPUs. Jobs start in order,
+    so the last ``len(jobs) % workers`` of them start after every other
+    job, while the other workers run out of work: these jobs deal the
+    CPUs out among themselves again, and a lone last job takes them all.
+    With more workers than CPUs or no affinity call, the workers run
+    where the kernel puts them, as does a worker whose call is refused.
+    This process keeps its own CPUs, and placement never changes a
+    value.
     """
     cpus = _allowed_cpus()
-    if cpus is None or len(cpus) < 2 or not hasattr(os, "sched_setaffinity"):
-        return ProcessPoolExecutor(max_workers=workers)
-    return ProcessPoolExecutor(
+    if cpus is None or workers > len(cpus) or not hasattr(os, "sched_setaffinity"):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_block_worker, jobs))
+    tail = len(jobs) % workers
+    moves = [None] * (len(jobs) - tail) + _worker_shares(cpus, tail)
+    shares = _worker_shares(cpus, workers)
+    with ProcessPoolExecutor(
         max_workers=workers, initializer=_take_share,
-        initargs=(_worker_shares(cpus, workers), multiprocessing.Value("i", 0)),
-    )
+        initargs=(shares, multiprocessing.Value("i", 0)),
+    ) as pool:
+        return list(pool.map(_placed_job, jobs, moves))
 
 
 def run_design(design, threads=1):
@@ -484,8 +499,9 @@ def run_design(design, threads=1):
     threads : int
         Worker processes; results are identical for any value. One pool
         of min(threads, jobs) workers serves the whole design, each
-        worker on its own share of this process's CPUs (:func:`_pool`);
-        1 runs every job in this process.
+        worker on its own share of this process's CPUs where there are
+        enough of them (:func:`_run_pool`); with one worker, every job
+        runs in this process.
 
     Returns
     -------
@@ -493,11 +509,11 @@ def run_design(design, threads=1):
         One entry per (cell, estimator task), in design order.
     """
     jobs = _jobs(design)
-    if threads <= 1:
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         done = list(map(_block_worker, jobs))
     else:
-        with _pool(min(threads, len(jobs))) as pool:
-            done = list(pool.map(_block_worker, jobs))
+        done = _run_pool(jobs, workers)
     parts = {i: [] for i, _ in design.cells()}
     for (_, _, cells, _, _), job_records in zip(jobs, done):
         for (cell_index, _), records in zip(cells, job_records):

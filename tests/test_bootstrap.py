@@ -111,32 +111,26 @@ class TestSieve:
             assert sieve.fit.phi.tobytes() == want.phi.tobytes()
             assert sieve.fit.reflection.tobytes() == want.reflection.tobytes()
 
-    @pytest.mark.parametrize("series, d_f", [
-        (lambda y: np.stack([y, y]), 0.2),
-        (lambda y: y[:0], 0.2),
-        (lambda y: np.where(np.arange(y.size) == 7, np.nan, y), 0.2),
-        (lambda y: np.where(np.arange(y.size) == 7, np.inf, y), 0.2),
-        (lambda y: y, np.nan),
-        (lambda y: y, np.inf),
-        (lambda y: y, -np.inf),
-    ], ids=["2-D", "empty", "nan in y", "inf in y", "nan d_f", "inf d_f", "-inf d_f"])
+    @pytest.mark.parametrize("series, d_f, match", [
+        (lambda y: np.stack([y, y]), 0.2, None),
+        (lambda y: y[:0], 0.2, "at least 3 observations, got 0$"),
+        (lambda y: y[:1], 0.2, "at least 3 observations, got 1$"),
+        (lambda y: y[:2], 0.2, "at least 3 observations, got 2$"),
+        (lambda y: np.where(np.arange(y.size) == 7, np.nan, y), 0.2, None),
+        (lambda y: np.where(np.arange(y.size) == 7, np.inf, y), 0.2, None),
+        (lambda y: y, np.nan, None),
+        (lambda y: y, np.inf, None),
+        (lambda y: y, -np.inf, None),
+    ], ids=["2-D", "empty", "T=1", "T=2", "nan in y", "inf in y", "nan d_f", "inf d_f",
+            "-inf d_f"])
     def test_bad_input_rejected_before_any_filter(self, arfima_series, monkeypatch,
-                                                  series, d_f):
+                                                  series, d_f, match):
         def forbidden(*args):
             raise AssertionError("filter ran")
 
         monkeypatch.setattr(bmod, "_frac_filter_rows", forbidden)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=match):
             prefilter_sieve(series(arfima_series), d_f)
-
-    @pytest.mark.parametrize("T", [1, 2])
-    def test_too_short_rejected_before_any_filter(self, arfima_series, monkeypatch, T):
-        def forbidden(*args):
-            raise AssertionError("filter ran")
-
-        monkeypatch.setattr(bmod, "_frac_filter_rows", forbidden)
-        with pytest.raises(InvalidParameterError, match=f"at least 3 observations, got {T}$"):
-            prefilter_sieve(arfima_series[:T], 0.2)
 
     def test_three_observations_fit_one_lag(self, arfima_series):
         sieve = prefilter_sieve(arfima_series[:3], 0.2)

@@ -583,18 +583,21 @@ class TestRounds:
         assert len(passes) > 1
 
 
-# What a pool worker under test reads: the barrier its jobs wait at and the
-# file it logs its CPUs to. Forked workers inherit both.
+# What a pool worker under test reads: the barrier that the run's first jobs
+# wait at and the file it logs its CPUs to. Forked workers inherit both.
 POOL_PROBE = {}
 REAL_BLOCK_WORKER = hmod._block_worker
 
 
 def probing_block_worker(job):
-    """The pool's job function in tests: wait until every job of the run has
-    started, so each holds its own worker, then log the worker's CPUs."""
-    POOL_PROBE["barrier"].wait(timeout=60)
+    """The pool's job function in tests: a job of the run's first
+    ``barrier.parties`` waits until they have all started, so each holds
+    its own worker; every job then logs its first cell and its worker's CPUs."""
+    _, _, [(cell_index, _), *_], _, _ = job
+    if cell_index < POOL_PROBE["barrier"].parties:
+        POOL_PROBE["barrier"].wait(timeout=60)
     with open(POOL_PROBE["log"], "a") as log:
-        log.write(" ".join(map(str, sorted(os.sched_getaffinity(0)))) + "\n")
+        log.write(" ".join(map(str, [cell_index, *sorted(os.sched_getaffinity(0))])) + "\n")
     return REAL_BLOCK_WORKER(job)
 
 
@@ -608,19 +611,20 @@ def plain_jobs_design(monkeypatch, jobs):
     return design
 
 
-def worker_cpus(monkeypatch, tmp_path, design, threads):
-    """Run `design` at `threads`, every job in a worker of its own, and give
-    each job's worker CPUs along with the run's statistics."""
+def worker_cpus(monkeypatch, tmp_path, design, threads, parties=None):
+    """Run `design` at `threads`, its first `parties` jobs (all by default)
+    each in a worker of its own, and give the CPUs of each job's worker,
+    in job order, along with the run's statistics."""
     if multiprocessing.get_context().get_start_method() != "fork":
         pytest.skip("the probe reaches pool workers through fork")
     log = tmp_path / "cpus.txt"
     monkeypatch.setitem(POOL_PROBE, "log", str(log))
     monkeypatch.setitem(POOL_PROBE, "barrier",
-                        multiprocessing.Barrier(len(hmod._jobs(design))))
+                        multiprocessing.Barrier(parties or len(hmod._jobs(design))))
     monkeypatch.setattr(hmod, "_block_worker", probing_block_worker)
     stats = [res.stats for res in run_design(design, threads)]
-    cpus = [set(map(int, line.split())) for line in log.read_text().splitlines()]
-    return cpus, stats
+    lines = sorted(list(map(int, line.split())) for line in log.read_text().splitlines())
+    return [set(line[1:]) for line in lines], stats
 
 
 @pytest.fixture
@@ -646,7 +650,6 @@ class TestPoolPlacement:
         assert hmod._worker_shares({5, 1, 3}, 1) == [{1, 3, 5}]
         assert hmod._worker_shares({0, 1, 2, 3, 4}, 2) == [{0, 2, 4}, {1, 3}]
         assert hmod._worker_shares({0, 1, 2}, 3) == [{0}, {1}, {2}]
-        assert hmod._worker_shares({2, 7}, 5) == [{2}, {7}, {2}, {7}, {2}]
 
     @needs_two_cpus
     def test_workers_take_disjoint_shares(self, monkeypatch, tmp_path):
@@ -660,13 +663,22 @@ class TestPoolPlacement:
         assert bmod._allowed_cpus() == before
 
     @needs_two_cpus
-    def test_more_workers_than_cpus_share_them_in_turn(self, monkeypatch, tmp_path,
-                                                       two_cpu_mask):
+    def test_lone_last_job_takes_every_cpu(self, monkeypatch, tmp_path, two_cpu_mask):
+        design = plain_jobs_design(monkeypatch, 3)
+        want = [res.stats for res in run_design(design, 1)]
+        cpus, stats = worker_cpus(monkeypatch, tmp_path, design, 2, parties=2)
+        assert stats == want
+        assert sorted(map(sorted, cpus[:2])) == [[cpu] for cpu in sorted(two_cpu_mask)]
+        assert cpus[2] == two_cpu_mask
+        assert bmod._allowed_cpus() == two_cpu_mask
+
+    @needs_two_cpus
+    def test_more_workers_than_cpus_run_unplaced(self, monkeypatch, tmp_path, two_cpu_mask):
         design = plain_jobs_design(monkeypatch, 4)
         want = [res.stats for res in run_design(design, 1)]
         cpus, stats = worker_cpus(monkeypatch, tmp_path, design, 4)
         assert stats == want
-        assert sorted(map(sorted, cpus)) == [[cpu] for cpu in sorted(two_cpu_mask) for _ in "ab"]
+        assert cpus == [two_cpu_mask] * 4
         assert bmod._allowed_cpus() == two_cpu_mask
 
     @needs_two_cpus
@@ -694,8 +706,9 @@ class TestPoolPlacement:
         assert cpus == [unplaced] * 2
         assert unplaced == ({min(before)} if broken == "one cpu" else before)
 
-    @pytest.mark.parametrize("jobs, threads, workers", [(1, 2, 1), (1, 8, 1), (2, 8, 2), (4, 3, 3)])
-    def test_no_more_workers_than_jobs(self, monkeypatch, jobs, threads, workers):
+    @pytest.mark.parametrize("jobs, threads, pools", [(1, 2, []), (1, 8, []), (2, 8, [2]),
+                                                      (4, 3, [3])])
+    def test_no_more_workers_than_jobs(self, monkeypatch, jobs, threads, pools):
         sizes = []
 
         class Recorded(ProcessPoolExecutor):
@@ -707,7 +720,7 @@ class TestPoolPlacement:
         want = [res.stats for res in run_design(design, 1)]
         monkeypatch.setattr(hmod, "ProcessPoolExecutor", Recorded)
         assert [res.stats for res in run_design(design, threads)] == want
-        assert sizes == [workers]
+        assert sizes == pools
 
 
 class TestEmission:
