@@ -77,10 +77,6 @@ _BLOCK_VALUES = 2 ** 15
 # measured.
 _PASS_THREADS = 2
 
-# Linux's record of the calling thread; its field 39 is the CPU the
-# thread last ran on.
-_THREAD_STAT = "/proc/thread-self/stat"
-
 _MODES = ("parametric", "nonparametric")
 
 # Fewest draws of an HPD interval, which the first pass of every
@@ -305,27 +301,26 @@ def _pass_threads(cpus):
     return min(_PASS_THREADS, len(cpus) if cpus is not None else os.cpu_count() or 1)
 
 
-def _home_cpu(cpus):
-    """The CPU this thread runs on, if a round can keep its helpers off it.
+def _shares(cpus, n):
+    """The CPUs of each of `n` threads or processes, dealt out of `cpus`.
 
-    That takes another CPU in `cpus`, an affinity call on this platform
-    and a readable _THREAD_STAT; otherwise None.
+    Share i takes every n-th CPU from the i-th in sorted order, so the
+    shares are disjoint and cover `cpus`. With `cpus` None or fewer CPUs
+    than `n`, every share is None: nothing is placed.
     """
-    if cpus is None or len(cpus) < 2 or not hasattr(os, "sched_setaffinity"):
-        return None
-    try:
-        with open(_THREAD_STAT) as stat:
-            home = int(stat.read().rpartition(")")[2].split()[36])  # field 39
-    except (OSError, ValueError, IndexError):
-        return None
-    return home if home in cpus else None
+    if cpus is None or n > len(cpus):
+        return [None] * n
+    return [set(sorted(cpus)[i::n]) for i in range(n)]
 
 
 def _place(cpus):
-    """Limit this thread to `cpus`; where that is refused, it stays as it was."""
+    """Limit this thread to `cpus`. None, a platform with no affinity call
+    and a refused call leave it as it was."""
+    if cpus is None:
+        return
     try:
         os.sched_setaffinity(0, cpus)
-    except OSError:
+    except (AttributeError, OSError):  # no affinity call, or a refused one
         pass
 
 
@@ -333,16 +328,14 @@ def _on_threads(threads, work, cpus):
     """Run `work` on `threads` threads, this one included, and join them.
 
     `cpus` are the CPUs this thread may run on (:func:`_allowed_cpus`).
-    When they are two or more, the threads run on different CPUs: this
-    thread stays on the CPU it runs on (:func:`_home_cpu`) once its
-    helpers have started, and each helper first limits itself to the
-    other CPUs of `cpus`. Left to the kernel, both threads mostly shared
-    one CPU of a two-CPU machine while the other stood idle, and a cold
-    `bias-correct` spent as much CPU time as wall time. This thread gets
-    `cpus` back before this returns or raises. A thread that cannot be
-    placed (no affinity call, no stat file, an OSError) runs where the
-    kernel puts it; placement moves only where the work runs, never its
-    values.
+    Thread i runs on share i of :func:`_shares`, this thread on share 0
+    once its helpers have started, so with at least as many CPUs as
+    threads no two share a CPU. Left to the kernel, both threads mostly
+    shared one CPU of a two-CPU machine while the other stood idle, and
+    a cold `bias-correct` spent as much CPU time as wall time. This
+    thread gets `cpus` back before this returns or raises. A thread that
+    cannot be placed (:func:`_place`) runs where the kernel puts it;
+    placement moves only where the work runs, never its values.
 
     A helper thread that cannot be started leaves the work to the threads
     that did start. Every helper is joined before this returns or raises:
@@ -351,30 +344,29 @@ def _on_threads(threads, work, cpus):
     others leave early when it fails, as no thread is interrupted.
     """
     errors = []
-    home = _home_cpu(cpus) if threads > 1 else None
+    shares = _shares(cpus, threads)
 
-    def helper():
+    def helper(share):
         try:
-            if home is not None:
-                _place(cpus - {home})
+            _place(share)
             work()
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
 
     helpers = []
     try:
-        for _ in range(threads - 1):
-            thread = threading.Thread(target=helper)
+        for share in shares[1:]:
+            thread = threading.Thread(target=helper, args=(share,))
             try:
                 thread.start()
             except RuntimeError:  # no thread to be had: run on those started
                 break
             helpers.append(thread)
-        if helpers and home is not None:
-            _place({home})
+        if helpers:
+            _place(shares[0])
         work()
     finally:
-        if helpers and home is not None:
+        if helpers:
             _place(cpus)
         for thread in helpers:
             thread.join()
@@ -456,7 +448,7 @@ def _estimate_draws(passes, k):
     least one), made even: none is larger than ceil(B / blocks).
 
     The blocks run on ``min(blocks, _pass_threads(cpus))`` threads, this
-    one included, each on its own CPU where it can (:func:`_on_threads`);
+    one included, each on its own share of `cpus` (:func:`_on_threads`);
     `cpus`, the CPUs this thread may run on, are read once per round, so
     the count and the placement agree. They are handed out under one lock,
     unit-major in groups of as many units as threads, the blocks of a

@@ -3,6 +3,7 @@
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -38,7 +39,11 @@ def _worker_count(text):
 
 
 def _read_series(path):
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():  # an empty file is rejected below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.size == 0:
+        raise InvalidParameterError(f"{path} has no observations")
     if data.shape[1] != 1:
         raise InvalidParameterError(
             f"{path} has {data.shape[1]} columns; expected one series"

@@ -17,8 +17,9 @@ batched pass, whose blocks of draws run on up to two threads (no more
 than the process's CPUs). A unit's values do not depend on the units or
 threads it runs with. The layout depends on the design alone, and one
 process pool of no more workers than jobs serves every job of the
-design; with no more workers than CPUs, each worker runs on its own
-share of them (see :func:`_run_pool`), so two workers on a two-CPU
+design. Pool workers and a round's threads are placed by one rule,
+:func:`bootstrap._shares`: with no more of them than CPUs, each runs on
+its own share (see :func:`_run_pool`), so two workers on a two-CPU
 machine run their rounds on one thread each, while a one-job design
 runs in this process and a lone last job gets both CPUs. A job returns
 one columnar record per (cell, task): the point estimates, NaN where a
@@ -29,7 +30,6 @@ statistics reduce its records joined in job order.
 
 import csv
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby, product
@@ -47,6 +47,7 @@ from .bootstrap import (
     _corrections,
     _place,
     _run_rounds,
+    _shares,
     _Unit,
 )
 from .estimators import _DEGENERATE, EstimatorSpec, _estimate_rows, asymptotic_sd
@@ -432,16 +433,6 @@ def _aggregate_cell(design, cell, task, rec, half):
     return McCellResult(T, d_true, phi, task, stats, int(pts.size), design.seed)
 
 
-def _worker_shares(cpus, workers):
-    """The CPUs of each of `workers` pool workers, dealt out of `cpus`.
-
-    Worker i takes every workers-th CPU from the i-th in sorted order, so
-    the shares are disjoint and, with no more workers than CPUs, cover
-    `cpus`.
-    """
-    return [set(sorted(cpus)[i::workers]) for i in range(workers)]
-
-
 def _take_share(shares, taken):
     """Pool initializer: limit this worker to the first share not yet taken.
 
@@ -454,9 +445,8 @@ def _take_share(shares, taken):
 
 
 def _placed_job(job, cpus):
-    """Run `job` in a pool worker, moved first to `cpus` unless that is None."""
-    if cpus is not None:
-        _place(cpus)
+    """Run `job` in a pool worker, moved first to `cpus` (:func:`_place`)."""
+    _place(cpus)
     return _block_worker(job)
 
 
@@ -464,25 +454,22 @@ def _run_pool(jobs, workers):
     """Run `jobs` on a pool of `workers` processes; their results in job order.
 
     Left to the kernel, two workers often shared one CPU of a two-CPU
-    machine for a whole run while the other stood idle. With no more
-    workers than this thread's CPUs, each worker takes one share of
-    :func:`_worker_shares` as it starts, and its rounds of passes then
-    run on no more threads than its share has CPUs. Jobs start in order,
-    so the last ``len(jobs) % workers`` of them start after every other
-    job, while the other workers run out of work: these jobs deal the
-    CPUs out among themselves again, and a lone last job takes them all.
-    With more workers than CPUs or no affinity call, the workers run
-    where the kernel puts them, as does a worker whose call is refused.
-    This process keeps its own CPUs, and placement never changes a
-    value.
+    machine for a whole run while the other stood idle. Each worker takes
+    one share of this thread's CPUs (:func:`bootstrap._shares`) as it
+    starts, and its rounds of passes then run on no more threads than its
+    share has CPUs. Jobs start in order, so the last ``len(jobs) %
+    workers`` of them start after every other job, while the other
+    workers run out of work: these jobs deal the CPUs out among
+    themselves again, and a lone last job takes them all. With more
+    workers than CPUs every share is None and no job moves, so the
+    workers run where the kernel puts them, as does a worker whose
+    placement fails (:func:`bootstrap._place`). This process keeps its
+    own CPUs, and placement never changes a value.
     """
     cpus = _allowed_cpus()
-    if cpus is None or workers > len(cpus) or not hasattr(os, "sched_setaffinity"):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_block_worker, jobs))
-    tail = len(jobs) % workers
-    moves = [None] * (len(jobs) - tail) + _worker_shares(cpus, tail)
-    shares = _worker_shares(cpus, workers)
+    shares = _shares(cpus, workers)
+    tail = len(jobs) % workers if shares[0] is not None else 0
+    moves = [None] * (len(jobs) - tail) + _shares(cpus, tail)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_take_share,
         initargs=(shares, multiprocessing.Value("i", 0)),

@@ -824,8 +824,8 @@ needs_two_cpus = pytest.mark.skipif(
 
 
 class TestPlacement:
-    """A round keeps its two threads on different CPUs, and placement that
-    cannot be made leaves the round as it was."""
+    """One share rule places a round's threads, each on its own CPUs, and
+    placement that cannot be made leaves the round as it was."""
 
     # spec, d_f and config of a bc-single-shaped pass
     PASS = (EstimatorSpec("splw", 1), 0.2,
@@ -863,14 +863,40 @@ class TestPlacement:
         assert caller and helper
         return caller, helper
 
+    def test_shares(self):
+        assert bmod._shares({5, 1, 3}, 1) == [{1, 3, 5}]
+        assert bmod._shares({0, 1, 2, 3, 4}, 2) == [{0, 2, 4}, {1, 3}]
+        assert bmod._shares({0, 1, 2}, 3) == [{0}, {1}, {2}]
+        assert bmod._shares(None, 2) == [None, None]
+        assert bmod._shares({0, 1}, 3) == [None, None, None]
+
+    @pytest.mark.parametrize("broken", ["cpus None", "no setaffinity", "setaffinity raises"])
+    def test_place_leaves_an_unplaceable_thread_as_it_was(self, monkeypatch, broken):
+        before, calls = bmod._allowed_cpus(), []
+        cpus = {min(before)} if before else {0}
+        if broken == "cpus None":
+            monkeypatch.setattr(os, "sched_setaffinity",
+                                lambda pid, mask: calls.append(mask), raising=False)
+            cpus = None
+        elif broken == "no setaffinity":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            def refuse(pid, mask):
+                raise OSError(22, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        bmod._place(cpus)
+        assert calls == []
+        assert bmod._allowed_cpus() == before
+
     @needs_two_cpus
     @pytest.mark.parametrize("raiser", [None, "caller", "helper"],
                              ids=["returns", "caller raises", "helper raises"])
     def test_threads_run_on_different_cpus(self, arfima_series, monkeypatch,
                                            raiser):
-        # This thread runs only on its home CPU and the helper never does;
-        # this thread gets its affinity back, whether the round returns or
-        # raises.
+        # This thread runs only on share 0 of its CPUs and the helper only
+        # on share 1; this thread gets its affinity back, whether the
+        # round returns or raises.
         before, seen = os.sched_getaffinity(0), []
         if raiser is None:
             self.placed_pass(arfima_series, monkeypatch, seen)
@@ -879,26 +905,23 @@ class TestPlacement:
                 self.placed_pass(arfima_series, monkeypatch, seen, raiser)
         assert os.sched_getaffinity(0) == before
         caller, helper = self.by_thread(seen)
-        [home] = caller[0]
-        assert caller == [{home}] * len(caller)
-        assert helper == [before - {home}] * len(helper)
+        first, second = bmod._shares(before, 2)
+        assert caller == [first] * len(caller)
+        assert helper == [second] * len(helper)
 
-    @pytest.mark.parametrize("broken", ["no setaffinity", "setaffinity raises",
-                                        "no stat file"])
+    @pytest.mark.parametrize("broken", ["no setaffinity", "setaffinity raises"])
     def test_unplaced_round_gives_the_same_draws(self, arfima_series, monkeypatch,
-                                                 tmp_path, broken):
+                                                 broken):
         monkeypatch.setattr(bmod, "_BLOCK_VALUES", 4 * arfima_series.size)
         want = bias_correct(arfima_series, *self.PASS).draws  # placed if it can be
         before, seen = bmod._allowed_cpus(), []
         if broken == "no setaffinity":
             monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        elif broken == "setaffinity raises":
+        else:
             def refuse(pid, cpus):
                 raise OSError(22, "Invalid argument")
 
             monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-        else:
-            monkeypatch.setattr(bmod, "_THREAD_STAT", str(tmp_path / "missing"))
         draws = self.placed_pass(arfima_series, monkeypatch, seen)
         assert draws.tobytes() == want.tobytes()
         caller, helper = self.by_thread(seen)

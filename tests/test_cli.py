@@ -158,6 +158,14 @@ class TestEstimate:
         assert main([*command, "--in", str(path), "--family", "lpr"]) == 2
         assert "3 columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["estimate"], ["bias-correct", "--B", "20"]])
+    def test_empty_input_exit_2(self, tmp_path, command):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        proc = run_cli(*command, "--in", str(path), "--family", "lpr")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {path} has no observations\n"
+
     def test_degenerate_input_exit_3(self, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("\n".join(["1.0"] * 100) + "\n")

@@ -646,11 +646,6 @@ needs_two_cpus = pytest.mark.skipif(len(bmod._allowed_cpus() or ()) < 2,
 class TestPoolPlacement:
     """Each pool worker runs on its own share of the CPUs; values never change."""
 
-    def test_shares(self):
-        assert hmod._worker_shares({5, 1, 3}, 1) == [{1, 3, 5}]
-        assert hmod._worker_shares({0, 1, 2, 3, 4}, 2) == [{0, 2, 4}, {1, 3}]
-        assert hmod._worker_shares({0, 1, 2}, 3) == [{0}, {1}, {2}]
-
     @needs_two_cpus
     def test_workers_take_disjoint_shares(self, monkeypatch, tmp_path):
         before = bmod._allowed_cpus()
@@ -658,7 +653,7 @@ class TestPoolPlacement:
         want = [res.stats for res in run_design(design, 1)]
         cpus, stats = worker_cpus(monkeypatch, tmp_path, design, 2)
         assert stats == want
-        assert sorted(map(sorted, cpus)) == sorted(map(sorted, hmod._worker_shares(before, 2)))
+        assert sorted(map(sorted, cpus)) == sorted(map(sorted, bmod._shares(before, 2)))
         assert not cpus[0] & cpus[1] and cpus[0] | cpus[1] == before
         assert bmod._allowed_cpus() == before
 
@@ -674,11 +669,17 @@ class TestPoolPlacement:
 
     @needs_two_cpus
     def test_more_workers_than_cpus_run_unplaced(self, monkeypatch, tmp_path, two_cpu_mask):
-        design = plain_jobs_design(monkeypatch, 4)
-        want = [res.stats for res in run_design(design, 1)]
-        cpus, stats = worker_cpus(monkeypatch, tmp_path, design, 4)
-        assert stats == want
-        assert cpus == [two_cpu_mask] * 4
+        # Four jobs on four workers, and five on three, whose last two
+        # start after the others and stay unplaced too. Both references
+        # run before the probe replaces the job function.
+        runs = [(plain_jobs_design(monkeypatch, jobs), threads) for jobs, threads in [(4, 4), (5, 3)]]
+        wants = [[res.stats for res in run_design(design, 1)] for design, _ in runs]
+        for (design, threads), want in zip(runs, wants):
+            log_dir = tmp_path / str(threads)
+            log_dir.mkdir()
+            cpus, stats = worker_cpus(monkeypatch, log_dir, design, threads, parties=threads)
+            assert stats == want
+            assert cpus == [two_cpu_mask] * len(hmod._jobs(design))
         assert bmod._allowed_cpus() == two_cpu_mask
 
     @needs_two_cpus
