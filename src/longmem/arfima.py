@@ -138,8 +138,8 @@ def simulate_gaussian(params, T, rng):
     Gaussian deviates give an exact draw from the process; the student-t
     law swaps in standardized t(dof) deviates for the robustness design.
     This is the one-row case of the batched simulation that the Monte
-    Carlo harness runs; a row's values do not depend on what is
-    simulated with it.
+    Carlo harness runs, with `rng` as the generator of its one row; a
+    row's values do not depend on what is simulated with it.
 
     Parameters
     ----------
@@ -156,22 +156,27 @@ def simulate_gaussian(params, T, rng):
     T = int(T)
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
-    Z = _standardized_deviates(params, T, rng)
-    return _simulate_rows([params], Z[None, None])[0, 0]
+    return _simulate_rows([params], 1, T, lambda g, i: rng)[0, 0]
 
 
-def _simulate_rows(cells, Z):
-    """Series with the exact ACVF of each cell, one per row of deviates Z.
+def _simulate_rows(cells, R, T, rng_at):
+    """R series of length T per cell, each with the exact ACVF of its cell.
 
     The batched form of :func:`simulate_gaussian`, which is its one-row
-    case: `cells` holds one ArfimaParams per cell and Z the (G, R, T)
-    standardized deviates, R rows per cell. One Durbin-Levinson sweep of
-    the G ACVFs drives the recursion of every row, and each step is one
-    row-wise dot product, so a row's values do not depend on the rows or
-    cells stacked with it. White-noise cells (and T = 1) skip the sweep.
+    case: `cells` holds one ArfimaParams per cell, and row i of cell g
+    draws its T standardized deviates of the cell's law into one
+    (G, R, T) array from ``rng_at(g, i)``, called once, as the row is
+    drawn, so a fresh generator lives only while its row is drawn. One
+    Durbin-Levinson sweep of the G ACVFs drives the recursion of every
+    row, and each step is one row-wise dot product, so a row's values do
+    not depend on the rows or cells stacked with it. White-noise cells
+    (and T = 1) skip the sweep.
     No T x T factor is formed; memory is O(G R T).
     """
-    T = Z.shape[-1]
+    Z = np.empty((len(cells), R, T))
+    for g, params in enumerate(cells):
+        for i in range(R):
+            Z[g, i] = _standardized_deviates(params, T, rng_at(g, i))
     gams = np.array([arfima_acvf(params, max_lag=T - 1) for params in cells])
     out = np.sqrt(gams[:, :1, None]) * Z
     live = np.flatnonzero(np.any(gams[:, 1:], axis=1))

@@ -394,10 +394,11 @@ def _run_rounds(units):
 
     Round k runs the k-th passes of every unit still searching as one
     batched pass (:func:`_estimate_draws`), and a unit leaves once its
-    search returns. Returns the result of each unit in order, or the
-    LongmemError that its search or one of its passes raised, which fails
-    that unit alone. Any other exception reaches the caller, after every
-    thread of its round has been joined. :func:`bias_correct`,
+    search returns. Returns the result of each unit in order (the whole
+    IterationTrace of a :func:`_corrections` search), or the LongmemError
+    that its search or one of its passes raised, which fails that unit
+    alone. Any other exception reaches the caller, after every thread of
+    its round has been joined. :func:`bias_correct`,
     :func:`iterate_bias_correct` and a Monte Carlo job's bootstrap tasks
     all run here, the first two as one unit.
     """
@@ -708,10 +709,10 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     is also recorded as a :class:`BootstrapOutcome` with the 95% HPD
     interval, as :func:`bias_correct` would build it. The data and every
     draw are estimated by the same batched kernel as :func:`estimate`.
-    ``max_iter`` (an integer) is checked before any estimate is made.
-    The correction runs as a unit of one in lockstep rounds
-    (:func:`_run_rounds`), as each bootstrap task of a Monte Carlo job
-    does among the job's other tasks, with the same values.
+    ``max_iter`` (an integer) and ``fixed`` (a bool) are checked before
+    any estimate is made. The correction runs as a unit of one in
+    lockstep rounds (:func:`_run_rounds`), as each bootstrap task of a
+    Monte Carlo job does among the job's other tasks, with the same values.
 
     Parameters
     ----------
@@ -730,6 +731,8 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     _check_integer(max_iter, "max_iter")
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
+    if not isinstance(fixed, (bool, np.bool_)):
+        raise InvalidParameterError(f"fixed must be a bool, got {fixed!r}")
     y = np.asarray(y, dtype=float)
     return _run_alone(_Unit(y, spec, config, _corrections(y, spec, config, max_iter, fixed)))
 
@@ -795,7 +798,7 @@ def hpd_interval(draws, d_hat):
     Parameters
     ----------
     draws : array_like
-        Bootstrap estimates, length >= 10, all finite.
+        Bootstrap estimates, one-dimensional, length >= 10, all finite.
     d_hat : float
         Point estimate at which the interval is centered.
 
@@ -804,6 +807,8 @@ def hpd_interval(draws, d_hat):
     (lo, hi)
     """
     draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 1:
+        raise InvalidParameterError("draws must be one-dimensional")
     B = draws.size
     if B < _MIN_DRAWS:
         raise InvalidParameterError(f"need at least {_MIN_DRAWS} draws")

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from .arfima import ArfimaParams, _simulate_rows, _standardized_deviates
+from .arfima import ArfimaParams, _simulate_rows
 from .bootstrap import BootstrapConfig, iterate_bias_correct
 from .estimators import EstimatorSpec, estimate
 from .exceptions import (
@@ -55,13 +55,7 @@ def _cmd_simulate(args):
     params = ArfimaParams(d=args.d, phi=args.phi, sigma2=1.0, law=args.law)
     if args.T < 1 or args.n < 1:
         raise InvalidParameterError("--T and --n must be at least 1")
-    Z = np.array(
-        [
-            _standardized_deviates(params, args.T, generator_at(args.seed, i))
-            for i in range(args.n)
-        ]
-    )
-    Y = _simulate_rows([params], Z[None])[0]
+    Y = _simulate_rows([params], args.n, args.T, lambda g, i: generator_at(args.seed, i))[0]
     np.savetxt(args.out, Y.T, fmt="%.17g", delimiter=",")
     return 0
 

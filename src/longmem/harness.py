@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arfima import ArfimaParams, _parse_law, _simulate_rows, _standardized_deviates
+from .arfima import ArfimaParams, _parse_law, _simulate_rows
 from .bootstrap import (
     _BLOCK_VALUES,
     _MODES,
@@ -97,6 +97,7 @@ class EstimatorTask:
     correction 'none' is the plain estimator, 'bba' applies the bootstrap
     bias adjustment K times, 'ssr' iterates under the stochastic stopping
     rules. ``hpd`` additionally records the 95% bootstrap HPD interval.
+    family and P are checked as :class:`EstimatorSpec` checks them.
     """
 
     family: str
@@ -106,6 +107,8 @@ class EstimatorTask:
     hpd: bool = False
 
     def __post_init__(self):
+        EstimatorSpec(self.family, self.P)
+        _check_integer(self.K, "K")
         if self.correction not in ("none", "bba", "ssr"):
             raise InvalidParameterError("correction must be none, bba, or ssr")
         if self.correction == "bba" and self.K < 1:
@@ -218,6 +221,8 @@ class McDesign:
         if self.seed is None:
             # SeedSequence(None) draws fresh OS entropy in every job.
             raise InvalidDesignError("seed must be given; None is not reproducible")
+        if isinstance(self.seed, bool):
+            raise InvalidDesignError(f"seed must be an integer, got {self.seed!r}")
         try:
             as_seed_sequence(self.seed)
         except (TypeError, ValueError) as exc:
@@ -296,32 +301,31 @@ def _task_unit(y, task, design, stream):
 
     Every task is the search of :func:`iterate_bias_correct`: SSR under
     the stochastic stopping rules, BBA(K) as K fixed passes, and an HPD
-    task without correction as one fixed pass whose point is the plain
-    estimate. The unit's result is (point estimate, HPD interval,
-    deterministic stop); the interval is None for a task without HPD.
+    task without correction as one fixed pass. The unit's result is the
+    search's whole IterationTrace, which :func:`_bootstrap_record` reads.
     """
     spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
     config = BootstrapConfig(B=design.B, innovation_mode=design.mode, rng_stream=stream)
     ssr = task.correction == "ssr"
     max_iter = design.max_iter if ssr else max(task.K, 1)
+    return _Unit(y, spec, config, _corrections(y, spec, config, max_iter, not ssr))
 
-    def search():
-        trace = yield from _corrections(y, spec, config, max_iter, not ssr)
-        return (
+
+def _bootstrap_record(task, traces):
+    """Record of a bootstrap task from its units' IterationTraces, in replication order.
+
+    A row's point is the plain estimate of an HPD task without correction
+    and the corrected value otherwise; a LongmemError fails its row.
+    """
+    reasons = [str(trace) for trace in traces if isinstance(trace, LongmemError)]
+    point, hpd, detstop = zip(*(
+        (np.nan, (np.nan, np.nan), False) if isinstance(trace, LongmemError) else (
             trace.d_initial if task.correction == "none" else trace.final,
-            trace.outcomes[0].hpd if task.hpd else None,
+            trace.outcomes[0].hpd,
             trace.stop_reason == "deterministic",
         )
-
-    return _Unit(y, spec, config, search())
-
-
-def _bootstrap_record(task, rows):
-    """Record of a bootstrap task from its units' results, in replication order."""
-    reasons = [str(row) for row in rows if isinstance(row, LongmemError)]
-    failed = (np.nan, (np.nan, np.nan), False)
-    rows = [failed if isinstance(row, LongmemError) else row for row in rows]
-    point, hpd, detstop = zip(*rows)
+        for trace in traces
+    ))
     hpd = np.array(hpd) if task.hpd else None
     detstop = np.array(detstop) if task.correction == "ssr" else None
     return _Record(np.array(point), reasons, hpd, detstop)
@@ -330,13 +334,13 @@ def _bootstrap_record(task, rows):
 def _block_worker(args):
     """Simulate replications start..stop-1 of a group of cells and run every task.
 
-    Every (cell, replication) draws its deviates from its own simulation
-    stream, and one batched Durbin-Levinson sweep turns them into the
-    job's series. A plain task estimates all of the job's rows in one
-    batched call. A bootstrap task runs per (cell, replication): these
-    units of every bootstrap task run together in lockstep rounds
+    Every (cell, replication) draws its deviates from a generator on its
+    own simulation stream (:func:`arfima._simulate_rows`). A plain task
+    estimates all of the job's rows in one call, NaN where a row failed.
+    A bootstrap task runs per (cell, replication): these units of every
+    bootstrap task run together in lockstep rounds
     (:func:`bootstrap._run_rounds`), whose round k runs the k-th passes
-    of every unit still searching as one batched pass.
+    of every unit still searching, and hand back their IterationTraces.
 
     Returns one list per cell, in the job's cell order, holding one
     :class:`_Record` per task in design order.
@@ -348,12 +352,10 @@ def _block_worker(args):
         ArfimaParams(d=d_true, phi=phi, sigma2=1.0, law=design.law)
         for _, (_, d_true, phi) in cells
     ]
-    Z = np.empty((len(cells), n, T))
-    for g, (cell_index, _) in enumerate(cells):
-        for i, r in enumerate(range(start, stop)):
-            rng = np.random.default_rng(simulation_stream(root, cell_index, r))
-            Z[g, i] = _standardized_deviates(params[g], T, rng)
-    Y = _simulate_rows(params, Z)
+    Y = _simulate_rows(
+        params, n, T,
+        lambda g, i: np.random.default_rng(simulation_stream(root, cells[g][0], start + i)),
+    )
     units = [
         _task_unit(Y[g, i], task, design, task_stream(root, cell_index, start + i, ti))
         for ti, task in enumerate(design.estimators)
@@ -366,8 +368,7 @@ def _block_worker(args):
     for task in design.estimators:
         if not task.needs_bootstrap:
             spec = EstimatorSpec(task.family, task.P, design.bandwidth_exponent)
-            values, ok, _ = _estimate_rows(Y.reshape(-1, T), spec)
-            point = np.where(ok, values, np.nan).reshape(len(cells), n)
+            point = _estimate_rows(Y.reshape(-1, T), spec)[0].reshape(len(cells), n)
             for cell_records, row in zip(records, point):
                 failed = int(np.isnan(row).sum())
                 cell_records.append(_Record(row, [_DEGENERATE] * failed))
@@ -484,17 +485,20 @@ def run_design(design, threads=1):
     ----------
     design : McDesign
     threads : int
-        Worker processes; results are identical for any value. One pool
-        of min(threads, jobs) workers serves the whole design, each
-        worker on its own share of this process's CPUs where there are
-        enough of them (:func:`_run_pool`); with one worker, every job
-        runs in this process.
+        Worker processes, an integer >= 1; results are identical for any
+        value. One pool of min(threads, jobs) workers serves the whole
+        design, each worker on its own share of this process's CPUs where
+        there are enough of them (:func:`_run_pool`); with one worker,
+        every job runs in this process.
 
     Returns
     -------
     list of McCellResult
         One entry per (cell, estimator task), in design order.
     """
+    _check_integer(threads, "threads")
+    if threads < 1:
+        raise InvalidParameterError("threads must be at least 1")
     jobs = _jobs(design)
     workers = min(threads, len(jobs))
     if workers <= 1:

@@ -26,7 +26,6 @@ from longmem.arfima import (
     _grid_search_many,
     _profile_loglik_batch,
     _simulate_rows,
-    _standardized_deviates,
 )
 from longmem.streams import generator_at
 
@@ -211,10 +210,7 @@ class TestSimulation:
     @pytest.mark.parametrize("rows", [1, 7, 40])
     def test_block_rows_equal_one_row_draws(self, rows, T, phi, law):
         params = ArfimaParams(d=0.3, phi=phi, law=law)
-        Z = np.array(
-            [_standardized_deviates(params, T, generator_at(3, i)) for i in range(rows)]
-        )
-        got = _simulate_rows([params], Z[None])[0]
+        got = _simulate_rows([params], rows, T, lambda g, i: generator_at(3, i))[0]
         assert got.shape == (rows, T)
         for i in range(rows):
             want = simulate_gaussian(params, T, generator_at(3, i))
@@ -227,17 +223,22 @@ class TestSimulation:
         pairs = ((0.3, 0.6), (0.0, 0.0), (-0.2, 0.0), (0.45, -0.9), (0.0, 0.5))
         cells = [ArfimaParams(d=d, phi=phi, law=law) for d, phi in pairs]
         rows = 3
-        Z = np.array([
-            [_standardized_deviates(p, T, generator_at(4, g, r)) for r in range(rows)]
-            for g, p in enumerate(cells)
-        ])
-        got = _simulate_rows(cells, Z)
+        made = []
+
+        def rng_at(g, r):
+            # A fresh generator per row: each row is drawn from its own.
+            made.append((g, r))
+            return generator_at(4, g, r)
+
+        got = _simulate_rows(cells, rows, T, rng_at)
         assert got.shape == (len(cells), rows, T)
+        assert made == [(g, r) for g in range(len(cells)) for r in range(rows)]
         for g, p in enumerate(cells):
             for r in range(rows):
                 want = simulate_gaussian(p, T, generator_at(4, g, r))
                 assert np.array_equal(got[g, r], want)
-            assert np.array_equal(_simulate_rows([p], Z[g : g + 1])[0], got[g])
+            alone = _simulate_rows([p], rows, T, lambda _, r: generator_at(4, g, r))
+            assert np.array_equal(alone[0], got[g])
 
     def test_all_white_noise_cells_skip_the_sweep(self, monkeypatch):
         def no_sweep(gammas):
@@ -245,8 +246,11 @@ class TestSimulation:
 
         monkeypatch.setattr(arfima, "_durbin_levinson", no_sweep)
         cells = [ArfimaParams(d=0.0, phi=0.0), ArfimaParams(d=0.0, phi=0.0, sigma2=4.0)]
-        Z = np.random.default_rng(6).standard_normal((2, 2, 50))
-        got = _simulate_rows(cells, Z)
+        got = _simulate_rows(cells, 2, 50, lambda g, i: np.random.default_rng([6, g, i]))
+        Z = np.array([
+            [np.random.default_rng([6, g, i]).standard_normal(50) for i in range(2)]
+            for g in range(2)
+        ])
         assert np.array_equal(got[0], Z[0]) and np.array_equal(got[1], 2.0 * Z[1])
 
     def test_block_rows_match_cholesky_factor(self):
@@ -257,8 +261,8 @@ class TestSimulation:
         for phi in (0.0, 0.6):
             params = ArfimaParams(d=0.3, phi=phi)
             L = np.linalg.cholesky(sl.toeplitz(arfima_acvf(params, T - 1)))
-            Z = np.random.default_rng(8).standard_normal((5, T))
-            got = _simulate_rows([params], Z[None])[0]
+            got = _simulate_rows([params], 5, T, lambda g, i: np.random.default_rng([8, i]))[0]
+            Z = np.array([np.random.default_rng([8, i]).standard_normal(T) for i in range(5)])
             assert_allclose(got, Z @ L.T, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize(

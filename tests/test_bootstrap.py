@@ -1193,6 +1193,15 @@ class TestIterate:
                 iterate_bias_correct(arfima_series, EstimatorSpec("lpr", 0),
                                      BootstrapConfig(B=20, rng_stream=4), max_iter=max_iter)
 
+    @pytest.mark.parametrize("fixed", ["no", 0, 1, None])
+    def test_non_bool_fixed_rejected_before_any_estimate(self, arfima_series,
+                                                         monkeypatch, fixed):
+        # "no" is truthy: it would run the fixed mode.
+        forbid_estimates(monkeypatch)
+        with pytest.raises(InvalidParameterError, match="fixed must be a bool"):
+            iterate_bias_correct(arfima_series, EstimatorSpec("lpr", 0),
+                                 BootstrapConfig(B=20, rng_stream=4), fixed=fixed)
+
     def test_max_iter_cap_reported(self, arfima_series):
         spec = EstimatorSpec("lpr", 1)
         trace = iterate_bias_correct(
@@ -1281,6 +1290,12 @@ class TestHpd:
         draws = np.arange(20.0)
         draws[7] = bad
         with pytest.raises(InvalidParameterError, match="draws must be finite"):
+            hpd_interval(draws, 0.0)
+
+    @pytest.mark.parametrize("shape", [(20, 2), (2, 20), (1, 20)])
+    def test_draws_of_more_dimensions_rejected(self, shape):
+        draws = np.arange(40.0)[: math.prod(shape)].reshape(shape)
+        with pytest.raises(InvalidParameterError, match="one-dimensional"):
             hpd_interval(draws, 0.0)
 
     @pytest.mark.parametrize("B", [2, 5, 9])

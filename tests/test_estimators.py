@@ -273,6 +273,16 @@ class TestOnePath:
             assert res.d_hat == alone[0] == middle[1]
             assert res.diagnostics["boundary"] == edge[0] == edge3[1]
 
+    @pytest.mark.parametrize("family", ["lpr", "splw"])
+    def test_unusable_rows_are_nan(self, family):
+        # The harness's plain tasks count a row as failed by its NaN alone.
+        w = np.random.default_rng(12).standard_normal(200)
+        stack = np.stack([np.ones(200), w, np.r_[w[:-1], np.nan]])
+        d_hat, ok, edge = _estimate_rows(stack, EstimatorSpec(family, 0))
+        assert ok.tolist() == [False, True, False]
+        assert np.isnan(d_hat).tolist() == [True, False, True]
+        assert not edge[~ok].any()
+
     def test_boundary_mask(self):
         w = np.random.default_rng(11).standard_normal(400)
         stack = np.stack([apply_frac_filter(w, 2.2), w])

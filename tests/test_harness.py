@@ -51,9 +51,19 @@ def small_design(**kw):
     return McDesign(**base)
 
 
+def task_trace(y, task, design, stream):
+    """The IterationTrace of one bootstrap task on y, run alone."""
+    return bmod._run_alone(hmod._task_unit(y, task, design, stream))
+
+
 def run_task(y, task, design, stream):
     """One bootstrap task on y, run alone: (point, HPD interval, deterministic stop)."""
-    return bmod._run_alone(hmod._task_unit(y, task, design, stream))
+    trace = task_trace(y, task, design, stream)
+    return (
+        trace.d_initial if task.correction == "none" else trace.final,
+        trace.outcomes[0].hpd if task.hpd else None,
+        trace.stop_reason == "deterministic",
+    )
 
 
 def assert_layout_free(monkeypatch, design, want):
@@ -83,16 +93,21 @@ class TestTokens:
     @pytest.mark.parametrize("token", [
         "ols0", "lpr", "lpr1-bbaX", "lpr1-foo",
         "splw0-bba2-ssr", "lpr1-ssr-bba2", "lpr1-bba1-bba3", "lpr1-hpd-hpd",
+        "lpr7", "lpr99", "splw4",
     ])
     def test_bad_tokens_rejected(self, token):
         with pytest.raises(InvalidParameterError):
             parse_estimator_token(token)
 
-    @pytest.mark.parametrize("kw", [dict(correction="x"), dict(correction="bba", K=0)],
-                             ids=["correction", "bba_K"])
-    def test_bad_tasks_rejected(self, kw):
+    @pytest.mark.parametrize(
+        "args",
+        [("lpr", 0, "x"), ("lpr", 0, "bba", 0), ("lpr", 0, "bba", 2.5),
+         ("lpr", 0, "bba", True), ("ols", 0), ("lpr", 4), ("lpr", 1.0)],
+        ids=["correction", "bba_K", "K_float", "K_bool", "family", "P", "P_float"],
+    )
+    def test_bad_tasks_rejected(self, args):
         with pytest.raises(InvalidParameterError):
-            EstimatorTask("lpr", 0, **kw)
+            EstimatorTask(*args)
 
 
 class TestDesign:
@@ -107,21 +122,23 @@ class TestDesign:
             dict(T_values=(6,)),
             dict(bandwidth_exponent=1.5),
             dict(B=5, estimators=(parse_estimator_token("lpr1-hpd"),)),
-            dict(estimators=(parse_estimator_token("lpr7"),)),
+            # P = 7 makes no task at all; P = 2 needs 4 frequencies, T = 8 has 3.
+            dict(T_values=(8,), estimators=(parse_estimator_token("lpr2"),)),
             dict(d_values=(0.2, 0.5)),
             dict(max_iter=0),
             dict(B=5, estimators=(parse_estimator_token("lpr0-bba1"),)),
             dict(B=9, estimators=(parse_estimator_token("splw1-ssr"),)),
             dict(seed=-1),
             dict(seed=None),
+            dict(seed=True),
             dict(T_values=()),
             dict(d_values=()),
             dict(phi_values=()),
             dict(R=0),
         ],
         ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d", "max_iter",
-             "bba_B", "ssr_B", "seed", "seed_none", "no_T", "no_d", "no_phi",
-             "R"],
+             "bba_B", "ssr_B", "seed", "seed_none", "seed_bool", "no_T", "no_d",
+             "no_phi", "R"],
     )
     def test_infeasible_design_rejected(self, bad):
         with pytest.raises(InvalidDesignError):
@@ -165,6 +182,16 @@ class TestDesign:
 
 
 class TestRunDesign:
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, 1.0, True, None])
+    def test_bad_thread_count_rejected_before_any_job(self, monkeypatch, threads):
+        # A one-job design runs in this process at any count, so nothing
+        # else would refuse these.
+        design = small_design()
+        assert len(hmod._jobs(design)) == 1
+        monkeypatch.setattr(hmod, "_block_worker", pytest.fail)
+        with pytest.raises(InvalidParameterError, match="threads must be"):
+            run_design(design, threads)
+
     def test_single_replication_matches_hand_pipeline(self):
         design = McDesign(
             T_values=(64,), d_values=(0.2,), phi_values=(0.3,), R=1,
@@ -222,7 +249,7 @@ class TestRunDesign:
 
         def sometimes(Y, spec):
             values, ok, boundary = real(Y, spec)
-            ok[1] = False  # synthetic failure
+            values[1], ok[1] = np.nan, False  # synthetic failure, as _estimate_rows reports one
             return values, ok, boundary
 
         monkeypatch.setattr(hmod, "_estimate_rows", sometimes)
@@ -335,6 +362,7 @@ class TestRunDesign:
         if task.correction == "none":
             d_hat = estimate(y, spec).d_hat
             want = (d_hat, bias_correct(y, spec, d_hat, cfg).hpd, False)
+            trace = iterate_bias_correct(y, spec, cfg, max_iter=1, fixed=True)
         else:
             if task.correction == "bba":
                 trace = iterate_bias_correct(y, spec, cfg, max_iter=task.K, fixed=True)
@@ -343,6 +371,12 @@ class TestRunDesign:
             hpd = trace.outcomes[0].hpd if task.hpd else None
             want = (trace.final, hpd, trace.stop_reason == "deterministic")
         assert out == want
+        # The unit hands back the whole trace of the public correction.
+        got = task_trace(y, task, design, stream)
+        assert (got.records, got.stop_reason) == (trace.records, trace.stop_reason)
+        assert (got.d_initial, got.final) == (trace.d_initial, trace.final)
+        assert got.outcomes[0].hpd == trace.outcomes[0].hpd
+        assert np.array_equal(got.outcomes[0].draws, trace.outcomes[0].draws)
 
     def test_plain_blocks_independent_of_layout_and_workers(self, monkeypatch):
         # R = 7 spans three blocks of 3 rows at T = 64; the default block
