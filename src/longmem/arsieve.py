@@ -16,6 +16,7 @@ from .exceptions import (
     DegenerateInputError,
     InvalidParameterError,
     NumericalDegeneracyError,
+    _check_integer,
 )
 
 __all__ = [
@@ -54,7 +55,11 @@ class ResidualSet:
 
 
 def default_max_order(T):
-    """Ceiling for the sieve order: floor((log T)^2), capped at T // 4."""
+    """Ceiling for the sieve order: floor((log T)^2), capped at T // 4,
+    and at least 1; T is an integer >= 1."""
+    _check_integer(T, "T")
+    if T < 1:
+        raise InvalidParameterError("T must be at least 1")
     return max(1, min(int(math.log(T) ** 2), T // 4))
 
 

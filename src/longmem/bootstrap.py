@@ -800,12 +800,14 @@ def hpd_interval(draws, d_hat):
     draws : array_like
         Bootstrap estimates, one-dimensional, length >= 10, all finite.
     d_hat : float
-        Point estimate at which the interval is centered.
+        Point estimate at which the interval is centered, finite.
 
     Returns
     -------
     (lo, hi)
     """
+    if not np.isfinite(d_hat):
+        raise InvalidParameterError("d_hat must be finite")
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 1:
         raise InvalidParameterError("draws must be one-dimensional")

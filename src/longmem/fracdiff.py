@@ -90,10 +90,13 @@ def _frac_filter_rows(x, ds):
     or each row by its own order in ds.
 
     One FFT convolution filters every row, and a row of order 0 is
-    returned unchanged. A row's values do not depend on the rows filtered
-    with it, so every row equals the filter of that row alone, bit for bit.
+    returned unchanged; with every order 0 no FFT runs. A row's values do
+    not depend on the rows filtered with it, so every row equals the
+    filter of that row alone, bit for bit.
     """
     ds = np.asarray(ds, dtype=float)
+    if not ds.any():
+        return x.copy()
     out = _causal_filter(x, _causal_spectrum(_coeff_rows(ds, x.shape[-1])))
     out[ds == 0] = x[ds == 0]
     return out

@@ -16,12 +16,14 @@ round k runs the k-th passes of every unit still correcting as one
 batched pass, whose blocks of draws run on up to two threads (no more
 than the process's CPUs). A unit's values do not depend on the units or
 threads it runs with. The layout depends on the design alone, and one
-process pool of no more workers than jobs serves every job of the
-design. Pool workers and a round's threads are placed by one rule,
-:func:`bootstrap._shares`: with no more of them than CPUs, each runs on
-its own share (see :func:`_run_pool`), so two workers on a two-CPU
-machine run their rounds on one thread each, while a one-job design
-runs in this process and a lone last job gets both CPUs. A job returns
+pool of no more forked worker processes than jobs serves every job of
+the design, each worker taking the next job in order from one queue
+(:func:`_run_pool`). Pool workers and a round's threads are placed by
+one rule, :func:`bootstrap._shares`: with no more of them than CPUs,
+each runs on its own share, so two workers on a two-CPU machine run
+their rounds on one thread each, while a one-job design, or any design
+on a platform without ``os.fork``, runs in this process and a lone last
+job gets both CPUs. A job returns
 one columnar record per (cell, task): the point estimates, NaN where a
 row failed, the failure reason of each failed row, and the HPD bounds
 or the deterministic stops of the tasks that have them; a cell's
@@ -29,8 +31,8 @@ statistics reduce its records joined in job order.
 """
 
 import csv
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby, product
 from statistics import NormalDist
@@ -74,6 +76,12 @@ _Z975 = NormalDist().inv_cdf(0.975)
 # this size, so one Durbin-Levinson sweep simulates them all.
 _JOB_VALUES = 2 ** 17
 
+# Bytes of one job index in a pool's hand-out pipe.
+_TICKET = 4
+
+# The signal that kills a pool worker: SIGKILL, 9 wherever os.fork exists.
+_SIGKILL = 9
+
 # The results.csv columns in file order, each with the type it reads back as.
 _COLUMNS = {
     "T": int,
@@ -96,8 +104,9 @@ class EstimatorTask:
 
     correction 'none' is the plain estimator, 'bba' applies the bootstrap
     bias adjustment K times, 'ssr' iterates under the stochastic stopping
-    rules. ``hpd`` additionally records the 95% bootstrap HPD interval.
-    family and P are checked as :class:`EstimatorSpec` checks them.
+    rules. K is 0 unless the correction is 'bba'. ``hpd`` additionally
+    records the 95% bootstrap HPD interval. family and P are checked as
+    :class:`EstimatorSpec` checks them.
     """
 
     family: str
@@ -113,6 +122,8 @@ class EstimatorTask:
             raise InvalidParameterError("correction must be none, bba, or ssr")
         if self.correction == "bba" and self.K < 1:
             raise InvalidParameterError("bba requires K >= 1")
+        if self.correction != "bba" and self.K != 0:
+            raise InvalidParameterError(f"K must be 0 with correction {self.correction}")
 
     @property
     def name(self):
@@ -434,48 +445,110 @@ def _aggregate_cell(design, cell, task, rec, half):
     return McCellResult(T, d_true, phi, task, stats, int(pts.size), design.seed)
 
 
-def _take_share(shares, taken):
-    """Pool initializer: limit this worker to the first share not yet taken.
-
-    `taken` counts the shares that workers have taken.
-    """
-    with taken.get_lock():
-        share = shares[taken.value]
-        taken.value += 1
-    _place(share)
-
-
-def _placed_job(job, cpus):
-    """Run `job` in a pool worker, moved first to `cpus` (:func:`_place`)."""
-    _place(cpus)
-    return _block_worker(job)
+def _serve(jobs, moves, share, tickets, out):
+    """A pool worker: run, on `share`, the jobs whose indices it reads from
+    `tickets`, job i moved first to ``moves[i]`` (:func:`bootstrap._place`),
+    then write one pickle to `out`: its (index, records) pairs, or the
+    exception that a job raised."""
+    try:
+        _place(share)
+        done = []
+        # Every write to `tickets` holds whole records, so a read takes one whole.
+        while ticket := os.read(tickets, _TICKET):
+            i = int.from_bytes(ticket, "little")
+            _place(moves[i])
+            done.append((i, _block_worker(jobs[i])))
+    except BaseException as exc:  # raised again by the parent
+        done = exc
+    data = pickle.dumps(done)
+    with open(out, "wb") as fh:
+        fh.write(data)
 
 
 def _run_pool(jobs, workers):
-    """Run `jobs` on a pool of `workers` processes; their results in job order.
+    """Run `jobs` on `workers` forked processes; their results in job order.
+
+    This process fills one pipe with every job index in job order, so
+    jobs start in order and a worker that finishes one reads the next
+    (:func:`_serve`). It reads each worker's result pipe to its end and
+    reaps every worker before it returns or raises: it raises a worker's
+    exception, or a RuntimeError naming the exit status of a worker that
+    ended without a result, and any exception of its own, a
+    KeyboardInterrupt too, kills and reaps the workers still alive. A
+    worker leaves with ``os._exit``, never returning into the caller; it
+    is a copy of this thread alone, so no other thread should hold a lock
+    that the jobs need while the pool starts.
 
     Left to the kernel, two workers often shared one CPU of a two-CPU
-    machine for a whole run while the other stood idle. Each worker takes
-    one share of this thread's CPUs (:func:`bootstrap._shares`) as it
-    starts, and its rounds of passes then run on no more threads than its
-    share has CPUs. Jobs start in order, so the last ``len(jobs) %
-    workers`` of them start after every other job, while the other
-    workers run out of work: these jobs deal the CPUs out among
-    themselves again, and a lone last job takes them all. With more
-    workers than CPUs every share is None and no job moves, so the
-    workers run where the kernel puts them, as does a worker whose
-    placement fails (:func:`bootstrap._place`). This process keeps its
-    own CPUs, and placement never changes a value.
+    machine while the other stood idle, so worker w runs on share w of
+    this thread's CPUs (:func:`bootstrap._shares`), and its rounds of
+    passes on no more threads than its share has CPUs. The last
+    ``len(jobs) % workers`` jobs start after every other job, while the
+    other workers run out of work: they deal the CPUs out among
+    themselves again, so a lone last job takes them all. With more
+    workers than CPUs nothing is placed, and a worker whose placement
+    fails runs where the kernel puts it (:func:`bootstrap._place`). This
+    process keeps its own CPUs, and placement never changes a value.
     """
     cpus = _allowed_cpus()
     shares = _shares(cpus, workers)
     tail = len(jobs) % workers if shares[0] is not None else 0
     moves = [None] * (len(jobs) - tail) + _shares(cpus, tail)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_take_share,
-        initargs=(shares, multiprocessing.Value("i", 0)),
-    ) as pool:
-        return list(pool.map(_placed_job, jobs, moves))
+    tickets, hand_out = os.pipe()
+    fds = [tickets, hand_out]  # opened here and not yet closed
+
+    def close(fd):
+        fds.remove(fd)
+        os.close(fd)
+
+    pipes = {}  # the result pipe of each worker not yet reaped, by process id
+    try:
+        for share in shares:
+            results, out = os.pipe()
+            fds += [results, out]
+            pid = os.fork()
+            if pid == 0:  # the worker
+                status = 1
+                try:
+                    os.close(hand_out)
+                    _serve(jobs, moves, share, tickets, out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pipes[pid] = results
+            close(out)
+        close(tickets)
+        queue = b"".join(i.to_bytes(_TICKET, "little") for i in range(len(jobs)))
+        try:
+            while queue:
+                queue = queue[os.write(hand_out, queue):]
+        except BrokenPipeError:  # every worker has ended; their statuses tell why
+            pass
+        close(hand_out)
+        done = [None] * len(jobs)
+        failures = []
+        for pid in list(pipes):
+            with open(pipes[pid], "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pipes[pid]
+            result = pickle.loads(data) if status == 0 else RuntimeError(
+                f"pool worker {pid} ended without a result (exit status {status})"
+            )
+            if isinstance(result, BaseException):
+                failures.append(result)
+            else:
+                for i, records in result:
+                    done[i] = records
+        if failures:
+            raise failures[0]
+        return done
+    finally:
+        for pid in pipes:
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def run_design(design, threads=1):
@@ -486,10 +559,11 @@ def run_design(design, threads=1):
     design : McDesign
     threads : int
         Worker processes, an integer >= 1; results are identical for any
-        value. One pool of min(threads, jobs) workers serves the whole
-        design, each worker on its own share of this process's CPUs where
-        there are enough of them (:func:`_run_pool`); with one worker,
-        every job runs in this process.
+        value. One pool of min(threads, jobs) forked workers serves the
+        whole design, each worker on its own share of this process's CPUs
+        where there are enough of them (:func:`_run_pool`); with one
+        worker, or where ``os.fork`` does not exist, every job runs in
+        this process.
 
     Returns
     -------
@@ -501,10 +575,10 @@ def run_design(design, threads=1):
         raise InvalidParameterError("threads must be at least 1")
     jobs = _jobs(design)
     workers = min(threads, len(jobs))
-    if workers <= 1:
-        done = list(map(_block_worker, jobs))
-    else:
+    if workers > 1 and hasattr(os, "fork"):
         done = _run_pool(jobs, workers)
+    else:
+        done = list(map(_block_worker, jobs))
     parts = {i: [] for i, _ in design.cells()}
     for (_, _, cells, _, _), job_records in zip(jobs, done):
         for (cell_index, _), records in zip(cells, job_records):

@@ -244,6 +244,11 @@ class TestOrderSelection:
         assert default_max_order(100) == 21
         assert default_max_order(500) == 38
 
+    @pytest.mark.parametrize("T", [0, -3, 2.5, 100.0, True, np.nan])
+    def test_default_cap_of_bad_T_rejected(self, T):
+        with pytest.raises(InvalidParameterError):
+            default_max_order(T)
+
 
 class TestResiduals:
     def test_order_zero_returns_centered_scaled_series(self):

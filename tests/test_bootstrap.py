@@ -1292,6 +1292,11 @@ class TestHpd:
         with pytest.raises(InvalidParameterError, match="draws must be finite"):
             hpd_interval(draws, 0.0)
 
+    @pytest.mark.parametrize("d_hat", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimate_rejected(self, d_hat):
+        with pytest.raises(InvalidParameterError, match="d_hat must be finite"):
+            hpd_interval(np.arange(20.0), d_hat)
+
     @pytest.mark.parametrize("shape", [(20, 2), (2, 20), (1, 20)])
     def test_draws_of_more_dimensions_rejected(self, shape):
         draws = np.arange(40.0)[: math.prod(shape)].reshape(shape)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import longmem.fracdiff as fdmod
 from longmem import InvalidParameterError, apply_frac_filter, frac_diff_coeffs
 
 from _oracles import frac_filter_by_loop
@@ -55,6 +56,17 @@ class TestFilter:
     def test_d_zero_is_identity(self):
         y = np.random.default_rng(0).standard_normal(50)
         assert_allclose(apply_frac_filter(y, 0.0), y, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("d", [0, 0.0, -0.0])
+    def test_d_zero_copies_without_filtering(self, monkeypatch, d):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the order-0 filter ran a convolution")
+
+        monkeypatch.setattr(fdmod, "_causal_filter", refuse)
+        y = np.random.default_rng(1).standard_normal((3, 50))
+        w = apply_frac_filter(y, d)
+        assert w.tobytes() == y.tobytes()
+        assert not np.shares_memory(w, y)
 
     def test_first_difference_convention(self):
         # t = 1 keeps y(1); later points are plain first differences

@@ -1,10 +1,11 @@
 import multiprocessing
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
 import types
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -108,6 +109,12 @@ class TestTokens:
     def test_bad_tasks_rejected(self, args):
         with pytest.raises(InvalidParameterError):
             EstimatorTask(*args)
+
+    @pytest.mark.parametrize("correction, K", [("none", 4), ("none", -1), ("ssr", -3),
+                                               ("ssr", 1)])
+    def test_K_without_bba_rejected(self, correction, K):
+        with pytest.raises(InvalidParameterError, match="K must be 0"):
+            EstimatorTask("lpr", 0, correction, K)
 
 
 class TestDesign:
@@ -649,7 +656,7 @@ def worker_cpus(monkeypatch, tmp_path, design, threads, parties=None):
     """Run `design` at `threads`, its first `parties` jobs (all by default)
     each in a worker of its own, and give the CPUs of each job's worker,
     in job order, along with the run's statistics."""
-    if multiprocessing.get_context().get_start_method() != "fork":
+    if not hasattr(os, "fork"):
         pytest.skip("the probe reaches pool workers through fork")
     log = tmp_path / "cpus.txt"
     monkeypatch.setitem(POOL_PROBE, "log", str(log))
@@ -744,18 +751,94 @@ class TestPoolPlacement:
     @pytest.mark.parametrize("jobs, threads, pools", [(1, 2, []), (1, 8, []), (2, 8, [2]),
                                                       (4, 3, [3])])
     def test_no_more_workers_than_jobs(self, monkeypatch, jobs, threads, pools):
-        sizes = []
+        forked = []
+        real_fork = os.fork
 
-        class Recorded(ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
         design = plain_jobs_design(monkeypatch, jobs)
         want = [res.stats for res in run_design(design, 1)]
-        monkeypatch.setattr(hmod, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(os, "fork", counting_fork)
         assert [res.stats for res in run_design(design, threads)] == want
-        assert sizes == pools
+        assert ([len(forked)] if forked else []) == pools
+        assert no_child_left()
+
+    def test_no_fork_runs_every_job_here(self, monkeypatch):
+        design = plain_jobs_design(monkeypatch, 3)
+        want = [res.stats for res in run_design(design, 1)]
+        monkeypatch.delattr(os, "fork")
+        assert [res.stats for res in run_design(design, 2)] == want
+
+
+def no_child_left():
+    """True when this process has no child, reaped or not."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@needs_fork
+class TestPoolWorkers:
+    """A worker's failure reaches the caller, and no worker outlives the run."""
+
+    def test_worker_exception_is_raised(self, monkeypatch):
+        design = plain_jobs_design(monkeypatch, 3)
+
+        def divide(job):
+            return 1 / 0
+
+        monkeypatch.setattr(hmod, "_block_worker", divide)
+        with pytest.raises(ZeroDivisionError):
+            run_design(design, 2)
+        assert no_child_left()
+
+    def test_worker_without_result_names_its_status(self, monkeypatch):
+        design = plain_jobs_design(monkeypatch, 3)
+        monkeypatch.setattr(hmod, "_block_worker", lambda job: os._exit(3))
+        with pytest.raises(RuntimeError, match=r"exit status 3\b"):
+            run_design(design, 2)
+        assert no_child_left()
+
+    def test_interrupted_run_kills_its_workers(self, monkeypatch):
+        # The interrupt reaches this process while it waits for the first
+        # worker's result, both workers in the middle of a job.
+        design = plain_jobs_design(monkeypatch, 3)
+        monkeypatch.setattr(hmod, "_block_worker", lambda job: time.sleep(60))
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        before = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                run_design(design, 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, before)
+        assert time.monotonic() - start < 30
+        assert no_child_left()
+
+
+def test_cli_import_loads_no_process_pool():
+    code = ("import sys, longmem.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(hmod.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestEmission:
