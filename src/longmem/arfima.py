@@ -24,6 +24,7 @@ from .exceptions import (
     InvalidParameterError,
     NumericalDegeneracyError,
     _check_integer,
+    _check_real,
 )
 
 __all__ = [
@@ -54,6 +55,8 @@ class ArfimaParams:
     dof: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("d", "phi", "sigma2"):
+            _check_real(getattr(self, name), name)
         if not -0.5 < self.d < 0.5:
             raise InvalidParameterError("d must lie in (-0.5, 0.5)")
         if not abs(self.phi) < 1.0:
@@ -107,16 +110,14 @@ def arfima_acvf(params, max_lag):
     ----------
     params : ArfimaParams
     max_lag : int
-        Largest lag wanted (>= 0).
+        Largest lag wanted, an integer >= 0.
 
     Returns
     -------
     ndarray
         gamma(0..max_lag).
     """
-    max_lag = int(max_lag)
-    if max_lag < 0:
-        raise InvalidParameterError("max_lag must be nonnegative")
+    _check_integer(max_lag, "max_lag", least=0)
     m_tail = _ar1_tail_length(params.phi)
     gam = _acvf_rows([params.d], params.phi, max_lag + 1, m_tail)[0]
     return params.sigma2 * gam
@@ -152,10 +153,7 @@ def simulate_gaussian(params, T, rng):
     -------
     ndarray of length T
     """
-    _check_integer(T, "T")
-    T = int(T)
-    if T < 1:
-        raise InvalidParameterError("T must be >= 1")
+    _check_integer(T, "T", least=1)
     return _simulate_rows([params], 1, T, lambda g, i: rng)[0, 0]
 
 

@@ -57,9 +57,7 @@ class ResidualSet:
 def default_max_order(T):
     """Ceiling for the sieve order: floor((log T)^2), capped at T // 4,
     and at least 1; T is an integer >= 1."""
-    _check_integer(T, "T")
-    if T < 1:
-        raise InvalidParameterError("T must be at least 1")
+    _check_integer(T, "T", least=1)
     return max(1, min(int(math.log(T) ** 2), T // 4))
 
 
@@ -260,6 +258,8 @@ def ar_residuals(w, fit):
     maximum-likelihood scale, giving mean 0 and variance 1 in-sample.
     """
     w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise InvalidParameterError("series must be one-dimensional")
     T = w.size
     h = fit.order
     if h >= T:

@@ -12,6 +12,7 @@ entry points check their inputs; the rounds do not check them again.
 """
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .estimators import (
     _DEGENERATE,
     SEARCH_HI,
     SEARCH_LO,
+    _check_order,
     _estimate_ordinates,
     _usable,
     asymptotic_sd,
@@ -41,6 +43,7 @@ from .exceptions import (
     InvalidParameterError,
     LongmemError,
     _check_integer,
+    _check_real,
 )
 from .fracdiff import _causal_filter, _causal_spectrum, _fft_length, _frac_filter_rows
 from .spectral import _ordinates, bandwidth
@@ -93,14 +96,13 @@ class BootstrapConfig:
     innovation_mode 'parametric' draws Gaussian innovations scaled by the
     residual standard deviation; 'nonparametric' resamples the
     standardized residuals with replacement. ``rng_stream`` is a
-    SeedSequence (or int seed); None, which would draw fresh OS entropy,
-    is refused. Pass k of a correction draws from two
-    child streams: (k, 0) fills the B rows of innovations in draw order
-    and (k, 1) gives the B starts of the seeding blocks. Draws are
-    reproducible and depend neither on how the pass is blocked nor on how
-    many threads run it. The first
-    pass of every correction builds an HPD interval, so B must be at
-    least 10.
+    SeedSequence or an integer seed >= 0 (:func:`streams.as_seed_sequence`).
+    Pass k of a correction draws from two child streams: (k, 0) fills the
+    B rows of innovations in draw order and (k, 1) gives the B starts of
+    the seeding blocks. Draws are reproducible and depend neither on how
+    the pass is blocked nor on how many threads run it. The first pass of
+    every correction builds an HPD interval, so B must be an integer of
+    at least 10.
     """
 
     B: int
@@ -108,15 +110,9 @@ class BootstrapConfig:
     rng_stream: object = 0
 
     def __post_init__(self):
-        _check_integer(self.B, "B")
-        if self.B < _MIN_DRAWS:
-            raise InvalidParameterError(
-                f"need at least B = {_MIN_DRAWS} bootstrap draws"
-            )
+        _check_integer(self.B, "B", least=_MIN_DRAWS)
         if self.innovation_mode not in _MODES:
             raise InvalidParameterError(f"innovation mode must be one of {_MODES}")
-        if self.rng_stream is None:
-            raise InvalidParameterError("rng_stream must be given; None is not reproducible")
         self.rng_stream = as_seed_sequence(self.rng_stream)
 
 
@@ -191,8 +187,7 @@ def prefilter_sieve(y, d_f):
         raise InvalidParameterError(
             f"the sieve needs a series of at least 3 observations, got {y.size}"
         )
-    if not np.isfinite(d_f):
-        raise InvalidParameterError("pre-filter value must be finite")
+    _check_real(d_f, "d_f")
     [sieve] = _prefilter_rows(y[None], [d_f])
     if isinstance(sieve, LongmemError):
         raise sieve
@@ -609,8 +604,7 @@ def bias_correct(y, spec, d_f, config):
     -------
     BootstrapOutcome
     """
-    if not np.isfinite(d_f):
-        raise InvalidParameterError("pre-filter value must be finite")
+    _check_real(d_f, "d_f")
     y = np.asarray(y, dtype=float)
     d_hat = estimate(y, spec).d_hat
     return _outcome(_run_alone(_Unit(y, spec, config, _one_pass(d_f))), d_f, d_hat)
@@ -662,22 +656,28 @@ def stopping_thresholds(k, N, B, upsilon, P):
     Parameters
     ----------
     k : int
-        Iteration index (>= 0).
+        Iteration index, an integer >= 0.
     N : int
-        Bandwidth of the estimator.
+        Bandwidth of the estimator, an integer >= 1.
     B : int or float
-        Number of bootstrap draws (inf allowed for limits).
+        Number of bootstrap draws, > 0 (inf allowed for limits).
     upsilon : float
-        omega * psi_P of the corrected estimator.
+        omega * psi_P of the corrected estimator, finite and > 0.
     P : int
-        Correction order; selects the p-schedule.
+        Correction order, one of 0..3; selects the p-schedule.
 
     Returns
     -------
     (tau1, tau2)
     """
-    if k < 0:
-        raise InvalidParameterError("iteration index must be >= 0")
+    _check_integer(k, "k", least=0)
+    _check_integer(N, "N", least=1)
+    if isinstance(B, bool) or not isinstance(B, numbers.Real) or not B > 0:
+        raise InvalidParameterError(f"B must be a real number > 0, got {B!r}")
+    _check_real(upsilon, "upsilon")
+    if not upsilon > 0:
+        raise InvalidParameterError(f"upsilon must be > 0, got {upsilon!r}")
+    _check_order(P)
     u2 = upsilon * upsilon
     base = u2 / N
     noise = u2 / (N * B)
@@ -728,9 +728,7 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     -------
     IterationTrace
     """
-    _check_integer(max_iter, "max_iter")
-    if max_iter < 1:
-        raise InvalidParameterError("max_iter must be >= 1")
+    _check_integer(max_iter, "max_iter", least=1)
     if not isinstance(fixed, (bool, np.bool_)):
         raise InvalidParameterError(f"fixed must be a bool, got {fixed!r}")
     y = np.asarray(y, dtype=float)
@@ -806,16 +804,13 @@ def hpd_interval(draws, d_hat):
     -------
     (lo, hi)
     """
-    if not np.isfinite(d_hat):
-        raise InvalidParameterError("d_hat must be finite")
+    _check_real(d_hat, "d_hat")
     draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 1:
-        raise InvalidParameterError("draws must be one-dimensional")
+    if draws.ndim != 1 or not np.all(np.isfinite(draws)):
+        raise InvalidParameterError("draws must be one-dimensional and finite")
     B = draws.size
     if B < _MIN_DRAWS:
         raise InvalidParameterError(f"need at least {_MIN_DRAWS} draws")
-    if not np.all(np.isfinite(draws)):
-        raise InvalidParameterError("draws must be finite")
     m = -(-95 * B // 100)  # ceil(0.95 B) in integers
     centered = np.sort(draws - draws.mean())
     widths = centered[m - 1 :] - centered[: B - m + 1]

@@ -16,9 +16,10 @@ from .exceptions import (
     InvalidDesignError,
     InvalidParameterError,
     NumericalDegeneracyError,
+    _check_integer,
 )
 from .harness import emit_tables, load_design, run_design
-from .streams import generator_at
+from .streams import as_seed_sequence, generator_at
 
 _USAGE_ERRORS = (InvalidParameterError, InvalidDesignError, OSError, ValueError)
 _NUMERIC_ERRORS = (
@@ -33,8 +34,7 @@ def _worker_count(text):
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+    _check_integer(value, "threads", argparse.ArgumentTypeError, least=1)
     return value
 
 
@@ -53,9 +53,10 @@ def _read_series(path):
 
 def _cmd_simulate(args):
     params = ArfimaParams(d=args.d, phi=args.phi, sigma2=1.0, law=args.law)
-    if args.T < 1 or args.n < 1:
-        raise InvalidParameterError("--T and --n must be at least 1")
-    Y = _simulate_rows([params], args.n, args.T, lambda g, i: generator_at(args.seed, i))[0]
+    _check_integer(args.T, "--T", least=1)
+    _check_integer(args.n, "--n", least=1)
+    seed = as_seed_sequence(args.seed)
+    Y = _simulate_rows([params], args.n, args.T, lambda g, i: generator_at(seed, i))[0]
     np.savetxt(args.out, Y.T, fmt="%.17g", delimiter=",")
     return 0
 

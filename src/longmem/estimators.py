@@ -17,6 +17,7 @@ from .exceptions import (
     InvalidParameterError,
     NumericalDegeneracyError,
     _check_integer,
+    _check_real,
 )
 from .spectral import _ordinates, bandwidth, fourier_frequencies
 
@@ -57,13 +58,12 @@ class EstimatorSpec:
     bandwidth_exponent: float = 0.7
 
     def __post_init__(self):
-        fam = self.family.lower()
+        fam = str(self.family).lower()
         if fam not in ("lpr", "splw"):
             raise InvalidParameterError("family must be 'lpr' or 'splw'")
         object.__setattr__(self, "family", fam)
-        _check_integer(self.P, "P")
-        if self.P not in (0, 1, 2, 3):
-            raise InvalidParameterError("P must be one of 0, 1, 2, 3")
+        _check_order(self.P)
+        _check_real(self.bandwidth_exponent, "bandwidth exponent")
         if not 0.0 < self.bandwidth_exponent < 1.0:
             raise InvalidParameterError("bandwidth exponent must lie in (0, 1)")
 
@@ -82,8 +82,17 @@ class EstimateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _check_order(P):
+    """Refuse a correction order other than the integers 0..3, the orders
+    with a known variance inflation factor."""
+    _check_integer(P, "P")
+    if P not in range(len(_PSI2)):
+        raise InvalidParameterError("P must be one of 0, 1, 2, 3")
+
+
 def asymptotic_sd(spec, N):
-    """Asymptotic standard deviation omega * psi_P / sqrt(N)."""
+    """Asymptotic standard deviation omega * psi_P / sqrt(N), N an integer >= 1."""
+    _check_integer(N, "N", least=1)
     return math.sqrt(_OMEGA2[spec.family] * _PSI2[spec.P] / N)
 
 

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the check of counts."""
+"""Exception types shared across the package, and the checks of counts and reals."""
 
+import math
 import numbers
 
 
@@ -32,11 +33,21 @@ class EstimationFailedError(LongmemError, RuntimeError):
     """An estimator or optimizer failed to produce a usable value."""
 
 
-def _check_integer(value, name, error=InvalidParameterError):
-    """Refuse a count that is not an integer, such as 20.0, with `error`.
+def _check_integer(value, name, error=InvalidParameterError, least=None):
+    """Refuse a count that is not an integer, such as 20.0, or is below
+    `least`, with `error`.
 
     Numpy integers pass; 64.7 and 2.0 are refused, not truncated, and so
     is a bool, which Python counts as an integer.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be at least {least}, got {value!r}")
+
+
+def _check_real(value, name, error=InvalidParameterError):
+    """Refuse anything but one finite real number, with `error`: a bool, a
+    string, None, an array of any size, NaN and +-inf; numpy scalars pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise error(f"{name} must be a finite real number, got {value!r}")

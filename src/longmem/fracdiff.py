@@ -11,7 +11,7 @@ by its own; :func:`apply_frac_filter` is its checked form.
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it here, not inside the first filter call
 
-from .exceptions import InvalidParameterError, _check_integer
+from .exceptions import InvalidParameterError, _check_integer, _check_real
 
 __all__ = ["frac_diff_coeffs", "apply_frac_filter"]
 
@@ -26,7 +26,7 @@ def frac_diff_coeffs(d, n):
     Parameters
     ----------
     d : float
-        Memory parameter of the operator (1-z)**d.
+        Memory parameter of the operator (1-z)**d, finite.
     n : int
         Number of coefficients to return (an integer >= 1).
 
@@ -35,12 +35,8 @@ def frac_diff_coeffs(d, n):
     ndarray of length n
         a_0(d), ..., a_{n-1}(d).
     """
-    _check_integer(n, "n")
-    if not np.isfinite(d):
-        raise InvalidParameterError("fractional order d must be finite")
-    n = int(n)
-    if n < 1:
-        raise InvalidParameterError("need at least one coefficient")
+    _check_integer(n, "n", least=1)
+    _check_real(d, "d")
     return _coeff_rows(np.array(d, dtype=float), n)
 
 
@@ -69,7 +65,7 @@ def apply_frac_filter(y, d):
     y : array_like, shape (..., T)
         One series, or a stack of series along the leading axes; T >= 1.
     d : float
-        Filter order.
+        Filter order, finite.
 
     Returns
     -------
@@ -80,8 +76,7 @@ def apply_frac_filter(y, d):
         raise InvalidParameterError("series must be non-empty along the last axis")
     if not np.all(np.isfinite(y)):
         raise InvalidParameterError("series contains non-finite values")
-    if not np.isfinite(d):
-        raise InvalidParameterError("fractional order d must be finite")
+    _check_real(d, "d")
     return _frac_filter_rows(y, d)
 
 

@@ -117,11 +117,9 @@ class EstimatorTask:
 
     def __post_init__(self):
         EstimatorSpec(self.family, self.P)
-        _check_integer(self.K, "K")
         if self.correction not in ("none", "bba", "ssr"):
             raise InvalidParameterError("correction must be none, bba, or ssr")
-        if self.correction == "bba" and self.K < 1:
-            raise InvalidParameterError("bba requires K >= 1")
+        _check_integer(self.K, "K", least=1 if self.correction == "bba" else None)
         if self.correction != "bba" and self.K != 0:
             raise InvalidParameterError(f"K must be 0 with correction {self.correction}")
 
@@ -183,8 +181,10 @@ class McDesign:
 
     ``law`` is the innovation law token of :class:`ArfimaParams`. Every
     default here is the default of a design file that omits the key. The
-    counts (each T, R, B and max_iter) must be integers: 64.7 and 2.0
-    are refused, not truncated.
+    counts (each T, R, B and max_iter) and the seed must be integers:
+    64.7 and 2.0 are refused, not truncated. R and max_iter are at least
+    1, the seed at least 0, and every (d, phi) cell is checked as
+    :class:`ArfimaParams` checks it, before d and phi become floats.
     """
 
     T_values: tuple
@@ -202,16 +202,19 @@ class McDesign:
     def __post_init__(self):
         for t in self.T_values:
             _check_integer(t, "T", InvalidDesignError)
-        for name in ("R", "B", "max_iter"):
-            _check_integer(getattr(self, name), name, InvalidDesignError)
+        for name, least in (("R", 1), ("B", None), ("max_iter", 1), ("seed", 0)):
+            _check_integer(getattr(self, name), name, InvalidDesignError, least)
+        for d, phi in product(self.d_values, self.phi_values):
+            try:
+                ArfimaParams(d=d, phi=phi, law=self.law)
+            except InvalidParameterError as exc:
+                raise InvalidDesignError(f"cell d={d}, phi={phi}: {exc}") from exc
         object.__setattr__(self, "T_values", tuple(int(t) for t in self.T_values))
         object.__setattr__(self, "d_values", tuple(float(d) for d in self.d_values))
         object.__setattr__(
             self, "phi_values", tuple(float(p) for p in self.phi_values)
         )
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if self.R < 1:
-            raise InvalidDesignError("need at least one replication")
         # A design without cells or tasks would run nothing; a repeated value
         # would run as a second cell or task whose rows no reader of the
         # results could tell from the first.
@@ -227,17 +230,6 @@ class McDesign:
                 raise InvalidDesignError(f"repeated {what} in {list(values)}")
         if self.mode not in _MODES:
             raise InvalidDesignError(f"mode must be one of {_MODES}")
-        if self.max_iter < 1:
-            raise InvalidDesignError("max_iter must be at least 1")
-        if self.seed is None:
-            # SeedSequence(None) draws fresh OS entropy in every job.
-            raise InvalidDesignError("seed must be given; None is not reproducible")
-        if isinstance(self.seed, bool):
-            raise InvalidDesignError(f"seed must be an integer, got {self.seed!r}")
-        try:
-            as_seed_sequence(self.seed)
-        except (TypeError, ValueError) as exc:
-            raise InvalidDesignError(f"bad seed {self.seed!r}: {exc}") from exc
         for task in self.estimators:
             try:
                 EstimatorSpec(task.family, task.P, self.bandwidth_exponent)
@@ -247,11 +239,6 @@ class McDesign:
                     BootstrapConfig(self.B, self.mode)
             except InvalidParameterError as exc:
                 raise InvalidDesignError(f"task {task.name}: {exc}") from exc
-        for d, phi in product(self.d_values, self.phi_values):
-            try:
-                ArfimaParams(d=d, phi=phi, law=self.law)
-            except InvalidParameterError as exc:
-                raise InvalidDesignError(f"cell d={d}, phi={phi}: {exc}") from exc
 
     def cells(self):
         """(index, (T, d, phi)) pairs in lexicographic design order."""
@@ -570,9 +557,7 @@ def run_design(design, threads=1):
     list of McCellResult
         One entry per (cell, estimator task), in design order.
     """
-    _check_integer(threads, "threads")
-    if threads < 1:
-        raise InvalidParameterError("threads must be at least 1")
+    _check_integer(threads, "threads", least=1)
     jobs = _jobs(design)
     workers = min(threads, len(jobs))
     if workers > 1 and hasattr(os, "fork"):
@@ -610,23 +595,15 @@ _STAT_ORDER = [
 
 
 def _result_rows(results):
+    """The results.csv rows, each value written as its column reads it back,
+    so a numpy integer count or seed is written as the integer it holds."""
     for res in results:
         for stat in _STAT_ORDER:
-            if stat not in res.stats:
-                continue
-            yield [
-                repr(res.T),
-                repr(res.d),
-                repr(res.phi),
-                res.task.family.upper(),
-                repr(res.task.P),
-                res.task.correction,
-                repr(res.task.K),
-                stat,
-                repr(res.stats[stat]),
-                repr(res.R_effective),
-                repr(res.seed),
-            ]
+            if stat in res.stats:
+                row = (res.T, res.d, res.phi, res.task.family.upper(), res.task.P,
+                       res.task.correction, res.task.K, stat, res.stats[stat],
+                       res.R_effective, res.seed)
+                yield [str(kind(value)) for kind, value in zip(_COLUMNS.values(), row)]
 
 
 def emit_tables(results, fmt, path):

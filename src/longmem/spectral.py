@@ -3,13 +3,17 @@
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it here, not inside the first periodogram
 
-from .exceptions import InvalidDesignError, InvalidParameterError, _check_integer
+from .exceptions import InvalidDesignError, InvalidParameterError, _check_integer, _check_real
 
 __all__ = ["bandwidth", "periodogram", "fourier_frequencies"]
 
 
 def fourier_frequencies(T, N):
-    """Fourier frequencies 2*pi*j/T for j = 1..N."""
+    """Fourier frequencies 2*pi*j/T for j = 1..N, integers with 1 <= N < T/2."""
+    _check_integer(T, "T")
+    _check_integer(N, "N", least=1)
+    if not N < T / 2:
+        raise InvalidParameterError(f"need N < T/2, got N = {N} with T = {T}")
     return 2.0 * np.pi * np.arange(1, N + 1) / T
 
 
@@ -27,17 +31,17 @@ def bandwidth(T, exponent, P=0):
     exponent : float
         Bandwidth exponent in (0, 1); 0.7 is the working default.
     P : int, optional
-        Number of even-power correction terms in the estimator (an integer).
+        Number of even-power correction terms in the estimator (an integer >= 0).
 
     Returns
     -------
     int
     """
     _check_integer(T, "T")
-    _check_integer(P, "P")
+    _check_integer(T, "sample size T", InvalidDesignError, least=8)
+    _check_integer(P, "P", least=0)
     T = int(T)
-    if T < 8:
-        raise InvalidDesignError("sample size too small (need T >= 8)")
+    _check_real(exponent, "bandwidth exponent")
     if not 0.0 < exponent < 1.0:
         raise InvalidParameterError("bandwidth exponent must lie in (0, 1)")
     lo = int(P) + 2
@@ -70,15 +74,10 @@ def periodogram(y, N):
     ndarray of length N
         I(l_1), ..., I(l_N) at l_j = ``fourier_frequencies(T, N)[j-1]``.
     """
-    _check_integer(N, "N")
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise InvalidParameterError("series must be one-dimensional")
-    if not np.all(np.isfinite(y)):
-        raise InvalidParameterError("series contains non-finite values")
-    N = int(N)
-    if not 1 <= N < y.size / 2:
-        raise InvalidParameterError("need 1 <= N < T/2")
+    if y.ndim != 1 or not np.all(np.isfinite(y)):
+        raise InvalidParameterError("series must be one-dimensional and finite")
+    fourier_frequencies(y.size, N)  # the one check of the band N
     return _ordinates(y, N)
 
 

@@ -10,11 +10,15 @@ they execute.
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not inside the first draw
 
+from .exceptions import _check_integer
+
 
 def as_seed_sequence(seed):
-    """Coerce an int / SeedSequence / None into a SeedSequence."""
+    """The one seed rule: a SeedSequence as it is, or an integer >= 0; anything
+    else, None too (fresh OS entropy), raises InvalidParameterError."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    _check_integer(seed, "seed", least=0)
     return np.random.SeedSequence(seed)
 
 

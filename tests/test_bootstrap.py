@@ -298,7 +298,7 @@ class TestBiasCorrect:
 
     def test_unseeded_stream_rejected(self):
         # SeedSequence(None) would draw fresh OS entropy: no two runs agree.
-        with pytest.raises(InvalidParameterError, match="rng_stream must be given"):
+        with pytest.raises(InvalidParameterError, match="seed must be an integer, got None"):
             BootstrapConfig(B=20, rng_stream=None)
 
     def test_unknown_innovation_mode_rejected(self):
@@ -1111,7 +1111,7 @@ class TestStoppingThresholds:
         assert_allclose(tau1, want, rtol=1e-12)
 
     def test_negative_index_rejected(self):
-        with pytest.raises(InvalidParameterError, match="iteration index"):
+        with pytest.raises(InvalidParameterError, match="k must be at least 0"):
             stopping_thresholds(-1, 77, 1000, 1.0, P=0)
 
 
@@ -1181,7 +1181,7 @@ class TestIterate:
     def test_zero_max_iter_rejected_before_any_estimate(self, arfima_series,
                                                         monkeypatch):
         forbid_estimates(monkeypatch)
-        with pytest.raises(InvalidParameterError, match="max_iter must be >= 1"):
+        with pytest.raises(InvalidParameterError, match="max_iter must be at least 1"):
             iterate_bias_correct(arfima_series, EstimatorSpec("lpr", 0),
                                  BootstrapConfig(B=20, rng_stream=4), max_iter=0)
 
@@ -1289,12 +1289,12 @@ class TestHpd:
     def test_non_finite_draws_rejected(self, bad):
         draws = np.arange(20.0)
         draws[7] = bad
-        with pytest.raises(InvalidParameterError, match="draws must be finite"):
+        with pytest.raises(InvalidParameterError, match="draws must be one-dimensional and finite"):
             hpd_interval(draws, 0.0)
 
     @pytest.mark.parametrize("d_hat", [np.nan, np.inf, -np.inf])
     def test_non_finite_estimate_rejected(self, d_hat):
-        with pytest.raises(InvalidParameterError, match="d_hat must be finite"):
+        with pytest.raises(InvalidParameterError, match="d_hat must be a finite real number"):
             hpd_interval(np.arange(20.0), d_hat)
 
     @pytest.mark.parametrize("shape", [(20, 2), (2, 20), (1, 20)])
@@ -1311,7 +1311,7 @@ class TestHpd:
         # config itself refuses fewer, so neither entry point starts.
         forbid_estimates(monkeypatch)
         spec = EstimatorSpec("lpr", 0)
-        with pytest.raises(InvalidParameterError, match="at least B = 10"):
+        with pytest.raises(InvalidParameterError, match="B must be at least 10"):
             cfg = BootstrapConfig(B=B, rng_stream=4)
             if iterate:
                 iterate_bias_correct(arfima_series, spec, cfg)

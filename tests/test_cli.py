@@ -132,6 +132,17 @@ class TestSimulate:
             assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "bias-correct"])
+def test_negative_seed_exit_2_with_one_line(series_file, tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    args = {"simulate": ["--d", "0.3", "--phi", "0.6", "--T", "50", "--out", str(out)],
+            "bias-correct": ["--in", str(series_file), "--family", "lpr", "--B", "20"]}
+    assert main([command, *args[command], "--seed", "-1"]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == "error: seed must be at least 0, got -1\n"
+    assert not out.exists()
+
+
 class TestEstimate:
     def test_prints_point_estimate(self, series_file):
         proc = run_cli("estimate", "--in", str(series_file),
@@ -235,7 +246,7 @@ class TestBiasCorrect:
             monkeypatch.setattr(module, name, forbidden)
         assert main(["bias-correct", "--in", str(series_file), "--family", "lpr",
                      "--B", B, *form]) == 2
-        assert "at least B = 10" in capsys.readouterr().err
+        assert "B must be at least 10" in capsys.readouterr().err
 
     def test_zero_max_iter_exit_2_before_any_estimate(self, series_file, monkeypatch,
                                                       capsys):
@@ -249,7 +260,7 @@ class TestBiasCorrect:
                      "--B", "20", "--iterate", "--max-iter", "0"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "max_iter must be >= 1" in err
+        assert "max_iter must be at least 1, got 0" in err
 
     def test_deterministic_given_seed(self, series_file):
         args = ("bias-correct", "--in", str(series_file), "--family", "lpr",

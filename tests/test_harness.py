@@ -138,14 +138,15 @@ class TestDesign:
             dict(seed=-1),
             dict(seed=None),
             dict(seed=True),
+            dict(seed=[1, 2]),
             dict(T_values=()),
             dict(d_values=()),
             dict(phi_values=()),
             dict(R=0),
         ],
         ids=["mode", "T", "bandwidth_exp", "hpd_B", "P", "d", "max_iter",
-             "bba_B", "ssr_B", "seed", "seed_none", "seed_bool", "no_T", "no_d",
-             "no_phi", "R"],
+             "bba_B", "ssr_B", "seed", "seed_none", "seed_bool", "seed_list", "no_T",
+             "no_d", "no_phi", "R"],
     )
     def test_infeasible_design_rejected(self, bad):
         with pytest.raises(InvalidDesignError):
@@ -864,6 +865,19 @@ class TestEmission:
                 assert rows[i]["seed"] == r.seed
                 i += 1
         assert i == len(rows)
+
+    def test_numpy_integers_written_as_integers(self, tmp_path):
+        # The count and seed rules take numpy integers; the file holds the
+        # integers, as it does for Python ones, and reads back.
+        def written(name, P, K, seed):
+            tasks = (EstimatorTask("lpr", P), EstimatorTask("splw", P, "bba", K))
+            res = run_design(small_design(estimators=tasks, seed=seed))
+            return emit_tables(res, "csv", str(tmp_path / name))
+
+        numpy_path = written("numpy.csv", np.int64(1), np.int32(1), np.int64(11))
+        python_path = written("python.csv", 1, 1, 11)
+        assert Path(numpy_path).read_bytes() == Path(python_path).read_bytes()
+        assert {row["seed"] for row in read_results_csv(numpy_path)} == {11}
 
     def test_foreign_header_rejected(self, tmp_path):
         path = tmp_path / "foreign.csv"

@@ -108,7 +108,7 @@ class TestPeriodogram:
     def test_non_finite_series_rejected(self, bad):
         y = np.random.default_rng(4).standard_normal(50)
         y[17] = bad
-        with pytest.raises(InvalidParameterError, match="non-finite"):
+        with pytest.raises(InvalidParameterError, match="one-dimensional and finite"):
             periodogram(y, 10)
 
     def test_one_series_in_one_ordinate_per_frequency_out(self):
