@@ -25,6 +25,7 @@ from .exceptions import (
     NumericalDegeneracyError,
     _check_integer,
     _check_real,
+    _check_series,
 )
 
 __all__ = [
@@ -559,21 +560,14 @@ def _refine_one(d0, phi0, ll0):
 def _series_columns(ys):
     """Validate series for the MLE and stack them as the columns of (T, R)."""
     try:
-        ys = [np.asarray(y, dtype=float) for y in ys]
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"series must be numeric: {exc}") from None
+        ys = [_check_series(y, least=20) for y in ys]
+    except TypeError:
+        raise InvalidParameterError(f"ys must be a sequence of series, got {ys!r}") from None
     if not ys:
         raise InvalidParameterError("need at least one series")
-    if any(y.ndim != 1 for y in ys):
-        raise InvalidParameterError("each series must be one-dimensional")
-    T = ys[0].size
-    if any(y.size != T for y in ys):
+    if any(y.size != ys[0].size for y in ys):
         raise InvalidParameterError("series must all have the same length")
-    if T < 20:
-        raise InvalidParameterError("need at least 20 observations")
     Y = np.column_stack(ys)
-    if not np.all(np.isfinite(Y)):
-        raise InvalidParameterError("series must be finite")
     if not np.all(np.vecdot(Y.T, Y.T) > 0.0):
         raise DegenerateInputError("a series is identically zero")
     return Y

@@ -17,6 +17,8 @@ from .exceptions import (
     InvalidParameterError,
     NumericalDegeneracyError,
     _check_integer,
+    _check_real,
+    _check_series,
 )
 
 __all__ = [
@@ -38,9 +40,11 @@ class ArFit:
     reflection: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
+        _check_integer(self.order, "order", least=0)
+        self.phi = _check_series(self.phi, "phi")
         if self.phi.size != self.order + 1 or self.phi[0] != 1.0:
             raise InvalidParameterError("phi must have length order+1 with phi[0]=1")
+        _check_real(self.sigma2, "sigma2")
         if not self.sigma2 > 0:
             raise InvalidParameterError("innovation variance must be positive")
 
@@ -142,11 +146,7 @@ def levinson_durbin(acvf):
         Fits of order 1, 2, ..., h. Prediction-error variances are
         non-increasing and every reflection coefficient lies in (-1, 1).
     """
-    g = np.asarray(acvf, dtype=float)
-    if g.ndim != 1 or g.size < 2:
-        raise InvalidParameterError("need gamma(0..h) with h >= 1")
-    if not np.all(np.isfinite(g)):
-        raise InvalidParameterError("autocovariances must be finite")
+    g = _check_series(acvf, "acvf", least=2)
     if g[0] <= 0:
         raise NumericalDegeneracyError("gamma(0) must be positive")
 
@@ -257,13 +257,9 @@ def ar_residuals(w, fit):
     Standardization removes the residual mean and divides by the
     maximum-likelihood scale, giving mean 0 and variance 1 in-sample.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise InvalidParameterError("series must be one-dimensional")
-    T = w.size
     h = fit.order
-    if h >= T:
-        raise InvalidParameterError("fit order must be below the sample size")
+    w = _check_series(w, least=h + 1)
+    T = w.size
     wext = np.concatenate([w[T - h :], w])
     raw = np.convolve(wext, fit.phi, mode="valid")
     mean = raw.mean()

@@ -42,8 +42,10 @@ from .exceptions import (
     EstimationFailedError,
     InvalidParameterError,
     LongmemError,
+    _check_flag,
     _check_integer,
     _check_real,
+    _check_series,
 )
 from .fracdiff import _causal_filter, _causal_spectrum, _fft_length, _frac_filter_rows
 from .spectral import _ordinates, bandwidth
@@ -180,13 +182,7 @@ def prefilter_sieve(y, d_f):
     that fit one lag, and d_f finite, or InvalidParameterError is raised
     before any filter runs.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or not np.all(np.isfinite(y)):
-        raise InvalidParameterError("series must be one-dimensional and finite")
-    if y.size < 3:
-        raise InvalidParameterError(
-            f"the sieve needs a series of at least 3 observations, got {y.size}"
-        )
+    y = _check_series(y, least=3)
     _check_real(d_f, "d_f")
     [sieve] = _prefilter_rows(y[None], [d_f])
     if isinstance(sieve, LongmemError):
@@ -605,7 +601,7 @@ def bias_correct(y, spec, d_f, config):
     BootstrapOutcome
     """
     _check_real(d_f, "d_f")
-    y = np.asarray(y, dtype=float)
+    y = _check_series(y)
     d_hat = estimate(y, spec).d_hat
     return _outcome(_run_alone(_Unit(y, spec, config, _one_pass(d_f))), d_f, d_hat)
 
@@ -729,9 +725,8 @@ def iterate_bias_correct(y, spec, config, max_iter=10, fixed=False):
     IterationTrace
     """
     _check_integer(max_iter, "max_iter", least=1)
-    if not isinstance(fixed, (bool, np.bool_)):
-        raise InvalidParameterError(f"fixed must be a bool, got {fixed!r}")
-    y = np.asarray(y, dtype=float)
+    _check_flag(fixed, "fixed")
+    y = _check_series(y)
     return _run_alone(_Unit(y, spec, config, _corrections(y, spec, config, max_iter, fixed)))
 
 
@@ -805,12 +800,8 @@ def hpd_interval(draws, d_hat):
     (lo, hi)
     """
     _check_real(d_hat, "d_hat")
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 1 or not np.all(np.isfinite(draws)):
-        raise InvalidParameterError("draws must be one-dimensional and finite")
+    draws = _check_series(draws, "draws", least=_MIN_DRAWS)
     B = draws.size
-    if B < _MIN_DRAWS:
-        raise InvalidParameterError(f"need at least {_MIN_DRAWS} draws")
     m = -(-95 * B // 100)  # ceil(0.95 B) in integers
     centered = np.sort(draws - draws.mean())
     widths = centered[m - 1 :] - centered[: B - m + 1]

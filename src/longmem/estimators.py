@@ -18,6 +18,7 @@ from .exceptions import (
     NumericalDegeneracyError,
     _check_integer,
     _check_real,
+    _check_series,
 )
 from .spectral import _ordinates, bandwidth, fourier_frequencies
 
@@ -292,9 +293,7 @@ def _estimate_one(y, spec, family):
     """The one-series case of :func:`_estimate_rows`, as an EstimateResult."""
     if spec.family != family:
         raise InvalidParameterError(f"spec.family must be '{family}'")
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or not np.all(np.isfinite(y)):
-        raise InvalidParameterError("series must be one-dimensional and finite")
+    y = _check_series(y)
     d_hat, ok, boundary = _estimate_rows(y[None], spec)
     if not ok[0]:
         raise DegenerateInputError(_DEGENERATE)

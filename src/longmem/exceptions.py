@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the checks of counts and reals."""
+"""Exception types shared across the package, and the rules that check input."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class LongmemError(Exception):
@@ -51,3 +53,28 @@ def _check_real(value, name, error=InvalidParameterError):
     string, None, an array of any size, NaN and +-inf; numpy scalars pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise error(f"{name} must be a finite real number, got {value!r}")
+
+
+def _check_flag(value, name):
+    """Refuse anything but a bool or a numpy bool, such as 0, 1.0 or "no"."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidParameterError(f"{name} must be a bool, got {value!r}")
+
+
+def _check_series(y, name="series", least=1, error=InvalidParameterError):
+    """The float64 array of the series `y`, uncopied if it is one, or `error`
+    for values that are not integer or real floating (text, bool, complex,
+    objects), any shape but one dimension, fewer than `least` values, and
+    NaN or +-inf. Other integer and real values convert as ``float(v)``."""
+    try:
+        y = np.asarray(y)
+    except ValueError as exc:  # a ragged nest of sequences
+        raise error(f"{name} must be an array of real numbers: {exc}") from None
+    if y.dtype.kind not in "iuf":
+        raise error(f"{name} must be an array of real numbers, got dtype {y.dtype}")
+    y = y.astype(float, copy=False)
+    if y.ndim != 1 or not np.isfinite(y).all():
+        raise error(f"{name} must be one-dimensional and finite")
+    if y.size < least:
+        raise error(f"{name} must have at least {least} values, got {y.size}")
+    return y

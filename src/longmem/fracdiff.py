@@ -11,7 +11,7 @@ by its own; :func:`apply_frac_filter` is its checked form.
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it here, not inside the first filter call
 
-from .exceptions import InvalidParameterError, _check_integer, _check_real
+from .exceptions import InvalidParameterError, _check_integer, _check_real, _check_series
 
 __all__ = ["frac_diff_coeffs", "apply_frac_filter"]
 
@@ -71,11 +71,10 @@ def apply_frac_filter(y, d):
     -------
     ndarray of the shape of `y`
     """
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y)
     if y.ndim < 1 or y.shape[-1] < 1:
         raise InvalidParameterError("series must be non-empty along the last axis")
-    if not np.all(np.isfinite(y)):
-        raise InvalidParameterError("series contains non-finite values")
+    y = _check_series(y.reshape(-1), least=0).reshape(y.shape)
     _check_real(d, "d")
     return _frac_filter_rows(y, d)
 

@@ -53,7 +53,13 @@ from .bootstrap import (
     _Unit,
 )
 from .estimators import _DEGENERATE, EstimatorSpec, _estimate_rows, asymptotic_sd
-from .exceptions import InvalidDesignError, InvalidParameterError, LongmemError, _check_integer
+from .exceptions import (
+    InvalidDesignError,
+    InvalidParameterError,
+    LongmemError,
+    _check_flag,
+    _check_integer,
+)
 from .spectral import bandwidth
 from .streams import as_seed_sequence, substream
 
@@ -104,7 +110,7 @@ class EstimatorTask:
 
     correction 'none' is the plain estimator, 'bba' applies the bootstrap
     bias adjustment K times, 'ssr' iterates under the stochastic stopping
-    rules. K is 0 unless the correction is 'bba'. ``hpd`` additionally
+    rules. K is 0 unless the correction is 'bba'. ``hpd``, a bool, also
     records the 95% bootstrap HPD interval. family and P are checked as
     :class:`EstimatorSpec` checks them.
     """
@@ -122,6 +128,7 @@ class EstimatorTask:
         _check_integer(self.K, "K", least=1 if self.correction == "bba" else None)
         if self.correction != "bba" and self.K != 0:
             raise InvalidParameterError(f"K must be 0 with correction {self.correction}")
+        _check_flag(self.hpd, "hpd")
 
     @property
     def name(self):
@@ -184,7 +191,8 @@ class McDesign:
     counts (each T, R, B and max_iter) and the seed must be integers:
     64.7 and 2.0 are refused, not truncated. R and max_iter are at least
     1, the seed at least 0, and every (d, phi) cell is checked as
-    :class:`ArfimaParams` checks it, before d and phi become floats.
+    :class:`ArfimaParams` checks it, before d and phi become floats. The
+    estimators are EstimatorTasks (:func:`parse_estimator_token`).
     """
 
     T_values: tuple
@@ -215,6 +223,11 @@ class McDesign:
             self, "phi_values", tuple(float(p) for p in self.phi_values)
         )
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        for task in self.estimators:
+            if not isinstance(task, EstimatorTask):
+                raise InvalidDesignError(
+                    f"estimator {task!r} is not an EstimatorTask; see parse_estimator_token"
+                )
         # A design without cells or tasks would run nothing; a repeated value
         # would run as a second cell or task whose rows no reader of the
         # results could tell from the first.

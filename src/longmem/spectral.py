@@ -3,7 +3,13 @@
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it here, not inside the first periodogram
 
-from .exceptions import InvalidDesignError, InvalidParameterError, _check_integer, _check_real
+from .exceptions import (
+    InvalidDesignError,
+    InvalidParameterError,
+    _check_integer,
+    _check_real,
+    _check_series,
+)
 
 __all__ = ["bandwidth", "periodogram", "fourier_frequencies"]
 
@@ -74,9 +80,7 @@ def periodogram(y, N):
     ndarray of length N
         I(l_1), ..., I(l_N) at l_j = ``fourier_frequencies(T, N)[j-1]``.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or not np.all(np.isfinite(y)):
-        raise InvalidParameterError("series must be one-dimensional and finite")
+    y = _check_series(y)
     fourier_frequencies(y.size, N)  # the one check of the band N
     return _ordinates(y, N)
 

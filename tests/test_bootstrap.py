@@ -113,9 +113,9 @@ class TestSieve:
 
     @pytest.mark.parametrize("series, d_f, match", [
         (lambda y: np.stack([y, y]), 0.2, None),
-        (lambda y: y[:0], 0.2, "at least 3 observations, got 0$"),
-        (lambda y: y[:1], 0.2, "at least 3 observations, got 1$"),
-        (lambda y: y[:2], 0.2, "at least 3 observations, got 2$"),
+        (lambda y: y[:0], 0.2, "at least 3 values, got 0$"),
+        (lambda y: y[:1], 0.2, "at least 3 values, got 1$"),
+        (lambda y: y[:2], 0.2, "at least 3 values, got 2$"),
         (lambda y: np.where(np.arange(y.size) == 7, np.nan, y), 0.2, None),
         (lambda y: np.where(np.arange(y.size) == 7, np.inf, y), 0.2, None),
         (lambda y: y, np.nan, None),

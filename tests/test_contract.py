@@ -3,9 +3,11 @@
 Every row of the table is (public name, argument, call, bad values): each
 bad value, passed alone for that argument with every other argument
 valid, raises InvalidParameterError (InvalidDesignError for McDesign)
-before any work starts. Three rules own the checks: counts go through
+before any work starts. Five rules own the checks: counts go through
 ``exceptions._check_integer``, finite reals through
-``exceptions._check_real`` and seeds through ``streams.as_seed_sequence``.
+``exceptions._check_real``, seeds through ``streams.as_seed_sequence``,
+flags through ``exceptions._check_flag`` and series through
+``exceptions._check_series``.
 The result records (RECORDS) are built by the package and check nothing,
 and the documented acceptances are tested at the end.
 """
@@ -29,9 +31,12 @@ import longmem.spectral as pmod
 NOT_INTEGER = [True, 2.0, 2.5, math.nan, math.inf, "3", None, np.array([3])]
 NOT_REAL = [True, "0.1", None, math.nan, math.inf, -math.inf, np.array([0.1])]
 NOT_SEED = [-1, 2.5, True, None, "7", [1, 2]]
-NOT_SERIES = [np.ones((2, 64)), np.r_[np.nan, np.ones(63)], np.r_[np.inf, np.ones(63)]]
+NOT_FLAG = ["no", 0, 1, 0.0, None]
 
 Y = np.random.default_rng(0).standard_normal(64)
+TEXT = np.array(["a"] * 64)
+NOT_SERIES = [np.ones((2, 64)), np.r_[np.nan, np.ones(63)], np.r_[np.inf, np.ones(63)],
+              TEXT, Y + 0j, Y > 0]
 SPEC = lm.EstimatorSpec("lpr", 0)
 CONFIG = lm.BootstrapConfig(B=20, rng_stream=1)
 PARAMS = lm.ArfimaParams(0.2, 0.3)
@@ -60,16 +65,20 @@ TABLE = [
     ("simulate_gaussian", "T", lambda v: lm.simulate_gaussian(
         PARAMS, v, np.random.default_rng(0)), NOT_INTEGER + [0, -1]),
     ("mle_fit", "y", lm.mle_fit, NOT_SERIES + [np.ones(19), np.zeros((0,))]),
-    ("mle_fit_many", "ys", lm.mle_fit_many, [[], [Y, Y[:40]], [np.ones((2, 30))]]),
+    ("mle_fit_many", "ys", lm.mle_fit_many, [[], [Y, Y[:40]], [np.ones((2, 30))], 5]),
     # arsieve
+    ("ArFit", "order", lambda v: lm.ArFit(order=v, phi=[1.0, 0.5], sigma2=1.0),
+     [True, 1.0, "1", None, -1]),
     ("ArFit", "phi", lambda v: lm.ArFit(order=1, phi=v, sigma2=1.0),
-     [[1.0], [0.5, 0.5], [1.0, 0.5, 0.2]]),
+     [[1.0], [0.5, 0.5], [1.0, 0.5, 0.2], [1.0, math.nan], [1.0, math.inf], ["1", "0.5"],
+      [1.0 + 0j, 0.5], [True, False]]),
     ("ArFit", "sigma2", lambda v: lm.ArFit(order=1, phi=[1.0, 0.5], sigma2=v),
-     [0.0, -1.0, math.nan]),
-    ("ar_residuals", "w", lambda v: lm.ar_residuals(v, FIT), [np.ones((2, 64)), Y[:1]]),
+     NOT_REAL + [0.0, -1.0]),
+    ("ar_residuals", "w", lambda v: lm.ar_residuals(v, FIT),
+     [np.ones((2, 64)), Y[:1], np.r_[np.nan, Y], np.r_[Y, np.inf], TEXT]),
     ("default_max_order", "T", lm.default_max_order, NOT_INTEGER + [0, -3]),
     ("levinson_durbin", "acvf", lm.levinson_durbin,
-     [[1.0], np.ones((2, 3)), [1.0, math.nan], [1.0, math.inf]]),
+     [[1.0], np.ones((2, 3)), [1.0, math.nan], [1.0, math.inf], ["1", "0.5"]]),
     # bootstrap
     ("BootstrapConfig", "B", lambda v: lm.BootstrapConfig(B=v), NOT_INTEGER + [0, 9, -1]),
     ("BootstrapConfig", "innovation_mode",
@@ -85,9 +94,10 @@ TABLE = [
     ("iterate_bias_correct", "max_iter",
      lambda v: lm.iterate_bias_correct(Y, SPEC, CONFIG, max_iter=v), NOT_INTEGER + [0, -1]),
     ("iterate_bias_correct", "fixed",
-     lambda v: lm.iterate_bias_correct(Y, SPEC, CONFIG, fixed=v), ["no", 0, 1, None]),
+     lambda v: lm.iterate_bias_correct(Y, SPEC, CONFIG, fixed=v), NOT_FLAG),
     ("hpd_interval", "draws", lambda v: lm.hpd_interval(v, 0.1),
-     [np.ones((20, 2)), np.arange(9.0), np.r_[np.nan, np.arange(19.0)]]),
+     [np.ones((20, 2)), np.arange(9.0), np.r_[np.nan, np.arange(19.0)], TEXT[:20],
+      np.arange(20.0) + 1j]),
     ("hpd_interval", "d_hat", lambda v: lm.hpd_interval(np.arange(20.0), v), NOT_REAL),
     ("stopping_thresholds", "k", lambda v: lm.stopping_thresholds(v, 77, 200, 0.6, 0),
      NOT_INTEGER + [-1]),
@@ -120,6 +130,7 @@ TABLE = [
     ("EstimatorTask", "correction", lambda v: lm.EstimatorTask("lpr", 0, v),
      ["bogus", None]),
     ("EstimatorTask", "K with no BBA", lambda v: lm.EstimatorTask("lpr", 0, "ssr", v), [1, 4]),
+    ("EstimatorTask", "hpd", lambda v: lm.EstimatorTask("lpr", 0, hpd=v), NOT_FLAG),
     ("parse_estimator_token", "token", lm.parse_estimator_token,
      ["lpr99", "lpr4", "arma0", "lpr", "lpr0-bba", "lpr0-bbax", "lpr0-ssr-ssr",
       "lpr0-ssr-bba2", "lpr0-hpd-hpd", "lpr0-bba0"]),
@@ -134,6 +145,7 @@ TABLE = [
      NOT_REAL + [1.5]),
     ("McDesign", "mode", lambda v: design(mode=v), ["bogus", None]),
     ("McDesign", "law", lambda v: design(law=v), ["cauchy", "student-t:2"]),
+    ("McDesign", "estimators", cell("estimators"), ["lpr0", None, 5]),
     ("McDesign", "axis", lambda v: design(**{v: ()}),
      ["T_values", "d_values", "phi_values", "estimators"]),
     ("run_design", "threads", lambda v: lm.run_design(design(), v), NOT_INTEGER + [0, -1]),
@@ -225,3 +237,12 @@ def test_numpy_scalars_pass_every_rule():
     assert stream.entropy == CONFIG.rng_stream.entropy
     assert lm.hpd_interval(np.arange(20.0), np.float64(0.1)) == lm.hpd_interval(
         np.arange(20.0), 0.1)
+
+
+def test_integer_and_single_precision_series_read_as_their_float64_copy():
+    # Integer and float32 values convert as np.asarray(y, dtype=float) does.
+    for y in ((1000 * Y).astype(np.int64), Y.astype(np.float32)):
+        copy = y.astype(float)
+        assert lm.estimate(y, SPEC) == lm.estimate(copy, SPEC)
+        assert lm.periodogram(y, 5).tobytes() == lm.periodogram(copy, 5).tobytes()
+        assert lm.hpd_interval(y[:20], 0.1) == lm.hpd_interval(copy[:20], 0.1)
