@@ -257,8 +257,13 @@ def ar_residuals(w, fit):
     Standardization removes the residual mean and divides by the
     maximum-likelihood scale, giving mean 0 and variance 1 in-sample.
     """
+    return _residuals(_check_series(w, least=fit.order + 1), fit)
+
+
+def _residuals(w, fit):
+    """:func:`ar_residuals` of a finite float64 series longer than the fit
+    order, unchecked: the form that a round's sieve fits use."""
     h = fit.order
-    w = _check_series(w, least=h + 1)
     T = w.size
     wext = np.concatenate([w[T - h :], w])
     raw = np.convolve(wext, fit.phi, mode="valid")

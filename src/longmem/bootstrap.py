@@ -25,7 +25,7 @@ from .arsieve import (
     _impulse_response,
     _offset_weights,
     _presample_offsets,
-    ar_residuals,
+    _residuals,
     default_max_order,
 )
 from .estimators import (
@@ -207,7 +207,7 @@ def _prefilter_rows(Y, d_fs):
     for d_f, w_f, fit in zip(d_fs, W, _aic_burg_fit(W, default_max_order(W.shape[-1]))):
         if not isinstance(fit, LongmemError):
             try:
-                fit = SieveFit(float(d_f), w_f, fit, ar_residuals(w_f, fit))
+                fit = SieveFit(float(d_f), w_f, fit, _residuals(w_f, fit))
             except LongmemError as exc:
                 fit = exc
         sieves.append(fit)

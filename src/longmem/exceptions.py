@@ -61,20 +61,26 @@ def _check_flag(value, name):
         raise InvalidParameterError(f"{name} must be a bool, got {value!r}")
 
 
-def _check_series(y, name="series", least=1, error=InvalidParameterError):
-    """The float64 array of the series `y`, uncopied if it is one, or `error`
-    for values that are not integer or real floating (text, bool, complex,
-    objects), any shape but one dimension, fewer than `least` values, and
-    NaN or +-inf. Other integer and real values convert as ``float(v)``."""
+def _real_values(y, name):
+    """The float64 array of `y`, uncopied if it is one, or InvalidParameterError
+    for a ragged nest or values that are not integer or real floating (text,
+    bool, complex, objects). Integer and real values convert as ``float(v)``."""
     try:
         y = np.asarray(y)
     except ValueError as exc:  # a ragged nest of sequences
-        raise error(f"{name} must be an array of real numbers: {exc}") from None
+        raise InvalidParameterError(f"{name} must hold real numbers: {exc}") from None
     if y.dtype.kind not in "iuf":
-        raise error(f"{name} must be an array of real numbers, got dtype {y.dtype}")
-    y = y.astype(float, copy=False)
+        raise InvalidParameterError(f"{name} must hold real numbers, got dtype {y.dtype}")
+    return y.astype(float, copy=False)
+
+
+def _check_series(y, name="series", least=1):
+    """The float64 array of the series `y` (:func:`_real_values`), or
+    InvalidParameterError for any shape but one dimension, fewer than
+    `least` values, and NaN or +-inf."""
+    y = _real_values(y, name)
     if y.ndim != 1 or not np.isfinite(y).all():
-        raise error(f"{name} must be one-dimensional and finite")
+        raise InvalidParameterError(f"{name} must be one-dimensional and finite")
     if y.size < least:
-        raise error(f"{name} must have at least {least} values, got {y.size}")
+        raise InvalidParameterError(f"{name} must have at least {least} values, got {y.size}")
     return y

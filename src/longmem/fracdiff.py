@@ -11,7 +11,13 @@ by its own; :func:`apply_frac_filter` is its checked form.
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it here, not inside the first filter call
 
-from .exceptions import InvalidParameterError, _check_integer, _check_real, _check_series
+from .exceptions import (
+    InvalidParameterError,
+    _check_integer,
+    _check_real,
+    _check_series,
+    _real_values,
+)
 
 __all__ = ["frac_diff_coeffs", "apply_frac_filter"]
 
@@ -71,7 +77,7 @@ def apply_frac_filter(y, d):
     -------
     ndarray of the shape of `y`
     """
-    y = np.asarray(y)
+    y = _real_values(y, "series")
     if y.ndim < 1 or y.shape[-1] < 1:
         raise InvalidParameterError("series must be non-empty along the last axis")
     y = _check_series(y.reshape(-1), least=0).reshape(y.shape)

@@ -35,8 +35,9 @@ NOT_FLAG = ["no", 0, 1, 0.0, None]
 
 Y = np.random.default_rng(0).standard_normal(64)
 TEXT = np.array(["a"] * 64)
+RAGGED = [[1.0, 2.0], [3.0]]
 NOT_SERIES = [np.ones((2, 64)), np.r_[np.nan, np.ones(63)], np.r_[np.inf, np.ones(63)],
-              TEXT, Y + 0j, Y > 0]
+              TEXT, Y + 0j, Y > 0, RAGGED]
 SPEC = lm.EstimatorSpec("lpr", 0)
 CONFIG = lm.BootstrapConfig(B=20, rng_stream=1)
 PARAMS = lm.ArfimaParams(0.2, 0.3)
@@ -122,7 +123,7 @@ TABLE = [
     ("frac_diff_coeffs", "d", lambda v: lm.frac_diff_coeffs(v, 5), NOT_REAL),
     ("frac_diff_coeffs", "n", lambda v: lm.frac_diff_coeffs(0.3, v), NOT_INTEGER + [0, -1]),
     ("apply_frac_filter", "y", lambda v: lm.apply_frac_filter(v, 0.3),
-     [np.float64(1.0), np.ones((2, 0)), np.r_[np.nan, Y]]),
+     [np.float64(1.0), np.ones((2, 0)), np.r_[np.nan, Y], TEXT, Y + 0j, Y > 0, RAGGED]),
     ("apply_frac_filter", "d", lambda v: lm.apply_frac_filter(Y, v), NOT_REAL),
     # harness
     ("EstimatorTask", "K", lambda v: lm.EstimatorTask("lpr", 0, "bba", v),
