@@ -29,7 +29,6 @@ from .arfima import (
     ArfimaParams,
     MleResult,
     arfima_acvf,
-    mle_fit,
     mle_fit_many,
     simulate_gaussian,
 )
@@ -56,8 +55,6 @@ from .estimators import (
     EstimatorSpec,
     asymptotic_sd,
     estimate,
-    lpr_estimate,
-    splw_estimate,
 )
 from .exceptions import (
     DegenerateInputError,

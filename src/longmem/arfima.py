@@ -33,7 +33,6 @@ __all__ = [
     "MleResult",
     "arfima_acvf",
     "simulate_gaussian",
-    "mle_fit",
     "mle_fit_many",
 ]
 
@@ -573,67 +572,56 @@ def _series_columns(ys):
     return Y
 
 
-def mle_fit(y):
-    """Exact Gaussian MLE of (d, phi, sigma2) for an ARFIMA(1,d,0) model.
+def mle_fit_many(ys):
+    """Exact Gaussian MLE of (d, phi, sigma2) for an ARFIMA(1,d,0) model,
+    fitted to many same-length series; each likelihood sweep serves them all.
 
     The likelihood is evaluated through the Durbin-Levinson
     prediction-error decomposition with sigma2 profiled out analytically,
     the AR(1) factored out so that one sweep of the fractional-noise ACVF
-    per d serves every phi. The search is a 0.02-step grid over
-    (-0.49, 0.49) x (-0.99, 0.99), one call of the batched kernel swept in
-    blocks of about 2**17 (d, phi, lag) values (one d with all 99 phi at
-    least), followed by a projected Newton
-    ascent on the same kernel: every point is a 3 x 3 central-difference
-    stencil (step 1e-4) whose centre gives the log-likelihood and whose
+    per d serves every phi and every series. Every cross-covariance of
+    y(0) with the noise carries an AR(1) tail sized to its own phi.
+
+    The search starts on a 0.02-step grid over (-0.49, 0.49) x
+    (-0.99, 0.99), one call of the batched kernel on all the series swept
+    in blocks of about 2**17 (d, phi, lag) values (one d with all 99 phi
+    at least). A projected Newton ascent on the same kernel refines each
+    grid point: every point is a 3 x 3 central-difference stencil
+    (step 1e-4) whose centre gives the log-likelihood and whose
     differences give the gradient and Hessian, a step-halving line search
     never accepts a lower log-likelihood, bounds that the gradient pushes
-    against held fixed, and the search stops once the step is below 1e-6
-    in every coordinate. Every cross-covariance of y(0) with the noise
-    carries an AR(1) tail sized to its own phi. This is the one-series
-    case of :func:`mle_fit_many`.
+    against are held fixed, and the search stops once the step is below
+    1e-6 in every coordinate. The refinement runs in lockstep rounds:
+    each round evaluates the pending stencil of every live series in one
+    stacked kernel call, and a series leaves once its search stops. A fit
+    does not depend on the series fitted with it, except for
+    ``grid_loglik``, whose rounding follows how many series share the
+    grid's matmuls; ``mle_fit_many([y])[0]`` fits one series.
 
     Parameters
     ----------
-    y : array_like
-        Zero-mean, finite, one-dimensional series, length >= 20.
+    ys : sequence of array_like
+        Zero-mean, finite, one-dimensional series of one length, >= 20.
 
     Returns
     -------
-    MleResult
-        ``diagnostics`` holds the grid point (``grid_d``, ``grid_phi``,
-        ``grid_loglik``), the refinement's likelihood evaluations
-        (``evals``, nine per stencil) and convergence flag (``converged``:
-        the step fell below 1e-6), and whether the
+    list of MleResult
+        One per series. ``diagnostics`` holds the grid point (``grid_d``,
+        ``grid_phi``, ``grid_loglik``), the refinement's likelihood
+        evaluations (``evals``, nine per stencil) and convergence flag
+        (``converged``: the step fell below 1e-6), and whether the
         estimate lies on an edge of the search box (``boundary``).
 
     Raises
     ------
     InvalidParameterError
-        Input that is not a finite 1-D series of length >= 20.
+        An empty sequence, series of unequal lengths, or a series that is
+        not a finite 1-D series of length >= 20.
     DegenerateInputError
         A series that is identically zero.
     EstimationFailedError
         A refinement that neither converges nor reaches the grid's
         log-likelihood.
-    """
-    return mle_fit_many([y])[0]
-
-
-def mle_fit_many(ys):
-    """Fit many same-length series; each likelihood sweep serves them all.
-
-    The grid stage is one call of the batched kernel on all the series:
-    one fractional-noise sweep per d of the grid serves every phi and
-    every series. The refinement then runs in lockstep rounds: each round
-    takes the pending stencil point of every live series and evaluates
-    all of them in one stacked kernel call (3 d x 3 phi per series, swept
-    in blocks of about 2**17 (d, phi, lag) values), and a series leaves
-    once its search stops. A fit does not depend on the series fitted
-    with it, except for ``grid_loglik``, whose rounding follows how many
-    series share the grid's matmuls. The refinement stops as in
-    :func:`mle_fit`, once the step is below 1e-6. Validates like :func:`mle_fit`; an
-    empty sequence or series of unequal lengths also raise
-    :class:`InvalidParameterError`.
     """
     Y = _series_columns(ys)
     R = Y.shape[1]

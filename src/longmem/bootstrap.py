@@ -258,7 +258,7 @@ def _starts(sieve, rng, n):
     return rng.integers(h, sieve.filtered.size + 1, size=n)
 
 
-def _draw_rows(sieve, eps, tau, spectrum, freq=None, path=None):
+def _draw_rows(sieve, eps, tau, spectrum, freq, path):
     """Bootstrap replicas, one row per row of standardized innovations.
 
     Row i scales ``eps[i]`` in place by the residual standard deviation

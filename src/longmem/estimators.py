@@ -25,8 +25,6 @@ from .spectral import _ordinates, bandwidth, fourier_frequencies
 __all__ = [
     "EstimatorSpec",
     "EstimateResult",
-    "lpr_estimate",
-    "splw_estimate",
     "estimate",
     "asymptotic_sd",
     "SEARCH_LO",
@@ -124,28 +122,6 @@ def _lpr_weights(T, N, P):
     )
     _full_rank(X, "regression")
     return _frozen(np.linalg.pinv(X)[1])
-
-
-def lpr_estimate(y, spec):
-    """Log-periodogram regression estimate of the memory parameter.
-
-    Regresses log I(l_j) on {1, -2 log l_j, l_j^2, ..., l_j^(2P)} over
-    j = 1..N and reports the coefficient of -2 log l_j.
-
-    Parameters
-    ----------
-    y : array_like
-        Observed series.
-    spec : EstimatorSpec
-        Must have family 'lpr'.
-
-    Returns
-    -------
-    EstimateResult
-        ``diagnostics['boundary']`` is always False (LPR has no search
-        interval).
-    """
-    return _estimate_one(y, spec, "lpr")
 
 
 @lru_cache(maxsize=64)
@@ -259,10 +235,13 @@ def _newton_solve(base, g, lo, hi):
     return d, edge
 
 
-def splw_estimate(y, spec):
-    """Local Whittle estimate of the memory parameter.
+def estimate(y, spec):
+    """Estimate of the memory parameter by the family of ``spec``.
 
-    For P = 0 this minimizes the Robinson profile objective
+    LPR regresses log I(l_j) on {1, -2 log l_j, l_j^2, ..., l_j^(2P)}
+    over j = 1..N and reports the coefficient of -2 log l_j.
+
+    SPLW with P = 0 minimizes the Robinson profile objective
     R(d) = log(mean_j l_j^{2d} I_j) - 2d mean_j log l_j over
     d in [SEARCH_LO, SEARCH_HI]. For P >= 1 the objective carries P even
     powers of frequency whose coefficients are profiled out by least
@@ -270,29 +249,23 @@ def splw_estimate(y, spec):
     in d, so the minimizer is the root of R'(d) = 0, found by a Newton
     iteration safeguarded by bisection and stopped once a step falls
     below 1e-13; when R' keeps one sign over the interval the minimizer
-    is the edge itself.
+    is the edge itself. The one-row case of :func:`_estimate_rows`.
+
+    Parameters
+    ----------
+    y : array_like
+        Observed series.
+    spec : EstimatorSpec
+        Family, correction order P and bandwidth rule.
 
     Returns
     -------
     EstimateResult
-        ``diagnostics['boundary']`` is set when the minimizer sits on an
-        edge of the search interval (``d_hat`` then equals SEARCH_LO or
-        SEARCH_HI exactly).
+        ``diagnostics['boundary']`` is set when the SPLW minimizer sits on
+        an edge of the search interval (``d_hat`` then equals SEARCH_LO or
+        SEARCH_HI exactly); it is always False for LPR, which has no
+        search interval.
     """
-    return _estimate_one(y, spec, "splw")
-
-
-def estimate(y, spec):
-    """Dispatch to the estimator named by ``spec.family``."""
-    if spec.family == "lpr":
-        return lpr_estimate(y, spec)
-    return splw_estimate(y, spec)
-
-
-def _estimate_one(y, spec, family):
-    """The one-series case of :func:`_estimate_rows`, as an EstimateResult."""
-    if spec.family != family:
-        raise InvalidParameterError(f"spec.family must be '{family}'")
     y = _check_series(y)
     d_hat, ok, boundary = _estimate_rows(y[None], spec)
     if not ok[0]:

@@ -15,7 +15,6 @@ from longmem import (
     InvalidParameterError,
     LongmemError,
     arfima_acvf,
-    mle_fit,
     mle_fit_many,
     simulate_gaussian,
 )
@@ -299,12 +298,12 @@ class TestMle:
         y = simulate_gaussian(
             ArfimaParams(d=0.2, phi=0.3), 120, np.random.default_rng(3)
         )
-        res = mle_fit(y)
+        res = mle_fit_many([y])[0]
         assert res.loglik >= res.diagnostics["grid_loglik"] - 1e-9
 
     def test_minimum_sample_size(self):
         with pytest.raises(InvalidParameterError):
-            mle_fit(np.zeros(10))
+            mle_fit_many([np.zeros(10)])
 
     def test_batch_matches_single(self):
         params = ArfimaParams(d=0.2, phi=0.3)
@@ -312,7 +311,7 @@ class TestMle:
             simulate_gaussian(params, 80, np.random.default_rng(50 + i))
             for i in range(3)
         ]
-        singles = [mle_fit(y) for y in ys]
+        singles = [mle_fit_many([y])[0] for y in ys]
         batch = mle_fit_many(ys)
         assert [_fit_fields(fit) for fit in batch] == [_fit_fields(fit) for fit in singles]
 
@@ -338,7 +337,7 @@ class TestMle:
         assert rounds == [2, 2, 2, 1, 1]
         assert calls == [(1, 49, 99)] + [(k, 3, 3) for k in rounds]  # the grid first
         for fit, y in zip(fits, ys):
-            assert _fit_fields(fit) == _fit_fields(mle_fit(y))
+            assert _fit_fields(fit) == _fit_fields(mle_fit_many([y])[0])
         # A block holds whole rows of (problem, d) with all their phi, up to
         # the block size: at 9 T values, one stencil per refinement block.
         real_block = arfima._factored_loglik
@@ -597,7 +596,7 @@ class TestMleValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error) as single:
-                mle_fit(y)
+                mle_fit_many([y])
             with pytest.raises(error) as many:
                 mle_fit_many([np.ones(50) + np.arange(50), y])
         assert type(single.value) is type(many.value)
@@ -618,7 +617,7 @@ class TestMleDiagnostics:
         y = simulate_gaussian(
             ArfimaParams(d=0.2, phi=0.3), 120, np.random.default_rng(3)
         )
-        diag = mle_fit(y).diagnostics
+        diag = mle_fit_many([y])[0].diagnostics
         assert diag["converged"] is True and diag["boundary"] is False
         assert isinstance(diag["evals"], int) and diag["evals"] > 0
         assert {"grid_d", "grid_phi", "grid_loglik"} <= set(diag)
@@ -626,7 +625,7 @@ class TestMleDiagnostics:
     def test_over_differenced_noise_hits_d_bound(self):
         # Differenced white noise has d = -1, below the search box.
         y = np.diff(np.random.default_rng(6).standard_normal(201))
-        res = mle_fit(y)
+        res = mle_fit_many([y])[0]
         assert res.d_hat == pytest.approx(arfima._D_BOUNDS[0], abs=1e-9)
         assert res.diagnostics["boundary"] is True
 
@@ -659,7 +658,7 @@ class TestNewtonRefinement:
     )
     def test_edge_fits_report_boundary(self, make):
         y = make()
-        fit = mle_fit(y)
+        fit = mle_fit_many([y])[0]
         diag = fit.diagnostics
         assert diag["boundary"] is True and diag["converged"] is True
         assert fit.loglik >= nelder_mead_loglik(y, diag["grid_d"], diag["grid_phi"]) - 1e-9
@@ -680,7 +679,7 @@ class TestNewtonRefinement:
     def test_reported_fit_is_the_kernel_value_at_the_estimate(self, make):
         # The refinement's points are stencil centres of the batched kernel.
         y = make()
-        fit = mle_fit(y)
+        fit = mle_fit_many([y])[0]
         ll, s2 = _profile_loglik_batch(
             y[None, :, None], np.array([[fit.d_hat]]), np.array([[fit.phi_hat]])
         )

@@ -48,7 +48,8 @@ def sieve_path(phi, eps, filtered, tau):
     sieve = SieveFit(0.0, np.asarray(filtered, dtype=float), fit,
                      ResidualSet(raw=None, standardized=None, scale=1.0))
     eps = np.array(eps, dtype=float, ndmin=2)
-    return bmod._draw_rows(sieve, eps, np.array([tau]), bmod._draw_spectra([sieve])[0])[0]
+    spectrum = bmod._draw_spectra([sieve])[0]
+    return bmod._draw_rows(sieve, eps, np.array([tau]), spectrum, None, None)[0]
 
 
 class TestLevinson:

@@ -203,7 +203,8 @@ class TestDraws:
                 eps = sieve.residuals.standardized[rng.integers(0, T, size=(cfg.B, T))]
             tau = rng.integers(h, T + 1, size=cfg.B) if h else np.zeros(cfg.B, int)
             # _draw_rows consumes its innovations: hand it a copy.
-            got = bmod._draw_rows(sieve, eps.copy(), tau, bmod._draw_spectra([sieve])[0])
+            spectrum = bmod._draw_spectra([sieve])[0]
+            got = bmod._draw_rows(sieve, eps.copy(), tau, spectrum, None, None)
             for row, e, t in zip(got, eps, tau):
                 e = e * sieve.residuals.scale
                 init = sieve.filtered[t - h : t]
@@ -363,7 +364,7 @@ def pass_rows(y, d_f, cfg, k, sieve=None):
     tau = np.zeros(cfg.B, dtype=int)
     if h:
         tau = generator_at(cfg.rng_stream, k, 1).integers(h, T + 1, size=cfg.B)
-    return bmod._draw_rows(sieve, eps, tau, bmod._draw_spectra([sieve])[0])
+    return bmod._draw_rows(sieve, eps, tau, bmod._draw_spectra([sieve])[0], None, None)
 
 
 def order_zero_sieve(y, d_f):

@@ -417,7 +417,7 @@ with open(d + "/cfg.txt", "w") as fh:
              "estimators = lpr1-bba1\\nseed = 5\\n")
 assert main(["mc-run", "--config", d + "/cfg.txt", "--out-dir", d + "/out",
              "--threads", "1"]) == 0
-fit = lm.mle_fit(np.loadtxt(d + "/y.csv")[:60])
+[fit] = lm.mle_fit_many([np.loadtxt(d + "/y.csv")[:60]])
 assert np.isfinite(fit.loglik) and fit.diagnostics["converged"]
 print("numpy-only ok")
 """

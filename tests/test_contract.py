@@ -65,7 +65,8 @@ TABLE = [
     ("arfima_acvf", "max_lag", lambda v: lm.arfima_acvf(PARAMS, v), NOT_INTEGER + [-1]),
     ("simulate_gaussian", "T", lambda v: lm.simulate_gaussian(
         PARAMS, v, np.random.default_rng(0)), NOT_INTEGER + [0, -1]),
-    ("mle_fit", "y", lm.mle_fit, NOT_SERIES + [np.ones(19), np.zeros((0,))]),
+    ("mle_fit_many", "y in ys", lambda v: lm.mle_fit_many([v]),
+     NOT_SERIES + [np.ones(19), np.zeros((0,))]),
     ("mle_fit_many", "ys", lm.mle_fit_many, [[], [Y, Y[:40]], [np.ones((2, 30))], 5]),
     # arsieve
     ("ArFit", "order", lambda v: lm.ArFit(order=v, phi=[1.0, 0.5], sigma2=1.0),
@@ -117,8 +118,6 @@ TABLE = [
      NOT_REAL + [0.0, 1.0, 1.5]),
     ("asymptotic_sd", "N", lambda v: lm.asymptotic_sd(SPEC, v), NOT_INTEGER + [0, -1]),
     ("estimate", "y", lambda v: lm.estimate(v, SPEC), NOT_SERIES),
-    ("lpr_estimate", "spec", lambda v: lm.lpr_estimate(Y, v), [lm.EstimatorSpec("splw")]),
-    ("splw_estimate", "spec", lambda v: lm.splw_estimate(Y, v), [SPEC]),
     # fracdiff
     ("frac_diff_coeffs", "d", lambda v: lm.frac_diff_coeffs(v, 5), NOT_REAL),
     ("frac_diff_coeffs", "n", lambda v: lm.frac_diff_coeffs(0.3, v), NOT_INTEGER + [0, -1]),

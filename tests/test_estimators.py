@@ -12,9 +12,7 @@ from longmem import (
     InvalidParameterError,
     asymptotic_sd,
     estimate,
-    lpr_estimate,
     simulate_gaussian,
-    splw_estimate,
 )
 from longmem.estimators import _estimate_rows
 from longmem.fracdiff import apply_frac_filter
@@ -84,15 +82,15 @@ class TestLprRegression:
     @pytest.mark.parametrize("P", [0, 1, 2, 3])
     def test_exact_log_linear_signal(self, P, monkeypatch):
         use_synthetic_ordinates(monkeypatch, 500, 77, (1.3, 0.35, 0.0, 0.0))
-        res = lpr_estimate(np.zeros(500), EstimatorSpec("lpr", P))
+        res = estimate(np.zeros(500), EstimatorSpec("lpr", P))
         assert abs(res.d_hat - 0.35) <= 1e-10
 
     def test_extra_regressor_gets_zero_weight(self, monkeypatch):
         # log-periodogram an exact degree-1 even polynomial plus log term:
         # P=1 and P=2 must agree
         use_synthetic_ordinates(monkeypatch, 500, 77, (0.4, 0.22, -0.8, 0.0))
-        d1 = lpr_estimate(np.zeros(500), EstimatorSpec("lpr", 1)).d_hat
-        d2 = lpr_estimate(np.zeros(500), EstimatorSpec("lpr", 2)).d_hat
+        d1 = estimate(np.zeros(500), EstimatorSpec("lpr", 1)).d_hat
+        d2 = estimate(np.zeros(500), EstimatorSpec("lpr", 2)).d_hat
         assert abs(d1 - 0.22) <= 1e-9
         assert abs(d2 - d1) <= 1e-9
 
@@ -101,20 +99,20 @@ class TestLprRegression:
         hits = 0
         for r in range(300):
             y = np.random.default_rng(300 + r).standard_normal(100)
-            res = lpr_estimate(y, spec)
+            res = estimate(y, spec)
             hits += abs(res.d_hat) < 4 * res.asymptotic_sd
         assert hits >= 297  # >= 99% of seeds
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            lpr_estimate(np.full(100, 2.0), EstimatorSpec("lpr", 0))
+            estimate(np.full(100, 2.0), EstimatorSpec("lpr", 0))
 
     def test_arfima_bias_T100(self):
         # mean LPR(0) bias near 0.1391 for d=0, phi=0.3, T=100
         spec = EstimatorSpec("lpr", 0)
         params = ArfimaParams(d=0.0, phi=0.3)
         vals = [
-            lpr_estimate(
+            estimate(
                 simulate_gaussian(params, 100, np.random.default_rng(2000 + r)), spec
             ).d_hat
             for r in range(400)
@@ -126,7 +124,7 @@ class TestSplwSolver:
     @pytest.mark.parametrize("P", [0, 1, 2, 3])
     def test_exact_power_law_interior(self, P, monkeypatch):
         use_synthetic_ordinates(monkeypatch, 500, 77, (1.3, 0.35, 0.0, 0.0))
-        res = splw_estimate(np.zeros(500), EstimatorSpec("splw", P))
+        res = estimate(np.zeros(500), EstimatorSpec("splw", P))
         assert abs(res.d_hat - 0.35) <= 1e-10
         assert not res.diagnostics["boundary"]
 
@@ -136,7 +134,7 @@ class TestSplwSolver:
     )
     def test_power_law_beyond_search_region_hits_edge(self, P, d, edge, monkeypatch):
         use_synthetic_ordinates(monkeypatch, 500, 77, (0.2, d, 0.0, 0.0))
-        res = splw_estimate(np.zeros(500), EstimatorSpec("splw", P))
+        res = estimate(np.zeros(500), EstimatorSpec("splw", P))
         assert res.d_hat == edge
         assert res.diagnostics["boundary"]
 
@@ -173,9 +171,9 @@ class TestSplw:
         )
         for P in (0, 1, 2):
             spec = EstimatorSpec("splw", P)
-            base = splw_estimate(y, spec).d_hat
-            assert abs(splw_estimate(1234.567 * y, spec).d_hat - base) <= 1e-9
-            assert abs(splw_estimate(1e-3 * y, spec).d_hat - base) <= 1e-9
+            base = estimate(y, spec).d_hat
+            assert abs(estimate(1234.567 * y, spec).d_hat - base) <= 1e-9
+            assert abs(estimate(1e-3 * y, spec).d_hat - base) <= 1e-9
 
     def test_shift_invariance(self):
         y = simulate_gaussian(
@@ -183,8 +181,8 @@ class TestSplw:
         )
         for P in (0, 1, 2):
             spec = EstimatorSpec("splw", P)
-            base = splw_estimate(y, spec).d_hat
-            assert abs(splw_estimate(y + 57.25, spec).d_hat - base) <= 1e-9
+            base = estimate(y, spec).d_hat
+            assert abs(estimate(y + 57.25, spec).d_hat - base) <= 1e-9
 
     def test_refinement_never_worse_than_grid(self):
         for seed in range(6):
@@ -193,7 +191,7 @@ class TestSplw:
             )
             for P in (0, 1):
                 spec = EstimatorSpec("splw", P)
-                res = splw_estimate(y, spec)
+                res = estimate(y, spec)
                 grid = np.linspace(est_mod.SEARCH_LO, est_mod.SEARCH_HI, 251)
                 grid_best = min(whittle_objective(d, y, res.N, P) for d in grid)
                 at_estimate = whittle_objective(res.d_hat, y, res.N, P)
@@ -201,7 +199,7 @@ class TestSplw:
 
     def test_boundary_flag_on_overdifferenced_data(self):
         w = np.random.default_rng(11).standard_normal(400)
-        res = splw_estimate(apply_frac_filter(w, 2.2), EstimatorSpec("splw", 0))
+        res = estimate(apply_frac_filter(w, 2.2), EstimatorSpec("splw", 0))
         assert res.diagnostics["boundary"]
         assert res.d_hat == est_mod.SEARCH_LO
 
@@ -209,19 +207,19 @@ class TestSplw:
         y = simulate_gaussian(
             ArfimaParams(d=0.2, phi=0.3), 500, np.random.default_rng(14)
         )
-        res = splw_estimate(y, EstimatorSpec("splw", 0))
+        res = estimate(y, EstimatorSpec("splw", 0))
         assert not res.diagnostics["boundary"]
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            splw_estimate(np.full(100, 1.0), EstimatorSpec("splw", 0))
+            estimate(np.full(100, 1.0), EstimatorSpec("splw", 0))
 
     def test_arfima_bias_T100(self):
         # mean SPLW(0) bias near 0.1300 for d=0, phi=0.3, T=100
         spec = EstimatorSpec("splw", 0)
         params = ArfimaParams(d=0.0, phi=0.3)
         vals = [
-            splw_estimate(
+            estimate(
                 simulate_gaussian(params, 100, np.random.default_rng(2000 + r)), spec
             ).d_hat
             for r in range(400)
@@ -241,16 +239,6 @@ class TestMeanInvariance:
             assert abs(a - b) <= 1e-9
 
 
-def test_dispatch_matches_direct_calls():
-    y = simulate_gaussian(ArfimaParams(d=0.1, phi=0.3), 300, np.random.default_rng(16))
-    assert estimate(y, EstimatorSpec("lpr", 1)).d_hat == lpr_estimate(
-        y, EstimatorSpec("lpr", 1)
-    ).d_hat
-    assert estimate(y, EstimatorSpec("splw", 1)).d_hat == splw_estimate(
-        y, EstimatorSpec("splw", 1)
-    ).d_hat
-
-
 class TestOnePath:
     """Every estimate is the one-row case of the batched kernel."""
 
@@ -259,7 +247,6 @@ class TestOnePath:
     @pytest.mark.parametrize("family", ["lpr", "splw"])
     def test_estimate_is_a_row_of_the_kernel(self, family, P, T):
         spec = EstimatorSpec(family, P)
-        direct = lpr_estimate if family == "lpr" else splw_estimate
         rng = np.random.default_rng(100 * P + T)
         stack = np.stack([
             simulate_gaussian(ArfimaParams(d=d, phi=0.5), T, rng)
@@ -269,9 +256,9 @@ class TestOnePath:
         alone, ok, edge = _estimate_rows(y[None], spec)
         middle, ok3, edge3 = _estimate_rows(stack, spec)
         assert ok.all() and ok3.all()
-        for res in (estimate(y, spec), direct(y, spec)):
-            assert res.d_hat == alone[0] == middle[1]
-            assert res.diagnostics["boundary"] == edge[0] == edge3[1]
+        res = estimate(y, spec)
+        assert res.d_hat == alone[0] == middle[1]
+        assert res.diagnostics["boundary"] == edge[0] == edge3[1]
 
     @pytest.mark.parametrize("family", ["lpr", "splw"])
     def test_unusable_rows_are_nan(self, family):
@@ -307,9 +294,3 @@ class TestOnePath:
             warnings.simplefilter("error")
             with pytest.raises(error):
                 estimate(y, EstimatorSpec(family, 1))
-
-    def test_family_checked(self):
-        with pytest.raises(InvalidParameterError):
-            lpr_estimate(np.arange(100.0), EstimatorSpec("splw", 0))
-        with pytest.raises(InvalidParameterError):
-            splw_estimate(np.arange(100.0), EstimatorSpec("lpr", 0))

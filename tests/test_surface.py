@@ -43,8 +43,6 @@ PUBLIC_NAMES = [
     "iterate_bias_correct",
     "levinson_durbin",
     "load_design",
-    "lpr_estimate",
-    "mle_fit",
     "mle_fit_many",
     "parse_estimator_token",
     "periodogram",
@@ -52,7 +50,6 @@ PUBLIC_NAMES = [
     "read_results_csv",
     "run_design",
     "simulate_gaussian",
-    "splw_estimate",
     "stopping_thresholds",
 ]
 
